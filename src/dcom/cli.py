@@ -76,6 +76,16 @@ def parse_config_file(path) -> TrainingConfig:
     return TrainingConfig.from_dict(raw)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _load_data(path):
     return ingest.load_dataset(path, format=ingest.guess_format(path))
 
@@ -249,7 +259,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_positive_int, default=1)
     _add_common(p)
     p.set_defaults(func=_cmd_predict)
 
@@ -257,7 +267,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_positive_int, default=1)
     p.add_argument("--out", help="metrics JSON path (default stdout)")
     p.add_argument("--table", help="per-class CSV path")
     _add_common(p)

@@ -110,12 +110,19 @@ def evaluate(bundle: ModelBundle, instances, test_indices, k=1, seed=0,
     if not test_indices:
         raise ConfigError("empty test set")
     class_vocab = bundle.class_vocab
+    for i in test_indices:
+        label = instances[i].label
+        if label is None:
+            raise ConfigError(f"test instance {i} has no label")
+        if label not in class_vocab:
+            raise ConfigError(
+                f"test instance {i} has label {label!r}, which is not among "
+                f"the model's classes"
+            )
     y_true, y_pred, latencies = [], [], []
     errors = []  # (index, true_id, pred_id)
     for j, i in enumerate(test_indices):
         inst = instances[i]
-        if inst.label is None:
-            raise ConfigError(f"test instance {i} has no label")
         pred = _predict(bundle, inst, k, np.random.default_rng([seed, j]).integers(2**63))
         true_id = class_vocab.id_of(inst.label)
         pred_id = class_vocab.id_of(pred.label)

@@ -135,17 +135,41 @@ class DatasetSplit:
 
     @classmethod
     def load(cls, path):
+        """Read a manifest written by save; FormatError if it is malformed."""
         with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            try:
+                manifest = json.load(fh)
+            except ValueError as exc:
+                raise FormatError(f"{path}: split manifest is not valid JSON: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise FormatError(f"{path}: split manifest must be a JSON object")
+        for key in ("indices", "seed", "ratios"):
+            if key not in manifest:
+                raise FormatError(f"{path}: split manifest has no {key!r} key")
         idx = manifest["indices"]
+        parts = {}
+        for name in ("train", "validation", "test"):
+            part = idx.get(name) if isinstance(idx, dict) else None
+            if not isinstance(part, list) or not all(_is_int(i) for i in part):
+                raise FormatError(f"{path}: split indices {name!r} must be a list of integers")
+            parts[name] = tuple(part)
+        ratios = manifest["ratios"]
+        if not isinstance(ratios, list) or not all(
+            isinstance(r, (int, float)) and not isinstance(r, bool) for r in ratios
+        ):
+            raise FormatError(f"{path}: split ratios must be a list of numbers")
+        if not _is_int(manifest["seed"]):
+            raise FormatError(f"{path}: split seed must be an integer")
         return cls(
-            train=tuple(idx["train"]),
-            validation=tuple(idx["validation"]),
-            test=tuple(idx["test"]),
             seed=manifest["seed"],
-            ratios=tuple(manifest["ratios"]),
+            ratios=tuple(ratios),
             stratified=manifest.get("stratified", True),
+            **parts,
         )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _largest_remainder(n, ratios):

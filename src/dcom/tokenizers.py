@@ -75,25 +75,66 @@ def _iter_words(corpus):
                 yield word
 
 
+def _merge(parts: list[str], a: str, b: str) -> list[str]:
+    """Merge every adjacent (a, b) in parts, left to right, without overlap.
+
+    Merging (a, ##a) turns [a, ##a, ##a] into [aa, ##a]: the second ##a was
+    already taken by the first merge, so it stays.
+    """
+    merged = a + b[2:]
+    out = []
+    i = 0
+    while i < len(parts):
+        if i + 1 < len(parts) and parts[i] == a and parts[i + 1] == b:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(parts[i])
+            i += 1
+    return out
+
+
+def _count(parts: list[str], freq: int, part_freq: dict, pair_freq: dict) -> None:
+    """Add freq (negative to subtract) to the counts of parts and their
+    adjacent pairs, deleting every key whose count reaches 0."""
+    for counts, keys in ((part_freq, parts), (pair_freq, zip(parts, parts[1:]))):
+        for key in keys:
+            n = counts.get(key, 0) + freq
+            if n:
+                counts[key] = n
+            else:
+                del counts[key]
+
+
 def _train_wordpiece(word_freqs: Counter, budget: int) -> list[str]:
-    """Greedy pair-merge WordPiece training.
+    """Greedy pair-merge WordPiece training (Schuster & Nakajima 2012).
 
     Words start as character splits (continuations prefixed "##"); the
     highest-scoring adjacent pair (pair frequency over the product of part
-    frequencies) is merged until the budget is reached or no pairs remain.
+    frequencies, ties broken by the larger pair) is merged until the budget
+    is reached or no pairs remain.
+
+    The counts are kept incrementally, as in the BPE reference code of
+    Sennrich et al. 2016 ("Neural Machine Translation of Rare Words with
+    Subword Units"): part_freq and pair_freq are counted once, and `where`
+    maps each pair to the words that hold it.  A merge re-splits only the
+    words in where[best], subtracts their old part and pair counts, adds the
+    new ones and drops keys that reach 0.  So before every merge the counts
+    hold exactly the keys and values a full recount of every split would
+    give, and the score and the (score, pair) max pick the same pair: the
+    result equals that of recounting the corpus after each merge, token for
+    token.  Word frequencies must be positive.
     """
     splits = {w: [w[0]] + ["##" + c for c in w[1:]] for w in word_freqs}
-    alphabet = sorted({piece for parts in splits.values() for piece in parts})
-    vocab = list(alphabet)
+    vocab = sorted({piece for parts in splits.values() for piece in parts})
+    part_freq: dict = {}
+    pair_freq: dict = {}
+    where: dict = {}
+    for word, parts in splits.items():
+        _count(parts, word_freqs[word], part_freq, pair_freq)
+        for pair in zip(parts, parts[1:]):
+            where.setdefault(pair, set()).add(word)
     while len(vocab) + len(RESERVED) < budget:
-        part_freq: Counter = Counter()
-        pair_freq: Counter = Counter()
-        for word, freq in word_freqs.items():
-            parts = splits[word]
-            for part in parts:
-                part_freq[part] += freq
-            for a, b in zip(parts, parts[1:]):
-                pair_freq[(a, b)] += freq
         if not pair_freq:
             break
         best = max(
@@ -101,19 +142,23 @@ def _train_wordpiece(word_freqs: Counter, budget: int) -> list[str]:
             key=lambda p: (pair_freq[p] / (part_freq[p[0]] * part_freq[p[1]]), p),
         )
         a, b = best
-        merged = a + b[2:]
-        for word, parts in splits.items():
-            out = []
-            i = 0
-            while i < len(parts):
-                if i + 1 < len(parts) and parts[i] == a and parts[i + 1] == b:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(parts[i])
-                    i += 1
-            splits[word] = out
-        vocab.append(merged)
+        # no word holds `best` after its merge, so its index entry goes
+        for word in where.pop(best):
+            old = splits[word]
+            new = splits[word] = _merge(old, a, b)
+            freq = word_freqs[word]
+            _count(old, -freq, part_freq, pair_freq)
+            _count(new, freq, part_freq, pair_freq)
+            old_pairs = set(zip(old, old[1:]))
+            new_pairs = set(zip(new, new[1:]))
+            for pair in old_pairs - new_pairs - {best}:
+                holders = where[pair]
+                holders.discard(word)
+                if not holders:
+                    del where[pair]
+            for pair in new_pairs - old_pairs:
+                where.setdefault(pair, set()).add(word)
+        vocab.append(a + b[2:])
     return vocab
 
 

@@ -213,10 +213,9 @@ def _encode_single(sample, vocab, max_len):
 
 
 def _encode_multi(sample, vocab, max_len):
-    ids = np.stack([tokenizers.encode(vocab, t, max_len).ids for t in sample.texts])
-    mask = np.stack(
-        [tokenizers.encode(vocab, t, max_len).attention_mask for t in sample.texts]
-    )
+    seqs = [tokenizers.encode(vocab, t, max_len) for t in sample.texts]
+    ids = np.stack([s.ids for s in seqs])
+    mask = np.stack([s.attention_mask for s in seqs])
     return ids, mask, np.asarray(sample.pad_mask, dtype=bool)
 
 

@@ -186,3 +186,50 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert main(["predict", "--model", "no.dcom", "--data", "no.jsonl"]) == 2
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("k", ["0", "-3", "two"])
+    def test_k_below_one_is_usage_error(self, command, k, trained, corpus_path, capsys):
+        model, split = trained
+        argv = [command, "--model", str(model), "--data", str(corpus_path), "--k", k]
+        if command == "evaluate":
+            argv += ["--split", str(split)]
+        assert main(argv) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", [
+        "{oops",
+        "[1, 2]",
+        '{"seed": 0, "ratios": [0.6, 0.2, 0.2]}',
+        '{"indices": {"train": [0], "validation": [1], "test": [2]}, "ratios": [0.6, 0.2, 0.2]}',
+        '{"indices": {"train": [0], "validation": [1], "test": [2]}, "seed": 0}',
+        '{"indices": {"train": [0], "validation": [1]}, "seed": 0, "ratios": [0.6, 0.2, 0.2]}',
+        '{"indices": {"train": [0.5], "validation": [1], "test": [2]}, "seed": 0, "ratios": [0.6, 0.2, 0.2]}',
+        '{"indices": {"train": ["0"], "validation": [1], "test": [2]}, "seed": 0, "ratios": [0.6, 0.2, 0.2]}',
+    ])
+    def test_malformed_split_manifest_exit_2(self, manifest, trained, corpus_path, tmp_path,
+                                             capsys):
+        model, _ = trained
+        bad = tmp_path / "split.json"
+        bad.write_text(manifest)
+        out = tmp_path / "never.dcom"
+        assert main(["evaluate", "--model", str(model), "--data", str(corpus_path),
+                     "--split", str(bad)]) == 2
+        assert main(["train", "--data", str(corpus_path), "--split", str(bad),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "split" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_evaluate_unknown_label_exit_2(self, trained, corpus_path, tmp_path, capsys):
+        model, split = trained
+        instances, _ = ingest.load_dataset(corpus_path, "jsonl")
+        test_index = json.loads(split.read_text())["indices"]["test"][0]
+        records = [{"label": i.label, "values": list(i.values)} for i in instances]
+        records[test_index]["label"] = "postcode"
+        data = tmp_path / "relabeled.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["evaluate", "--model", str(model), "--data", str(data),
+                     "--split", str(split)]) == 2
+        err = capsys.readouterr().err
+        assert "'postcode'" in err and f"test instance {test_index}" in err

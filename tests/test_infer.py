@@ -146,6 +146,15 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="empty test"):
             evaluate(bundle, instances, [], k=1)
 
+    def test_label_not_in_classes(self, sanity_corpus, sanity_bundle):
+        instances, split = sanity_corpus
+        bundle, _ = sanity_bundle
+        i = split.test[0]
+        relabeled = list(instances)
+        relabeled[i] = ColumnInstance(instances[i].values, "postcode")
+        with pytest.raises(ConfigError, match=rf"test instance {i} has label 'postcode'"):
+            evaluate(bundle, relabeled, split.test, k=1)
+
     def test_size_reported_with_path(self, tmp_path, sanity_corpus, sanity_bundle):
         from dcom.serialize import save_bundle
         import os

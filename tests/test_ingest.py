@@ -133,6 +133,20 @@ class TestMakeSplit:
         s.save(path)
         assert ingest.DatasetSplit.load(path) == s
 
+    @pytest.mark.parametrize("text", [
+        "", "not json", "null",
+        '{"indices": {"train": [], "validation": [], "test": []}, "seed": 1}',
+        '{"indices": [], "seed": 1, "ratios": [0.6, 0.2, 0.2]}',
+        '{"indices": {"train": [true], "validation": [], "test": []}, "seed": 1, "ratios": [1]}',
+        '{"indices": {"train": [], "validation": [], "test": []}, "seed": "1", "ratios": [1]}',
+        '{"indices": {"train": [], "validation": [], "test": []}, "seed": 1, "ratios": 1}',
+    ])
+    def test_malformed_manifest_format_error(self, tmp_path, text):
+        path = tmp_path / "split.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="split"):
+            ingest.DatasetSplit.load(path)
+
 
 class TestSyntheticCorpus:
     def test_counts(self):

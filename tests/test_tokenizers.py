@@ -1,10 +1,15 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcom import ingest
 from dcom import tokenizers as tk
 from dcom.errors import ConfigError
+from wordpiece_oracle import oracle_train_wordpiece
 
 
 class TestBuildVocab:
@@ -34,6 +39,45 @@ class TestBuildVocab:
     def test_separator_excluded_from_vocab(self):
         vocab = tk.build_vocab(["a <SEP> b"], "word", size_budget=50)
         assert "<SEP>" not in vocab.tokens[3:]
+
+
+@st.composite
+def word_freqs_and_budget(draw):
+    # few letters, many repeats: score ties, overlapping merges ("aaaa") and
+    # pairs that run out before the budget all come up often
+    letters = "abcd"[: draw(st.integers(2, 4))]
+    words = draw(st.dictionaries(
+        st.text(st.sampled_from(letters), min_size=1, max_size=7),
+        st.integers(1, 6), min_size=1, max_size=10,
+    ))
+    return Counter(words), draw(st.integers(0, 40))
+
+
+class TestTrainWordpiece:
+    def test_merge_is_left_to_right_without_overlap(self):
+        assert tk._merge(["a", "##a", "##a"], "a", "##a") == ["aa", "##a"]
+        assert tk._merge(["a", "##a", "##a", "##a"], "##a", "##a") == ["a", "##aa", "##a"]
+
+    @given(word_freqs_and_budget())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_recount_oracle(self, case):
+        word_freqs, budget = case
+        assert tk._train_wordpiece(word_freqs, budget) == oracle_train_wordpiece(
+            word_freqs, budget
+        )
+
+    def test_acceptance_vocab_pinned(self):
+        # Pinned from oracle_train_wordpiece on the acceptance train split
+        # (corpus seed 11, split seed 7), budget 1000, plus the reserved tokens.
+        instances = ingest.generate_synthetic_corpus(ingest.DEFAULT_CLASS_SPEC, 200, seed=11)
+        split = ingest.make_split(
+            len(instances), seed=7, stratify_labels=[i.label for i in instances]
+        )
+        corpus = (" ".join(instances[i].values) for i in split.train)
+        vocab = tk.build_vocab(corpus, "wordpiece", 1000)
+        assert len(vocab) == 1000
+        digest = hashlib.sha256("\n".join(vocab.tokens).encode()).hexdigest()
+        assert digest == "46c01f257a3f82c716634333ac06457b7daaecc12842b98ff28bb71a839394c2"
 
 
 class TestEncode:
