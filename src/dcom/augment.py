@@ -26,22 +26,19 @@ MAX_ENUMERATE_N = 6
 class SingleSequenceSample:
     text: str
     r: int
-    source: int = 0
 
 
 @dataclass(frozen=True)
 class MultiSequenceSample:
     texts: tuple[str, ...]
     pad_mask: tuple[bool, ...]
-    mode: str = "pad"
-    source: int = 0
 
 
 def _join(values) -> str:
     return SEP_TEXT.join(values)
 
 
-def sample_single(instance: ColumnInstance, rng, source=0, r=None) -> SingleSequenceSample:
+def sample_single(instance: ColumnInstance, rng, r=None) -> SingleSequenceSample:
     """Draw one random single-sequence sample.
 
     r defaults to a uniform draw from [1, n]; the selection is a uniformly
@@ -53,9 +50,7 @@ def sample_single(instance: ColumnInstance, rng, source=0, r=None) -> SingleSequ
     if not 1 <= r <= n:
         raise ConfigError(f"r={r} out of range [1, {n}]")
     idx = rng.permutation(n)[:r]
-    return SingleSequenceSample(
-        text=_join(instance.values[i] for i in idx), r=r, source=source
-    )
+    return SingleSequenceSample(text=_join(instance.values[i] for i in idx), r=r)
 
 
 def enumerate_permutations(instance: ColumnInstance, r: int) -> list[SingleSequenceSample]:
@@ -76,7 +71,7 @@ def enumerate_permutations(instance: ColumnInstance, r: int) -> list[SingleSeque
     return samples
 
 
-def sample_multi(instance: ColumnInstance, r: int, mode="pad", rng=None, source=0) -> MultiSequenceSample:
+def sample_multi(instance: ColumnInstance, r: int, mode="pad", rng=None) -> MultiSequenceSample:
     """Draw one multi-sequence sample with exactly r slots.
 
     If the column has at least r values, both modes place r distinct values in
@@ -103,11 +98,11 @@ def sample_multi(instance: ColumnInstance, r: int, mode="pad", rng=None, source=
         idx = rng.integers(0, n, size=r)
         texts = tuple(instance.values[int(i)] for i in idx)
         mask = (True,) * r
-    return MultiSequenceSample(texts=texts, pad_mask=mask, mode=mode, source=source)
+    return MultiSequenceSample(texts=texts, pad_mask=mask)
 
 
 def inference_inputs(instance: ColumnInstance, model_kind: str, k: int, rng,
-                     r_multi: int = 45, multi_mode: str = "pad", source=0):
+                     r_multi: int = 45, multi_mode: str = "pad"):
     """Build the k inference-time samples for one column.
 
     k=1 single: one full random permutation (r = n).  k=1 multi: one sample at
@@ -119,13 +114,10 @@ def inference_inputs(instance: ColumnInstance, model_kind: str, k: int, rng,
         raise ConfigError("k must be >= 1")
     if model_kind == "single":
         if k == 1:
-            return [sample_single(instance, rng, source=source, r=instance.n)]
-        return [sample_single(instance, rng, source=source) for _ in range(k)]
+            return [sample_single(instance, rng, r=instance.n)]
+        return [sample_single(instance, rng) for _ in range(k)]
     if model_kind == "multi":
-        return [
-            sample_multi(instance, r_multi, mode=multi_mode, rng=rng, source=source)
-            for _ in range(k)
-        ]
+        return [sample_multi(instance, r_multi, mode=multi_mode, rng=rng) for _ in range(k)]
     raise ConfigError(f"unknown model kind {model_kind!r}")
 
 

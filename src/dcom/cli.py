@@ -19,7 +19,7 @@ from . import ingest
 from .errors import DcomError
 from .explain import feature_importance
 from .features import FEATURE_NAMES, extract_features
-from .infer import evaluate, predict_kvote, predict_one
+from .infer import evaluate, predict_kvote
 from .serialize import load_bundle, save_bundle
 from .train import TrainingConfig, train_model
 
@@ -90,20 +90,10 @@ def _load_data(path):
     return ingest.load_dataset(path, format=ingest.guess_format(path))
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (1 keeps runs reproducible)")
-
-
 def _cmd_synth(args):
     spec = ingest.DEFAULT_CLASS_SPEC
     if args.classes:
-        spec = {}
-        for name in args.classes.split(","):
-            name = name.strip()
-            generator = name if name in ingest.GENERATORS else f"{name}_numbers"
-            spec[name] = generator
+        spec = {name.strip(): name.strip() for name in args.classes.split(",")}
     instances = ingest.generate_synthetic_corpus(spec, args.n_per_class, seed=args.seed)
     ingest.save_jsonl(instances, args.out)
     print(f"wrote {len(instances)} columns to {args.out}")
@@ -148,12 +138,8 @@ def _cmd_predict(args):
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for i, inst in enumerate(instances):
-            if args.k > 1:
-                pred = predict_kvote(bundle, inst, k=args.k,
-                                     seed=np.random.default_rng([args.seed, i]).integers(2**63))
-            else:
-                pred = predict_one(bundle, inst,
-                                   seed=np.random.default_rng([args.seed, i]).integers(2**63))
+            pred = predict_kvote(bundle, inst, k=args.k,
+                                 seed=np.random.default_rng([args.seed, i]).integers(2**63))
             record = {
                 "source": i,
                 "label": pred.label,
@@ -195,10 +181,10 @@ def _cmd_augment(args):
     try:
         for i, inst in enumerate(instances):
             if args.mode == "single":
-                s = augment_mod.sample_single(inst, rng, source=i)
+                s = augment_mod.sample_single(inst, rng)
                 record = {"source": i, "r": s.r, "text": s.text}
             else:
-                s = augment_mod.sample_multi(inst, args.r, args.multi_mode, rng, source=i)
+                s = augment_mod.sample_multi(inst, args.r, args.multi_mode, rng)
                 record = {"source": i, "r": args.r, "texts": list(s.texts),
                           "mask": [int(m) for m in s.pad_mask]}
             out.write(json.dumps(record, ensure_ascii=False) + "\n")
@@ -209,8 +195,6 @@ def _cmd_augment(args):
 
 
 def _cmd_features(args):
-    if args.action != "dump":
-        raise UsageError(f"unknown features action {args.action!r}")
     instances, _ = _load_data(args.data)
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
@@ -242,7 +226,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--n-per-class", type=int, default=100)
     p.add_argument("--classes", help="comma-separated generator names")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train a model")
@@ -252,7 +236,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split", help="existing split manifest JSON")
     p.add_argument("--split-out", help="write the split manifest here")
     p.add_argument("--log", help="epoch report CSV (default <out>.epochs.csv)")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict labels for a dataset")
@@ -260,7 +244,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out")
     p.add_argument("--k", type=_positive_int, default=1)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="metrics report on a test split")
@@ -270,7 +254,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=_positive_int, default=1)
     p.add_argument("--out", help="metrics JSON path (default stdout)")
     p.add_argument("--table", help="per-class CSV path")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("augment", help="stream constructed samples as JSONL")
@@ -279,14 +263,13 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, default=45)
     p.add_argument("--multi-mode", choices=("pad", "with_replacement"), default="pad")
     p.add_argument("--out")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("features", help="engineered-feature utilities")
     p.add_argument("action", choices=("dump",))
     p.add_argument("--data", required=True)
     p.add_argument("--out")
-    _add_common(p)
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("explain", help="feature-importance report")
@@ -294,7 +277,6 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="also write the report as CSV")
     p.add_argument("--labels", action="store_true",
                    help="use long feature labels instead of short names")
-    _add_common(p)
     p.set_defaults(func=_cmd_explain)
     return parser
 
@@ -308,10 +290,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except DcomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DcomError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

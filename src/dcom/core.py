@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 
 # Separator used when joining column values into one text.  The bare token is
 # what the tokenizer recognizes; the joined form carries one space on each side.
@@ -74,3 +74,63 @@ class ClassVocabulary:
 
     def __contains__(self, name) -> bool:
         return name in self.index
+
+
+def has_type(value, kind) -> bool:
+    """isinstance for JSON values: bool is not a number, an int passes for a
+    float, and a tuple is a list or tuple of ints."""
+    if kind is tuple:
+        return isinstance(value, (list, tuple)) and all(has_type(v, int) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+class FlatConfig:
+    """Dict form of a dataclass config whose every field has a default.
+
+    A value must have its default's type; an int passes for a float and a list
+    of ints for a tuple, which is how JSON and config files carry them.
+    """
+
+    def to_dict(self) -> dict:
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(d) - set(defaults)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            kind = type(defaults[key])
+            if not has_type(value, kind):
+                raise ConfigError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+
+
+@dataclass
+class TrainingConfig(FlatConfig):
+    """The training recipe; a model bundle stores the one it was trained with."""
+
+    mode: str = "single"
+    embedding_dim: int = 64
+    hidden_size: int = 128
+    feature_dim: int = 64
+    dense_widths: tuple[int, ...] = (256,)
+    dropout: float = 0.3
+    aggregation: str = "mean"
+    r: int = 45
+    multi_mode: str = "pad"  # "pad" | "with_replacement"
+    tokenizer: str = "wordpiece"
+    vocab_budget: int = 8000
+    max_len: int = 128  # single-sequence token cap
+    max_len_per_slot: int = 32  # multi-sequence per-slot cap
+    epochs: int = 100
+    batch_size: int = 32
+    learning_rate: float = 1e-4
+    plateau_factor: float = 0.5
+    plateau_patience: int = 5
+    early_stop_patience: int = 15
+    use_class_weights: bool = False

@@ -1,4 +1,4 @@
-"""Prediction paths: single-shot inference and the k-sample majority vote."""
+"""Prediction: the k-sample majority vote, and evaluation reports."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .errors import ConfigError
 from .features import extract_features
 from .nn import Model
 from .serialize import ModelBundle
-from .train import TrainingConfig, accuracy, make_batch, per_class_prf, support_weighted_f1
+from .train import accuracy, make_batch, per_class_prf, support_weighted_f1
 
 
 @dataclass(frozen=True)
@@ -26,20 +26,12 @@ class Prediction:
     latency_s: float = 0.0
 
 
-def _config_for(bundle: ModelBundle) -> TrainingConfig:
-    d = bundle.training_dict()
-    if d:
-        return TrainingConfig.from_dict(d)
-    arch = bundle.arch
-    return TrainingConfig(mode=arch.mode, r=arch.r, aggregation=arch.aggregation)
-
-
-def _forward_samples(bundle: ModelBundle, model: Model, config, samples, feats_scaled):
+def _forward_samples(bundle: ModelBundle, model: Model, samples, feats_scaled):
     # One forward per sample: the k votes of an instance are independent
     # evaluations (parallelizable across workers), not one fused batch.
     rows = []
     for sample in samples:
-        batch = make_batch([sample], [feats_scaled], config, bundle.vocab)
+        batch = make_batch([sample], [feats_scaled], bundle.training, bundle.vocab)
         probs, _ = model.forward(batch, train_mode=False)
         rows.append(probs[0])
     return np.vstack(rows)
@@ -59,19 +51,22 @@ def _vote_winner(probs: np.ndarray) -> tuple[int, dict]:
     return winner, dict(votes)
 
 
-def _predict(bundle: ModelBundle, instance, k, seed):
-    if instance.n == 0:
-        raise ConfigError("cannot predict an empty instance")
+def predict_kvote(bundle: ModelBundle, instance, k=10, seed=0) -> Prediction:
+    """k-sample majority-vote prediction.
+
+    k=1 classifies one full random permutation of the values and reports no
+    votes; k>1 votes over k samples of random length (see
+    augment.inference_inputs) and reports their mean distribution.
+    """
     t0 = time.perf_counter()
-    config = _config_for(bundle)
+    config = bundle.training
     model = Model(bundle.arch, params=bundle.params)
     rng = np.random.default_rng(seed)
     samples = augment.inference_inputs(
-        instance, bundle.arch.mode, k, rng,
-        r_multi=bundle.arch.r, multi_mode=config.multi_mode,
+        instance, config.mode, k, rng, r_multi=config.r, multi_mode=config.multi_mode,
     )
     feats = bundle.scaler.transform(extract_features(instance))
-    probs = _forward_samples(bundle, model, config, samples, feats)
+    probs = _forward_samples(bundle, model, samples, feats)
     if k == 1:
         class_id = int(np.argmax(probs[0]))
         mean_probs = probs[0]
@@ -87,18 +82,6 @@ def _predict(bundle: ModelBundle, instance, k, seed):
         votes=votes,
         latency_s=time.perf_counter() - t0,
     )
-
-
-def predict_one(bundle: ModelBundle, instance, seed=0) -> Prediction:
-    """Single-shot prediction from one inference input."""
-    return _predict(bundle, instance, 1, seed)
-
-
-def predict_kvote(bundle: ModelBundle, instance, k=10, seed=0) -> Prediction:
-    """k-sample majority-vote prediction; k=1 degenerates to predict_one."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    return _predict(bundle, instance, k, seed)
 
 
 def evaluate(bundle: ModelBundle, instances, test_indices, k=1, seed=0,
@@ -123,7 +106,7 @@ def evaluate(bundle: ModelBundle, instances, test_indices, k=1, seed=0,
     errors = []  # (index, true_id, pred_id)
     for j, i in enumerate(test_indices):
         inst = instances[i]
-        pred = _predict(bundle, inst, k, np.random.default_rng([seed, j]).integers(2**63))
+        pred = predict_kvote(bundle, inst, k, np.random.default_rng([seed, j]).integers(2**63))
         true_id = class_vocab.id_of(inst.label)
         pred_id = class_vocab.id_of(pred.label)
         y_true.append(true_id)

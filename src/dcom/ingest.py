@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassVocabulary, ColumnInstance, make_instance
+from .core import ClassVocabulary, ColumnInstance, has_type, make_instance
 from .errors import ConfigError, FormatError, ParseError
 
 
@@ -44,6 +44,9 @@ def load_jsonl(path):
                 raise ParseError("'values' must be a list", line=lineno)
             if len(values) == 0:
                 raise ParseError("empty value list", line=lineno)
+            if any(v is None or isinstance(v, (dict, list)) for v in values):
+                raise ParseError("values must be strings or numbers, not null, "
+                                 "objects or arrays", line=lineno)
             label = record.get("label")
             if label is not None and not isinstance(label, str):
                 raise ParseError("'label' must be a string", line=lineno)
@@ -150,15 +153,13 @@ class DatasetSplit:
         parts = {}
         for name in ("train", "validation", "test"):
             part = idx.get(name) if isinstance(idx, dict) else None
-            if not isinstance(part, list) or not all(_is_int(i) for i in part):
+            if not isinstance(part, list) or not all(has_type(i, int) for i in part):
                 raise FormatError(f"{path}: split indices {name!r} must be a list of integers")
             parts[name] = tuple(part)
         ratios = manifest["ratios"]
-        if not isinstance(ratios, list) or not all(
-            isinstance(r, (int, float)) and not isinstance(r, bool) for r in ratios
-        ):
+        if not isinstance(ratios, list) or not all(has_type(r, float) for r in ratios):
             raise FormatError(f"{path}: split ratios must be a list of numbers")
-        if not _is_int(manifest["seed"]):
+        if not has_type(manifest["seed"], int):
             raise FormatError(f"{path}: split seed must be an integer")
         return cls(
             seed=manifest["seed"],
@@ -166,10 +167,6 @@ class DatasetSplit:
             stratified=manifest.get("stratified", True),
             **parts,
         )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _largest_remainder(n, ratios):

@@ -15,17 +15,18 @@ against finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .core import FlatConfig
 from .errors import ConfigError, DiagnosticError
 
 AGGREGATIONS = ("mean", "sum", "concatenation", "weighted_sum")
 
 
 @dataclass(frozen=True)
-class ArchitectureConfig:
+class ArchitectureConfig(FlatConfig):
     mode: str = "single"  # "single" | "multi"
     vocab_size: int = 0
     n_classes: int = 0
@@ -47,6 +48,10 @@ class ArchitectureConfig:
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
         if self.vocab_size < 3 or self.n_classes < 2:
             raise ConfigError("vocab_size and n_classes must be set")
+        widths = (self.embedding_dim, self.hidden_size, self.feature_dim, self.r,
+                  self.n_features, *self.dense_widths)
+        if min(widths) < 1:
+            raise ConfigError("layer widths, r and n_features must be >= 1")
 
     @property
     def text_dim(self) -> int:
@@ -55,56 +60,46 @@ class ArchitectureConfig:
             return self.r * per_slot
         return per_slot
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "vocab_size": self.vocab_size,
-            "n_classes": self.n_classes,
-            "embedding_dim": self.embedding_dim,
-            "hidden_size": self.hidden_size,
-            "feature_dim": self.feature_dim,
-            "dense_widths": list(self.dense_widths),
-            "dropout": self.dropout,
-            "aggregation": self.aggregation,
-            "r": self.r,
-            "n_features": self.n_features,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchitectureConfig":
-        d = dict(d)
-        d["dense_widths"] = tuple(d["dense_widths"])
-        return cls(**d)
-
-
-def _xavier(rng, fan_in, fan_out, shape):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def param_shapes(config: ArchitectureConfig) -> dict:
+    """Name -> shape of every parameter, in initialization order."""
+    E, H, D = config.embedding_dim, config.hidden_size, config.feature_dim
+    shapes = {
+        "embedding": (config.vocab_size, E),
+        "feat_W": (config.n_features, D),
+        "feat_b": (D,),
+    }
+    for d in ("fw", "bw"):
+        shapes.update({f"lstm_{d}_Wx": (E, 4 * H), f"lstm_{d}_Wh": (H, 4 * H),
+                       f"lstm_{d}_b": (4 * H,)})
+    if config.mode == "multi" and config.aggregation == "weighted_sum":
+        shapes["agg_w"] = (config.r,)
+    prev = config.text_dim + D
+    for i, width in enumerate(config.dense_widths):
+        shapes[f"dense_{i}_W"] = (prev, width)
+        shapes[f"dense_{i}_b"] = (width,)
+        prev = width
+    shapes["out_W"] = (prev, config.n_classes)
+    shapes["out_b"] = (config.n_classes,)
+    return shapes
 
 
 def init_params(config: ArchitectureConfig, rng) -> dict:
-    """Xavier-uniform parameter initialization; LSTM forget-gate bias starts at 1."""
-    E, H, D = config.embedding_dim, config.hidden_size, config.feature_dim
-    params = {
-        "embedding": _xavier(rng, config.vocab_size, E, (config.vocab_size, E)),
-        "feat_W": _xavier(rng, config.n_features, D, (config.n_features, D)),
-        "feat_b": np.zeros(D),
-    }
-    for d in ("fw", "bw"):
-        params[f"lstm_{d}_Wx"] = _xavier(rng, E, 4 * H, (E, 4 * H))
-        params[f"lstm_{d}_Wh"] = _xavier(rng, H, 4 * H, (H, 4 * H))
-        b = np.zeros(4 * H)
-        b[H : 2 * H] = 1.0
-        params[f"lstm_{d}_b"] = b
-    if config.mode == "multi" and config.aggregation == "weighted_sum":
-        params["agg_w"] = np.full(config.r, 1.0 / config.r)
-    prev = config.text_dim + D
-    for i, width in enumerate(config.dense_widths):
-        params[f"dense_{i}_W"] = _xavier(rng, prev, width, (prev, width))
-        params[f"dense_{i}_b"] = np.zeros(width)
-        prev = width
-    params["out_W"] = _xavier(rng, prev, config.n_classes, (prev, config.n_classes))
-    params["out_b"] = np.zeros(config.n_classes)
+    """Xavier-uniform weight matrices, zero biases; LSTM forget-gate bias starts
+    at 1 and slot weights at 1/r."""
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 2:
+            fan_in, fan_out = shape
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            params[name] = rng.uniform(-limit, limit, size=shape)
+        elif name == "agg_w":
+            params[name] = np.full(shape, 1.0 / config.r)
+        else:
+            params[name] = np.zeros(shape)
+            if name.startswith("lstm_"):
+                H = config.hidden_size
+                params[name][H : 2 * H] = 1.0
     return params
 
 

@@ -2,7 +2,7 @@
 
 One binary file carries everything needed to predict: architecture config,
 parameters, tokenizer vocabulary, feature scaler, class vocabulary, and
-training metadata.  Layout (all integers little-endian):
+training config and metadata.  Layout (all integers little-endian):
 
     magic "DCOM" | version u32 | payload_len u64 | crc32 u32 | payload
 
@@ -15,20 +15,33 @@ Saving is deterministic, so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ClassVocabulary
-from .errors import BundleError
-from .features import FeatureScaler
-from .nn import ArchitectureConfig
+from .core import ClassVocabulary, TrainingConfig, has_type
+from .errors import BundleError, DcomError
+from .features import FEATURE_NAMES, FeatureScaler
+from .nn import ArchitectureConfig, param_shapes
 from .tokenizers import Vocabulary
 
 MAGIC = b"DCOM"
 FORMAT_VERSION = 1
+
+# The header's required fields and their JSON types: a dict maps keys to the
+# types of their values, a one-element list types every item of a list.
+HEADER_FORMAT = {
+    "arch": dict,
+    "training": dict,
+    "metadata": dict,
+    "classes": [str],
+    "vocab": {"kind": str, "tokens": [str]},
+    "scaler": {"mean": [float], "std": [float]},
+    "params": [{"name": str, "shape": [int]}],
+}
 
 
 @dataclass
@@ -38,23 +51,16 @@ class ModelBundle:
     vocab: Vocabulary
     scaler: FeatureScaler
     class_vocab: ClassVocabulary
-    training: dict | object = None
-    metadata: dict = None
-
-    def training_dict(self) -> dict:
-        if self.training is None:
-            return {}
-        if hasattr(self.training, "to_dict"):
-            return self.training.to_dict()
-        return dict(self.training)
+    training: TrainingConfig
+    metadata: dict = field(default_factory=dict)
 
 
 def _payload(bundle: ModelBundle) -> bytes:
     names = sorted(bundle.params)
     header = {
         "arch": bundle.arch.to_dict(),
-        "training": bundle.training_dict(),
-        "metadata": bundle.metadata or {},
+        "training": bundle.training.to_dict(),
+        "metadata": bundle.metadata,
         "classes": list(bundle.class_vocab.names),
         "vocab": {"kind": bundle.vocab.kind, "tokens": list(bundle.vocab.tokens)},
         "scaler": {
@@ -82,7 +88,66 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         fh.write(payload)
 
 
+def _conforms(value, form) -> bool:
+    if isinstance(form, dict):
+        return isinstance(value, dict) and all(
+            key in value and _conforms(value[key], sub) for key, sub in form.items()
+        )
+    if isinstance(form, list):
+        return isinstance(value, list) and all(_conforms(v, form[0]) for v in value)
+    return has_type(value, form)
+
+
+def _decode(payload: bytes) -> ModelBundle:
+    if len(payload) < 4:
+        raise BundleError("truncated header")
+    header_len = struct.unpack_from("<I", payload, 0)[0]
+    header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
+    if not _conforms(header, HEADER_FORMAT):
+        raise BundleError("header lacks a field or has one of the wrong type")
+    arch = ArchitectureConfig.from_dict(header["arch"])
+    training = TrainingConfig.from_dict(header["training"])
+    if arch.to_dict() != header["arch"] or training.to_dict() != header["training"]:
+        raise BundleError("arch or training config lacks a field")
+    # the training config repeats the architecture fields it built
+    if any(header["arch"][f] != v for f, v in header["training"].items() if f in header["arch"]):
+        raise BundleError("training config disagrees with the architecture")
+    vocab = Vocabulary(kind=header["vocab"]["kind"], tokens=tuple(header["vocab"]["tokens"]))
+    class_vocab = ClassVocabulary(tuple(header["classes"]))
+    scaler = FeatureScaler(
+        mean=np.asarray(header["scaler"]["mean"], dtype=np.float64),
+        std=np.asarray(header["scaler"]["std"], dtype=np.float64),
+    )
+    n_features = len(FEATURE_NAMES)
+    if (len(vocab) != arch.vocab_size or len(class_vocab) != arch.n_classes
+            or arch.n_features != n_features or scaler.mean.shape != (n_features,)
+            or scaler.std.shape != (n_features,)
+            or not np.all(np.isfinite(scaler.mean) & np.isfinite(scaler.std) & (scaler.std > 0))):
+        raise BundleError("vocabulary, classes or scaler disagree with the architecture")
+
+    shapes = param_shapes(arch)
+    listed = [(p["name"], tuple(p["shape"])) for p in header["params"]]
+    if listed != [(name, shapes[name]) for name in sorted(shapes)]:
+        raise BundleError("parameter list does not match the architecture")
+    offset = 4 + header_len
+    params = {}
+    for name, shape in listed:
+        end = offset + 8 * math.prod(shape)
+        if end > len(payload):
+            raise BundleError(f"truncated parameter {name}")
+        params[name] = (
+            np.frombuffer(payload[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
+        )
+        offset = end
+    if offset != len(payload):
+        raise BundleError("trailing bytes after the last parameter")
+    return ModelBundle(arch=arch, params=params, vocab=vocab, scaler=scaler,
+                       class_vocab=class_vocab, training=training,
+                       metadata=header["metadata"])
+
+
 def load_bundle(path) -> ModelBundle:
+    """Read a bundle; any defect in the bytes raises BundleError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 20 or blob[:4] != MAGIC:
@@ -95,35 +160,13 @@ def load_bundle(path) -> ModelBundle:
     payload = blob[20 : 20 + payload_len]
     if len(payload) != payload_len:
         raise BundleError(f"{path}: truncated bundle")
+    if len(blob) != 20 + payload_len:
+        raise BundleError(f"{path}: trailing bytes after the payload")
     if zlib.crc32(payload) != crc:
         raise BundleError(f"{path}: checksum mismatch")
-
-    header_len = struct.unpack_from("<I", payload, 0)[0]
     try:
-        header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise BundleError(f"{path}: corrupt header") from exc
-    offset = 4 + header_len
-    params = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
-        if end > len(payload):
-            raise BundleError(f"{path}: truncated parameter {entry['name']}")
-        params[entry["name"]] = (
-            np.frombuffer(payload[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
-        )
-        offset = end
-    return ModelBundle(
-        arch=ArchitectureConfig.from_dict(header["arch"]),
-        params=params,
-        vocab=Vocabulary(kind=header["vocab"]["kind"], tokens=tuple(header["vocab"]["tokens"])),
-        scaler=FeatureScaler(
-            mean=np.asarray(header["scaler"]["mean"], dtype=np.float64),
-            std=np.asarray(header["scaler"]["std"], dtype=np.float64),
-        ),
-        class_vocab=ClassVocabulary(tuple(header["classes"])),
-        training=header.get("training") or {},
-        metadata=header.get("metadata") or {},
-    )
+        return _decode(payload)
+    except (DcomError, ValueError, RecursionError) as exc:
+        # ValueError covers undecodable or invalid JSON and duplicate classes,
+        # RecursionError JSON nested too deeply to decode
+        raise BundleError(f"{path}: corrupt bundle: {exc}") from exc

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import augment, tokenizers
-from .core import ClassVocabulary
+from .core import ClassVocabulary, TrainingConfig
 from .errors import ConfigError, DiagnosticError
 from .features import FeatureScaler, extract_features
 from .nn import ArchitectureConfig, Model, zeros_like_params
@@ -24,24 +24,16 @@ from .serialize import ModelBundle
 # Loss
 
 
-def cross_entropy(probs, label, class_weight=1.0):
-    """Per-sample weighted cross-entropy and its gradient at the logits.
-
-    Returns (loss, dlogits) with loss = -w * log(p_label) (p clamped at 1e-12)
-    and dlogits = w * (p - onehot(label)).
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < probs.shape[-1]:
-        raise ConfigError(f"label {label} out of range for {probs.shape[-1]} classes")
-    loss = -class_weight * np.log(max(probs[label], 1e-12))
-    dlogits = class_weight * probs.copy()
-    dlogits[label] -= class_weight
-    return float(loss), dlogits
-
-
 def cross_entropy_batch(probs, labels, class_weights=None):
-    """Mean weighted cross-entropy over a batch; gradient scaled by 1/B."""
+    """Mean weighted cross-entropy over a batch and its gradient at the logits.
+
+    loss = mean(-w * log(p_label)) with p clamped at 1e-12, and
+    dlogits = w * (p - onehot(label)) / B.
+    """
     B, C = probs.shape
+    labels = np.asarray(labels)
+    if np.any((labels < 0) | (labels >= C)):
+        raise ConfigError(f"labels must lie in [0, {C}), got {labels.tolist()}")
     w = np.ones(B) if class_weights is None else np.asarray(class_weights)[labels]
     p_true = np.clip(probs[np.arange(B), labels], 1e-12, None)
     loss = float(np.mean(-w * np.log(p_true)))
@@ -153,46 +145,6 @@ def accuracy(y_true, y_pred) -> float:
 # Training configuration and loop
 
 
-@dataclass
-class TrainingConfig:
-    mode: str = "single"
-    embedding_dim: int = 64
-    hidden_size: int = 128
-    feature_dim: int = 64
-    dense_widths: tuple[int, ...] = (256,)
-    dropout: float = 0.3
-    aggregation: str = "mean"
-    r: int = 45
-    multi_mode: str = "pad"  # "pad" | "with_replacement"
-    tokenizer: str = "wordpiece"
-    vocab_budget: int = 8000
-    max_len: int = 128  # single-sequence token cap
-    max_len_per_slot: int = 32  # multi-sequence per-slot cap
-    epochs: int = 100
-    batch_size: int = 32
-    learning_rate: float = 1e-4
-    plateau_factor: float = 0.5
-    plateau_patience: int = 5
-    early_stop_patience: int = 15
-    use_class_weights: bool = False
-
-    def to_dict(self):
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["dense_widths"] = list(self.dense_widths)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "dense_widths" in d:
-            d["dense_widths"] = tuple(d["dense_widths"])
-        return cls(**d)
-
-
 @dataclass(frozen=True)
 class EpochReport:
     epoch: int
@@ -247,7 +199,7 @@ def _predict_labels(model, instances, indices, scaled_feats, vocab, config, rng)
         samples = [
             augment.inference_inputs(
                 instances[i], config.mode, 1, rng,
-                r_multi=config.r, multi_mode=config.multi_mode, source=i,
+                r_multi=config.r, multi_mode=config.multi_mode,
             )[0]
             for i in chunk
         ]
@@ -260,7 +212,9 @@ def _predict_labels(model, instances, indices, scaled_feats, vocab, config, rng)
 def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=None):
     """Train on the split's train set, select on validation F1.
 
-    Returns (ModelBundle, list of EpochReport).
+    Returns (ModelBundle, list of EpochReport). A run that diverges fails
+    loudly: the forward pass raises DiagnosticError on non-finite logits and
+    adam_step on non-finite gradients, while the clamped loss stays finite.
     """
     labeled = [i for i in split.train if instances[i].label is None]
     if labeled:
@@ -321,30 +275,22 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
         drop_rng = _epoch_rng(seed, epoch, 1)
         order = _epoch_rng(seed, epoch, 2).permutation(len(split.train))
         losses = []
-        diverged = False
         for start in range(0, len(order), config.batch_size):
             chunk = [split.train[j] for j in order[start : start + config.batch_size]]
             if config.mode == "single":
-                samples = [augment.sample_single(instances[i], sample_rng, source=i) for i in chunk]
+                samples = [augment.sample_single(instances[i], sample_rng) for i in chunk]
             else:
                 samples = [
-                    augment.sample_multi(instances[i], config.r, config.multi_mode,
-                                         sample_rng, source=i)
+                    augment.sample_multi(instances[i], config.r, config.multi_mode, sample_rng)
                     for i in chunk
                 ]
             batch = make_batch(samples, [scaled[i] for i in chunk], config, vocab)
             labels = np.asarray([class_vocab.id_of(instances[i].label) for i in chunk])
             probs, cache = model.forward(batch, train_mode=True, dropout_rng=drop_rng)
             loss, dlogits = cross_entropy_batch(probs, labels, class_weights)
-            if not np.isfinite(loss):
-                diverged = True
-                break
             losses.append(loss)
             grads = model.backward(cache, dlogits)
             adam_step(model.params, grads, opt)
-        if diverged:
-            model.params = copy.deepcopy(best_params)
-            break
 
         val_pred = _predict_labels(
             model, instances, list(split.validation), scaled, vocab, config,

@@ -15,7 +15,7 @@ from dcom.augment import enumerate_permutations, sample_single
 from dcom.core import ColumnInstance
 from dcom.explain import importance_scores
 from dcom.features import extract_features
-from dcom.infer import evaluate, predict_one
+from dcom.infer import evaluate, predict_kvote
 from dcom.nn import ArchitectureConfig, Model
 from dcom.serialize import load_bundle, save_bundle
 from dcom.train import (
@@ -253,8 +253,8 @@ def test_criterion_9_round_trip(tmp_path, trained_single):
         for i in range(100):
             values = random_column(rng, max_values=8)
             inst = ingest.make_instance(values)
-            a = predict_one(bundle, inst, seed=i)
-            b = predict_one(loaded, inst, seed=i)
+            a = predict_kvote(bundle, inst, k=1, seed=i)
+            b = predict_kvote(loaded, inst, k=1, seed=i)
             assert a.label == b.label
             np.testing.assert_array_equal(a.probabilities, b.probabilities)
 

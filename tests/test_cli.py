@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from bundle_edit import join_bundle, split_bundle
 from dcom import ingest
 from dcom.cli import main, parse_config_file
 from dcom.errors import ConfigError, DcomError
@@ -176,7 +177,55 @@ class TestExplainCommand:
         assert len(csv_out.read_text().splitlines()) == 20
 
 
+# One valid command line per subcommand; {name} fields are filled in by
+# test_exit_code.
+VALID_ARGV = {
+    "synth": ["synth", "--out", "{tmp}/c.jsonl", "--n-per-class", "2",
+              "--classes", "day_numbers,gender_codes"],
+    "train": ["train", "--data", "{data}", "--config", "{config}", "--out", "{tmp}/m.dcom"],
+    "predict": ["predict", "--model", "{model}", "--data", "{data}", "--out", "{tmp}/p.jsonl"],
+    "evaluate": ["evaluate", "--model", "{model}", "--data", "{data}", "--split", "{split}",
+                 "--out", "{tmp}/e.json"],
+    "augment": ["augment", "--data", "{data}", "--out", "{tmp}/a.jsonl"],
+    "features": ["features", "dump", "--data", "{data}", "--out", "{tmp}/f.csv"],
+    "explain": ["explain", "--model", "{model}"],
+}
+
+EXIT_CODES = [
+    *[(argv, 0) for argv in VALID_ARGV.values()],
+    *[(argv + ["--threads", "2"], 1) for argv in VALID_ARGV.values()],
+    (VALID_ARGV["features"] + ["--seed", "1"], 1),
+    (VALID_ARGV["explain"] + ["--seed", "1"], 1),
+    (VALID_ARGV["augment"] + ["--mode", "triple"], 1),
+    (["synth", "--out", "{tmp}/c.jsonl", "--classes", "day,gender_codes"], 2),
+    (["train", "--data", "{data}", "--config", "{diverging}", "--out", "{tmp}/m.dcom"], 2),
+    (["predict", "--model", "{damaged}", "--data", "{data}"], 2),
+    (["evaluate", "--model", "{damaged}", "--data", "{data}", "--split", "{split}"], 2),
+    (["explain", "--model", "{damaged}"], 2),
+    (["augment", "--data", "{tmp}/missing.jsonl"], 2),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv,code", EXIT_CODES, ids=[
+        " ".join(t for t in a if "{" not in t) + f" -> {c}" for a, c in EXIT_CODES])
+    def test_exit_code(self, argv, code, trained, corpus_path, tmp_path, capsys):
+        model, split = trained
+        header, params = split_bundle(model.read_bytes())
+        del header["scaler"]
+        damaged = tmp_path / "damaged.dcom"
+        damaged.write_bytes(join_bundle(header, params))
+        config = tmp_path / "cfg.toml"
+        config.write_text(CONFIG.replace("epochs = 6", "epochs = 1"))
+        # a step this large overflows the parameters within a few updates
+        diverging = tmp_path / "diverging.toml"
+        diverging.write_text(CONFIG.replace("learning_rate = 0.003", "learning_rate = 1e200"))
+        fields = dict(tmp=tmp_path, data=corpus_path, model=model, split=split,
+                      config=config, diverging=diverging, damaged=damaged)
+        with np.errstate(all="ignore"):
+            assert main([a.format(**fields) for a in argv]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "usage error" in capsys.readouterr().err

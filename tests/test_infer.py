@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcom import ingest
-from dcom.core import ClassVocabulary, ColumnInstance, make_instance
+from dcom import augment
+from dcom.core import ClassVocabulary, ColumnInstance, TrainingConfig, make_instance
 from dcom.errors import ConfigError
-from dcom.features import FeatureScaler
-from dcom.infer import _vote_winner, evaluate, predict_kvote, predict_one
-from dcom.nn import ArchitectureConfig, init_params, zeros_like_params
+from dcom.features import FeatureScaler, extract_features
+from dcom.infer import _vote_winner, evaluate, predict_kvote
+from dcom.nn import ArchitectureConfig, Model, init_params, zeros_like_params
 from dcom.serialize import ModelBundle
 from dcom.tokenizers import RESERVED, Vocabulary
-from dcom.train import support_weighted_f1
+from dcom.train import make_batch
 
 
 def zero_bundle(n_classes=3):
@@ -25,48 +25,57 @@ def zero_bundle(n_classes=3):
     vocab = Vocabulary("char", RESERVED + ("a", "b", "1", "2", " "))
     scaler = FeatureScaler(mean=np.zeros(19), std=np.ones(19))
     classes = ClassVocabulary(tuple(f"class{i}" for i in range(n_classes)))
+    training = TrainingConfig(mode="single", embedding_dim=4, hidden_size=3,
+                              feature_dim=4, dense_widths=(5,), dropout=0.0,
+                              tokenizer="char")
     return ModelBundle(arch=arch, params=params, vocab=vocab, scaler=scaler,
-                       class_vocab=classes)
+                       class_vocab=classes, training=training)
 
 
 class TestPredictOne:
+    """k=1: one prediction from one full permutation of the column."""
+
     def test_zero_model_uniform_and_tie_rule(self):
         bundle = zero_bundle()
-        pred = predict_one(bundle, ColumnInstance(("a", "b")), seed=0)
+        pred = predict_kvote(bundle, ColumnInstance(("a", "b")), k=1, seed=0)
         np.testing.assert_allclose(pred.probabilities, 1 / 3, atol=1e-12)
         assert pred.label == "class0"  # ties go to the lowest class id
         assert pred.k == 1 and pred.votes is None
 
     def test_trained_gender(self, sanity_bundle):
         bundle, _ = sanity_bundle
-        pred = predict_one(bundle, make_instance(["F", "M"]), seed=0)
+        pred = predict_kvote(bundle, make_instance(["F", "M"]), k=1, seed=0)
         assert pred.label == "gender"
         assert pred.probabilities.max() > 0.9
 
     def test_deterministic(self, sanity_bundle):
         bundle, _ = sanity_bundle
         inst = make_instance(["12 years", "3 years"])
-        a = predict_one(bundle, inst, seed=42)
-        b = predict_one(bundle, inst, seed=42)
+        a = predict_kvote(bundle, inst, k=1, seed=42)
+        b = predict_kvote(bundle, inst, k=1, seed=42)
         assert a.label == b.label
         np.testing.assert_array_equal(a.probabilities, b.probabilities)
 
     def test_single_value_seed_invariant(self, sanity_bundle):
         bundle, _ = sanity_bundle
         inst = make_instance(["F"])
-        a = predict_one(bundle, inst, seed=1)
-        b = predict_one(bundle, inst, seed=999)
+        a = predict_kvote(bundle, inst, k=1, seed=1)
+        b = predict_kvote(bundle, inst, k=1, seed=999)
         np.testing.assert_array_equal(a.probabilities, b.probabilities)
 
 
 class TestPredictKvote:
-    def test_k1_equals_predict_one(self, sanity_bundle):
+    def test_k1_equals_one_full_permutation(self, sanity_bundle):
         bundle, _ = sanity_bundle
         inst = make_instance(["M", "F", "M"])
-        a = predict_one(bundle, inst, seed=5)
-        b = predict_kvote(bundle, inst, k=1, seed=5)
-        assert a.label == b.label
-        np.testing.assert_array_equal(a.probabilities, b.probabilities)
+        pred = predict_kvote(bundle, inst, k=1, seed=5)
+        sample = augment.sample_single(inst, np.random.default_rng(5), r=inst.n)
+        feats = bundle.scaler.transform(extract_features(inst))
+        batch = make_batch([sample], [feats], bundle.training, bundle.vocab)
+        probs, _ = Model(bundle.arch, params=bundle.params).forward(batch, train_mode=False)
+        np.testing.assert_array_equal(pred.probabilities, probs[0])
+        assert pred.label == bundle.class_vocab.name_of(int(np.argmax(probs[0])))
+        assert pred.votes is None
 
     def test_k10_votes_sum(self, sanity_bundle):
         bundle, _ = sanity_bundle

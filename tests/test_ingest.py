@@ -47,6 +47,13 @@ class TestLoadJsonl:
         with pytest.raises(ParseError, match="empty value list"):
             ingest.load_dataset(f, "jsonl")
 
+    @pytest.mark.parametrize("value", ["null", '{"a": 1}', "[1]"])
+    def test_non_scalar_value_rejected(self, tmp_path, value):
+        f = tmp_path / "d.jsonl"
+        write_lines(f, ['{"label":"a","values":["x"]}', '{"label":"a","values":["x",%s]}' % value])
+        with pytest.raises(ParseError, match="line 2"):
+            ingest.load_dataset(f, "jsonl")
+
     def test_order_preserved_and_round_trip(self, tmp_path):
         records = [
             {"label": "a", "values": ["1", "", "3"]},

@@ -225,6 +225,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_config("multi", aggregation="max")
 
+    @pytest.mark.parametrize("field,value", [
+        ("hidden_size", 0), ("embedding_dim", -1), ("dense_widths", (0,)), ("r", 0),
+    ])
+    def test_widths_below_one_rejected(self, field, value):
+        # hidden_size=0 used to end training in a ZeroDivisionError
+        with pytest.raises(ConfigError, match=">= 1"):
+            tiny_config(**{field: value})
+
+    def test_from_dict_checks_types(self):
+        d = tiny_config().to_dict()
+        with pytest.raises(ConfigError, match="hidden_size"):
+            ArchitectureConfig.from_dict({**d, "hidden_size": "16"})
+
     def test_concatenation_widens_input(self):
         config = tiny_config("multi", r=4, aggregation="concatenation")
         assert config.text_dim == 4 * 2 * config.hidden_size

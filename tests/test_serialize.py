@@ -1,10 +1,16 @@
+import copy
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bundle_edit import join_bundle, sign_payload, split_bundle
 from dcom import ingest
 from dcom.errors import BundleError
-from dcom.infer import predict_one
-from dcom.serialize import FORMAT_VERSION, MAGIC, load_bundle, save_bundle
+from dcom.infer import predict_kvote
+from dcom.serialize import FORMAT_VERSION, HEADER_FORMAT, MAGIC, load_bundle, save_bundle
 
 
 @pytest.fixture()
@@ -37,6 +43,7 @@ class TestRoundTrip:
         assert loaded.class_vocab.names == bundle.class_vocab.names
         np.testing.assert_array_equal(loaded.scaler.mean, bundle.scaler.mean)
         assert loaded.metadata == bundle.metadata
+        assert loaded.training == bundle.training
         for name in bundle.params:
             np.testing.assert_array_equal(loaded.params[name], bundle.params[name])
 
@@ -50,8 +57,8 @@ class TestRoundTrip:
                 for _ in range(int(rng.integers(1, 6)))
             ]
             inst = ingest.make_instance(values)
-            a = predict_one(bundle, inst, seed=i)
-            b = predict_one(loaded, inst, seed=i)
+            a = predict_kvote(bundle, inst, k=1, seed=i)
+            b = predict_kvote(loaded, inst, k=1, seed=i)
             assert a.label == b.label
             np.testing.assert_array_equal(a.probabilities, b.probabilities)
 
@@ -91,3 +98,143 @@ class TestCorruption:
         bad.write_bytes(blob)
         with pytest.raises(BundleError, match="checksum"):
             load_bundle(bad)
+
+
+def _damaged(saved, tmp_path, edit_header=None, param_bytes=None):
+    """Write a copy of the saved bundle with an edited header or parameter
+    bytes and a recomputed checksum; return its path."""
+    _, path = saved
+    header, params = split_bundle(path.read_bytes())
+    if edit_header is not None:
+        edit_header(header)
+    bad = tmp_path / "damaged.dcom"
+    bad.write_bytes(join_bundle(header, params if param_bytes is None else param_bytes(params)))
+    return bad
+
+
+def _drop_out_b(header):
+    assert header["params"][-1]["name"] == "out_b"
+    header["params"].pop()
+
+
+class TestHeaderValidation:
+    def test_untouched_copy_loads(self, saved, tmp_path):
+        bundle, _ = saved
+        assert load_bundle(_damaged(saved, tmp_path)).training == bundle.training
+
+    @pytest.mark.parametrize("key", sorted(HEADER_FORMAT))
+    def test_missing_header_key(self, saved, tmp_path, key):
+        with pytest.raises(BundleError):
+            load_bundle(_damaged(saved, tmp_path, lambda h: h.pop(key)))
+
+    def test_missing_parameter(self, saved, tmp_path):
+        n_classes = saved[0].arch.n_classes
+        bad = _damaged(saved, tmp_path, _drop_out_b, lambda p: p[: -8 * n_classes])
+        with pytest.raises(BundleError, match="parameter list"):
+            load_bundle(bad)
+
+    def test_wrong_parameter_shape(self, saved, tmp_path):
+        def edit(header):
+            header["params"][-1]["shape"] = [1]
+        with pytest.raises(BundleError, match="parameter list"):
+            load_bundle(_damaged(saved, tmp_path, edit))
+
+    @pytest.mark.parametrize("field,value", [
+        ("mode", "multi"), ("r", 7), ("aggregation", "sum"), ("embedding_dim", 8),
+        ("hidden_size", 8), ("feature_dim", 8), ("dense_widths", [8]), ("dropout", 0.5),
+    ])
+    def test_training_disagrees_with_arch(self, saved, tmp_path, field, value):
+        def edit(header):
+            header["training"][field] = value
+        with pytest.raises(BundleError, match="disagrees"):
+            load_bundle(_damaged(saved, tmp_path, edit))
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["vocab"]["tokens"].pop(),
+        lambda h: h["classes"].pop(),
+        lambda h: h["scaler"]["std"].pop(),
+        lambda h: h["scaler"]["std"].__setitem__(0, 0.0),
+    ], ids=["vocab", "classes", "scaler-size", "scaler-zero-std"])
+    def test_sizes_disagree_with_arch(self, saved, tmp_path, edit):
+        with pytest.raises(BundleError, match="disagree"):
+            load_bundle(_damaged(saved, tmp_path, edit))
+
+    @pytest.mark.parametrize("training", [{"learning_rte": 0.1}, {"max_len": "64"}, []])
+    def test_bad_training_config(self, saved, tmp_path, training):
+        def edit(header):
+            header["training"] = ({**header["training"], **training}
+                                  if isinstance(training, dict) else training)
+        with pytest.raises(BundleError):
+            load_bundle(_damaged(saved, tmp_path, edit))
+
+    def test_bytes_after_last_parameter(self, saved, tmp_path):
+        with pytest.raises(BundleError, match="trailing"):
+            load_bundle(_damaged(saved, tmp_path, param_bytes=lambda p: p + bytes(8)))
+
+    @pytest.mark.parametrize("header_bytes", [b"", b"[1]", b"[" * 100000 + b"]" * 100000])
+    def test_header_not_an_object(self, tmp_path, header_bytes):
+        bad = tmp_path / "bad.dcom"
+        bad.write_bytes(sign_payload(struct.pack("<I", len(header_bytes)) + header_bytes))
+        with pytest.raises(BundleError):
+            load_bundle(bad)
+
+    def test_bytes_after_payload(self, saved, tmp_path):
+        _, path = saved
+        bad = tmp_path / "bad.dcom"
+        bad.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(BundleError, match="trailing"):
+            load_bundle(bad)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 400) | st.floats(-2, 2) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=4,
+)
+
+
+def _paths(node, prefix=()):
+    """Every path of keys and indices into a JSON tree, the root excluded."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def saved_parts(sanity_bundle, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.dcom"
+    save_bundle(sanity_bundle[0], path)
+    header, params = split_bundle(path.read_bytes())
+    # the vocabulary and scaler lists are long and alike: sample their paths
+    # less often by keeping only their first entries
+    paths = [p for p in _paths(header)
+             if not (len(p) == 3 and p[0] in ("vocab", "scaler") and p[2] > 4)]
+    return path.parent, header, params, paths
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_header_loads_or_raises_bundle_error(saved_parts, data):
+    directory, header, params, paths = saved_parts
+    header = copy.deepcopy(header)
+    target = data.draw(st.sampled_from(paths))
+    parent = header
+    for key in target[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[target[-1]]
+    else:
+        parent[target[-1]] = data.draw(JSON_VALUES)
+    cut = data.draw(st.just(0) | st.integers(-16, 16))
+    path = directory / "damaged.dcom"
+    path.write_bytes(join_bundle(header, params[:cut] if cut < 0 else params + bytes(cut)))
+    try:
+        bundle = load_bundle(path)
+    except BundleError:
+        return
+    # what loads is a working bundle
+    pred = predict_kvote(bundle, ingest.make_instance(["F", "M", "F"]), k=2)
+    assert pred.label in bundle.class_vocab

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dcom import ingest
-from dcom.errors import ConfigError
+from dcom.errors import ConfigError, DiagnosticError
 from dcom.train import (
     EpochReport,
     OptimizerState,
@@ -12,7 +12,6 @@ from dcom.train import (
     TrainingConfig,
     accuracy,
     adam_step,
-    cross_entropy,
     cross_entropy_batch,
     support_weighted_f1,
     train_model,
@@ -43,31 +42,34 @@ def brute_force_weighted_f1(y_true, y_pred, n_classes):
 
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        probs = np.array([0.0, 1.0, 0.0])
-        loss, _ = cross_entropy(probs, 1)
+        probs = np.array([[0.0, 1.0, 0.0]])
+        loss, _ = cross_entropy_batch(probs, np.array([1]))
         assert loss == 0.0
 
     def test_uniform_78(self):
-        probs = np.full(78, 1 / 78)
-        loss, _ = cross_entropy(probs, 13)
+        probs = np.full((1, 78), 1 / 78)
+        loss, _ = cross_entropy_batch(probs, np.array([13]))
         assert loss == pytest.approx(math.log(78), abs=1e-9)
         assert loss == pytest.approx(4.3567, abs=1e-4)
 
     def test_gradient_identity(self):
-        probs = np.array([0.2, 0.5, 0.3])
-        _, dlogits = cross_entropy(probs, 2)
-        np.testing.assert_allclose(dlogits, probs - np.array([0, 0, 1.0]), atol=1e-12)
+        probs = np.array([[0.2, 0.5, 0.3]])
+        _, dlogits = cross_entropy_batch(probs, np.array([2]))
+        np.testing.assert_allclose(dlogits, probs - np.array([[0, 0, 1.0]]), atol=1e-12)
 
     def test_class_weight_scales(self):
-        probs = np.array([0.2, 0.5, 0.3])
-        loss1, g1 = cross_entropy(probs, 0, class_weight=1.0)
-        loss2, g2 = cross_entropy(probs, 0, class_weight=2.0)
+        # the weight of a sample is the weight of its label's class
+        probs = np.array([[0.2, 0.5, 0.3]])
+        loss1, g1 = cross_entropy_batch(probs, np.array([0]), np.array([1.0, 5.0, 5.0]))
+        loss2, g2 = cross_entropy_batch(probs, np.array([0]), np.array([2.0, 5.0, 5.0]))
         assert loss2 == pytest.approx(2 * loss1)
         np.testing.assert_allclose(g2, 2 * g1)
 
     def test_label_out_of_range(self):
-        with pytest.raises(ConfigError):
-            cross_entropy(np.array([0.5, 0.5]), 2)
+        # -1 would otherwise index the last class and 2 past the end
+        for label in (2, -1):
+            with pytest.raises(ConfigError, match="labels"):
+                cross_entropy_batch(np.array([[0.9, 0.1]]), np.array([label]))
 
     def test_batch_mean(self):
         probs = np.array([[0.9, 0.1], [0.4, 0.6]])
@@ -174,6 +176,17 @@ class TestTrainingConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             TrainingConfig.from_dict({"learning_rte": 0.1})
 
+    @pytest.mark.parametrize("key,value", [
+        ("epochs", 3.5), ("use_class_weights", 1), ("max_len", True), ("mode", None),
+        ("dense_widths", [8, "4"]), ("learning_rate", "0.1"),
+    ])
+    def test_wrong_type_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            TrainingConfig.from_dict({key: value})
+
+    def test_int_passes_for_float(self):
+        assert TrainingConfig.from_dict({"learning_rate": 1}).learning_rate == 1
+
     def test_round_trip(self):
         config = TrainingConfig(mode="multi", r=7, dense_widths=(8, 4))
         assert TrainingConfig.from_dict(config.to_dict()) == config
@@ -193,14 +206,22 @@ class TestTrainModel:
         assert strip_time(a) == strip_time(b)
 
     def test_zero_epochs_uniform(self, sanity_corpus):
-        from dcom.infer import predict_one
+        from dcom.infer import predict_kvote
 
         instances, split = sanity_corpus
         config = TrainingConfig(mode="single", epochs=0, **TINY_CONFIG)
         bundle, reports = train_model(instances, split, config, seed=5)
         assert reports == []
-        pred = predict_one(bundle, instances[0], seed=0)
+        pred = predict_kvote(bundle, instances[0], k=1, seed=0)
         np.testing.assert_allclose(pred.probabilities, 0.5, atol=1e-12)
+
+    def test_divergence_fails_loudly(self, sanity_corpus):
+        # a huge step overflows the parameters within a few updates; the run
+        # raises instead of saving them or quietly restoring earlier ones
+        instances, split = sanity_corpus
+        config = TrainingConfig(mode="single", epochs=2, **{**TINY_CONFIG, "learning_rate": 1e200})
+        with pytest.raises(DiagnosticError, match="non-finite"), np.errstate(all="ignore"):
+            train_model(instances, split, config, seed=0)
 
     def test_unlabeled_train_instance_rejected(self, sanity_corpus):
         from dcom.core import ColumnInstance
