@@ -134,3 +134,11 @@ class TrainingConfig(FlatConfig):
     plateau_patience: int = 5
     early_stop_patience: int = 15
     use_class_weights: bool = False
+
+    def __post_init__(self):
+        for key in ("batch_size", "max_len", "max_len_per_slot", "r", "vocab_budget",
+                    "early_stop_patience"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"config key {key!r} must be >= 1, got {getattr(self, key)!r}")
+        if self.epochs < 0:
+            raise ConfigError(f"config key 'epochs' must be >= 0, got {self.epochs!r}")

@@ -28,10 +28,13 @@ class Prediction:
 
 def _forward_samples(bundle: ModelBundle, model: Model, samples, feats_scaled):
     # One forward per sample: the k votes of an instance are independent
-    # evaluations (parallelizable across workers), not one fused batch.
+    # evaluations (parallelizable across workers), not one fused batch.  They
+    # share one slot cache, so a multi slot value is encoded once per call.
     rows = []
+    slot_cache = {}
     for sample in samples:
-        batch = make_batch([sample], [feats_scaled], bundle.training, bundle.vocab)
+        batch = make_batch([sample], [feats_scaled], bundle.training, bundle.vocab,
+                           slot_cache)
         probs, _ = model.forward(batch, train_mode=False)
         rows.append(probs[0])
     return np.vstack(rows)

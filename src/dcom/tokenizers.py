@@ -2,8 +2,7 @@
 
 All three kinds share the reserved ids [PAD]=0, [UNK]=1, [SEP]=2.  The
 separator text produced by the augmentation stage always maps to the single
-[SEP] id.  Vocabulary files are UTF-8, one token per line, line number = id,
-so standard pretrained WordPiece vocabularies load directly.
+[SEP] id.
 """
 
 from __future__ import annotations
@@ -40,17 +39,6 @@ class Vocabulary:
 
     def __len__(self):
         return len(self.tokens)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for token in self.tokens:
-                fh.write(token + "\n")
-
-    @classmethod
-    def load(cls, path, kind="wordpiece"):
-        with open(path, encoding="utf-8") as fh:
-            tokens = tuple(line.rstrip("\n") for line in fh)
-        return cls(kind=kind, tokens=tokens)
 
 
 @dataclass(frozen=True)

@@ -164,34 +164,46 @@ def _encode_single(sample, vocab, max_len):
     return seq.ids, seq.attention_mask
 
 
-def _encode_multi(sample, vocab, max_len):
-    seqs = [tokenizers.encode(vocab, t, max_len) for t in sample.texts]
-    ids = np.stack([s.ids for s in seqs])
-    mask = np.stack([s.attention_mask for s in seqs])
-    return ids, mask, np.asarray(sample.pad_mask, dtype=bool)
+def make_batch(samples, feats, config: TrainingConfig, vocab, slot_cache=None):
+    """Tokenize a list of augment samples into one model batch dict.
 
-
-def make_batch(samples, feats, config: TrainingConfig, vocab):
-    """Tokenize a list of augment samples into one model batch dict."""
+    Single texts are encoded one by one.  Multi slot texts go through
+    slot_cache, a dict of slot text -> (ids, mask) at max_len_per_slot that
+    the caller scopes to where texts repeat: one train_model call (every epoch
+    and validation pass) or one predict_kvote call (the k samples of one
+    column).  Without one, the cache lives for this call only.  Either way
+    the token axis is trimmed to the longest real sequence in the batch, so
+    ids and tok_mask equal the full-width arrays on their first positions and
+    every dropped position is padding.
+    """
     if config.mode == "single":
         encoded = [_encode_single(s, vocab, config.max_len) for s in samples]
         ids = np.stack([e[0] for e in encoded])
         tok_mask = np.stack([e[1] for e in encoded])
-        # trim trailing all-pad columns to the longest sequence in the batch
-        longest = max(1, int(tok_mask.sum(axis=1).max()))
-        batch = {"ids": ids[:, :longest], "tok_mask": tok_mask[:, :longest]}
+        batch = {}
     else:
-        encoded = [_encode_multi(s, vocab, config.max_len_per_slot) for s in samples]
-        batch = {
-            "ids": np.stack([e[0] for e in encoded]),
-            "tok_mask": np.stack([e[1] for e in encoded]),
-            "slot_mask": np.stack([e[2] for e in encoded]),
-        }
+        slot_cache = {} if slot_cache is None else slot_cache
+        rows = []
+        for text in (t for s in samples for t in s.texts):
+            row = slot_cache.get(text)
+            if row is None:
+                seq = tokenizers.encode(vocab, text, config.max_len_per_slot)
+                row = slot_cache[text] = (seq.ids, seq.attention_mask)
+            rows.append(row)
+        shape = (len(samples), len(samples[0].texts), config.max_len_per_slot)
+        # np.array builds from equal-length rows faster than np.stack
+        ids = np.array([r[0] for r in rows]).reshape(shape)
+        tok_mask = np.array([r[1] for r in rows]).reshape(shape)
+        batch = {"slot_mask": np.array([s.pad_mask for s in samples], dtype=bool)}
+    # trim trailing all-pad positions to the longest sequence in the batch
+    longest = max(1, int(tok_mask.sum(axis=-1).max()))
+    batch.update(ids=ids[..., :longest], tok_mask=tok_mask[..., :longest])
     batch["feats"] = np.stack(feats)
     return batch
 
 
-def _predict_labels(model, instances, indices, scaled_feats, vocab, config, rng):
+def _predict_labels(model, instances, indices, scaled_feats, vocab, config, rng,
+                    slot_cache):
     """Greedy k=1 predictions for a set of instances (used for validation)."""
     preds = []
     for start in range(0, len(indices), config.batch_size):
@@ -203,7 +215,8 @@ def _predict_labels(model, instances, indices, scaled_feats, vocab, config, rng)
             )[0]
             for i in chunk
         ]
-        batch = make_batch(samples, [scaled_feats[i] for i in chunk], config, vocab)
+        batch = make_batch(samples, [scaled_feats[i] for i in chunk], config, vocab,
+                           slot_cache)
         probs, _ = model.forward(batch, train_mode=False)
         preds.extend(np.argmax(probs, axis=1).tolist())
     return preds
@@ -269,6 +282,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
     )
     best_epoch = 0
     stale = 0
+    slot_cache = {}  # multi slot text -> (ids, mask), for this run only
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         sample_rng = _epoch_rng(seed, epoch, 0)
@@ -284,7 +298,8 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
                     augment.sample_multi(instances[i], config.r, config.multi_mode, sample_rng)
                     for i in chunk
                 ]
-            batch = make_batch(samples, [scaled[i] for i in chunk], config, vocab)
+            batch = make_batch(samples, [scaled[i] for i in chunk], config, vocab,
+                               slot_cache)
             labels = np.asarray([class_vocab.id_of(instances[i].label) for i in chunk])
             probs, cache = model.forward(batch, train_mode=True, dropout_rng=drop_rng)
             loss, dlogits = cross_entropy_batch(probs, labels, class_weights)
@@ -294,7 +309,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
 
         val_pred = _predict_labels(
             model, instances, list(split.validation), scaled, vocab, config,
-            _epoch_rng(seed, epoch, 3),
+            _epoch_rng(seed, epoch, 3), slot_cache,
         )
         val_f1 = support_weighted_f1(val_labels, val_pred, len(class_vocab))
         val_acc = accuracy(val_labels, val_pred)

@@ -199,6 +199,8 @@ EXIT_CODES = [
     (VALID_ARGV["augment"] + ["--mode", "triple"], 1),
     (["synth", "--out", "{tmp}/c.jsonl", "--classes", "day,gender_codes"], 2),
     (["train", "--data", "{data}", "--config", "{diverging}", "--out", "{tmp}/m.dcom"], 2),
+    (["train", "--data", "{data}", "--config", "{zero_batch}", "--out", "{tmp}/m.dcom"], 2),
+    (["train", "--data", "{data}", "--config", "{negative_epochs}", "--out", "{tmp}/m.dcom"], 2),
     (["predict", "--model", "{damaged}", "--data", "{data}"], 2),
     (["evaluate", "--model", "{damaged}", "--data", "{data}", "--split", "{split}"], 2),
     (["explain", "--model", "{damaged}"], 2),
@@ -206,9 +208,20 @@ EXIT_CODES = [
 ]
 
 
+def _exit_code_ids(rows):
+    """The command line without its {fields}, then the code; a row whose id
+    is taken already adds its {fields}."""
+    ids = []
+    for argv, code in rows:
+        name = " ".join(t for t in argv if "{" not in t) + f" -> {code}"
+        if name in ids:
+            name += " " + " ".join(t for t in argv if "{" in t)
+        ids.append(name)
+    return ids
+
+
 class TestExitCodes:
-    @pytest.mark.parametrize("argv,code", EXIT_CODES, ids=[
-        " ".join(t for t in a if "{" not in t) + f" -> {c}" for a, c in EXIT_CODES])
+    @pytest.mark.parametrize("argv,code", EXIT_CODES, ids=_exit_code_ids(EXIT_CODES))
     def test_exit_code(self, argv, code, trained, corpus_path, tmp_path, capsys):
         model, split = trained
         header, params = split_bundle(model.read_bytes())
@@ -220,8 +233,13 @@ class TestExitCodes:
         # a step this large overflows the parameters within a few updates
         diverging = tmp_path / "diverging.toml"
         diverging.write_text(CONFIG.replace("learning_rate = 0.003", "learning_rate = 1e200"))
+        zero_batch = tmp_path / "zero_batch.toml"
+        zero_batch.write_text(CONFIG.replace("batch_size = 16", "batch_size = 0"))
+        negative_epochs = tmp_path / "negative_epochs.toml"
+        negative_epochs.write_text(CONFIG.replace("epochs = 6", "epochs = -1"))
         fields = dict(tmp=tmp_path, data=corpus_path, model=model, split=split,
-                      config=config, diverging=diverging, damaged=damaged)
+                      config=config, diverging=diverging, damaged=damaged,
+                      zero_batch=zero_batch, negative_epochs=negative_epochs)
         with np.errstate(all="ignore"):
             assert main([a.format(**fields) for a in argv]) == code
         assert "Traceback" not in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcom import augment
+from dcom import augment, tokenizers
 from dcom.core import ClassVocabulary, ColumnInstance, TrainingConfig, make_instance
 from dcom.errors import ConfigError
 from dcom.features import FeatureScaler, extract_features
@@ -30,6 +30,20 @@ def zero_bundle(n_classes=3):
                               tokenizer="char")
     return ModelBundle(arch=arch, params=params, vocab=vocab, scaler=scaler,
                        class_vocab=classes, training=training)
+
+
+def random_multi_bundle():
+    vocab = Vocabulary("char", RESERVED + ("a", "b", "1", "2", " "))
+    arch = ArchitectureConfig(
+        mode="multi", vocab_size=len(vocab), n_classes=3, embedding_dim=4, hidden_size=3,
+        feature_dim=4, dense_widths=(5,), dropout=0.0, r=6,
+    )
+    training = TrainingConfig(mode="multi", embedding_dim=4, hidden_size=3, feature_dim=4,
+                              dense_widths=(5,), dropout=0.0, r=6, tokenizer="char",
+                              max_len_per_slot=16)
+    return ModelBundle(arch=arch, params=init_params(arch, np.random.default_rng(0)),
+                       vocab=vocab, scaler=FeatureScaler(mean=np.zeros(19), std=np.ones(19)),
+                       class_vocab=ClassVocabulary(("x", "y", "z")), training=training)
 
 
 class TestPredictOne:
@@ -123,6 +137,24 @@ class TestPredictKvote:
         tied = [c for c, n in tally.items() if n == top]
         summed = probs.sum(axis=0)
         assert winner == min(tied, key=lambda c: (-summed[c], c))
+
+    def test_multi_encodes_each_slot_text_once_per_call(self, monkeypatch):
+        bundle = random_multi_bundle()
+        inst = make_instance(["ab", "b1", "ab", "2 a"])
+        encoded = []
+        encode = tokenizers.encode
+
+        def counting_encode(vocab, text, max_len):
+            encoded.append(text)
+            return encode(vocab, text, max_len)
+
+        monkeypatch.setattr(tokenizers, "encode", counting_encode)
+        predict_kvote(bundle, inst, k=10, seed=4)
+        # 4 values in 6 pad-mode slots: every sample holds each value and ""
+        assert sorted(encoded) == ["", "2 a", "ab", "b1"]
+        # a second call fills a cache of its own
+        predict_kvote(bundle, inst, k=10, seed=5)
+        assert sorted(encoded[4:]) == ["", "2 a", "ab", "b1"]
 
     def test_invalid_k(self, sanity_bundle):
         bundle, _ = sanity_bundle

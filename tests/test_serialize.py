@@ -159,7 +159,9 @@ class TestHeaderValidation:
         with pytest.raises(BundleError, match="disagree"):
             load_bundle(_damaged(saved, tmp_path, edit))
 
-    @pytest.mark.parametrize("training", [{"learning_rte": 0.1}, {"max_len": "64"}, []])
+    @pytest.mark.parametrize("training", [
+        {"learning_rte": 0.1}, {"max_len": "64"}, {"batch_size": 0}, {"epochs": -1}, [],
+    ])
     def test_bad_training_config(self, saved, tmp_path, training):
         def edit(header):
             header["training"] = ({**header["training"], **training}

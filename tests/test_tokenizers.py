@@ -135,14 +135,6 @@ class TestEncode:
 
 
 class TestVocabularyFile:
-    def test_round_trip(self, tmp_path):
-        vocab = tk.build_vocab(["alpha beta 12:30"], "wordpiece", 100)
-        path = tmp_path / "vocab.txt"
-        vocab.save(path)
-        loaded = tk.Vocabulary.load(path, kind="wordpiece")
-        assert loaded.tokens == vocab.tokens
-        assert loaded.index == vocab.index
-
     def test_reserved_required(self):
         with pytest.raises(ConfigError):
             tk.Vocabulary("word", ("a", "b", "c"))

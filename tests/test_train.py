@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcom import ingest
+from dcom import augment, ingest
+from dcom import tokenizers as tk
+from dcom.core import make_instance
 from dcom.errors import ConfigError, DiagnosticError
+from dcom.nn import AGGREGATIONS, ArchitectureConfig, Model
 from dcom.train import (
     EpochReport,
     OptimizerState,
@@ -13,6 +18,7 @@ from dcom.train import (
     accuracy,
     adam_step,
     cross_entropy_batch,
+    make_batch,
     support_weighted_f1,
     train_model,
 )
@@ -184,12 +190,116 @@ class TestTrainingConfig:
         with pytest.raises(ConfigError, match=key):
             TrainingConfig.from_dict({key: value})
 
+    @pytest.mark.parametrize("key", [
+        "batch_size", "max_len", "max_len_per_slot", "r", "vocab_budget", "early_stop_patience",
+    ])
+    def test_below_one_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            TrainingConfig.from_dict({key: 0})
+        with pytest.raises(ConfigError, match=key):
+            TrainingConfig(**{key: -3})
+        assert getattr(TrainingConfig(**{key: 1}), key) == 1
+
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ConfigError, match="epochs"):
+            TrainingConfig.from_dict({"epochs": -1})
+        assert TrainingConfig(epochs=0).epochs == 0
+
     def test_int_passes_for_float(self):
         assert TrainingConfig.from_dict({"learning_rate": 1}).learning_rate == 1
 
     def test_round_trip(self):
         config = TrainingConfig(mode="multi", r=7, dense_widths=(8, 4))
         assert TrainingConfig.from_dict(config.to_dict()) == config
+
+
+VOCABS = {
+    kind: tk.build_vocab(["ab ba 1:1 a-b 11 aab b1", "ba ab a:b"], kind, 30)
+    for kind in tk.KINDS
+}
+
+
+def full_width_batch(samples, feats, config, vocab):
+    """The reference batch: every text encoded on its own, nothing trimmed."""
+    if config.mode == "single":
+        seqs = [[tk.encode(vocab, s.text, config.max_len)] for s in samples]
+    else:
+        seqs = [[tk.encode(vocab, t, config.max_len_per_slot) for t in s.texts]
+                for s in samples]
+    batch = {
+        "ids": np.array([[q.ids for q in row] for row in seqs]),
+        "tok_mask": np.array([[q.attention_mask for q in row] for row in seqs]),
+        "feats": np.stack(feats),
+    }
+    if config.mode == "single":
+        batch["ids"], batch["tok_mask"] = batch["ids"][:, 0], batch["tok_mask"][:, 0]
+    else:
+        batch["slot_mask"] = np.array([s.pad_mask for s in samples], dtype=bool)
+    return batch
+
+
+value = st.text(alphabet="ab1:- ", max_size=14)
+columns = st.lists(st.lists(value, min_size=1, max_size=7), min_size=1, max_size=5)
+
+
+def draw_samples(cols, config, seed):
+    rng = np.random.default_rng(seed)
+    instances = [make_instance(values) for values in cols]
+    if config.mode == "single":
+        return [augment.sample_single(inst, rng) for inst in instances]
+    return [augment.sample_multi(inst, config.r, config.multi_mode, rng) for inst in instances]
+
+
+class TestMakeBatch:
+    @given(cols=columns, mode=st.sampled_from(["single", "multi"]),
+           kind=st.sampled_from(tk.KINDS), r=st.integers(1, 6),
+           multi_mode=st.sampled_from(["pad", "with_replacement"]),
+           max_len=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_trimmed_prefix_of_full_width(self, cols, mode, kind, r, multi_mode, max_len, seed):
+        config = TrainingConfig(mode=mode, r=r, multi_mode=multi_mode, max_len=max_len,
+                                max_len_per_slot=max_len)
+        samples = draw_samples(cols, config, seed)
+        feats = [np.full(19, float(i)) for i in range(len(samples))]
+        full = full_width_batch(samples, feats, config, VOCABS[kind])
+        cache = {}
+        # the second call reads every multi slot from the cache the first filled
+        for batch in [make_batch(samples, feats, config, VOCABS[kind], cache) for _ in "ab"]:
+            T = batch["ids"].shape[-1]
+            assert T == max(1, int(full["tok_mask"].sum(axis=-1).max()))
+            assert batch["ids"].shape == full["ids"].shape[:-1] + (T,)
+            np.testing.assert_array_equal(batch["ids"], full["ids"][..., :T])
+            np.testing.assert_array_equal(batch["tok_mask"], full["tok_mask"][..., :T])
+            assert np.all(full["ids"][..., T:] == tk.PAD_ID)
+            assert np.all(full["tok_mask"][..., T:] == 0)
+            assert sorted(batch) == sorted(full)
+            np.testing.assert_array_equal(batch["feats"], full["feats"])
+            if mode == "multi":
+                np.testing.assert_array_equal(batch["slot_mask"], full["slot_mask"])
+
+    @given(cols=columns, aggregation=st.sampled_from(AGGREGATIONS),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_multi_forward_unchanged_by_trim(self, cols, aggregation, seed):
+        # the masked LSTM freezes its state on padding, so the trimmed
+        # positions change nothing but the floating-point path of the matmuls
+        config = TrainingConfig(mode="multi", r=5, max_len_per_slot=16, aggregation=aggregation)
+        vocab = VOCABS["wordpiece"]
+        arch = ArchitectureConfig(
+            mode="multi", vocab_size=len(vocab), n_classes=3, embedding_dim=4, hidden_size=3,
+            feature_dim=4, dense_widths=(5,), dropout=0.0, aggregation=aggregation, r=5,
+        )
+        model = Model(arch, seed=seed % 1000)
+        samples = draw_samples(cols, config, seed)
+        feats = [np.random.default_rng(seed).normal(size=19) for _ in samples]
+        batch = make_batch(samples, feats, config, vocab)
+        pad = 16 - batch["ids"].shape[-1]
+        widened = {**batch,
+                   "ids": np.pad(batch["ids"], ((0, 0), (0, 0), (0, pad))),
+                   "tok_mask": np.pad(batch["tok_mask"], ((0, 0), (0, 0), (0, pad)))}
+        trimmed_probs, _ = model.forward(batch)
+        widened_probs, _ = model.forward(widened)
+        np.testing.assert_allclose(trimmed_probs, widened_probs, rtol=0, atol=1e-12)
 
 
 class TestTrainModel:
