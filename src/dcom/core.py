@@ -86,6 +86,14 @@ def has_type(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
+def check_indices(indices, n, part):
+    """ConfigError naming the first of a split part's indices outside [0, n)."""
+    for i in indices:
+        if not 0 <= i < n:
+            raise ConfigError(f"{part} index {i} is outside [0, {n}): the dataset "
+                              f"has {n} columns")
+
+
 class FlatConfig:
     """Dict form of a dataclass config whose every field has a default.
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import augment
+from .core import check_indices
 from .errors import ConfigError
 from .features import extract_features
 from .nn import Model
@@ -95,6 +96,7 @@ def evaluate(bundle: ModelBundle, instances, test_indices, k=1, seed=0,
     test_indices = list(test_indices)
     if not test_indices:
         raise ConfigError("empty test set")
+    check_indices(test_indices, len(instances), "test")
     class_vocab = bundle.class_vocab
     for i in test_indices:
         label = instances[i].label

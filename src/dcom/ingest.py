@@ -11,6 +11,7 @@ column corpora commonly arrive that way too.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -26,17 +27,32 @@ from .errors import ConfigError, FormatError, ParseError
 # Loading / saving
 
 
+def _read_text(path) -> str:
+    """The file decoded as UTF-8; ParseError with the line of the first byte
+    that does not decode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8 byte {data[exc.start]:#04x}",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def load_jsonl(path):
     """Load the canonical JSONL format. Returns (instances, vocabulary)."""
     instances = []
-    with open(path, encoding="utf-8") as fh:
+    with io.StringIO(_read_text(path), newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+            except (ValueError, RecursionError) as exc:
+                # ValueError also covers an integer too long to convert, and
+                # RecursionError is JSON nested too deeply to decode
+                message = getattr(exc, "msg", exc)
+                raise ParseError(f"invalid JSON: {message}", line=lineno) from exc
             if not isinstance(record, dict) or "values" not in record:
                 raise ParseError("record must be an object with a 'values' key", line=lineno)
             values = record["values"]
@@ -63,11 +79,10 @@ def load_csv_long(path):
     """
     groups: dict = {}
     order = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
             return [], ClassVocabulary(())
         if [h.strip() for h in header] != ["column_id", "label", "value"]:
             raise FormatError(f"expected header 'column_id,label,value', got {header!r}")
@@ -85,6 +100,8 @@ def load_csv_long(path):
                     line=lineno,
                 )
             groups[column_id][1].append(value)
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ParseError(str(exc), line=reader.line_num) from None
     instances = [make_instance(values, label or None) for label, values in (groups[c] for c in order)]
     vocab = ClassVocabulary.from_labels(i.label for i in instances if i.label is not None)
     return instances, vocab
@@ -142,7 +159,9 @@ class DatasetSplit:
         with open(path, encoding="utf-8") as fh:
             try:
                 manifest = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError also covers bytes that are not UTF-8, and
+                # RecursionError is JSON nested too deeply to decode
                 raise FormatError(f"{path}: split manifest is not valid JSON: {exc}") from None
         if not isinstance(manifest, dict):
             raise FormatError(f"{path}: split manifest must be a JSON object")

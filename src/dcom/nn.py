@@ -9,6 +9,18 @@ Two wirings over shared building blocks:
       non-padded slots (mean/sum/concatenation/weighted_sum), then the same
       tail as single.
 
+The bidirectional LSTM steps both directions together in one time loop, as
+cuDNN's fused RNNs do (Appleyard et al. 2016): the forward ids and the
+length-reversed ids are embedded into one (2, N, T, E) array, and each
+direction's Wx, Wh and b are stacked on axis 0 per call, so a step is one
+batched matmul, one sigmoid over the (2, N, 4H) gate slab and one tanh over
+its g block. The saved parameters stay one set per direction
+(lstm_fw_*, lstm_bw_*). The arithmetic per element, and the order in which the
+backward pass accumulates gradients, are those of one loop per direction, so
+probabilities and gradients are bit-identical to it (tests/lstm_oracle.py).
+Inference keeps the step history that backward reads: gradient checks run
+backward on the cache of a default forward.
+
 Everything is float64 and deterministic for a fixed rng; gradients are checked
 against finite differences in the test suite.
 """
@@ -107,73 +119,91 @@ def zeros_like_params(params: dict) -> dict:
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _lstm_forward(X, mask, Wx, Wh, b):
-    """Masked LSTM over X (N, T, E); the state freezes past each row's length."""
-    N, T, _ = X.shape
-    H = Wh.shape[0]
-    Hs = np.zeros((T + 1, N, H))
-    Cs = np.zeros((T + 1, N, H))
-    gates = np.zeros((T, N, 4 * H))
-    C_new = np.zeros((T, N, H))
-    XW = X @ Wx + b  # (N, T, 4H), input part hoisted out of the time loop
+    """Both directions of a masked LSTM, stepped together in one time loop.
+
+    X is (2, N, T, E) with the direction on axis 0; Wx (2, E, 4H), Wh (2, H, 4H)
+    and b (2, 4H) stack each direction's weights the same way. The mask (N, T)
+    serves both, since reversal keeps padding in place. Past each row's length
+    the state freezes. The history is time-major: Hs and Cs (T + 1, 2, N, H),
+    gates (T, 2, N, 4H) in i, f, g, o order, C_new (T, 2, N, H).
+    """
+    _, N, T, _ = X.shape
+    H = Wh.shape[1]
+    Hs = np.zeros((T + 1, 2, N, H))
+    Cs = np.zeros((T + 1, 2, N, H))
+    gates = np.empty((T, 2, N, 4 * H))
+    C_new = np.empty((T, 2, N, H))
+    # The input part is hoisted out of the loop, written straight into the
+    # gate history; each step then overwrites its slab with the activations.
+    np.matmul(X, Wx[:, None], out=gates.transpose(1, 2, 0, 3))
+    gates += b[:, None]
+    keep = 1.0 - mask
     for t in range(T):
-        a = XW[:, t, :] + Hs[t] @ Wh
-        i = _sigmoid(a[:, :H])
-        f = _sigmoid(a[:, H : 2 * H])
-        g = np.tanh(a[:, 2 * H : 3 * H])
-        o = _sigmoid(a[:, 3 * H :])
-        c_new = f * Cs[t] + i * g
-        h_new = o * np.tanh(c_new)
-        m = mask[:, t : t + 1]
-        Cs[t + 1] = m * c_new + (1.0 - m) * Cs[t]
-        Hs[t + 1] = m * h_new + (1.0 - m) * Hs[t]
-        gates[t] = np.concatenate([i, f, g, o], axis=1)
-        C_new[t] = c_new
+        s = gates[t]
+        a = np.matmul(Hs[t], Wh)
+        a += s
+        np.negative(a, out=s)  # one sigmoid over the whole slab, then tanh over g
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
+        np.tanh(a[..., 2 * H : 3 * H], out=g)
+        c_new = C_new[t]
+        np.multiply(f, Cs[t], out=c_new)
+        c_new += i * g
+        h_new = np.tanh(c_new)
+        h_new *= o
+        m, k = mask[:, t, None], keep[:, t, None]
+        np.multiply(m, c_new, out=Cs[t + 1])
+        Cs[t + 1] += k * Cs[t]
+        np.multiply(m, h_new, out=Hs[t + 1])
+        Hs[t + 1] += k * Hs[t]
     return {"Hs": Hs, "Cs": Cs, "gates": gates, "C_new": C_new, "h_final": Hs[T]}
 
 
 def _lstm_backward(cache, dh_final, X, mask, Wx, Wh):
-    """Backprop through the masked LSTM, gradient entering at the final state."""
-    N, T, E = X.shape
-    H = Wh.shape[0]
+    """Backprop through both directions in one reversed loop; dh_final is (2, N, H).
+
+    The weight and input gradients are accumulated step by step, in the same
+    order a per-direction loop adds them, so they are bit-identical to it."""
+    _, N, T, _ = X.shape
+    H = Wh.shape[1]
     Hs, Cs, gates, C_new = cache["Hs"], cache["Cs"], cache["gates"], cache["C_new"]
+    WxT = Wx.transpose(0, 2, 1)
+    WhT = Wh.transpose(0, 2, 1)
     dWx = np.zeros_like(Wx)
     dWh = np.zeros_like(Wh)
-    db = np.zeros(4 * H)
+    db = np.zeros((2, 4 * H))
     dX = np.zeros_like(X)
-    dh = dh_final.copy()
-    dc = np.zeros((N, H))
+    dA = np.empty((2, N, 4 * H))
+    dh = dh_final
+    dc = np.zeros((2, N, H))
+    keep = 1.0 - mask
     for t in range(T - 1, -1, -1):
-        m = mask[:, t : t + 1]
-        i = gates[t][:, :H]
-        f = gates[t][:, H : 2 * H]
-        g = gates[t][:, 2 * H : 3 * H]
-        o = gates[t][:, 3 * H :]
+        m, k = mask[:, t, None], keep[:, t, None]
+        s = gates[t]
+        i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
         tanh_c = np.tanh(C_new[t])
         dh_new = dh * m
         dc_new = dc * m
-        dh_prev = dh * (1.0 - m)
-        dc_prev = dc * (1.0 - m)
+        dh_prev = dh * k
+        dc_prev = dc * k
         do = dh_new * tanh_c
         dc_new = dc_new + dh_new * o * (1.0 - tanh_c**2)
         df = dc_new * Cs[t]
         di = dc_new * g
         dg = dc_new * i
-        dc_prev = dc_prev + dc_new * f
-        dA = np.concatenate(
-            [di * i * (1 - i), df * f * (1 - f), dg * (1 - g**2), do * o * (1 - o)],
-            axis=1,
-        )
-        dWx += X[:, t, :].T @ dA
-        dWh += Hs[t].T @ dA
-        db += dA.sum(axis=0)
-        dX[:, t, :] = dA @ Wx.T
-        dh = dh_prev + dA @ Wh.T
-        dc = dc_prev
+        dc = dc_prev + dc_new * f
+        dA[..., :H] = di * i * (1 - i)
+        dA[..., H : 2 * H] = df * f * (1 - f)
+        dA[..., 2 * H : 3 * H] = dg * (1 - g**2)
+        dA[..., 3 * H :] = do * o * (1 - o)
+        dWx += np.matmul(X[:, :, t].transpose(0, 2, 1), dA)
+        dWh += np.matmul(Hs[t].transpose(0, 2, 1), dA)
+        db += dA.sum(axis=1)
+        dX[:, :, t] = np.matmul(dA, WxT)
+        dh = dh_prev + np.matmul(dA, WhT)
     return dX, dWx, dWh, db
 
 
@@ -200,34 +230,33 @@ class Model:
     def _encode(self, ids, mask):
         p = self.params
         maskf = mask.astype(np.float64)
-        X_fw = p["embedding"][ids] * maskf[..., None]
-        fw = _lstm_forward(X_fw, maskf, p["lstm_fw_Wx"], p["lstm_fw_Wh"], p["lstm_fw_b"])
-        ids_bw = _reverse_within_length(ids, mask)
-        X_bw = p["embedding"][ids_bw] * maskf[..., None]
-        bw = _lstm_forward(X_bw, maskf, p["lstm_bw_Wx"], p["lstm_bw_Wh"], p["lstm_bw_b"])
-        enc = np.concatenate([fw["h_final"], bw["h_final"]], axis=1)
-        cache = {"ids": ids, "ids_bw": ids_bw, "maskf": maskf, "X_fw": X_fw,
-                 "X_bw": X_bw, "fw": fw, "bw": bw}
+        ids2 = np.stack([ids, _reverse_within_length(ids, mask)])  # (2, N, T): fw, bw
+        X = p["embedding"][ids2] * maskf[..., None]
+        W = {k: np.stack([p[f"lstm_fw_{k}"], p[f"lstm_bw_{k}"]]) for k in ("Wx", "Wh", "b")}
+        lstm = _lstm_forward(X, maskf, W["Wx"], W["Wh"], W["b"])
+        enc = np.concatenate(lstm["h_final"], axis=1)
+        cache = {"ids": ids2, "maskf": maskf, "X": X, "W": W, "lstm": lstm}
         return enc, cache
 
     def _encode_backward(self, cache, denc, grads):
-        p = self.params
         H = self.config.hidden_size
-        for d, dh in (("fw", denc[:, :H]), ("bw", denc[:, H:])):
-            dX, dWx, dWh, db = _lstm_backward(
-                cache[d], dh, cache[f"X_{d}"], cache["maskf"],
-                p[f"lstm_{d}_Wx"], p[f"lstm_{d}_Wh"],
-            )
-            grads[f"lstm_{d}_Wx"] += dWx
-            grads[f"lstm_{d}_Wh"] += dWh
-            grads[f"lstm_{d}_b"] += db
-            ids = cache["ids"] if d == "fw" else cache["ids_bw"]
-            dX = dX * cache["maskf"][..., None]
-            np.add.at(
-                grads["embedding"],
-                ids.reshape(-1),
-                dX.reshape(-1, self.config.embedding_dim),
-            )
+        W = cache["W"]
+        dh = np.stack([denc[:, :H], denc[:, H:]])
+        dX, dWx, dWh, db = _lstm_backward(
+            cache["lstm"], dh, cache["X"], cache["maskf"], W["Wx"], W["Wh"]
+        )
+        for j, d in enumerate(("fw", "bw")):
+            grads[f"lstm_{d}_Wx"] += dWx[j]
+            grads[f"lstm_{d}_Wh"] += dWh[j]
+            grads[f"lstm_{d}_b"] += db[j]
+        # One scatter over fw rows then bw rows: the order two per-direction
+        # scatters would add them in.
+        dX = dX * cache["maskf"][..., None]
+        np.add.at(
+            grads["embedding"],
+            cache["ids"].reshape(-1),
+            dX.reshape(-1, self.config.embedding_dim),
+        )
 
     # -- forward -------------------------------------------------------------
 

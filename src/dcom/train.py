@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import augment, tokenizers
-from .core import ClassVocabulary, TrainingConfig
+from .core import ClassVocabulary, TrainingConfig, check_indices
 from .errors import ConfigError, DiagnosticError
 from .features import FeatureScaler, extract_features
 from .nn import ArchitectureConfig, Model, zeros_like_params
@@ -229,6 +229,8 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
     loudly: the forward pass raises DiagnosticError on non-finite logits and
     adam_step on non-finite gradients, while the clamped loss stays finite.
     """
+    for part in ("train", "validation", "test"):
+        check_indices(getattr(split, part), len(instances), part)
     labeled = [i for i in split.train if instances[i].label is None]
     if labeled:
         raise ConfigError("all training instances must be labeled")

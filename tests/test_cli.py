@@ -203,6 +203,9 @@ EXIT_CODES = [
     (["train", "--data", "{data}", "--config", "{negative_epochs}", "--out", "{tmp}/m.dcom"], 2),
     (["predict", "--model", "{damaged}", "--data", "{data}"], 2),
     (["evaluate", "--model", "{damaged}", "--data", "{data}", "--split", "{split}"], 2),
+    (["train", "--data", "{data}", "--config", "{config}", "--split", "{train_past_end}",
+      "--out", "{tmp}/m.dcom"], 2),
+    (["evaluate", "--model", "{model}", "--data", "{data}", "--split", "{negative_test}"], 2),
     (["explain", "--model", "{damaged}"], 2),
     (["augment", "--data", "{tmp}/missing.jsonl"], 2),
 ]
@@ -237,9 +240,19 @@ class TestExitCodes:
         zero_batch.write_text(CONFIG.replace("batch_size = 16", "batch_size = 0"))
         negative_epochs = tmp_path / "negative_epochs.toml"
         negative_epochs.write_text(CONFIG.replace("epochs = 6", "epochs = -1"))
+        manifest = json.loads(split.read_text())
+        n_columns = sum(len(part) for part in manifest["indices"].values())
+        train_past_end = tmp_path / "train_past_end.json"
+        manifest["indices"]["train"].append(n_columns)
+        train_past_end.write_text(json.dumps(manifest))
+        negative_test = tmp_path / "negative_test.json"
+        manifest = json.loads(split.read_text())
+        manifest["indices"]["test"].append(-1)
+        negative_test.write_text(json.dumps(manifest))
         fields = dict(tmp=tmp_path, data=corpus_path, model=model, split=split,
                       config=config, diverging=diverging, damaged=damaged,
-                      zero_batch=zero_batch, negative_epochs=negative_epochs)
+                      zero_batch=zero_batch, negative_epochs=negative_epochs,
+                      train_past_end=train_past_end, negative_test=negative_test)
         with np.errstate(all="ignore"):
             assert main([a.format(**fields) for a in argv]) == code
         assert "Traceback" not in capsys.readouterr().err

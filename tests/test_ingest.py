@@ -2,10 +2,12 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcom import ingest
 from dcom.core import ColumnInstance
-from dcom.errors import ConfigError, FormatError, ParseError
+from dcom.errors import ConfigError, DcomError, FormatError, ParseError
 
 
 def write_lines(path, lines):
@@ -54,6 +56,17 @@ class TestLoadJsonl:
         with pytest.raises(ParseError, match="line 2"):
             ingest.load_dataset(f, "jsonl")
 
+    @pytest.mark.parametrize("line", [
+        b'{"label":"a","values":["\xff"]}',  # not UTF-8
+        b'{"label":"a","values":[' + b"1" * 5000 + b"]}",  # too long to convert
+        b"[" * 100_000 + b"]" * 100_000,  # nested too deeply to decode
+    ], ids=["not-utf8", "long-int", "deep"])
+    def test_undecodable_line_reports_number(self, tmp_path, line):
+        f = tmp_path / "d.jsonl"
+        f.write_bytes(b'{"label":"a","values":["x"]}\n' + line + b"\n")
+        with pytest.raises(ParseError, match="line 2"):
+            ingest.load_dataset(f, "jsonl")
+
     def test_order_preserved_and_round_trip(self, tmp_path):
         records = [
             {"label": "a", "values": ["1", "", "3"]},
@@ -95,6 +108,17 @@ class TestLoadCsvLong:
         f = tmp_path / "d.csv"
         write_lines(f, ["column_id,label,value", "c1,day,1", "c1,rank,2"])
         with pytest.raises(ParseError, match="conflicting"):
+            ingest.load_dataset(f, "csv_long")
+
+
+    @pytest.mark.parametrize("value", [
+        b"\xfe",  # not UTF-8
+        b"y" * 140_000,  # longer than csv.field_size_limit()
+    ], ids=["not-utf8", "over-field-limit"])
+    def test_unreadable_value_reports_line(self, tmp_path, value):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"column_id,label,value\nc1,day,1\nc2,day," + value + b"\n")
+        with pytest.raises(ParseError, match="line 3"):
             ingest.load_dataset(f, "csv_long")
 
 
@@ -147,12 +171,57 @@ class TestMakeSplit:
         '{"indices": {"train": [true], "validation": [], "test": []}, "seed": 1, "ratios": [1]}',
         '{"indices": {"train": [], "validation": [], "test": []}, "seed": "1", "ratios": [1]}',
         '{"indices": {"train": [], "validation": [], "test": []}, "seed": 1, "ratios": 1}',
+        pytest.param("[" * 100_000, id="deep"),
+        pytest.param(b'{"seed": 1, "\xff": 0}', id="not-utf8"),
     ])
     def test_malformed_manifest_format_error(self, tmp_path, text):
         path = tmp_path / "split.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(FormatError, match="split"):
             ingest.DatasetSplit.load(path)
+
+
+VALID_FILES = {
+    "jsonl": b'{"label": "day", "values": ["1", 2, 3.5]}\n\n{"values": ["F", true]}\n',
+    "csv": b'column_id,label,value\r\nc1,day,1\r\nc1,day,"2,\n3"\r\nc2,,F\r\n',
+    "split": json.dumps({"seed": 1, "ratios": [0.6, 0.2, 0.2], "stratified": True,
+                         "indices": {"train": [0, 3], "validation": [1], "test": [2]}}).encode(),
+}
+LOADERS = {"jsonl": ingest.load_jsonl, "csv": ingest.load_csv_long,
+           "split": ingest.DatasetSplit.load}
+
+
+@st.composite
+def damaged(draw, valid):
+    """Arbitrary bytes, or a valid file with one span of bytes replaced."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    start = draw(st.integers(0, len(valid)))
+    stop = draw(st.integers(start, min(len(valid), start + 8)))
+    return valid[:start] + draw(st.binary(max_size=8)) + valid[stop:]
+
+
+class TestLoadersOnAnyBytes:
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    def test_valid_file_loads(self, fuzz_dir, kind):
+        path = fuzz_dir / f"valid.{kind}"
+        path.write_bytes(VALID_FILES[kind])
+        assert LOADERS[kind](path)
+
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_result_or_dcom_error(self, fuzz_dir, kind, data):
+        path = fuzz_dir / f"fuzz.{kind}"
+        path.write_bytes(data.draw(damaged(VALID_FILES[kind])))
+        try:
+            LOADERS[kind](path)
+        except DcomError:
+            pass
 
 
 class TestSyntheticCorpus:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcom.errors import ConfigError
 from dcom.nn import AGGREGATIONS, ArchitectureConfig, Model, init_params, zeros_like_params
 from dcom.train import cross_entropy_batch
+from lstm_oracle import OracleModel
 
 TINY = dict(vocab_size=12, n_classes=3, embedding_dim=4, hidden_size=3,
             feature_dim=4, dense_widths=(5,), dropout=0.0)
@@ -189,6 +192,55 @@ class TestBackward:
         model.backward(cache, dlogits)
         for name, p in model.params.items():
             np.testing.assert_array_equal(p, before[name])
+
+
+@st.composite
+def encoder_cases(draw):
+    """A random config and batch: per-row lengths 1..T, masked multi slots."""
+    mode = draw(st.sampled_from(["single", "multi"]))
+    config = ArchitectureConfig(
+        mode=mode, vocab_size=draw(st.integers(4, 9)), n_classes=draw(st.integers(2, 4)),
+        embedding_dim=draw(st.integers(1, 6)), hidden_size=draw(st.integers(1, 6)),
+        feature_dim=3, dense_widths=(4,), dropout=draw(st.sampled_from([0.0, 0.4])),
+        aggregation=draw(st.sampled_from(AGGREGATIONS)), r=draw(st.integers(1, 4)),
+    )
+    B, T = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = B if mode == "single" else B * config.r
+    lengths = rng.integers(1, T + 1, size=rows)
+    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.int64)
+    ids = rng.integers(3, config.vocab_size, size=(rows, T)) * mask
+    batch = {"feats": rng.normal(size=(B, config.n_features))}
+    if mode == "single":
+        batch.update(ids=ids, tok_mask=mask)
+    else:
+        slot_mask = rng.random((B, config.r)) < 0.6
+        slot_mask[np.arange(B), rng.integers(0, config.r, size=B)] = True
+        batch.update(ids=ids.reshape(B, config.r, T), tok_mask=mask.reshape(B, config.r, T),
+                     slot_mask=slot_mask)
+    return config, batch, int(rng.integers(0, 2**32 - 1))
+
+
+class TestFusedEncoderOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(encoder_cases(), st.booleans())
+    def test_equals_per_direction_loops(self, case, train_mode):
+        """Both LSTM directions stepped in one loop give the probabilities and
+        gradients of one loop per direction, bit for bit."""
+        config, batch, seed = case
+        model = Model(config, seed=seed)
+        oracle = OracleModel(config, params=model.params)
+        runs = []
+        for m in (model, oracle):
+            rng = np.random.default_rng(seed) if train_mode else None
+            probs, cache = m.forward(batch, train_mode=train_mode, dropout_rng=rng)
+            dlogits = np.random.default_rng(seed).normal(size=probs.shape)
+            runs.append((probs, m.backward(cache, dlogits)))
+        (probs, grads), (oracle_probs, oracle_grads) = runs
+        np.testing.assert_array_equal(probs, oracle_probs)
+        assert grads.keys() == oracle_grads.keys()
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], oracle_grads[name], err_msg=name)
 
 
 class TestDropout:
