@@ -119,8 +119,3 @@ def inference_inputs(instance: ColumnInstance, model_kind: str, k: int, rng,
     if model_kind == "multi":
         return [sample_multi(instance, r_multi, mode=multi_mode, rng=rng) for _ in range(k)]
     raise ConfigError(f"unknown model kind {model_kind!r}")
-
-
-def split_sample_text(text: str) -> list[str]:
-    """Recover the value segments of a single-sequence sample's text."""
-    return text.split(SEP_TEXT)

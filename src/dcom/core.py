@@ -94,6 +94,17 @@ def check_indices(indices, n, part):
                               f"has {n} columns")
 
 
+def check_disjoint(train, validation, test):
+    """ConfigError naming the first index that a split lists twice, within one
+    of its parts or across two."""
+    seen = {}
+    for part, indices in (("train", train), ("validation", validation), ("test", test)):
+        for i in indices:
+            if i in seen:
+                raise ConfigError(f"index {i} is in {seen[i]} and again in {part}")
+            seen[i] = part
+
+
 class FlatConfig:
     """Dict form of a dataclass config whose every field has a default.
 
@@ -150,3 +161,9 @@ class TrainingConfig(FlatConfig):
                 raise ConfigError(f"config key {key!r} must be >= 1, got {getattr(self, key)!r}")
         if self.epochs < 0:
             raise ConfigError(f"config key 'epochs' must be >= 0, got {self.epochs!r}")
+        if not self.learning_rate > 0:  # also refuses NaN
+            raise ConfigError(f"config key 'learning_rate' must be > 0, got "
+                              f"{self.learning_rate!r}")
+        if not 0 < self.plateau_factor <= 1:
+            raise ConfigError(f"config key 'plateau_factor' must be in (0, 1], got "
+                              f"{self.plateau_factor!r}")

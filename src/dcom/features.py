@@ -159,6 +159,3 @@ class FeatureScaler:
 
     def transform(self, v: np.ndarray) -> np.ndarray:
         return (np.asarray(v, dtype=np.float64) - self.mean) / self.std
-
-    def inverse_transform(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v, dtype=np.float64) * self.std + self.mean

@@ -15,7 +15,7 @@ from .errors import ConfigError
 from .features import extract_features
 from .nn import Model
 from .serialize import ModelBundle
-from .train import accuracy, make_batch, per_class_prf, support_weighted_f1
+from .train import accuracy, forward_samples, per_class_prf, support_weighted_f1
 
 
 @dataclass(frozen=True)
@@ -25,20 +25,6 @@ class Prediction:
     k: int
     votes: dict | None = None
     latency_s: float = 0.0
-
-
-def _forward_samples(bundle: ModelBundle, model: Model, samples, feats_scaled):
-    # One forward per sample: the k votes of an instance are independent
-    # evaluations (parallelizable across workers), not one fused batch.  They
-    # share one slot cache, so a multi slot value is encoded once per call.
-    rows = []
-    slot_cache = {}
-    for sample in samples:
-        batch = make_batch([sample], [feats_scaled], bundle.training, bundle.vocab,
-                           slot_cache)
-        probs, _ = model.forward(batch, train_mode=False)
-        rows.append(probs[0])
-    return np.vstack(rows)
 
 
 def _vote_winner(probs: np.ndarray) -> tuple[int, dict]:
@@ -70,7 +56,9 @@ def predict_kvote(bundle: ModelBundle, instance, k=10, seed=0) -> Prediction:
         instance, config.mode, k, rng, r_multi=config.r, multi_mode=config.multi_mode,
     )
     feats = bundle.scaler.transform(extract_features(instance))
-    probs = _forward_samples(bundle, model, samples, feats)
+    # one forward per vote, sharing one slot cache: a slot value is encoded once
+    probs = forward_samples(model, samples, [feats] * k, config, bundle.vocab, rows=1,
+                            slot_cache={})
     if k == 1:
         class_id = int(np.argmax(probs[0]))
         mean_probs = probs[0]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassVocabulary, ColumnInstance, has_type, make_instance
+from .core import ClassVocabulary, check_disjoint, has_type, make_instance
 from .errors import ConfigError, FormatError, ParseError
 
 
@@ -86,7 +86,8 @@ def load_csv_long(path):
             return [], ClassVocabulary(())
         if [h.strip() for h in header] != ["column_id", "label", "value"]:
             raise FormatError(f"expected header 'column_id,label,value', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
+        lineno = reader.line_num + 1  # a row's first physical line
+        for row in reader:
             if len(row) != 3:
                 raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
             column_id, label, value = row
@@ -100,6 +101,7 @@ def load_csv_long(path):
                     line=lineno,
                 )
             groups[column_id][1].append(value)
+            lineno = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise ParseError(str(exc), line=reader.line_num) from None
     instances = [make_instance(values, label or None) for label, values in (groups[c] for c in order)]
@@ -175,6 +177,10 @@ class DatasetSplit:
             if not isinstance(part, list) or not all(has_type(i, int) for i in part):
                 raise FormatError(f"{path}: split indices {name!r} must be a list of integers")
             parts[name] = tuple(part)
+        try:
+            check_disjoint(**parts)
+        except ConfigError as exc:
+            raise FormatError(f"{path}: split indices overlap: {exc}") from None
         ratios = manifest["ratios"]
         if not isinstance(ratios, list) or not all(has_type(r, float) for r in ratios):
             raise FormatError(f"{path}: split ratios must be a list of numbers")

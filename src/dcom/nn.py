@@ -27,11 +27,11 @@ against finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import FlatConfig
+from .core import FlatConfig, TrainingConfig
 from .errors import ConfigError, DiagnosticError
 
 AGGREGATIONS = ("mean", "sum", "concatenation", "weighted_sum")
@@ -64,6 +64,13 @@ class ArchitectureConfig(FlatConfig):
                   self.n_features, *self.dense_widths)
         if min(widths) < 1:
             raise ConfigError("layer widths, r and n_features must be >= 1")
+
+    @classmethod
+    def from_training(cls, training: TrainingConfig, vocab_size: int, n_classes: int):
+        """The network a training config builds: it copies every field the two share."""
+        shared = (f.name for f in fields(cls) if hasattr(training, f.name))
+        return cls(vocab_size=vocab_size, n_classes=n_classes,
+                   **{name: getattr(training, name) for name in shared})
 
     @property
     def text_dim(self) -> int:

@@ -1,8 +1,9 @@
 """Model bundle persistence.
 
-One binary file carries everything needed to predict: architecture config,
-parameters, tokenizer vocabulary, feature scaler, class vocabulary, and
-training config and metadata.  Layout (all integers little-endian):
+One binary file carries everything needed to predict: parameters, tokenizer
+vocabulary, feature scaler, class vocabulary, training config and metadata,
+plus the architecture config those build, which loading checks.  Layout (all
+integers little-endian):
 
     magic "DCOM" | version u32 | payload_len u64 | crc32 u32 | payload
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ClassVocabulary, TrainingConfig, has_type
-from .errors import BundleError, DcomError
+from .errors import BundleError, ConfigError, DcomError
 from .features import FEATURE_NAMES, FeatureScaler
 from .nn import ArchitectureConfig, param_shapes
 from .tokenizers import Vocabulary
@@ -46,13 +47,17 @@ HEADER_FORMAT = {
 
 @dataclass
 class ModelBundle:
-    arch: ArchitectureConfig
     params: dict
     vocab: Vocabulary
     scaler: FeatureScaler
     class_vocab: ClassVocabulary
     training: TrainingConfig
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def arch(self) -> ArchitectureConfig:
+        return ArchitectureConfig.from_training(self.training, len(self.vocab),
+                                                len(self.class_vocab))
 
 
 def _payload(bundle: ModelBundle) -> bytes:
@@ -105,25 +110,25 @@ def _decode(payload: bytes) -> ModelBundle:
     header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
     if not _conforms(header, HEADER_FORMAT):
         raise BundleError("header lacks a field or has one of the wrong type")
-    arch = ArchitectureConfig.from_dict(header["arch"])
     training = TrainingConfig.from_dict(header["training"])
-    if arch.to_dict() != header["arch"] or training.to_dict() != header["training"]:
-        raise BundleError("arch or training config lacks a field")
-    # the training config repeats the architecture fields it built
-    if any(header["arch"][f] != v for f, v in header["training"].items() if f in header["arch"]):
-        raise BundleError("training config disagrees with the architecture")
+    if training.to_dict() != header["training"]:
+        raise BundleError("training config lacks a field")
     vocab = Vocabulary(kind=header["vocab"]["kind"], tokens=tuple(header["vocab"]["tokens"]))
     class_vocab = ClassVocabulary(tuple(header["classes"]))
+    try:
+        arch = ArchitectureConfig.from_training(training, len(vocab), len(class_vocab))
+    except ConfigError as exc:
+        raise BundleError(f"training config, vocabulary and classes disagree: {exc}") from None
+    if header["arch"] != arch.to_dict():
+        raise BundleError("arch disagrees with the training config, vocabulary and classes")
     scaler = FeatureScaler(
         mean=np.asarray(header["scaler"]["mean"], dtype=np.float64),
         std=np.asarray(header["scaler"]["std"], dtype=np.float64),
     )
     n_features = len(FEATURE_NAMES)
-    if (len(vocab) != arch.vocab_size or len(class_vocab) != arch.n_classes
-            or arch.n_features != n_features or scaler.mean.shape != (n_features,)
-            or scaler.std.shape != (n_features,)
+    if (scaler.mean.shape != (n_features,) or scaler.std.shape != (n_features,)
             or not np.all(np.isfinite(scaler.mean) & np.isfinite(scaler.std) & (scaler.std > 0))):
-        raise BundleError("vocabulary, classes or scaler disagree with the architecture")
+        raise BundleError("scaler disagrees with the feature count or has a bad entry")
 
     shapes = param_shapes(arch)
     listed = [(p["name"], tuple(p["shape"])) for p in header["params"]]
@@ -141,9 +146,8 @@ def _decode(payload: bytes) -> ModelBundle:
         offset = end
     if offset != len(payload):
         raise BundleError("trailing bytes after the last parameter")
-    return ModelBundle(arch=arch, params=params, vocab=vocab, scaler=scaler,
-                       class_vocab=class_vocab, training=training,
-                       metadata=header["metadata"])
+    return ModelBundle(params=params, vocab=vocab, scaler=scaler, class_vocab=class_vocab,
+                       training=training, metadata=header["metadata"])
 
 
 def load_bundle(path) -> ModelBundle:

@@ -45,11 +45,6 @@ class Vocabulary:
 class TokenSequence:
     ids: np.ndarray
     attention_mask: np.ndarray
-    max_len: int
-
-    @property
-    def length(self) -> int:
-        return int(self.attention_mask.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +226,4 @@ def encode(vocab: Vocabulary, text: str, max_len: int) -> TokenSequence:
     return TokenSequence(
         ids=np.asarray(ids, dtype=np.int64),
         attention_mask=np.asarray(mask, dtype=np.int64),
-        max_len=max_len,
     )
-
-
-def decode(vocab: Vocabulary, seq: TokenSequence) -> str:
-    """Best-effort inverse of encode, used for inspection and round-trip tests."""
-    tokens = [vocab.tokens[i] for i, m in zip(seq.ids, seq.attention_mask) if m]
-    if vocab.kind == "char":
-        return "".join(SEP_TEXT if t == SEP else t for t in tokens)
-    out: list[str] = []
-    for token in tokens:
-        if token == SEP:
-            out.append(SEP_TOKEN)
-        elif token.startswith("##") and out:
-            out[-1] += token[2:]
-        else:
-            out.append(token)
-    return " ".join(out)

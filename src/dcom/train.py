@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import augment, tokenizers
-from .core import ClassVocabulary, TrainingConfig, check_indices
+from .core import ClassVocabulary, TrainingConfig, check_disjoint, check_indices
 from .errors import ConfigError, DiagnosticError
 from .features import FeatureScaler, extract_features
 from .nn import ArchitectureConfig, Model, zeros_like_params
@@ -45,15 +45,16 @@ def cross_entropy_batch(probs, labels, class_weights=None):
 # ---------------------------------------------------------------------------
 # Optimizer and scheduler
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# a validation F1 must beat the best by more than this to count as improving
+PLATEAU_MIN_DELTA = 1e-6
+
 
 @dataclass
 class OptimizerState:
     """Adam moments per parameter, plus the current learning rate."""
 
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -66,7 +67,7 @@ def adam_step(params, grads, state: OptimizerState):
             raise DiagnosticError("non-finite gradient; update aborted")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, g in grads.items():
         if name not in state.m:
             state.m[name] = np.zeros_like(g)
@@ -75,29 +76,28 @@ def adam_step(params, grads, state: OptimizerState):
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / (1 - b1**t)
         v_hat = state.v[name] / (1 - b2**t)
-        params[name] -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        params[name] -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
 class PlateauScheduler:
-    """Halve the learning rate after `patience` consecutive non-improving epochs."""
+    """Scale the learning rate by `factor` after `patience` consecutive
+    non-improving epochs."""
 
     learning_rate: float
     factor: float = 0.5
     patience: int = 5
-    min_delta: float = 1e-6
-    min_lr: float = 0.0
     best: float = -np.inf
     epochs_since_improvement: int = 0
 
     def step(self, val_metric: float) -> float:
-        if val_metric > self.best + self.min_delta:
+        if val_metric > self.best + PLATEAU_MIN_DELTA:
             self.best = val_metric
             self.epochs_since_improvement = 0
         else:
             self.epochs_since_improvement += 1
             if self.epochs_since_improvement >= self.patience:
-                self.learning_rate = max(self.learning_rate * self.factor, self.min_lr)
+                self.learning_rate *= self.factor
                 self.epochs_since_improvement = 0
         return self.learning_rate
 
@@ -159,11 +159,6 @@ def _epoch_rng(seed, epoch, tag):
     return np.random.default_rng([seed, epoch, tag])
 
 
-def _encode_single(sample, vocab, max_len):
-    seq = tokenizers.encode(vocab, sample.text, max_len)
-    return seq.ids, seq.attention_mask
-
-
 def make_batch(samples, feats, config: TrainingConfig, vocab, slot_cache=None):
     """Tokenize a list of augment samples into one model batch dict.
 
@@ -177,9 +172,9 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, slot_cache=None):
     every dropped position is padding.
     """
     if config.mode == "single":
-        encoded = [_encode_single(s, vocab, config.max_len) for s in samples]
-        ids = np.stack([e[0] for e in encoded])
-        tok_mask = np.stack([e[1] for e in encoded])
+        seqs = [tokenizers.encode(vocab, s.text, config.max_len) for s in samples]
+        ids = np.stack([seq.ids for seq in seqs])
+        tok_mask = np.stack([seq.attention_mask for seq in seqs])
         batch = {}
     else:
         slot_cache = {} if slot_cache is None else slot_cache
@@ -202,24 +197,16 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, slot_cache=None):
     return batch
 
 
-def _predict_labels(model, instances, indices, scaled_feats, vocab, config, rng,
-                    slot_cache):
-    """Greedy k=1 predictions for a set of instances (used for validation)."""
-    preds = []
-    for start in range(0, len(indices), config.batch_size):
-        chunk = indices[start : start + config.batch_size]
-        samples = [
-            augment.inference_inputs(
-                instances[i], config.mode, 1, rng,
-                r_multi=config.r, multi_mode=config.multi_mode,
-            )[0]
-            for i in chunk
-        ]
-        batch = make_batch(samples, [scaled_feats[i] for i in chunk], config, vocab,
-                           slot_cache)
-        probs, _ = model.forward(batch, train_mode=False)
-        preds.extend(np.argmax(probs, axis=1).tolist())
-    return preds
+def forward_samples(model, samples, feats, config: TrainingConfig, vocab, rows, slot_cache):
+    """Inference probabilities, one row per sample (samples[i] with scaled
+    features feats[i]), forwarded `rows` samples at a time through make_batch;
+    each forward's step history is freed before the next forward runs."""
+    probs = []
+    for start in range(0, len(samples), rows):
+        batch = make_batch(samples[start : start + rows], feats[start : start + rows],
+                           config, vocab, slot_cache)
+        probs.append(model.forward(batch, train_mode=False)[0])
+    return np.vstack(probs)
 
 
 def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=None):
@@ -231,6 +218,9 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
     """
     for part in ("train", "validation", "test"):
         check_indices(getattr(split, part), len(instances), part)
+    check_disjoint(split.train, split.validation, split.test)
+    if config.epochs and not split.validation:
+        raise ConfigError("the validation set is empty: each epoch is scored on it")
     labeled = [i for i in split.train if instances[i].label is None]
     if labeled:
         raise ConfigError("all training instances must be labeled")
@@ -246,19 +236,8 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
     corpus = (" ".join(instances[i].values) for i in split.train)
     vocab = tokenizers.build_vocab(corpus, config.tokenizer, config.vocab_budget)
 
-    arch = ArchitectureConfig(
-        mode=config.mode,
-        vocab_size=len(vocab),
-        n_classes=len(class_vocab),
-        embedding_dim=config.embedding_dim,
-        hidden_size=config.hidden_size,
-        feature_dim=config.feature_dim,
-        dense_widths=config.dense_widths,
-        dropout=config.dropout,
-        aggregation=config.aggregation,
-        r=config.r,
-    )
-    model = Model(arch, seed=seed)
+    model = Model(ArchitectureConfig.from_training(config, len(vocab), len(class_vocab)),
+                  seed=seed)
 
     class_weights = None
     if config.use_class_weights:
@@ -268,12 +247,10 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
         class_weights = counts.sum() / (len(class_vocab) * np.maximum(counts, 1))
 
     opt = OptimizerState(learning_rate=config.learning_rate)
-    sched = PlateauScheduler(
-        learning_rate=config.learning_rate,
-        factor=config.plateau_factor,
-        patience=config.plateau_patience,
-    )
+    sched = PlateauScheduler(config.learning_rate, config.plateau_factor,
+                             config.plateau_patience)
     val_labels = [class_vocab.id_of(instances[i].label) for i in split.validation]
+    val_feats = [scaled[i] for i in split.validation]
 
     reports = []
     best_f1 = -1.0
@@ -309,10 +286,15 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
             grads = model.backward(cache, dlogits)
             adam_step(model.params, grads, opt)
 
-        val_pred = _predict_labels(
-            model, instances, list(split.validation), scaled, vocab, config,
-            _epoch_rng(seed, epoch, 3), slot_cache,
-        )
+        val_rng = _epoch_rng(seed, epoch, 3)
+        val_samples = [
+            augment.inference_inputs(instances[i], config.mode, 1, val_rng,
+                                     r_multi=config.r, multi_mode=config.multi_mode)[0]
+            for i in split.validation
+        ]
+        val_probs = forward_samples(model, val_samples, val_feats, config, vocab,
+                                    config.batch_size, slot_cache)
+        val_pred = np.argmax(val_probs, axis=1).tolist()
         val_f1 = support_weighted_f1(val_labels, val_pred, len(class_vocab))
         val_acc = accuracy(val_labels, val_pred)
         opt.learning_rate = sched.step(val_f1)
@@ -342,7 +324,6 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
                 break
 
     bundle = ModelBundle(
-        arch=arch,
         params=best_params,
         vocab=vocab,
         scaler=scaler,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dcom import augment
-from dcom.core import ColumnInstance, make_instance
+from dcom.core import SEP_TEXT, ColumnInstance, make_instance
 from dcom.errors import ConfigError
 
 DESCRIPTION = ColumnInstance(
@@ -28,7 +28,7 @@ class TestSampleSingle:
         rng = np.random.default_rng(1)
         for _ in range(50):
             s = augment.sample_single(DESCRIPTION, rng)
-            segments = augment.split_sample_text(s.text)
+            segments = s.text.split(SEP_TEXT)
             assert len(segments) == s.r
             assert len(set(segments)) == s.r  # no value index used twice
             for seg in segments:
@@ -137,7 +137,7 @@ class TestInferenceInputs:
         samples = augment.inference_inputs(DESCRIPTION, "single", 1, np.random.default_rng(0))
         assert len(samples) == 1
         assert samples[0].r == 3
-        assert sorted(augment.split_sample_text(samples[0].text)) == sorted(DESCRIPTION.values)
+        assert sorted(samples[0].text.split(SEP_TEXT)) == sorted(DESCRIPTION.values)
 
     def test_k10_count(self):
         samples = augment.inference_inputs(DESCRIPTION, "single", 10, np.random.default_rng(0))
@@ -161,4 +161,4 @@ def test_escaped_values_keep_segment_fidelity():
     inst = make_instance(["left <SEP> right", "plain"])
     rng = np.random.default_rng(0)
     s = augment.sample_single(inst, rng, r=2)
-    assert len(augment.split_sample_text(s.text)) == 2
+    assert len(s.text.split(SEP_TEXT)) == 2

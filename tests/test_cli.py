@@ -208,6 +208,11 @@ EXIT_CODES = [
     (["evaluate", "--model", "{model}", "--data", "{data}", "--split", "{negative_test}"], 2),
     (["explain", "--model", "{damaged}"], 2),
     (["augment", "--data", "{tmp}/missing.jsonl"], 2),
+    (["train", "--data", "{data}", "--config", "{negative_rate}", "--out", "{tmp}/m.dcom"], 2),
+    (["train", "--data", "{data}", "--config", "{negative_factor}", "--out", "{tmp}/m.dcom"], 2),
+    (["train", "--data", "{data}", "--config", "{config}", "--split", "{overlapping}",
+      "--out", "{tmp}/m.dcom"], 2),
+    (["evaluate", "--model", "{model}", "--data", "{data}", "--split", "{overlapping}"], 2),
 ]
 
 
@@ -249,10 +254,20 @@ class TestExitCodes:
         manifest = json.loads(split.read_text())
         manifest["indices"]["test"].append(-1)
         negative_test.write_text(json.dumps(manifest))
+        negative_rate = tmp_path / "negative_rate.toml"
+        negative_rate.write_text(CONFIG.replace("learning_rate = 0.003", "learning_rate = -1.0"))
+        negative_factor = tmp_path / "negative_factor.toml"
+        negative_factor.write_text(CONFIG + "plateau_factor = -0.5\n")
+        overlapping = tmp_path / "overlapping.json"
+        manifest = json.loads(split.read_text())
+        manifest["indices"]["validation"].append(manifest["indices"]["train"][0])
+        overlapping.write_text(json.dumps(manifest))
         fields = dict(tmp=tmp_path, data=corpus_path, model=model, split=split,
                       config=config, diverging=diverging, damaged=damaged,
                       zero_batch=zero_batch, negative_epochs=negative_epochs,
-                      train_past_end=train_past_end, negative_test=negative_test)
+                      train_past_end=train_past_end, negative_test=negative_test,
+                      negative_rate=negative_rate, negative_factor=negative_factor,
+                      overlapping=overlapping)
         with np.errstate(all="ignore"):
             assert main([a.format(**fields) for a in argv]) == code
         assert "Traceback" not in capsys.readouterr().err

@@ -16,34 +16,31 @@ from dcom.tokenizers import RESERVED, Vocabulary
 from dcom.train import make_batch
 
 
-def zero_bundle(n_classes=3):
-    arch = ArchitectureConfig(
-        mode="single", vocab_size=8, n_classes=n_classes, embedding_dim=4,
-        hidden_size=3, feature_dim=4, dense_widths=(5,), dropout=0.0,
-    )
-    params = zeros_like_params(init_params(arch, np.random.default_rng(0)))
+def tiny_bundle(training, class_names):
+    """A bundle of the given training config over a 5-character vocabulary, with
+    random parameters."""
     vocab = Vocabulary("char", RESERVED + ("a", "b", "1", "2", " "))
-    scaler = FeatureScaler(mean=np.zeros(19), std=np.ones(19))
-    classes = ClassVocabulary(tuple(f"class{i}" for i in range(n_classes)))
-    training = TrainingConfig(mode="single", embedding_dim=4, hidden_size=3,
-                              feature_dim=4, dense_widths=(5,), dropout=0.0,
-                              tokenizer="char")
-    return ModelBundle(arch=arch, params=params, vocab=vocab, scaler=scaler,
+    classes = ClassVocabulary(tuple(class_names))
+    arch = ArchitectureConfig.from_training(training, len(vocab), len(classes))
+    return ModelBundle(params=init_params(arch, np.random.default_rng(0)), vocab=vocab,
+                       scaler=FeatureScaler(mean=np.zeros(19), std=np.ones(19)),
                        class_vocab=classes, training=training)
 
 
+def zero_bundle(n_classes=3):
+    training = TrainingConfig(mode="single", embedding_dim=4, hidden_size=3,
+                              feature_dim=4, dense_widths=(5,), dropout=0.0,
+                              tokenizer="char")
+    bundle = tiny_bundle(training, [f"class{i}" for i in range(n_classes)])
+    bundle.params = zeros_like_params(bundle.params)
+    return bundle
+
+
 def random_multi_bundle():
-    vocab = Vocabulary("char", RESERVED + ("a", "b", "1", "2", " "))
-    arch = ArchitectureConfig(
-        mode="multi", vocab_size=len(vocab), n_classes=3, embedding_dim=4, hidden_size=3,
-        feature_dim=4, dense_widths=(5,), dropout=0.0, r=6,
-    )
     training = TrainingConfig(mode="multi", embedding_dim=4, hidden_size=3, feature_dim=4,
                               dense_widths=(5,), dropout=0.0, r=6, tokenizer="char",
                               max_len_per_slot=16)
-    return ModelBundle(arch=arch, params=init_params(arch, np.random.default_rng(0)),
-                       vocab=vocab, scaler=FeatureScaler(mean=np.zeros(19), std=np.ones(19)),
-                       class_vocab=ClassVocabulary(("x", "y", "z")), training=training)
+    return tiny_bundle(training, ["x", "y", "z"])
 
 
 class TestPredictOne:

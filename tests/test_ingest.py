@@ -111,6 +111,17 @@ class TestLoadCsvLong:
             ingest.load_dataset(f, "csv_long")
 
 
+    @pytest.mark.parametrize("row,error", [
+        (b"c1,b,2", "conflicting"),
+        (b"c1,b", "3 fields"),
+    ])
+    def test_error_after_multiline_value_reports_file_line(self, tmp_path, row, error):
+        # the quoted value spans file lines 2-4, so the bad row is on line 5
+        f = tmp_path / "d.csv"
+        f.write_bytes(b'column_id,label,value\nc1,a,"x\ny\nz"\n' + row + b"\n")
+        with pytest.raises(ParseError, match=f"line 5: .*{error}"):
+            ingest.load_dataset(f, "csv_long")
+
     @pytest.mark.parametrize("value", [
         b"\xfe",  # not UTF-8
         b"y" * 140_000,  # longer than csv.field_size_limit()
@@ -171,6 +182,10 @@ class TestMakeSplit:
         '{"indices": {"train": [true], "validation": [], "test": []}, "seed": 1, "ratios": [1]}',
         '{"indices": {"train": [], "validation": [], "test": []}, "seed": "1", "ratios": [1]}',
         '{"indices": {"train": [], "validation": [], "test": []}, "seed": 1, "ratios": 1}',
+        pytest.param('{"indices": {"train": [0, 1, 2, 3], "validation": [0, 1], "test": [0, 1]},'
+                     ' "seed": 1, "ratios": [0.6, 0.2, 0.2]}', id="shared"),
+        pytest.param('{"indices": {"train": [0, 1], "validation": [2], "test": [3, 3]},'
+                     ' "seed": 1, "ratios": [0.6, 0.2, 0.2]}', id="repeated"),
         pytest.param("[" * 100_000, id="deep"),
         pytest.param(b'{"seed": 1, "\xff": 0}', id="not-utf8"),
     ])

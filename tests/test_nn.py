@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcom.core import TrainingConfig
 from dcom.errors import ConfigError
 from dcom.nn import AGGREGATIONS, ArchitectureConfig, Model, init_params, zeros_like_params
 from dcom.train import cross_entropy_batch
@@ -297,3 +300,16 @@ class TestConfigValidation:
     def test_round_trip_dict(self):
         config = tiny_config("multi", r=7)
         assert ArchitectureConfig.from_dict(config.to_dict()) == config
+
+    def test_from_training_copies_shared_fields(self):
+        training = TrainingConfig(mode="multi", embedding_dim=5, hidden_size=6, feature_dim=7,
+                                  dense_widths=(8, 9), dropout=0.1, aggregation="sum", r=4)
+        assert ArchitectureConfig.from_training(training, 30, 3) == ArchitectureConfig(
+            mode="multi", vocab_size=30, n_classes=3, embedding_dim=5, hidden_size=6,
+            feature_dim=7, dense_widths=(8, 9), dropout=0.1, aggregation="sum", r=4)
+
+    def test_training_config_sets_every_layer_field(self):
+        # only the data's sizes are not part of the training recipe
+        arch_fields = {f.name for f in dataclasses.fields(ArchitectureConfig)}
+        training_fields = {f.name for f in dataclasses.fields(TrainingConfig)}
+        assert arch_fields - training_fields == {"vocab_size", "n_classes", "n_features"}

@@ -159,8 +159,22 @@ class TestHeaderValidation:
         with pytest.raises(BundleError, match="disagree"):
             load_bundle(_damaged(saved, tmp_path, edit))
 
+    @pytest.mark.parametrize("edit", [
+        lambda a: a.__setitem__("n_features", 20),
+        lambda a: a.__setitem__("vocab_size", a["vocab_size"] + 1),
+        lambda a: a.__setitem__("n_classes", 3),
+        lambda a: a.__setitem__("hidden_size", 8),
+        lambda a: a.pop("dropout"),
+        lambda a: a.__setitem__("extra", 1),
+    ], ids=["n_features", "vocab_size", "n_classes", "hidden_size", "missing", "extra"])
+    def test_arch_disagrees_with_training(self, saved, tmp_path, edit):
+        # the header's arch must be the one its training config builds
+        with pytest.raises(BundleError, match="disagrees"):
+            load_bundle(_damaged(saved, tmp_path, lambda h: edit(h["arch"])))
+
     @pytest.mark.parametrize("training", [
         {"learning_rte": 0.1}, {"max_len": "64"}, {"batch_size": 0}, {"epochs": -1}, [],
+        {"learning_rate": -1.0}, {"plateau_factor": -0.5},
     ])
     def test_bad_training_config(self, saved, tmp_path, training):
         def edit(header):

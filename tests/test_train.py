@@ -141,11 +141,6 @@ class TestPlateauScheduler:
         lrs = [sched.step(float(m)) for m in rng.random(60)]
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))
 
-    def test_min_lr_floor(self):
-        sched = PlateauScheduler(learning_rate=1e-4, min_lr=4e-5)
-        for _ in range(40):
-            sched.step(0.5)
-        assert sched.learning_rate == 4e-5
 
 
 class TestMetrics:
@@ -204,6 +199,19 @@ class TestTrainingConfig:
         with pytest.raises(ConfigError, match="epochs"):
             TrainingConfig.from_dict({"epochs": -1})
         assert TrainingConfig(epochs=0).epochs == 0
+
+    @pytest.mark.parametrize("key,bad,good", [
+        ("learning_rate", [0.0, -1.0, float("nan")], [1e-12, 1e200]),
+        ("plateau_factor", [0.0, -0.5, 1.5, float("nan")], [1e-9, 1.0]),
+    ])
+    def test_rate_ranges(self, key, bad, good):
+        # the scheduler multiplies the rate by plateau_factor with no floor, so
+        # a rate that is not positive, or a factor outside (0, 1], is refused
+        for value in bad:
+            with pytest.raises(ConfigError, match=key):
+                TrainingConfig(**{key: value})
+        for value in good:
+            assert getattr(TrainingConfig.from_dict({key: value}), key) == value
 
     def test_int_passes_for_float(self):
         assert TrainingConfig.from_dict({"learning_rate": 1}).learning_rate == 1
@@ -332,6 +340,27 @@ class TestTrainModel:
         config = TrainingConfig(mode="single", epochs=2, **{**TINY_CONFIG, "learning_rate": 1e200})
         with pytest.raises(DiagnosticError, match="non-finite"), np.errstate(all="ignore"):
             train_model(instances, split, config, seed=0)
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: dict(validation=s.validation + s.train[:1]),
+        lambda s: dict(test=s.test + s.validation[-1:]),
+        lambda s: dict(train=s.train + s.train[:1]),
+    ], ids=["train-in-validation", "validation-in-test", "repeated-train"])
+    def test_overlapping_split_rejected(self, sanity_corpus, edit):
+        import dataclasses
+
+        instances, split = sanity_corpus
+        config = TrainingConfig(mode="single", epochs=1, **TINY_CONFIG)
+        with pytest.raises(ConfigError, match="and again in"):
+            train_model(instances, dataclasses.replace(split, **edit(split)), config)
+
+    def test_empty_validation_rejected(self, sanity_corpus):
+        import dataclasses
+
+        instances, split = sanity_corpus
+        config = TrainingConfig(mode="single", epochs=1, **TINY_CONFIG)
+        with pytest.raises(ConfigError, match="validation"):
+            train_model(instances, dataclasses.replace(split, validation=()), config)
 
     def test_unlabeled_train_instance_rejected(self, sanity_corpus):
         from dcom.core import ColumnInstance
