@@ -10,7 +10,7 @@ from .features import FEATURE_NAMES, FeatureScaler, extract_features
 from .ingest import DatasetSplit, generate_synthetic_corpus, load_dataset, make_split
 from .serialize import load_bundle, save_bundle
 from .train import TrainingConfig, train_model
-from .infer import evaluate, predict_kvote
+from .infer import evaluate, predict_kvote, predict_many
 from .explain import feature_importance
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "train_model",
     "evaluate",
     "predict_kvote",
+    "predict_many",
     "feature_importance",
 ]
 

@@ -19,7 +19,7 @@ from . import ingest
 from .errors import DcomError
 from .explain import feature_importance
 from .features import FEATURE_NAMES, extract_features
-from .infer import evaluate, predict_kvote
+from .infer import evaluate, predict_many
 from .serialize import load_bundle, save_bundle
 from .train import TrainingConfig, train_model
 
@@ -136,17 +136,21 @@ def _cmd_predict(args):
     bundle = load_bundle(args.model)
     instances, _ = _load_data(args.data)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    # batch_size columns per predict_many call, each written out as it ends
+    rows = bundle.training.batch_size
     try:
-        for i, inst in enumerate(instances):
-            pred = predict_kvote(bundle, inst, k=args.k,
-                                 seed=np.random.default_rng([args.seed, i]).integers(2**63))
-            record = {
-                "source": i,
-                "label": pred.label,
-                "confidence": float(pred.probabilities.max()),
-                "votes": pred.votes,
-            }
-            out.write(json.dumps(record, ensure_ascii=False) + "\n")
+        for start in range(0, len(instances), rows):
+            sources = range(start, min(start + rows, len(instances)))
+            seeds = [np.random.default_rng([args.seed, i]).integers(2**63) for i in sources]
+            preds = predict_many(bundle, instances[start : start + rows], args.k, seeds)
+            for i, pred in zip(sources, preds):
+                record = {
+                    "source": i,
+                    "label": pred.label,
+                    "confidence": float(pred.probabilities.max()),
+                    "votes": pred.votes,
+                }
+                out.write(json.dumps(record, ensure_ascii=False) + "\n")
     finally:
         if args.out:
             out.close()

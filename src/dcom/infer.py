@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import augment
-from .core import check_indices
+from .core import check_disjoint, check_indices
 from .errors import ConfigError
 from .features import extract_features
 from .nn import Model
@@ -41,39 +41,72 @@ def _vote_winner(probs: np.ndarray) -> tuple[int, dict]:
     return winner, dict(votes)
 
 
+def _column_vote(class_vocab, probs):
+    """(mean distribution, label, votes by label) of one column's k sample rows;
+    a single sample reports no votes."""
+    if len(probs) == 1:
+        return probs[0], class_vocab.name_of(int(np.argmax(probs[0]))), None
+    class_id, votes = _vote_winner(probs)
+    return (probs.mean(axis=0), class_vocab.name_of(class_id),
+            {class_vocab.name_of(c): n for c, n in sorted(votes.items())})
+
+
+def _predict_columns(bundle: ModelBundle, instances, k, seeds, rows) -> list[Prediction]:
+    """The k-vote Prediction of each column, its samples forwarded `rows` at a time.
+
+    Column i draws its k samples from default_rng(seeds[i]), so what it votes
+    on does not depend on `rows` or on the other columns.  The columns share
+    one slot cache.  Each latency_s is this call's wall time per column.
+    """
+    if not instances:
+        return []
+    t0 = time.perf_counter()
+    config = bundle.training
+    model = Model(bundle.arch, params=bundle.params)
+    samples, feats = [], []
+    for instance, seed in zip(instances, seeds):
+        rng = np.random.default_rng(seed)
+        samples += augment.inference_inputs(
+            instance, config.mode, k, rng, r_multi=config.r, multi_mode=config.multi_mode,
+        )
+        feats += [bundle.scaler.transform(extract_features(instance))] * k
+    probs = forward_samples(model, samples, feats, config, bundle.vocab, rows, slot_cache={})
+    voted = [_column_vote(bundle.class_vocab, probs[j : j + k])
+             for j in range(0, len(probs), k)]
+    latency_s = (time.perf_counter() - t0) / len(instances)
+    return [Prediction(probabilities=p, label=label, k=k, votes=votes, latency_s=latency_s)
+            for p, label, votes in voted]
+
+
 def predict_kvote(bundle: ModelBundle, instance, k=10, seed=0) -> Prediction:
     """k-sample majority-vote prediction.
 
     k=1 classifies one full random permutation of the values and reports no
     votes; k>1 votes over k samples of random length (see
-    augment.inference_inputs) and reports their mean distribution.
+    augment.inference_inputs) and reports their mean distribution.  Each vote
+    is its own forward, so the latency grows with k.
     """
-    t0 = time.perf_counter()
-    config = bundle.training
-    model = Model(bundle.arch, params=bundle.params)
-    rng = np.random.default_rng(seed)
-    samples = augment.inference_inputs(
-        instance, config.mode, k, rng, r_multi=config.r, multi_mode=config.multi_mode,
-    )
-    feats = bundle.scaler.transform(extract_features(instance))
-    # one forward per vote, sharing one slot cache: a slot value is encoded once
-    probs = forward_samples(model, samples, [feats] * k, config, bundle.vocab, rows=1,
-                            slot_cache={})
-    if k == 1:
-        class_id = int(np.argmax(probs[0]))
-        mean_probs = probs[0]
-        votes = None
-    else:
-        class_id, votes_ids = _vote_winner(probs)
-        votes = {bundle.class_vocab.name_of(c): n for c, n in sorted(votes_ids.items())}
-        mean_probs = probs.mean(axis=0)
-    return Prediction(
-        probabilities=mean_probs,
-        label=bundle.class_vocab.name_of(class_id),
-        k=k,
-        votes=votes,
-        latency_s=time.perf_counter() - t0,
-    )
+    return _predict_columns(bundle, [instance], k, [seed], rows=1)[0]
+
+
+def predict_many(bundle: ModelBundle, instances, k, seeds) -> list[Prediction]:
+    """predict_kvote of every column, column i with seed seeds[i], batched
+    across columns for throughput.
+
+    The columns go `bundle.training.batch_size` at a time, and their k samples
+    each are forwarded batch_size rows at a time.  The samples, and so the
+    votes and labels, are predict_kvote's; a probability may differ from it
+    in the last bits, because a BLAS result depends on the batch's shape.
+    """
+    instances, seeds = list(instances), list(seeds)
+    if len(seeds) != len(instances):
+        raise ConfigError(f"{len(instances)} columns but {len(seeds)} seeds")
+    rows = bundle.training.batch_size
+    predictions = []
+    for start in range(0, len(instances), rows):
+        predictions += _predict_columns(bundle, instances[start : start + rows], k,
+                                        seeds[start : start + rows], rows)
+    return predictions
 
 
 def evaluate(bundle: ModelBundle, instances, test_indices, k=1, seed=0,
@@ -85,6 +118,7 @@ def evaluate(bundle: ModelBundle, instances, test_indices, k=1, seed=0,
     if not test_indices:
         raise ConfigError("empty test set")
     check_indices(test_indices, len(instances), "test")
+    check_disjoint([], [], test_indices)  # a repeated column would count twice
     class_vocab = bundle.class_vocab
     for i in test_indices:
         label = instances[i].label

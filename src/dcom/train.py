@@ -221,9 +221,11 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
     check_disjoint(split.train, split.validation, split.test)
     if config.epochs and not split.validation:
         raise ConfigError("the validation set is empty: each epoch is scored on it")
-    labeled = [i for i in split.train if instances[i].label is None]
-    if labeled:
-        raise ConfigError("all training instances must be labeled")
+    for part in ("train", "validation"):
+        unlabeled = [i for i in getattr(split, part) if instances[i].label is None]
+        if unlabeled:
+            raise ConfigError(f"{part} instance {unlabeled[0]} has no label: train and "
+                              f"validation columns must be labeled")
     class_vocab = ClassVocabulary.from_labels(
         instances[i].label for i in list(split.train) + list(split.validation)
     )

@@ -32,3 +32,11 @@ def sanity_bundle(sanity_corpus):
     config = TrainingConfig(mode="single", epochs=20, **TINY_CONFIG)
     bundle, reports = train_model(instances, split, config, seed=3)
     return bundle, reports
+
+
+@pytest.fixture(scope="session")
+def sanity_multi_bundle(sanity_corpus):
+    instances, split = sanity_corpus
+    config = TrainingConfig(mode="multi", epochs=5, r=8, **TINY_CONFIG)
+    bundle, _ = train_model(instances, split, config, seed=3)
+    return bundle

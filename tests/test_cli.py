@@ -1,14 +1,20 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from bundle_edit import join_bundle, split_bundle
+from bundle_edit import join_bundle, sign_payload, split_bundle
 from dcom import ingest
 from dcom.cli import main, parse_config_file
 from dcom.errors import ConfigError, DcomError
 from dcom.features import FEATURE_NAMES
+from dcom.infer import predict_kvote
+from dcom.serialize import save_bundle
 from feature_oracle import oracle_features
 
 CONFIG = """\
@@ -115,6 +121,37 @@ class TestTrainPredictEvaluate:
         rows = list(csv.DictReader(open(table)))
         assert {r["class"] for r in rows} == {"gender", "description"}
 
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_predict_equals_predict_kvote_per_column(self, mode, sanity_bundle,
+                                                     sanity_multi_bundle, corpus_path,
+                                                     tmp_path):
+        bundle = sanity_bundle[0] if mode == "single" else sanity_multi_bundle
+        model = tmp_path / "model.dcom"
+        save_bundle(bundle, model)
+        instances, _ = ingest.load_dataset(corpus_path, "jsonl")
+        # 60 columns in chunks of batch_size 16: three full chunks and a short one
+        assert len(instances) % bundle.training.batch_size > 0
+        out = tmp_path / "preds.jsonl"
+        assert main(["predict", "--model", str(model), "--data", str(corpus_path),
+                     "--out", str(out), "--k", "10", "--seed", "5"]) == 0
+        records = [json.loads(line) for line in open(out)]
+        assert [r["source"] for r in records] == list(range(len(instances)))
+        for i, (inst, record) in enumerate(zip(instances, records)):
+            pred = predict_kvote(bundle, inst, k=10,
+                                 seed=np.random.default_rng([5, i]).integers(2**63))
+            assert (record["label"], record["votes"]) == (pred.label, pred.votes)
+            assert record["confidence"] == pytest.approx(pred.probabilities.max(),
+                                                         rel=0, abs=1e-12)
+
+    def test_predict_empty_file(self, trained, tmp_path):
+        model, _ = trained
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "preds.jsonl"
+        assert main(["predict", "--model", str(model), "--data", str(empty),
+                     "--out", str(out), "--k", "10"]) == 0
+        assert out.read_bytes() == b""
+
     def test_predict_malformed_line_exit_2(self, trained, tmp_path, capsys):
         model, _ = trained
         bad = tmp_path / "bad.jsonl"
@@ -213,6 +250,9 @@ EXIT_CODES = [
     (["train", "--data", "{data}", "--config", "{config}", "--split", "{overlapping}",
       "--out", "{tmp}/m.dcom"], 2),
     (["evaluate", "--model", "{model}", "--data", "{data}", "--split", "{overlapping}"], 2),
+    (["train", "--data", "{unlabeled_validation}", "--config", "{config}", "--split", "{split}",
+      "--out", "{tmp}/m.dcom"], 2),
+    (["evaluate", "--model", "{model}", "--data", "{data}", "--split", "{repeated_test}"], 2),
 ]
 
 
@@ -262,12 +302,21 @@ class TestExitCodes:
         manifest = json.loads(split.read_text())
         manifest["indices"]["validation"].append(manifest["indices"]["train"][0])
         overlapping.write_text(json.dumps(manifest))
+        repeated_test = tmp_path / "repeated_test.json"
+        manifest = json.loads(split.read_text())
+        manifest["indices"]["test"] = manifest["indices"]["test"][:1] * 5
+        repeated_test.write_text(json.dumps(manifest))
+        unlabeled_validation = tmp_path / "unlabeled_validation.jsonl"
+        records = [json.loads(line) for line in corpus_path.read_text().splitlines()]
+        del records[manifest["indices"]["validation"][0]]["label"]
+        unlabeled_validation.write_text("".join(json.dumps(r) + "\n" for r in records))
         fields = dict(tmp=tmp_path, data=corpus_path, model=model, split=split,
                       config=config, diverging=diverging, damaged=damaged,
                       zero_batch=zero_batch, negative_epochs=negative_epochs,
                       train_past_end=train_past_end, negative_test=negative_test,
                       negative_rate=negative_rate, negative_factor=negative_factor,
-                      overlapping=overlapping)
+                      overlapping=overlapping, repeated_test=repeated_test,
+                      unlabeled_validation=unlabeled_validation)
         with np.errstate(all="ignore"):
             assert main([a.format(**fields) for a in argv]) == code
         assert "Traceback" not in capsys.readouterr().err
@@ -328,3 +377,83 @@ class TestExitCodes:
                      "--split", str(split)]) == 2
         err = capsys.readouterr().err
         assert "'postcode'" in err and f"test instance {test_index}" in err
+
+
+# -- arbitrary and damaged files through predict and evaluate ----------------
+
+
+@pytest.fixture(scope="module")
+def valid_files(trained, sanity_multi_bundle, corpus_path, tmp_path_factory):
+    """Valid bytes of each file the two commands read: the single and multi
+    bundles, the data as JSONL and as long CSV (20 columns, more than one
+    batch), and a split manifest over those columns."""
+    model, _ = trained
+    multi = tmp_path_factory.mktemp("fuzz") / "multi.dcom"
+    save_bundle(sanity_multi_bundle, multi)
+    lines = corpus_path.read_bytes().splitlines(keepends=True)[:20]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["column_id", "label", "value"])
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        writer.writerows([i, record["label"], v] for v in record["values"])
+    split = {"indices": {"train": list(range(12)), "validation": [12, 13, 14, 15],
+                         "test": [16, 17, 18, 19]},
+             "seed": 0, "ratios": [0.6, 0.2, 0.2]}
+    return {
+        "bundle": [model.read_bytes(), multi.read_bytes()],
+        "data": [b"".join(lines), text.getvalue().encode()],
+        "split": json.dumps(split).encode(),
+    }
+
+
+def _one_span_damaged(valid: bytes):
+    """valid with one span of up to 8 bytes replaced by up to 3 arbitrary
+    bytes, so a size in a bundle header gains at most three digits and
+    prediction stays small."""
+    return st.tuples(st.integers(0, len(valid)), st.integers(0, 8),
+                     st.binary(max_size=3)).map(
+        lambda t: valid[: t[0]] + t[2] + valid[t[0] + t[1] :])
+
+
+def _file_bytes(data, valid, damage, resign=False):
+    """valid as it is, or, when damage, arbitrary bytes or valid with one span
+    damaged; a bundle's payload may also be damaged and signed again, so the
+    damage gets past the checksum."""
+    if not damage:
+        return valid
+    kind = data.draw(st.sampled_from(["arbitrary", "damaged"] + (["resigned"] if resign else [])))
+    if kind == "arbitrary":
+        return data.draw(st.binary(max_size=200))
+    if kind == "damaged":
+        return data.draw(_one_span_damaged(valid))
+    return sign_payload(data.draw(_one_span_damaged(valid[20:])))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_predict_and_evaluate_exit_cleanly_on_any_files(valid_files, tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("cli-fuzz")
+    command = data.draw(st.sampled_from(["predict", "evaluate"]))
+    # at most one of the files is damaged
+    damaged = data.draw(st.sampled_from(
+        [None, "bundle", "data"] + (["split"] if command == "evaluate" else [])))
+    model = directory / "model.dcom"
+    model.write_bytes(_file_bytes(data, data.draw(st.sampled_from(valid_files["bundle"])),
+                                  damaged == "bundle", resign=True))
+    # the extension picks the reader: JSONL or long CSV
+    which = data.draw(st.sampled_from([0, 1]))
+    path = directory / ("data.jsonl", "data.csv")[which]
+    path.write_bytes(_file_bytes(data, valid_files["data"][which], damaged == "data"))
+    argv = [command, "--model", str(model), "--data", str(path),
+            "--k", data.draw(st.sampled_from(["1", "3"])), "--out", str(directory / "out")]
+    if command == "evaluate":
+        split = directory / "split.json"
+        split.write_bytes(_file_bytes(data, valid_files["split"], damaged == "split"))
+        argv += ["--split", str(split)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), np.errstate(all="ignore"):
+        code = main(argv)
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()

@@ -9,7 +9,7 @@ from dcom import augment, tokenizers
 from dcom.core import ClassVocabulary, ColumnInstance, TrainingConfig, make_instance
 from dcom.errors import ConfigError
 from dcom.features import FeatureScaler, extract_features
-from dcom.infer import _vote_winner, evaluate, predict_kvote
+from dcom.infer import _vote_winner, evaluate, predict_kvote, predict_many
 from dcom.nn import ArchitectureConfig, Model, init_params, zeros_like_params
 from dcom.serialize import ModelBundle
 from dcom.tokenizers import RESERVED, Vocabulary
@@ -159,6 +159,38 @@ class TestPredictKvote:
             predict_kvote(bundle, make_instance(["F"]), k=0)
 
 
+class TestPredictMany:
+    """predict_many batches across columns and votes as predict_kvote does."""
+
+    @pytest.fixture(params=["single", "multi"])
+    def bundle(self, request, sanity_bundle, sanity_multi_bundle):
+        return sanity_bundle[0] if request.param == "single" else sanity_multi_bundle
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_matches_predict_kvote(self, bundle, sanity_corpus, k):
+        instances, _ = sanity_corpus
+        # more columns than batch_size, so several chunks of columns and of rows
+        assert len(instances) > bundle.training.batch_size
+        seeds = [int(np.random.default_rng([7, i]).integers(2**63))
+                 for i in range(len(instances))]
+        many = predict_many(bundle, instances, k, seeds)
+        assert len(many) == len(instances)
+        for inst, seed, got in zip(instances, seeds, many):
+            want = predict_kvote(bundle, inst, k, seed)
+            assert (got.label, got.votes, got.k) == (want.label, want.votes, want.k)
+            # a batched row is not bit-equal to the row run alone
+            np.testing.assert_allclose(got.probabilities, want.probabilities, rtol=0,
+                                       atol=1e-12)
+            assert got.latency_s > 0.0
+
+    def test_empty(self, bundle):
+        assert predict_many(bundle, [], 10, []) == []
+
+    def test_seed_count_must_match(self, bundle):
+        with pytest.raises(ConfigError, match="2 columns but 1 seeds"):
+            predict_many(bundle, [make_instance(["F"]), make_instance(["M"])], 3, [0])
+
+
 class TestEvaluate:
     def test_report_consistency(self, sanity_corpus, sanity_bundle):
         instances, split = sanity_corpus
@@ -192,6 +224,13 @@ class TestEvaluate:
         relabeled[i] = ColumnInstance(instances[i].values, "postcode")
         with pytest.raises(ConfigError, match=rf"test instance {i} has label 'postcode'"):
             evaluate(bundle, relabeled, split.test, k=1)
+
+    def test_repeated_test_index_rejected(self, sanity_corpus, sanity_bundle):
+        instances, split = sanity_corpus
+        bundle, _ = sanity_bundle
+        i = split.test[0]
+        with pytest.raises(ConfigError, match=rf"index {i} is in test and again in test"):
+            evaluate(bundle, instances, [i] * 5, k=1)
 
     def test_size_reported_with_path(self, tmp_path, sanity_corpus, sanity_bundle):
         from dcom.serialize import save_bundle

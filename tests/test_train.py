@@ -372,6 +372,17 @@ class TestTrainModel:
         with pytest.raises(ConfigError, match="labeled"):
             train_model(broken, split, config, seed=0)
 
+    def test_unlabeled_validation_instance_rejected(self, sanity_corpus):
+        from dcom.core import ColumnInstance
+
+        instances, split = sanity_corpus
+        broken = list(instances)
+        i = split.validation[3]
+        broken[i] = ColumnInstance(("x",), None)
+        config = TrainingConfig(mode="single", epochs=1, **TINY_CONFIG)
+        with pytest.raises(ConfigError, match=rf"validation instance {i} has no label"):
+            train_model(broken, split, config, seed=0)
+
     def test_all_ones_class_weights_identical(self, sanity_corpus):
         instances, split = sanity_corpus
         config = TrainingConfig(mode="single", epochs=2, **TINY_CONFIG)
