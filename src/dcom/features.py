@@ -68,7 +68,8 @@ FEATURE_LABELS = (
 )
 
 
-def _char_counts(value: str):
+def _value_counts(value: str):
+    """(numeric, alpha, special, words, length) of one value."""
     numeric = alpha = special = 0
     for ch in value:
         if ch.isdecimal():
@@ -77,7 +78,7 @@ def _char_counts(value: str):
             alpha += 1
         elif not ch.isspace():
             special += 1
-    return numeric, alpha, special
+    return numeric, alpha, special, len(value.split()), len(value)
 
 
 def _skew_kurtosis(x: np.ndarray):
@@ -95,10 +96,12 @@ def extract_features(instance: ColumnInstance) -> np.ndarray:
     values = instance.values
     n = len(values)
 
-    counts = np.array([_char_counts(v) for v in values], dtype=np.float64)
-    numeric, alpha, special = counts[:, 0], counts[:, 1], counts[:, 2]
-    words = np.array([len(v.split()) for v in values], dtype=np.float64)
-    lengths = np.array([len(v) for v in values], dtype=np.float64)
+    # one contiguous (5, n) array: each row's mean and std is the pairwise sum
+    # a 1-D array of that count would take, so the values are bit-identical
+    counts = np.array(list(zip(*map(_value_counts, values))), dtype=np.float64)
+    mean_numeric, mean_alpha, mean_special, mean_words, _ = counts.mean(axis=1)
+    std_numeric, std_alpha, std_special, std_words, _ = counts.std(axis=1)
+    numeric, alpha, _, _, lengths = counts
 
     freqs = np.array(list(Counter(values).values()), dtype=np.float64) / n
     entropy = float(-(freqs * np.log2(freqs)).sum()) if len(freqs) > 1 else 0.0
@@ -110,23 +113,23 @@ def extract_features(instance: ColumnInstance) -> np.ndarray:
 
     out = np.array(
         [
-            numeric.std(),
-            alpha.std(),
+            std_numeric,
+            std_alpha,
             entropy,
-            special.std(),
-            words.std(),
-            words.mean(),
-            numeric.mean(),
+            std_special,
+            std_words,
+            mean_words,
+            mean_numeric,
             lengths.min(),
             kurt,
-            special.mean(),
+            mean_special,
             float(n),
             float(np.count_nonzero(alpha > 0)) / n,
             float(np.count_nonzero(numeric > 0)) / n,
             lengths.sum(),
             lengths.max(),
             skew,
-            alpha.mean(),
+            mean_alpha,
             float(np.median(lengths)),
             float(mode_length),
         ],

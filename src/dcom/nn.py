@@ -9,6 +9,14 @@ Two wirings over shared building blocks:
       non-padded slots (mean/sum/concatenation/weighted_sum), then the same
       tail as single.
 
+A single batch holds ids and tok_mask (B, T) and feats (B, F).  A multi batch
+holds each distinct slot text once: ids and tok_mask are (U, T), one row per
+distinct text, and slots (B, R) gives each real slot its row, -1 for a padded
+slot.  An encoded text does not depend on its slot, so inference encodes each
+row once and gathers the result into every slot that holds it; backward adds
+those slots' gradients into the row.  Training encodes one row per real slot,
+as if no text repeated, so its arithmetic does not depend on the repeats.
+
 The bidirectional LSTM steps both directions together in one time loop, as
 cuDNN's fused RNNs do (Appleyard et al. 2016): the forward ids and the
 length-reversed ids are embedded into one (2, N, T, E) array, and each
@@ -279,21 +287,31 @@ class Model:
             text = enc
             cache["enc_cache"] = enc_cache
         else:
-            ids = batch["ids"]  # (B, R, T)
-            tok_mask = batch["tok_mask"]
-            slot_mask = np.asarray(batch["slot_mask"], dtype=bool)
-            B, R, T = ids.shape
+            slots = np.asarray(batch["slots"])  # (B, R): row of each real slot, -1 if padded
+            B, R = slots.shape
             if R != cfg.r:
                 raise ConfigError(f"expected {cfg.r} slots, got {R}")
+            slot_mask = slots >= 0
             counts = slot_mask.sum(axis=1)
             if np.any(counts == 0):
                 raise ConfigError("cannot aggregate a sample with zero unmasked slots")
             sel = slot_mask.reshape(-1)
-            enc_flat, enc_cache = self._encode(
-                ids.reshape(B * R, T)[sel], tok_mask.reshape(B * R, T)[sel]
-            )
+            occ = slots.reshape(-1)[sel]  # the row of each real slot, in (b, r) order
+            ids, tok_mask = batch["ids"], batch["tok_mask"]
+            if train_mode:
+                # one encoded row per occurrence, so training's arithmetic
+                # does not depend on how often a text repeats
+                ids, tok_mask, gather = ids[occ], tok_mask[occ], None
+            elif len(ids) == 1 < len(occ):
+                # numpy sends a one-row matmul to gemv, which rounds
+                # differently from the many-row kernel: encode the row twice
+                ids, tok_mask, gather = np.repeat(ids, 2, 0), np.repeat(tok_mask, 2, 0), occ
+            else:
+                # an encoded text does not depend on its slot: encode each row once
+                gather = occ
+            enc_rows, enc_cache = self._encode(ids, tok_mask)
             enc = np.zeros((B * R, 2 * cfg.hidden_size))
-            enc[sel] = enc_flat
+            enc[sel] = enc_rows if gather is None else enc_rows[gather]
             enc = enc.reshape(B, R, -1)
             if cfg.aggregation == "mean":
                 text = enc.sum(axis=1) / counts[:, None]
@@ -305,7 +323,7 @@ class Model:
                 text = enc.reshape(B, R * 2 * cfg.hidden_size)
             cache.update(
                 enc_cache=enc_cache, enc=enc, sel=sel, slot_mask=slot_mask,
-                counts=counts, shape=(B, R, T),
+                counts=counts, gather=gather, n_rows=len(ids),
             )
 
         pre_feat = feats @ p["feat_W"] + p["feat_b"]
@@ -367,7 +385,7 @@ class Model:
             self._encode_backward(cache["enc_cache"], dtext, grads)
             return grads
 
-        B, R, T = cache["shape"]
+        B, R = cache["slot_mask"].shape
         slot_mask = cache["slot_mask"]
         counts = cache["counts"]
         if cfg.aggregation == "mean":
@@ -382,6 +400,11 @@ class Model:
         else:
             denc = dtext.reshape(B, R, 2 * cfg.hidden_size)
         denc = denc * slot_mask[..., None]
-        denc_flat = denc.reshape(B * R, -1)[cache["sel"]]
-        self._encode_backward(cache["enc_cache"], denc_flat, grads)
+        denc_occ = denc.reshape(B * R, -1)[cache["sel"]]
+        if cache["gather"] is None:
+            denc_rows = denc_occ
+        else:  # each encoded row collects the gradients of its occurrences
+            denc_rows = np.zeros((cache["n_rows"], denc_occ.shape[1]))
+            np.add.at(denc_rows, cache["gather"], denc_occ)
+        self._encode_backward(cache["enc_cache"], denc_rows, grads)
         return grads

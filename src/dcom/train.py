@@ -162,14 +162,20 @@ def _epoch_rng(seed, epoch, tag):
 def make_batch(samples, feats, config: TrainingConfig, vocab, slot_cache=None):
     """Tokenize a list of augment samples into one model batch dict.
 
-    Single texts are encoded one by one.  Multi slot texts go through
-    slot_cache, a dict of slot text -> (ids, mask) at max_len_per_slot that
-    the caller scopes to where texts repeat: one train_model call (every epoch
-    and validation pass) or one predict_kvote call (the k samples of one
-    column).  Without one, the cache lives for this call only.  Either way
-    the token axis is trimmed to the longest real sequence in the batch, so
-    ids and tok_mask equal the full-width arrays on their first positions and
-    every dropped position is padding.
+    Single: ids and tok_mask are (B, T), one encoded text per sample.
+
+    Multi: ids and tok_mask are (U, T), one row per distinct real slot text
+    of the batch, in first-seen order, and slots (B, R) gives each real slot
+    its row, -1 for a padded slot (a real slot is slots >= 0).  Padded slots
+    are neither tokenized nor stored.  Slot texts go through slot_cache, a
+    dict of slot text -> (ids, mask) at max_len_per_slot that the caller
+    scopes to where texts repeat: one train_model call (every epoch and
+    validation pass) or one predict_kvote call (the k samples of one column).
+    Without one, the cache lives for this call only.
+
+    Either way the token axis is trimmed to the longest sequence in the
+    batch, so every row equals its text's full-width encoding on its first
+    positions and every dropped position is padding.
     """
     if config.mode == "single":
         seqs = [tokenizers.encode(vocab, s.text, config.max_len) for s in samples]
@@ -178,18 +184,21 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, slot_cache=None):
         batch = {}
     else:
         slot_cache = {} if slot_cache is None else slot_cache
+        row_of = {}  # distinct real slot text -> its row, in first-seen order
+        slots = [[row_of.setdefault(t, len(row_of)) if real else -1
+                  for t, real in zip(s.texts, s.pad_mask)] for s in samples]
         rows = []
-        for text in (t for s in samples for t in s.texts):
+        for text in row_of:
             row = slot_cache.get(text)
             if row is None:
                 seq = tokenizers.encode(vocab, text, config.max_len_per_slot)
                 row = slot_cache[text] = (seq.ids, seq.attention_mask)
             rows.append(row)
-        shape = (len(samples), len(samples[0].texts), config.max_len_per_slot)
+        shape = (len(rows), config.max_len_per_slot)
         # np.array builds from equal-length rows faster than np.stack
         ids = np.array([r[0] for r in rows]).reshape(shape)
         tok_mask = np.array([r[1] for r in rows]).reshape(shape)
-        batch = {"slot_mask": np.array([s.pad_mask for s in samples], dtype=bool)}
+        batch = {"slots": np.array(slots, dtype=np.int64)}
     # trim trailing all-pad positions to the longest sequence in the batch
     longest = max(1, int(tok_mask.sum(axis=-1).max()))
     batch.update(ids=ids[..., :longest], tok_mask=tok_mask[..., :longest])

@@ -1,12 +1,18 @@
-"""Straight-line reimplementation of the 19 column statistics.
+"""Two references for the 19 column statistics.
 
-Deliberately independent of the package: pure Python, no numpy, each
-statistic written out directly from its definition.  Used as the oracle
-for extract_features.
+oracle_features is a straight-line reimplementation, deliberately independent
+of the package: pure Python, no numpy, each statistic written out directly
+from its definition.  It checks extract_features to a tolerance.
+
+reference_extract_features is extract_features as it was with one numpy
+reduction per statistic (each count its own 1-D array).  It checks the
+stacked version bit for bit.
 """
 
 import math
 from collections import Counter
+
+import numpy as np
 
 
 def _mean(xs):
@@ -75,6 +81,70 @@ def oracle_features(values):
         median,
         float(mode),
     ]
+
+
+def _char_counts(value):
+    numeric = alpha = special = 0
+    for ch in value:
+        if ch.isdecimal():
+            numeric += 1
+        elif ch.isalpha():
+            alpha += 1
+        elif not ch.isspace():
+            special += 1
+    return numeric, alpha, special
+
+
+def _skew_kurtosis(x):
+    m2 = np.mean((x - x.mean()) ** 2)
+    if m2 == 0.0:
+        return 0.0, 0.0
+    centered = x - x.mean()
+    skew = np.mean(centered**3) / m2**1.5
+    kurt = np.mean(centered**4) / m2**2 - 3.0
+    return float(skew), float(kurt)
+
+
+def reference_extract_features(values):
+    n = len(values)
+
+    counts = np.array([_char_counts(v) for v in values], dtype=np.float64)
+    numeric, alpha, special = counts[:, 0], counts[:, 1], counts[:, 2]
+    words = np.array([len(v.split()) for v in values], dtype=np.float64)
+    lengths = np.array([len(v) for v in values], dtype=np.float64)
+
+    freqs = np.array(list(Counter(values).values()), dtype=np.float64) / n
+    entropy = float(-(freqs * np.log2(freqs)).sum()) if len(freqs) > 1 else 0.0
+
+    skew, kurt = _skew_kurtosis(lengths)
+    length_counter = Counter(len(v) for v in values)
+    max_count = max(length_counter.values())
+    mode_length = min(L for L, c in length_counter.items() if c == max_count)
+
+    return np.array(
+        [
+            numeric.std(),
+            alpha.std(),
+            entropy,
+            special.std(),
+            words.std(),
+            words.mean(),
+            numeric.mean(),
+            lengths.min(),
+            kurt,
+            special.mean(),
+            float(n),
+            float(np.count_nonzero(alpha > 0)) / n,
+            float(np.count_nonzero(numeric > 0)) / n,
+            lengths.sum(),
+            lengths.max(),
+            skew,
+            alpha.mean(),
+            float(np.median(lengths)),
+            float(mode_length),
+        ],
+        dtype=np.float64,
+    )
 
 
 def random_column(rng, max_values=20):

@@ -457,3 +457,37 @@ def test_predict_and_evaluate_exit_cleanly_on_any_files(valid_files, tmp_path_fa
     event(f"{command} exit {code}")
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_features_explain_augment_exit_cleanly_on_any_files(valid_files, tmp_path_factory,
+                                                            data):
+    directory = tmp_path_factory.mktemp("cli-fuzz")
+    command = data.draw(st.sampled_from(["features", "explain", "augment"]))
+    damaged = data.draw(st.booleans())
+    out = str(directory / "out")
+    if command == "explain":
+        model = directory / "model.dcom"
+        model.write_bytes(_file_bytes(data, data.draw(st.sampled_from(valid_files["bundle"])),
+                                      damaged, resign=True))
+        argv = ["explain", "--model", str(model), "--csv", out]
+        argv += data.draw(st.sampled_from([[], ["--labels"]]))
+    else:
+        which = data.draw(st.sampled_from([0, 1]))
+        path = directory / ("data.jsonl", "data.csv")[which]
+        path.write_bytes(_file_bytes(data, valid_files["data"][which], damaged))
+        if command == "features":
+            argv = ["features", "dump", "--data", str(path), "--out", out]
+        else:
+            argv = ["augment", "--data", str(path), "--out", out,
+                    "--mode", data.draw(st.sampled_from(["single", "multi"])),
+                    "--multi-mode", data.draw(st.sampled_from(["pad", "with_replacement"])),
+                    # 0 and 600 lie outside the slot range [1, 512]
+                    "--r", data.draw(st.sampled_from(["0", "1", "5", "45", "600"]))]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), np.errstate(all="ignore"):
+        code = main(argv)
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dcom.core import ColumnInstance
 from dcom.errors import ConfigError
 from dcom.features import FEATURE_NAMES, FeatureScaler, extract_features
-from feature_oracle import oracle_features, random_column
+from feature_oracle import oracle_features, random_column, reference_extract_features
 
 
 def feat(values):
@@ -70,6 +70,17 @@ class TestExtractFeatures:
         # bitwise equality is too strict: numpy reductions are order-sensitive
         # at the last ulp, so invariance holds to within 1e-12
         np.testing.assert_allclose(feat(values), feat(shuffled), atol=1e-12)
+
+    @given(st.one_of(
+        st.lists(st.text(max_size=12), min_size=1, max_size=20),
+        # numpy sums 8 at a time in blocks of 128: cross both boundaries
+        st.integers(8, 300).flatmap(lambda n: st.lists(
+            st.text(alphabet="ab1 9.-é٣\t", max_size=6), min_size=n, max_size=n)),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_per_count_reductions(self, values):
+        # the stacked (5, n) reductions give what one 1-D reduction per count gave
+        np.testing.assert_array_equal(feat(values), reference_extract_features(values))
 
     @given(st.lists(st.text(max_size=12), min_size=1, max_size=15))
     @settings(max_examples=100, deadline=None)

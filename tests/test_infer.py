@@ -147,11 +147,12 @@ class TestPredictKvote:
 
         monkeypatch.setattr(tokenizers, "encode", counting_encode)
         predict_kvote(bundle, inst, k=10, seed=4)
-        # 4 values in 6 pad-mode slots: every sample holds each value and ""
-        assert sorted(encoded) == ["", "2 a", "ab", "b1"]
+        # 4 values in 6 pad-mode slots: every sample holds each value, and the
+        # two padded slots are not encoded
+        assert sorted(encoded) == ["2 a", "ab", "b1"]
         # a second call fills a cache of its own
         predict_kvote(bundle, inst, k=10, seed=5)
-        assert sorted(encoded[4:]) == ["", "2 a", "ab", "b1"]
+        assert sorted(encoded[3:]) == ["2 a", "ab", "b1"]
 
     def test_invalid_k(self, sanity_bundle):
         bundle, _ = sanity_bundle

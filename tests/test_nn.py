@@ -20,6 +20,26 @@ def tiny_config(mode="single", **overrides):
     return ArchitectureConfig(**kwargs)
 
 
+def per_occurrence(ids, tok_mask, slot_mask):
+    """A multi batch from per-slot (B, R, T) arrays and a (B, R) slot mask: one
+    row per real slot, in (b, r) order, and -1 for each padded slot."""
+    slot_mask = np.asarray(slot_mask, dtype=bool)
+    slots = np.full(slot_mask.shape, -1, dtype=np.int64)
+    slots[slot_mask] = np.arange(slot_mask.sum())
+    return {"ids": ids[slot_mask], "tok_mask": tok_mask[slot_mask], "slots": slots}
+
+
+def one_row_per_occurrence(batch):
+    """The same multi batch with one row per real slot, wherever slots share a row."""
+    slots = batch["slots"]
+    real = slots >= 0
+    occ = slots[real]
+    expanded = np.full_like(slots, -1)
+    expanded[real] = np.arange(len(occ))
+    return {**batch, "ids": batch["ids"][occ], "tok_mask": batch["tok_mask"][occ],
+            "slots": expanded}
+
+
 def random_batch(config, rng, B=2, T=5, lengths=None):
     if config.mode == "single":
         ids = rng.integers(3, config.vocab_size, size=(B, T))
@@ -35,7 +55,7 @@ def random_batch(config, rng, B=2, T=5, lengths=None):
         mask[0, :, T - 1 :] = 0
         slot = np.ones((B, config.r), dtype=bool)
         slot[0, -1] = False
-        batch = {"ids": ids, "tok_mask": mask, "slot_mask": slot}
+        batch = per_occurrence(ids, mask, slot)
     batch["feats"] = rng.normal(size=(B, config.n_features))
     return batch
 
@@ -100,10 +120,8 @@ class TestForwardContracts:
         ids = np.repeat(slot_ids, 3, axis=1)
         mask = np.ones((1, 3, 5), dtype=np.int64)
         feats = rng.normal(size=(1, 19))
-        full = {"ids": ids, "tok_mask": mask,
-                "slot_mask": np.ones((1, 3), dtype=bool), "feats": feats}
-        one = {"ids": ids, "tok_mask": mask,
-               "slot_mask": np.array([[True, False, False]]), "feats": feats}
+        full = {**per_occurrence(ids, mask, np.ones((1, 3), dtype=bool)), "feats": feats}
+        one = {**per_occurrence(ids, mask, np.array([[True, False, False]])), "feats": feats}
         pa, _ = model.forward(full)
         pb, _ = model.forward(one)
         np.testing.assert_allclose(pa, pb, atol=1e-12)
@@ -117,7 +135,7 @@ class TestForwardContracts:
         enc_sum = Model(tiny_config("multi", r=3, aggregation="sum"), params=params)
         _, cache_mean = enc_mean.forward(batch)
         _, cache_sum = enc_sum.forward(batch)
-        counts = batch["slot_mask"].sum(axis=1)
+        counts = (batch["slots"] >= 0).sum(axis=1)
         text_mean = cache_mean["z"][:, : base.text_dim]
         text_sum = cache_sum["z"][:, : base.text_dim]
         np.testing.assert_allclose(text_mean * counts[:, None], text_sum, atol=1e-9)
@@ -127,21 +145,23 @@ class TestForwardContracts:
         config = tiny_config("multi", r=4, aggregation=aggregation)
         model = Model(config, seed=1)
         rng = np.random.default_rng(7)
-        batch = random_batch(config, rng, B=1, T=4)
-        probs, _ = model.forward(batch)
+        ids = rng.integers(3, config.vocab_size, size=(1, 4, 4))
+        mask = np.ones((1, 4, 4), dtype=np.int64)
+        mask[0, :, 3:] = 0
+        slot_mask = np.array([[True, True, True, False]])
+        feats = {"feats": rng.normal(size=(1, config.n_features))}
+        probs, _ = model.forward({**per_occurrence(ids, mask, slot_mask), **feats})
         perm = rng.permutation(4)
-        shuffled = dict(batch)
-        shuffled["ids"] = batch["ids"][:, perm]
-        shuffled["tok_mask"] = batch["tok_mask"][:, perm]
-        shuffled["slot_mask"] = batch["slot_mask"][:, perm]
-        probs2, _ = model.forward(shuffled)
+        # the rows move with their slots
+        shuffled = per_occurrence(ids[:, perm], mask[:, perm], slot_mask[:, perm])
+        probs2, _ = model.forward({**shuffled, **feats})
         np.testing.assert_allclose(probs, probs2, atol=1e-9)
 
     def test_all_slots_masked_rejected(self):
         config = tiny_config("multi", r=3)
         model = Model(config, seed=0)
         batch = random_batch(config, np.random.default_rng(8))
-        batch["slot_mask"][0, :] = False
+        batch["slots"][0, :] = -1
         with pytest.raises(ConfigError, match="zero unmasked"):
             model.forward(batch)
 
@@ -177,6 +197,31 @@ class TestBackward:
             err = relative_error(analytic[name], numeric[name])
             assert err < 1e-4, (name, err)
 
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    @pytest.mark.parametrize("slots", [[[0, 2, 0], [2, 1, 1]], [[0, 0, -1], [0, 0, 0]]])
+    def test_gradients_with_shared_rows(self, aggregation, slots):
+        # repeated texts: inference encodes each row once (the second case has
+        # one row in all, which is encoded twice) and backward adds the slots'
+        # gradients into it.  The gradients are those of one row per slot,
+        # checked against finite differences above, and match finite
+        # differences to a millionth of their largest entry.
+        config = tiny_config("multi", r=3, aggregation=aggregation)
+        rng = np.random.default_rng(12)
+        model = Model(config, seed=2)
+        batch = {**random_batch(config, rng, T=4), "slots": np.array(slots)}
+        labels = rng.integers(0, 3, size=2)
+        grads = []
+        for b in (batch, one_row_per_occurrence(batch)):
+            probs, cache = model.forward(b)
+            grads.append(model.backward(cache, cross_entropy_batch(probs, labels)[1]))
+        analytic, reference = grads
+        numeric = numeric_gradients(config, model.params, batch, labels, analytic)
+        for name in analytic:
+            np.testing.assert_allclose(analytic[name], reference[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+            scale = max(np.abs(numeric[name]).max(), 1e-8)
+            assert np.abs(analytic[name] - numeric[name]).max() < 1e-6 * scale, name
+
     def test_zero_upstream_gradient(self):
         config = tiny_config()
         model = Model(config, seed=0)
@@ -199,7 +244,8 @@ class TestBackward:
 
 @st.composite
 def encoder_cases(draw):
-    """A random config and batch: per-row lengths 1..T, masked multi slots."""
+    """A random config and batch: per-row lengths 1..T, masked multi slots,
+    some sharing a row."""
     mode = draw(st.sampled_from(["single", "multi"]))
     config = ArchitectureConfig(
         mode=mode, vocab_size=draw(st.integers(4, 9)), n_classes=draw(st.integers(2, 4)),
@@ -219,8 +265,11 @@ def encoder_cases(draw):
     else:
         slot_mask = rng.random((B, config.r)) < 0.6
         slot_mask[np.arange(B), rng.integers(0, config.r, size=B)] = True
-        batch.update(ids=ids.reshape(B, config.r, T), tok_mask=mask.reshape(B, config.r, T),
-                     slot_mask=slot_mask)
+        batch.update(per_occurrence(ids.reshape(B, config.r, T),
+                                    mask.reshape(B, config.r, T), slot_mask))
+        if draw(st.booleans()):  # real slots share rows, as repeated texts do
+            slots = batch["slots"]
+            slots[slot_mask] = rng.integers(0, slot_mask.sum(), size=slot_mask.sum())
     return config, batch, int(rng.integers(0, 2**32 - 1))
 
 

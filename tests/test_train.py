@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcom import augment, ingest
@@ -23,6 +23,7 @@ from dcom.train import (
     train_model,
 )
 from conftest import TINY_CONFIG
+from test_nn import one_row_per_occurrence
 
 
 def strip_time(reports):
@@ -228,7 +229,9 @@ VOCABS = {
 
 
 def full_width_batch(samples, feats, config, vocab):
-    """The reference batch: every text encoded on its own, nothing trimmed."""
+    """The reference arrays: every text encoded on its own, nothing trimmed.
+    Multi ids and tok_mask are per slot, (B, R, max_len_per_slot), and
+    slot_mask marks the real slots."""
     if config.mode == "single":
         seqs = [[tk.encode(vocab, s.text, config.max_len)] for s in samples]
     else:
@@ -275,15 +278,29 @@ class TestMakeBatch:
         for batch in [make_batch(samples, feats, config, VOCABS[kind], cache) for _ in "ab"]:
             T = batch["ids"].shape[-1]
             assert T == max(1, int(full["tok_mask"].sum(axis=-1).max()))
-            assert batch["ids"].shape == full["ids"].shape[:-1] + (T,)
-            np.testing.assert_array_equal(batch["ids"], full["ids"][..., :T])
-            np.testing.assert_array_equal(batch["tok_mask"], full["tok_mask"][..., :T])
             assert np.all(full["ids"][..., T:] == tk.PAD_ID)
             assert np.all(full["tok_mask"][..., T:] == 0)
-            assert sorted(batch) == sorted(full)
             np.testing.assert_array_equal(batch["feats"], full["feats"])
-            if mode == "multi":
-                np.testing.assert_array_equal(batch["slot_mask"], full["slot_mask"])
+            if mode == "single":
+                assert sorted(batch) == sorted(full)
+                assert batch["ids"].shape == full["ids"].shape[:-1] + (T,)
+                np.testing.assert_array_equal(batch["ids"], full["ids"][..., :T])
+                np.testing.assert_array_equal(batch["tok_mask"], full["tok_mask"][..., :T])
+                continue
+            assert sorted(batch) == ["feats", "ids", "slots", "tok_mask"]
+            slots, real = batch["slots"], full["slot_mask"]
+            assert slots.shape == real.shape
+            np.testing.assert_array_equal(slots < 0, ~real)
+            assert np.all(slots[~real] == -1)
+            # every real slot's row is its text's encoding on the first T positions
+            np.testing.assert_array_equal(batch["ids"][slots[real]], full["ids"][real][:, :T])
+            np.testing.assert_array_equal(batch["tok_mask"][slots[real]],
+                                          full["tok_mask"][real][:, :T])
+            # one row per distinct real text, numbered in first-seen order
+            texts = [t for s, m in zip(samples, real) for t, r in zip(s.texts, m) if r]
+            first_seen = list(dict.fromkeys(texts))
+            assert batch["ids"].shape == (len(first_seen), T)
+            np.testing.assert_array_equal(slots[real], [first_seen.index(t) for t in texts])
 
     @given(cols=columns, aggregation=st.sampled_from(AGGREGATIONS),
            seed=st.integers(0, 2**32 - 1))
@@ -303,11 +320,81 @@ class TestMakeBatch:
         batch = make_batch(samples, feats, config, vocab)
         pad = 16 - batch["ids"].shape[-1]
         widened = {**batch,
-                   "ids": np.pad(batch["ids"], ((0, 0), (0, 0), (0, pad))),
-                   "tok_mask": np.pad(batch["tok_mask"], ((0, 0), (0, 0), (0, pad)))}
+                   "ids": np.pad(batch["ids"], ((0, 0), (0, pad))),
+                   "tok_mask": np.pad(batch["tok_mask"], ((0, 0), (0, pad)))}
         trimmed_probs, _ = model.forward(batch)
         widened_probs, _ = model.forward(widened)
         np.testing.assert_allclose(trimmed_probs, widened_probs, rtol=0, atol=1e-12)
+
+
+# columns drawn from pools of 1-3 texts: a pool of one gives an all-equal column
+repeated_columns = st.lists(
+    st.lists(value, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)),
+    min_size=1, max_size=4)
+
+
+def repeated_batch(cols, r, multi_mode, seed):
+    config = TrainingConfig(mode="multi", r=r, multi_mode=multi_mode, max_len_per_slot=16)
+    samples = draw_samples(cols, config, seed)
+    feats = [np.random.default_rng(seed).normal(size=19) for _ in samples]
+    return make_batch(samples, feats, config, VOCABS["wordpiece"])
+
+
+class TestDistinctSlotRows:
+    """A multi batch holds each distinct slot text once; inference encodes each
+    row once, training once per slot."""
+
+    @given(cols=repeated_columns, aggregation=st.sampled_from(AGGREGATIONS),
+           r=st.integers(1, 6), multi_mode=st.sampled_from(["pad", "with_replacement"]),
+           hidden=st.integers(1, 8), embedding=st.integers(1, 6),
+           dropout=st.sampled_from([0.0, 0.4]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_one_row_per_occurrence(self, cols, aggregation, r, multi_mode, hidden,
+                                           embedding, dropout, seed):
+        batch = repeated_batch(cols, r, multi_mode, seed)
+        expanded = one_row_per_occurrence(batch)
+        arch = ArchitectureConfig(
+            mode="multi", vocab_size=len(VOCABS["wordpiece"]), n_classes=3,
+            embedding_dim=embedding, hidden_size=hidden, feature_dim=4, dense_widths=(5,),
+            dropout=dropout, aggregation=aggregation, r=r,
+        )
+        model = Model(arch, seed=seed % 1000)
+        # inference: the LSTM batch has another shape, so BLAS may round the
+        # rows differently in the last bits
+        probs, _ = model.forward(batch)
+        expanded_probs, _ = model.forward(expanded)
+        np.testing.assert_array_equal(probs.argmax(axis=1), expanded_probs.argmax(axis=1))
+        np.testing.assert_allclose(probs, expanded_probs, rtol=0, atol=1e-12)
+        # training encodes one row per occurrence either way: bit-identical
+        runs = []
+        for b in (batch, expanded):
+            p, cache = model.forward(b, train_mode=True,
+                                     dropout_rng=np.random.default_rng(seed))
+            dlogits = np.random.default_rng(seed + 1).normal(size=p.shape)
+            runs.append((p, model.backward(cache, dlogits)))
+        (p, grads), (expanded_p, expanded_grads) = runs
+        np.testing.assert_array_equal(p, expanded_p)
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], expanded_grads[name], err_msg=name)
+
+    @given(cols=repeated_columns, multi_mode=st.sampled_from(["pad", "with_replacement"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(cols=[["ab"] * 3], multi_mode="pad", seed=0)
+    @example(cols=[["ab"] * 3, ["ab"]], multi_mode="with_replacement", seed=0)
+    @example(cols=[["1"]], multi_mode="pad", seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_at_bench_widths(self, cols, multi_mode, seed):
+        # the acceptance and bench multi network: 45 slots, every width a multiple of 4
+        batch = repeated_batch(cols, 45, multi_mode, seed)
+        arch = ArchitectureConfig(
+            mode="multi", vocab_size=len(VOCABS["wordpiece"]), n_classes=4,
+            embedding_dim=32, hidden_size=32, feature_dim=32, dense_widths=(96,), r=45,
+        )
+        model = Model(arch, seed=seed % 1000)
+        probs, _ = model.forward(batch)
+        expanded_probs, _ = model.forward(one_row_per_occurrence(batch))
+        np.testing.assert_array_equal(probs, expanded_probs)
 
 
 class TestTrainModel:
