@@ -1,14 +1,15 @@
 """Command-line surface: synth, train, predict, evaluate, augment,
 features dump, and explain.
 
-Exit codes: 0 success, 1 usage error, 2 data/config error.  All randomness
-flows from --seed.
+Exit codes: 0 success, 1 usage error, 2 data, config or file error.  All
+randomness flows from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import augment as augment_mod
 from . import ingest
-from .errors import DcomError
+from .errors import ConfigError, DcomError, ParseError
 from .explain import feature_importance
 from .features import FEATURE_NAMES, extract_features
 from .infer import evaluate, predict_many
@@ -60,8 +61,12 @@ def parse_config_file(path) -> TrainingConfig:
 
     Requires config_version = 1; unknown keys are rejected.
     """
+    try:
+        text = ingest.read_text(path)
+    except ParseError as exc:
+        raise ConfigError(f"{path}:{exc.line}: {exc.reason}") from None
     raw = {}
-    with open(path, encoding="utf-8") as fh:
+    with io.StringIO(text, newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -76,14 +81,17 @@ def parse_config_file(path) -> TrainingConfig:
     return TrainingConfig.from_dict(raw)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _load_data(path):
@@ -230,7 +238,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--n-per-class", type=int, default=100)
     p.add_argument("--classes", help="comma-separated generator names")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train a model")
@@ -240,25 +248,25 @@ def build_parser() -> _Parser:
     p.add_argument("--split", help="existing split manifest JSON")
     p.add_argument("--split-out", help="write the split manifest here")
     p.add_argument("--log", help="epoch report CSV (default <out>.epochs.csv)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict labels for a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out")
-    p.add_argument("--k", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=_int_at_least(1), default=1)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="metrics report on a test split")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--k", type=_positive_int, default=1)
+    p.add_argument("--k", type=_int_at_least(1), default=1)
     p.add_argument("--out", help="metrics JSON path (default stdout)")
     p.add_argument("--table", help="per-class CSV path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("augment", help="stream constructed samples as JSONL")
@@ -267,7 +275,7 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, default=45)
     p.add_argument("--multi-mode", choices=("pad", "with_replacement"), default="pad")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("features", help="engineered-feature utilities")
@@ -294,7 +302,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (DcomError, FileNotFoundError) as exc:
+    except (DcomError, OSError) as exc:  # OSError: a path that is missing, a directory, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

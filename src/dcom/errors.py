@@ -10,6 +10,7 @@ class ParseError(DcomError):
 
     def __init__(self, message, line=None):
         self.line = line
+        self.reason = message
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

@@ -27,7 +27,7 @@ from .errors import ConfigError, FormatError, ParseError
 # Loading / saving
 
 
-def _read_text(path) -> str:
+def read_text(path) -> str:
     """The file decoded as UTF-8; ParseError with the line of the first byte
     that does not decode."""
     with open(path, "rb") as fh:
@@ -42,7 +42,7 @@ def _read_text(path) -> str:
 def load_jsonl(path):
     """Load the canonical JSONL format. Returns (instances, vocabulary)."""
     instances = []
-    with io.StringIO(_read_text(path), newline=None) as fh:
+    with io.StringIO(read_text(path), newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -79,7 +79,7 @@ def load_csv_long(path):
     """
     groups: dict = {}
     order = []
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         header = next(reader, None)
         if header is None:
@@ -226,8 +226,10 @@ def make_split(n, ratios=(0.6, 0.2, 0.2), seed=0, stratify_labels=None) -> Datas
         by_label: dict = {}
         for i, label in enumerate(stratify_labels):
             by_label.setdefault(label, []).append(i)
-        groups = [by_label[label] for label in sorted(by_label)]
-        small = [label for label in sorted(by_label) if len(by_label[label]) < 3]
+        # unlabeled columns (None) form one group of their own, ordered first
+        labels = sorted(by_label, key=lambda label: (label is not None, label or ""))
+        groups = [by_label[label] for label in labels]
+        small = [label for label in labels if len(by_label[label]) < 3]
         if small:
             warnings.warn(
                 f"classes with fewer than 3 instances may miss a split: {small}",

@@ -21,11 +21,31 @@ The bidirectional LSTM steps both directions together in one time loop, as
 cuDNN's fused RNNs do (Appleyard et al. 2016): the forward ids and the
 length-reversed ids are embedded into one (2, N, T, E) array, and each
 direction's Wx, Wh and b are stacked on axis 0 per call, so a step is one
-batched matmul, one sigmoid over the (2, N, 4H) gate slab and one tanh over
+batched matmul, one sigmoid over the (2, n, 4H) gate slab and one tanh over
 its g block. The saved parameters stay one set per direction
-(lstm_fw_*, lstm_bw_*). The arithmetic per element, and the order in which the
-backward pass accumulates gradients, are those of one loop per direction, so
-probabilities and gradients are bit-identical to it (tests/lstm_oracle.py).
+(lstm_fw_*, lstm_bw_*).
+
+The steps are packed, as cuDNN steps variable-length batches: a step computes
+only the n rows still inside their length, in row order, and a row that has
+ended keeps its state. The set of rows changes only where a row ends, so one
+index array serves every step between two lengths. The input part x @ Wx + b
+is multiplied for the positions inside a length only, and backward sums the
+weight gradients and scatters the embedding gradient over those rows only.
+A step in which every row is inside its length, as every step of a one-row
+batch is, runs on the whole batch with no index at all. So does every step of
+a batch whose padding is small against its number of distinct lengths
+(PACK_SPAN_COST), such as the few short slot texts of one multi sample: its
+padded rows are stepped and masked, which costs fewer numpy calls than the
+indexing would.
+
+Two matmuls stay at the batch's full width: backward's dA @ Wx^T and
+dA @ Wh^T run over a (2, N, 4H) dA whose other rows are zero, because
+OpenBLAS picks their kernel by row count and a narrower product rounds
+differently at the bench's widths. For the same reason a lone row is stepped
+as two equal rows: numpy sends a one-row matmul to gemv. So the arithmetic per
+element, and the order in which backward accumulates gradients, are those of
+one masked loop per direction over every row, and probabilities and gradients
+are bit-identical to it (tests/lstm_oracle.py, also at the bench's widths).
 Inference keeps the step history that backward reads: gradient checks run
 backward on the cache of a default forward.
 
@@ -113,20 +133,24 @@ def param_shapes(config: ArchitectureConfig) -> dict:
 
 def init_params(config: ArchitectureConfig, rng) -> dict:
     """Xavier-uniform weight matrices, zero biases; LSTM forget-gate bias starts
-    at 1 and slot weights at 1/r."""
+    at 1 and slot weights at 1/r. ConfigError for a shape numpy cannot allocate."""
     params = {}
     for name, shape in param_shapes(config).items():
-        if len(shape) == 2:
-            fan_in, fan_out = shape
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            params[name] = rng.uniform(-limit, limit, size=shape)
-        elif name == "agg_w":
-            params[name] = np.full(shape, 1.0 / config.r)
-        else:
-            params[name] = np.zeros(shape)
-            if name.startswith("lstm_"):
-                H = config.hidden_size
-                params[name][H : 2 * H] = 1.0
+        try:
+            if len(shape) == 2:
+                fan_in, fan_out = shape
+                limit = np.sqrt(6.0 / (fan_in + fan_out))
+                params[name] = rng.uniform(-limit, limit, size=shape)
+            elif name == "agg_w":
+                params[name] = np.full(shape, 1.0 / config.r)
+            else:
+                params[name] = np.zeros(shape)
+        except (ValueError, OverflowError, MemoryError) as exc:
+            raise ConfigError(f"cannot allocate parameter {name} of shape {shape}: "
+                              f"{exc}") from None
+        if name.startswith("lstm_") and name.endswith("_b"):
+            H = config.hidden_size
+            params[name][H : 2 * H] = 1.0
     return params
 
 
@@ -134,91 +158,223 @@ def zeros_like_params(params: dict) -> dict:
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
+# Packing costs a fixed set of numpy calls per span, about what stepping this
+# many padded positions costs, so a batch is packed only where its padding
+# outweighs that. Packing every padded batch made multi's per-vote forwards,
+# about 6 rows of 2 steps, up to 20% slower.
+PACK_SPAN_COST = 12
+
+
+def _spans(lengths, T):
+    """Cut the T steps where the set of rows inside their length changes.
+
+    Returns (start, stop, rows) in time order: rows is None while every row is
+    inside its length, else the indices, in row order, of the rows whose length
+    reaches stop (empty once every row has ended). One index array serves all
+    the steps of a span. Where packing would not pay, one span of every row,
+    masked: [(0, T, None)].
+    """
+    stops = sorted(set(lengths.tolist()) | {T})
+    if len(lengths) * T - lengths.sum() < PACK_SPAN_COST * len(stops):
+        return [(0, T, None)]
+    spans, start = [], 0
+    for stop in stops:
+        if stop > start:
+            live = lengths > start
+            spans.append((start, stop, None if live.all() else np.flatnonzero(live)))
+            start = stop
+    return spans
+
+
+def _stepped(rows):
+    """The rows a packed step computes. numpy sends a one-row matmul to gemv,
+    which rounds differently from the many-row kernel: a lone row is stepped
+    as two equal rows."""
+    return rows if rows.size > 1 else rows.repeat(2)
+
+
+def _packed_gates(X, mask, lengths, Wx, b):
+    """The input part of the gates, x @ Wx + b, for the positions inside a
+    length only, packed time-major: gates[t] is (2, n, 4H) for the n rows
+    inside their length at step t.
+
+    Where the packed product, or a per-row one (T == 1), has one row it goes
+    to gemv, which rounds differently: then each row's product is taken at
+    full width, as a loop per row does, and packed after."""
+    T = X.shape[2]
+    inside = mask.T > 0
+    if T > 1 and lengths.sum() > 1:
+        gates = np.matmul(X.transpose(0, 2, 1, 3)[:, inside], Wx)
+    else:
+        gates = np.matmul(X, Wx[:, None]).transpose(0, 2, 1, 3)[:, inside]
+    gates += b[:, None]
+    slabs, at = [], 0
+    for n in inside.sum(axis=1).tolist():
+        slabs.append(gates[:, at : at + n])
+        at += n
+    return slabs
+
+
 def _lstm_forward(X, mask, Wx, Wh, b):
     """Both directions of a masked LSTM, stepped together in one time loop.
 
     X is (2, N, T, E) with the direction on axis 0; Wx (2, E, 4H), Wh (2, H, 4H)
     and b (2, 4H) stack each direction's weights the same way. The mask (N, T)
-    serves both, since reversal keeps padding in place. Past each row's length
-    the state freezes. The history is time-major: Hs and Cs (T + 1, 2, N, H),
-    gates (T, 2, N, 4H) in i, f, g, o order, C_new (T, 2, N, H).
+    serves both, since reversal keeps padding in place; a row's tokens are its
+    first mask.sum() positions. Past its length a row's state freezes. Where
+    the batch is packed (_spans), a step computes only the rows inside their
+    length. Hs and Cs (T + 1, 2, N, H) hold every row's state after every step.
+    A step over every row leaves its gate activations, in i, f, g, o order, in
+    gates[t] (2, N, 4H) and its new cell state in C_new[t]; a packed step
+    leaves in steps[t] its activations (2, n, 4H), the hidden and cell states
+    before it and the cell state after it, for the rows it computed.
     """
     _, N, T, _ = X.shape
     H = Wh.shape[1]
     Hs = np.zeros((T + 1, 2, N, H))
     Cs = np.zeros((T + 1, 2, N, H))
-    gates = np.empty((T, 2, N, 4 * H))
-    C_new = np.empty((T, 2, N, H))
-    # The input part is hoisted out of the loop, written straight into the
-    # gate history; each step then overwrites its slab with the activations.
-    np.matmul(X, Wx[:, None], out=gates.transpose(1, 2, 0, 3))
-    gates += b[:, None]
     keep = 1.0 - mask
-    for t in range(T):
-        s = gates[t]
-        a = np.matmul(Hs[t], Wh)
-        a += s
-        np.negative(a, out=s)  # one sigmoid over the whole slab, then tanh over g
-        np.exp(s, out=s)
-        s += 1.0
-        np.divide(1.0, s, out=s)
-        i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
-        np.tanh(a[..., 2 * H : 3 * H], out=g)
-        c_new = C_new[t]
-        np.multiply(f, Cs[t], out=c_new)
-        c_new += i * g
-        h_new = np.tanh(c_new)
-        h_new *= o
-        m, k = mask[:, t, None], keep[:, t, None]
-        np.multiply(m, c_new, out=Cs[t + 1])
-        Cs[t + 1] += k * Cs[t]
-        np.multiply(m, h_new, out=Hs[t + 1])
-        Hs[t + 1] += k * Hs[t]
-    return {"Hs": Hs, "Cs": Cs, "gates": gates, "C_new": C_new, "h_final": Hs[T]}
+    spans = [(0, T, None)]
+    # a packed batch has two spans at least, so its padding must outweigh two
+    if N * T - mask.sum() >= 2 * PACK_SPAN_COST:
+        lengths = mask.sum(axis=1).astype(np.int64)
+        spans = _spans(lengths, T)
+    # The input part, x @ Wx + b, is hoisted out of the loop: gates[t] holds it
+    # for the rows step t computes.
+    if spans[-1][2] is None:  # one span of every row, masked
+        gates = np.empty((T, 2, N, 4 * H))
+        np.matmul(X, Wx[:, None], out=gates.transpose(1, 2, 0, 3))
+        gates += b[:, None]
+    else:
+        gates = _packed_gates(X, mask, lengths, Wx, b)
+    C_new = np.empty((T, 2, N, H))
+    steps = {}
+    for start, stop, rows in spans:
+        if rows is None:
+            for t in range(start, stop):
+                s = gates[t]
+                a = np.matmul(Hs[t], Wh)
+                a += s
+                np.negative(a, out=s)  # one sigmoid over the whole slab, then tanh over g
+                np.exp(s, out=s)
+                s += 1.0
+                np.divide(1.0, s, out=s)
+                i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
+                np.tanh(a[..., 2 * H : 3 * H], out=g)
+                c_new = C_new[t]
+                np.multiply(f, Cs[t], out=c_new)
+                c_new += i * g
+                h_new = np.tanh(c_new)
+                h_new *= o
+                m, k = mask[:, t, None], keep[:, t, None]
+                np.multiply(m, c_new, out=Cs[t + 1])
+                Cs[t + 1] += k * Cs[t]
+                np.multiply(m, h_new, out=Hs[t + 1])
+                Hs[t + 1] += k * Hs[t]
+            continue
+        # the rows whose length is start keep their last state from here on
+        ended = np.flatnonzero(lengths == start)
+        Hs[start + 1 :, :, ended] = Hs[start][:, ended]
+        Cs[start + 1 :, :, ended] = Cs[start][:, ended]
+        if rows.size == 0:
+            break
+        # The same arithmetic on the rows inside their length, into fresh
+        # arrays: a strided slab is slower to work in than to read once.
+        rows = _stepped(rows)
+        h, c = Hs[start][:, rows], Cs[start][:, rows]
+        for t in range(start, stop):
+            a = np.matmul(h, Wh)
+            a += gates[t]  # a lone row's (2, 1, 4H) slab broadcasts over its copies
+            s = np.negative(a)
+            np.exp(s, out=s)
+            s += 1.0
+            np.divide(1.0, s, out=s)
+            i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
+            np.tanh(a[..., 2 * H : 3 * H], out=g)
+            c_new = f * c
+            c_new += i * g
+            steps[t] = (s, h, c, c_new)
+            h = np.tanh(c_new)
+            h *= o
+            c = c_new
+            Hs[t + 1][:, rows] = h
+            Cs[t + 1][:, rows] = c
+    return {"Hs": Hs, "Cs": Cs, "h_final": Hs[T], "spans": spans, "gates": gates,
+            "C_new": C_new, "steps": steps}
 
 
 def _lstm_backward(cache, dh_final, X, mask, Wx, Wh):
     """Backprop through both directions in one reversed loop; dh_final is (2, N, H).
 
-    The weight and input gradients are accumulated step by step, in the same
-    order a per-direction loop adds them, so they are bit-identical to it."""
-    _, N, T, _ = X.shape
+    The gate arithmetic runs on the rows the forward stepped. The dX and dh
+    matmuls run at the batch's full width, over a dA whose other rows stay
+    zero: OpenBLAS picks their kernel, and so their rounding, by row count.
+    The weight and input gradients are accumulated step by step, in the order
+    a per-direction loop adds them, so they are bit-identical to it."""
+    _, N, T, E = X.shape
     H = Wh.shape[1]
-    Hs, Cs, gates, C_new = cache["Hs"], cache["Cs"], cache["gates"], cache["C_new"]
+    Hs, Cs, gates, C_new, steps = (cache[k] for k in ("Hs", "Cs", "gates", "C_new", "steps"))
     WxT = Wx.transpose(0, 2, 1)
     WhT = Wh.transpose(0, 2, 1)
     dWx = np.zeros_like(Wx)
     dWh = np.zeros_like(Wh)
     db = np.zeros((2, 4 * H))
     dX = np.zeros_like(X)
-    dA = np.empty((2, N, 4 * H))
+    # Going back in time rows only join; a row's dA and cell gradient are zero
+    # until it does.
+    dA = np.zeros((2, N, 4 * H))
+    dc_all = np.zeros((2, N, H))
     dh = dh_final
-    dc = np.zeros((2, N, H))
     keep = 1.0 - mask
-    for t in range(T - 1, -1, -1):
-        m, k = mask[:, t, None], keep[:, t, None]
-        s = gates[t]
-        i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
-        tanh_c = np.tanh(C_new[t])
-        dh_new = dh * m
-        dc_new = dc * m
-        dh_prev = dh * k
-        dc_prev = dc * k
-        do = dh_new * tanh_c
-        dc_new = dc_new + dh_new * o * (1.0 - tanh_c**2)
-        df = dc_new * Cs[t]
-        di = dc_new * g
-        dg = dc_new * i
-        dc = dc_prev + dc_new * f
-        dA[..., :H] = di * i * (1 - i)
-        dA[..., H : 2 * H] = df * f * (1 - f)
-        dA[..., 2 * H : 3 * H] = dg * (1 - g**2)
-        dA[..., 3 * H :] = do * o * (1 - o)
-        dWx += np.matmul(X[:, :, t].transpose(0, 2, 1), dA)
-        dWh += np.matmul(Hs[t].transpose(0, 2, 1), dA)
-        db += dA.sum(axis=1)
-        dX[:, :, t] = np.matmul(dA, WxT)
-        dh = dh_prev + np.matmul(dA, WhT)
+    # The weight gradients sum over the rows inside their length. With E or H
+    # of 1 their matmul has one row, and gemv's sums change when zero rows
+    # drop out: those sum over every row.
+    narrow = min(E, H) > 1
+    for start, stop, rows in reversed(cache["spans"]):
+        masked = rows is None
+        if masked:
+            n, rows, stepped, dA_rows = None, slice(None), slice(None), dA
+        elif rows.size == 0:
+            continue
+        else:
+            n, stepped = rows.size, _stepped(rows)
+            dA_rows = np.empty((2, stepped.size, 4 * H))
+        dc = dc_all[:, stepped]
+        for t in range(stop - 1, start - 1, -1):
+            if masked:
+                s, h_prev, c_prev, c_new = gates[t], Hs[t], Cs[t], C_new[t]
+            else:
+                s, h_prev, c_prev, c_new = steps[t]
+            i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
+            tanh_c = np.tanh(c_new)
+            dh_new = dh[:, stepped]
+            if masked:  # a row past its length passes its gradients back untouched
+                m = mask[:, t, None]
+                dh_new, dc_past, dc = dh_new * m, dc * keep[:, t, None], dc * m
+            do = dh_new * tanh_c
+            dc_new = dc + dh_new * o * (1.0 - tanh_c**2)
+            df = dc_new * c_prev
+            di = dc_new * g
+            dg = dc_new * i
+            dc = dc_new * f
+            if masked:
+                dc += dc_past
+            dA_rows[..., :H] = di * i * (1 - i)
+            dA_rows[..., H : 2 * H] = df * f * (1 - f)
+            dA_rows[..., 2 * H : 3 * H] = dg * (1 - g**2)
+            dA_rows[..., 3 * H :] = do * o * (1 - o)
+            if dA_rows is not dA:
+                dA[:, stepped] = dA_rows
+            if narrow:  # a lone row, stepped twice, counts once
+                x, h, dA_w = X[:, rows, t], h_prev[:, :n], dA_rows[:, :n]
+            else:
+                x, h, dA_w = X[:, :, t], Hs[t], dA
+            dWx += np.matmul(x.transpose(0, 2, 1), dA_w)
+            dWh += np.matmul(h.transpose(0, 2, 1), dA_w)
+            db += dA_w.sum(axis=1)
+            dX[:, :, t] = np.matmul(dA, WxT)
+            dh = dh * keep[:, t, None] + np.matmul(dA, WhT)
+        dc_all[:, stepped] = dc
     return dX, dWx, dWh, db
 
 
@@ -265,12 +421,12 @@ class Model:
             grads[f"lstm_{d}_Wh"] += dWh[j]
             grads[f"lstm_{d}_b"] += db[j]
         # One scatter over fw rows then bw rows: the order two per-direction
-        # scatters would add them in.
-        dX = dX * cache["maskf"][..., None]
+        # scatters would add them in. Padded positions would add zeros.
+        inside = cache["maskf"] > 0
         np.add.at(
             grads["embedding"],
-            cache["ids"].reshape(-1),
-            dX.reshape(-1, self.config.embedding_dim),
+            cache["ids"][:, inside].reshape(-1),
+            dX[:, inside].reshape(-1, self.config.embedding_dim),
         )
 
     # -- forward -------------------------------------------------------------

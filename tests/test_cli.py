@@ -71,6 +71,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config_file(path)
 
+    def test_not_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "cfg.toml"
+        path.write_bytes(b"config_version = 1\n\xff\xfe = 2\n")
+        with pytest.raises(ConfigError, match=r"cfg\.toml:2: invalid UTF-8 byte 0xff"):
+            parse_config_file(path)
+
     def test_bad_version(self, tmp_path):
         path = tmp_path / "cfg.toml"
         path.write_text("config_version = 99\n")
@@ -253,6 +259,16 @@ EXIT_CODES = [
     (["train", "--data", "{unlabeled_validation}", "--config", "{config}", "--split", "{split}",
       "--out", "{tmp}/m.dcom"], 2),
     (["evaluate", "--model", "{model}", "--data", "{data}", "--split", "{repeated_test}"], 2),
+    # a directory where a file belongs
+    (["train", "--data", "{data}", "--config", "{tmp}", "--out", "{tmp}/m.dcom"], 2),
+    (["train", "--data", "{tmp}", "--out", "{tmp}/m.dcom"], 2),
+    (["train", "--data", "{data}", "--split", "{tmp}", "--out", "{tmp}/m.dcom"], 2),
+    (["predict", "--model", "{tmp}", "--data", "{data}"], 2),
+    # numpy seeds only from integers >= 0
+    (["synth", "--out", "{tmp}/c.jsonl", "--seed", "-1"], 1),
+    (["predict", "--model", "{model}", "--data", "{data}", "--seed", "-1"], 1),
+    (["train", "--data", "{data}", "--config", "{not_utf8}", "--out", "{tmp}/m.dcom"], 2),
+    (["train", "--data", "{data}", "--config", "{huge_hidden}", "--out", "{tmp}/m.dcom"], 2),
 ]
 
 
@@ -310,13 +326,20 @@ class TestExitCodes:
         records = [json.loads(line) for line in corpus_path.read_text().splitlines()]
         del records[manifest["indices"]["validation"][0]]["label"]
         unlabeled_validation.write_text("".join(json.dumps(r) + "\n" for r in records))
+        not_utf8 = tmp_path / "not_utf8.toml"
+        not_utf8.write_bytes(b"config_version = 1\n\xff\xfe = 2\n")
+        # numpy refuses a (16, 4e20) parameter outright, before asking for memory
+        huge_hidden = tmp_path / "huge_hidden.toml"
+        huge_hidden.write_text(CONFIG.replace("hidden_size = 16",
+                                              "hidden_size = 99999999999999999999"))
         fields = dict(tmp=tmp_path, data=corpus_path, model=model, split=split,
                       config=config, diverging=diverging, damaged=damaged,
                       zero_batch=zero_batch, negative_epochs=negative_epochs,
                       train_past_end=train_past_end, negative_test=negative_test,
                       negative_rate=negative_rate, negative_factor=negative_factor,
                       overlapping=overlapping, repeated_test=repeated_test,
-                      unlabeled_validation=unlabeled_validation)
+                      unlabeled_validation=unlabeled_validation, not_utf8=not_utf8,
+                      huge_hidden=huge_hidden)
         with np.errstate(all="ignore"):
             assert main([a.format(**fields) for a in argv]) == code
         assert "Traceback" not in capsys.readouterr().err
@@ -489,5 +512,128 @@ def test_features_explain_augment_exit_cleanly_on_any_files(valid_files, tmp_pat
     with contextlib.redirect_stderr(stderr), np.errstate(all="ignore"):
         code = main(argv)
     event(f"{command} exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+
+
+# -- arbitrary and damaged files through train, and synth's arguments --------
+
+TRAIN_CONFIGS = {
+    "single": """\
+config_version = 1
+mode = "single"
+embedding_dim = 8
+hidden_size = 8
+feature_dim = 8
+dense_widths = [16]
+epochs = 1
+early_stop_patience = 1
+batch_size = 16
+vocab_budget = 100
+max_len = 32
+""",
+    "multi": """\
+config_version = 1
+mode = "multi"
+embedding_dim = 8
+hidden_size = 8
+feature_dim = 8
+dense_widths = [16]
+epochs = 1
+early_stop_patience = 1
+batch_size = 16
+vocab_budget = 100
+r = 6
+max_len_per_slot = 8
+""",
+}
+
+
+@pytest.fixture(scope="module")
+def train_files(tmp_path_factory):
+    """Valid bytes of each file train reads: a 16-column corpus of two classes
+    as JSONL and as long CSV, a split manifest over it, and a one-epoch
+    config per mode."""
+    spec = {"gender": "gender_codes", "description": "descriptions"}
+    path = tmp_path_factory.mktemp("train-fuzz") / "corpus.jsonl"
+    ingest.save_jsonl(ingest.generate_synthetic_corpus(spec, 8, seed=2), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["column_id", "label", "value"])
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        writer.writerows([i, record["label"], v] for v in record["values"])
+    split = {"indices": {"train": [0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13],
+                         "validation": [6, 14], "test": [7, 15]},
+             "seed": 0, "ratios": [0.6, 0.2, 0.2]}
+    return {
+        "data": [b"".join(lines), text.getvalue().encode()],
+        "split": json.dumps(split).encode(),
+        "config": [c.encode() for c in TRAIN_CONFIGS.values()],
+    }
+
+
+def _config_damaged(valid: bytes):
+    """valid with one span of up to 8 bytes replaced by up to 3 bytes that are
+    not digits: a width or the epoch count cannot grow by orders of magnitude,
+    so training stays small."""
+    return st.tuples(st.integers(0, len(valid)), st.integers(0, 8),
+                     st.binary(max_size=3).filter(lambda b: not any(48 <= c <= 57 for c in b))
+                     ).map(lambda t: valid[: t[0]] + t[2] + valid[t[0] + t[1] :])
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_train_exits_cleanly_on_any_files(train_files, tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("train-fuzz")
+    # at most one of the files is damaged, and a directory where a file
+    # belongs counts as damage; no --split draws a fresh split
+    damaged = data.draw(st.sampled_from([None, "data", "config", "split"]))
+    which = data.draw(st.sampled_from([0, 1]))
+    files = {"data": directory / ("data.jsonl", "data.csv")[which],
+             "config": directory / "config.toml", "split": directory / "split.json"}
+    valid = {"data": train_files["data"][which], "split": train_files["split"],
+             "config": data.draw(st.sampled_from(train_files["config"]))}
+    for name, path in files.items():
+        if damaged == name and data.draw(st.booleans()):
+            path.mkdir()
+        elif damaged == name == "config":
+            path.write_bytes(data.draw(st.one_of(st.binary(max_size=200),
+                                                 _config_damaged(valid[name]))))
+        else:
+            path.write_bytes(_file_bytes(data, valid[name], damaged == name))
+    argv = ["train", "--data", str(files["data"]), "--config", str(files["config"]),
+            "--out", str(directory / "m.dcom"), "--seed", str(data.draw(st.integers(-2, 2**64)))]
+    if damaged == "split" or data.draw(st.booleans()):
+        argv += ["--split", str(files["split"])]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
+            np.errstate(all="ignore"):
+        code = main(argv)
+    event(f"train, {damaged} damaged: exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+
+
+@given(out=st.sampled_from(["file", "directory", "missing parent"]),
+       n_per_class=st.integers(-2, 3),
+       classes=st.one_of(st.none(), st.lists(st.one_of(
+           st.sampled_from(sorted(ingest.GENERATORS)), st.text(max_size=8)), max_size=3)),
+       seed=st.integers(-2, 2**64))
+@settings(max_examples=200, deadline=None)
+def test_synth_exits_cleanly_on_any_arguments(tmp_path_factory, out, n_per_class, classes,
+                                              seed):
+    directory = tmp_path_factory.mktemp("synth-fuzz")
+    target = {"file": directory / "c.jsonl", "directory": directory,
+              "missing parent": directory / "missing" / "c.jsonl"}[out]
+    argv = ["synth", "--out", str(target), "--n-per-class", str(n_per_class),
+            "--seed", str(seed)]
+    if classes is not None:
+        argv += ["--classes", ",".join(classes)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    event(f"synth exit {code}")
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()

@@ -160,6 +160,13 @@ class TestMakeSplit:
         assert train_a == 18  # 60% of 30
         assert sum(1 for i in s.test if labels[i] == "b") == 4
 
+    def test_stratified_with_unlabeled_columns(self):
+        # an unlabeled column (None) used to end the label sort in a TypeError
+        labels = ["b"] * 10 + [None] * 5 + ["a"] * 10
+        s = ingest.make_split(25, seed=1, stratify_labels=labels)
+        assert sum(1 for i in s.train if labels[i] is None) == 3
+        assert sorted(s.train + s.validation + s.test) == list(range(25))
+
     def test_small_class_warns(self):
         labels = ["a"] * 10 + ["b"] * 2
         with pytest.warns(UserWarning, match="fewer than 3"):

@@ -1,10 +1,12 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcom import nn
 from dcom.core import TrainingConfig
 from dcom.errors import ConfigError
 from dcom.nn import AGGREGATIONS, ArchitectureConfig, Model, init_params, zeros_like_params
@@ -273,26 +275,108 @@ def encoder_cases(draw):
     return config, batch, int(rng.integers(0, 2**32 - 1))
 
 
+def assert_equals_oracle(config, batch, seed, train_mode, packed=False):
+    """The fused loop's probabilities and gradients equal those of one loop
+    per direction (OracleModel), bit for bit. packed: pack every padded batch,
+    however small (a span cost of 0)."""
+    model = Model(config, seed=seed)
+    oracle = OracleModel(config, params=model.params)
+    runs = []
+    for m in (model, oracle):
+        rng = np.random.default_rng(seed) if train_mode else None
+        with mock.patch.object(nn, "PACK_SPAN_COST", 0 if packed else nn.PACK_SPAN_COST):
+            probs, cache = m.forward(batch, train_mode=train_mode, dropout_rng=rng)
+        dlogits = np.random.default_rng(seed).normal(size=probs.shape)
+        runs.append((probs, m.backward(cache, dlogits)))
+    (probs, grads), (oracle_probs, oracle_grads) = runs
+    np.testing.assert_array_equal(probs, oracle_probs)
+    assert grads.keys() == oracle_grads.keys()
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], oracle_grads[name], err_msg=name)
+
+
 class TestFusedEncoderOracle:
     @settings(max_examples=200, deadline=None)
-    @given(encoder_cases(), st.booleans())
-    def test_equals_per_direction_loops(self, case, train_mode):
+    @given(encoder_cases(), st.booleans(), st.booleans())
+    def test_equals_per_direction_loops(self, case, train_mode, packed):
         """Both LSTM directions stepped in one loop give the probabilities and
-        gradients of one loop per direction, bit for bit."""
+        gradients of one loop per direction, bit for bit, whether a padded
+        batch steps every row, masked, or only the rows inside their length."""
         config, batch, seed = case
-        model = Model(config, seed=seed)
-        oracle = OracleModel(config, params=model.params)
-        runs = []
-        for m in (model, oracle):
-            rng = np.random.default_rng(seed) if train_mode else None
-            probs, cache = m.forward(batch, train_mode=train_mode, dropout_rng=rng)
-            dlogits = np.random.default_rng(seed).normal(size=probs.shape)
-            runs.append((probs, m.backward(cache, dlogits)))
-        (probs, grads), (oracle_probs, oracle_grads) = runs
-        np.testing.assert_array_equal(probs, oracle_probs)
-        assert grads.keys() == oracle_grads.keys()
-        for name in grads:
-            np.testing.assert_array_equal(grads[name], oracle_grads[name], err_msg=name)
+        assert_equals_oracle(config, batch, seed, train_mode, packed)
+
+    @pytest.mark.parametrize("train_mode", [False, True])
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("lengths,T", [
+        ([1], 2),  # one position in all: its packed product has one row
+        ([1, 1, 0], 1),  # one step: each row's own product has one row
+        ([4, 0, 2], 4),  # a row with no tokens, and a lone row at the end
+        ([3, 1, 1, 1], 3),
+    ])
+    def test_packed_edge_cases(self, lengths, T, width, train_mode):
+        config = tiny_config(embedding_dim=width, hidden_size=width)
+        rng = np.random.default_rng(width)
+        lengths = np.asarray(lengths)
+        mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.int64)
+        batch = {"ids": rng.integers(3, config.vocab_size, size=mask.shape) * mask,
+                 "tok_mask": mask, "feats": rng.normal(size=(len(lengths), 19))}
+        assert_equals_oracle(config, batch, 5, train_mode, packed=True)
+
+
+def bench_width_case(mode, rows, T, lengths, seed):
+    """A bench-sized config and a batch of `rows` encoded texts with the given
+    lengths (the longest is T): single at E=32, H=48, one text per sample;
+    multi at E=32, H=32, the rows spread over 32 samples' slots."""
+    config = ArchitectureConfig(
+        mode=mode, vocab_size=300, n_classes=8, embedding_dim=32,
+        hidden_size=48 if mode == "single" else 32, feature_dim=32, dense_widths=(96,),
+        dropout=0.3, r=45,
+    )
+    rng = np.random.default_rng(seed)
+    lengths = np.asarray(lengths)
+    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.int64)
+    ids = rng.integers(3, config.vocab_size, size=(rows, T)) * mask
+    if mode == "single":
+        return config, {"ids": ids, "tok_mask": mask, "feats": rng.normal(size=(rows, 19))}
+    B = min(32, rows)
+    slots = np.full((B, config.r), -1, dtype=np.int64)
+    for b, own in enumerate(np.array_split(np.arange(rows), B)):
+        slots[b, : len(own)] = own
+    return config, {"ids": ids, "tok_mask": mask, "slots": slots,
+                    "feats": rng.normal(size=(B, 19))}
+
+
+def _spread(rng, rows, T, low=1):
+    """Row lengths spread over [low, T], the first row the longest."""
+    return np.r_[T, rng.integers(low, T + 1, size=rows - 1)]
+
+
+BENCH_WIDTH_CASES = {
+    # spread lengths: the packed steps shrink from 32 rows to a lone row
+    "single spread": lambda rng: ("single", 32, 96, _spread(rng, 32, 96)),
+    # one long row: most steps have exactly one row inside its length
+    "single one long row": lambda rng: ("single", 32, 96,
+                                        np.r_[96, rng.integers(1, 30, size=31)]),
+    "single equal lengths": lambda rng: ("single", 32, 74, np.full(32, 74)),
+    "single one row": lambda rng: ("single", 1, 96, [96]),
+    "multi spread": lambda rng: ("multi", 200, 16, _spread(rng, 200, 16)),
+    "multi one long row": lambda rng: ("multi", 176, 16,
+                                       np.r_[16, rng.integers(1, 9, size=175)]),
+    "multi equal lengths": lambda rng: ("multi", 176, 12, np.full(176, 12)),
+}
+
+
+class TestFusedEncoderOracleAtBenchWidths:
+    """The BLAS kernel, and so the rounding, of a matmul depends on its shape;
+    the small random cases above never reach the bench's shapes."""
+
+    @pytest.mark.parametrize("train_mode", [False, True])
+    @pytest.mark.parametrize("name", list(BENCH_WIDTH_CASES))
+    def test_equals_per_direction_loops(self, name, train_mode):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            config, batch = bench_width_case(*BENCH_WIDTH_CASES[name](rng), seed=seed)
+            assert_equals_oracle(config, batch, seed, train_mode)
 
 
 class TestDropout:
@@ -336,6 +420,16 @@ class TestConfigValidation:
         # hidden_size=0 used to end training in a ZeroDivisionError
         with pytest.raises(ConfigError, match=">= 1"):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("field,value,name", [
+        # numpy refuses both shapes outright, before asking for any memory
+        ("hidden_size", 99999999999999999999, "lstm_fw_Wx"),
+        ("embedding_dim", 2**61, "embedding"),
+    ])
+    def test_unallocatable_width_is_config_error(self, field, value, name):
+        config = tiny_config(**{field: value})
+        with pytest.raises(ConfigError, match=f"parameter {name} of shape"):
+            init_params(config, np.random.default_rng(0))
 
     def test_from_dict_checks_types(self):
         d = tiny_config().to_dict()
