@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -109,6 +110,8 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
+    if os.path.isdir(args.out):  # refused before training, not after it
+        raise DcomError(f"--out {args.out} is a directory")
     instances, _ = _load_data(args.data)
     config = parse_config_file(args.config) if args.config else TrainingConfig()
     if args.split:
@@ -236,7 +239,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a labeled synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-per-class", type=int, default=100)
+    p.add_argument("--n-per-class", type=_int_at_least(1), default=100)
     p.add_argument("--classes", help="comma-separated generator names")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_synth)
@@ -272,7 +275,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("augment", help="stream constructed samples as JSONL")
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=("single", "multi"), default="single")
-    p.add_argument("--r", type=int, default=45)
+    p.add_argument("--r", type=_int_at_least(1), default=45)
     p.add_argument("--multi-mode", choices=("pad", "with_replacement"), default="pad")
     p.add_argument("--out")
     p.add_argument("--seed", type=_int_at_least(0), default=0)

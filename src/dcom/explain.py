@@ -53,8 +53,6 @@ def feature_importance(bundle, use_labels=False) -> ImportanceReport:
     W = bundle.params["feat_W"]
     scores = importance_scores(W)
     names = FEATURE_LABELS if use_labels else FEATURE_NAMES
-    if len(scores) != len(names):
-        names = tuple(f"feature_{i}" for i in range(len(scores)))
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     rows = tuple(
         ImportanceRow(rank=r + 1, feature=names[i], score=float(scores[i]))

@@ -42,8 +42,6 @@ FEATURE_NAMES = (
     "mode_length",
 )
 
-N_FEATURES = len(FEATURE_NAMES)
-
 # Human-readable labels in the same order, for reports.
 FEATURE_LABELS = (
     "Std of # of Numeric Characters in Cells",
@@ -82,10 +80,10 @@ def _value_counts(value: str):
 
 
 def _skew_kurtosis(x: np.ndarray):
-    m2 = np.mean((x - x.mean()) ** 2)
+    centered = x - x.mean()
+    m2 = np.mean(centered**2)
     if m2 == 0.0:
         return 0.0, 0.0
-    centered = x - x.mean()
     skew = np.mean(centered**3) / m2**1.5
     kurt = np.mean(centered**4) / m2**2 - 3.0
     return float(skew), float(kurt)
@@ -98,16 +96,23 @@ def extract_features(instance: ColumnInstance) -> np.ndarray:
 
     # one contiguous (5, n) array: each row's mean and std is the pairwise sum
     # a 1-D array of that count would take, so the values are bit-identical
-    counts = np.array(list(zip(*map(_value_counts, values))), dtype=np.float64)
+    per_value = list(map(_value_counts, values))
+    counts = np.array(list(zip(*per_value)), dtype=np.float64)
     mean_numeric, mean_alpha, mean_special, mean_words, _ = counts.mean(axis=1)
     std_numeric, std_alpha, std_special, std_words, _ = counts.std(axis=1)
-    numeric, alpha, _, _, lengths = counts
+    # The integer statistics in plain Python: each is exact either way, and a
+    # numpy call costs more than the few values of a column.
+    n_alpha = sum(1 for c in per_value if c[1] > 0)
+    n_numeric = sum(1 for c in per_value if c[0] > 0)
+    ordered = sorted(c[4] for c in per_value)
+    half = n // 2
+    median = float(ordered[half]) if n % 2 else (ordered[half - 1] + ordered[half]) / 2
 
     freqs = np.array(list(Counter(values).values()), dtype=np.float64) / n
     entropy = float(-(freqs * np.log2(freqs)).sum()) if len(freqs) > 1 else 0.0
 
-    skew, kurt = _skew_kurtosis(lengths)
-    length_counter = Counter(len(v) for v in values)
+    skew, kurt = _skew_kurtosis(counts[4])
+    length_counter = Counter(ordered)
     max_count = max(length_counter.values())
     mode_length = min(L for L, c in length_counter.items() if c == max_count)
 
@@ -120,17 +125,17 @@ def extract_features(instance: ColumnInstance) -> np.ndarray:
             std_words,
             mean_words,
             mean_numeric,
-            lengths.min(),
+            float(ordered[0]),
             kurt,
             mean_special,
             float(n),
-            float(np.count_nonzero(alpha > 0)) / n,
-            float(np.count_nonzero(numeric > 0)) / n,
-            lengths.sum(),
-            lengths.max(),
+            n_alpha / n,
+            n_numeric / n,
+            float(sum(ordered)),
+            float(ordered[-1]),
             skew,
             mean_alpha,
-            float(np.median(lengths)),
+            median,
             float(mode_length),
         ],
         dtype=np.float64,

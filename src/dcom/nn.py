@@ -25,29 +25,35 @@ batched matmul, one sigmoid over the (2, n, 4H) gate slab and one tanh over
 its g block. The saved parameters stay one set per direction
 (lstm_fw_*, lstm_bw_*).
 
-The steps are packed, as cuDNN steps variable-length batches: a step computes
-only the n rows still inside their length, in row order, and a row that has
-ended keeps its state. The set of rows changes only where a row ends, so one
-index array serves every step between two lengths. The input part x @ Wx + b
-is multiplied for the positions inside a length only, and backward sums the
+No step masks its rows. As in cuDNN's variable-length RNNs, each row's final
+state is read at its own length, and it is all the encoder uses; backward
+lets a row's gradient in at that same step. The steps are packed where that
+pays: a step computes only the n rows still inside their length, in row
+order. The set of rows changes only where a row ends, so one index array
+serves every step between two lengths. The input part x @ Wx + b is
+multiplied for the positions inside a length only, and backward sums the
 weight gradients and scatters the embedding gradient over those rows only.
 A step in which every row is inside its length, as every step of a one-row
 batch is, runs on the whole batch with no index at all. So does every step of
 a batch whose padding is small against its number of distinct lengths
-(PACK_SPAN_COST), such as the few short slot texts of one multi sample: its
-padded rows are stepped and masked, which costs fewer numpy calls than the
-indexing would.
+(PACK_SPAN_COST), such as the few short slot texts of one multi sample: a row
+past its length keeps stepping on its zero input, which costs fewer numpy
+calls than the indexing would, and nothing reads what it computes. Both kinds
+of span share one step body, written inline: a helper function called per
+step costs about 3 us per step at one row.
 
 Two matmuls stay at the batch's full width: backward's dA @ Wx^T and
 dA @ Wh^T run over a (2, N, 4H) dA whose other rows are zero, because
 OpenBLAS picks their kernel by row count and a narrower product rounds
 differently at the bench's widths. For the same reason a lone row is stepped
-as two equal rows: numpy sends a one-row matmul to gemv. So the arithmetic per
-element, and the order in which backward accumulates gradients, are those of
-one masked loop per direction over every row, and probabilities and gradients
-are bit-identical to it (tests/lstm_oracle.py, also at the bench's widths).
-Inference keeps the step history that backward reads: gradient checks run
-backward on the cache of a default forward.
+as two equal rows: numpy sends a one-row matmul to gemv. Inside its length a
+row's arithmetic is that of a masked loop, whose blend m * x + (1 - m) * y
+returns x exactly where m = 1; past it, a row's dA is zero and adds only
+zeros to the full-width sums. So probabilities and gradients are
+bit-identical to one masked loop per direction over every row
+(tests/lstm_oracle.py, also at the bench's widths). Inference keeps the step
+history that backward reads: gradient checks run backward on the cache of a
+default forward.
 
 Everything is float64 and deterministic for a fixed rng; gradients are checked
 against finite differences in the test suite.
@@ -171,8 +177,8 @@ def _spans(lengths, T):
     Returns (start, stop, rows) in time order: rows is None while every row is
     inside its length, else the indices, in row order, of the rows whose length
     reaches stop (empty once every row has ended). One index array serves all
-    the steps of a span. Where packing would not pay, one span of every row,
-    masked: [(0, T, None)].
+    the steps of a span. Where packing would not pay, one span of every row:
+    [(0, T, None)].
     """
     stops = sorted(set(lengths.tolist()) | {T})
     if len(lengths) * T - lengths.sum() < PACK_SPAN_COST * len(stops):
@@ -193,7 +199,7 @@ def _stepped(rows):
     return rows if rows.size > 1 else rows.repeat(2)
 
 
-def _packed_gates(X, mask, lengths, Wx, b):
+def _packed_gates(X, lengths, Wx, b):
     """The input part of the gates, x @ Wx + b, for the positions inside a
     length only, packed time-major: gates[t] is (2, n, 4H) for the n rows
     inside their length at step t.
@@ -202,7 +208,7 @@ def _packed_gates(X, mask, lengths, Wx, b):
     to gemv, which rounds differently: then each row's product is taken at
     full width, as a loop per row does, and packed after."""
     T = X.shape[2]
-    inside = mask.T > 0
+    inside = np.arange(T)[:, None] < lengths
     if T > 1 and lengths.sum() > 1:
         gates = np.matmul(X.transpose(0, 2, 1, 3)[:, inside], Wx)
     else:
@@ -215,156 +221,132 @@ def _packed_gates(X, mask, lengths, Wx, b):
     return slabs
 
 
-def _lstm_forward(X, mask, Wx, Wh, b):
-    """Both directions of a masked LSTM, stepped together in one time loop.
+def _lstm_forward(X, lengths, Wx, Wh, b):
+    """Both directions of an LSTM over rows of their own lengths, stepped
+    together in one time loop.
 
     X is (2, N, T, E) with the direction on axis 0; Wx (2, E, 4H), Wh (2, H, 4H)
-    and b (2, 4H) stack each direction's weights the same way. The mask (N, T)
-    serves both, since reversal keeps padding in place; a row's tokens are its
-    first mask.sum() positions. Past its length a row's state freezes. Where
-    the batch is packed (_spans), a step computes only the rows inside their
-    length. Hs and Cs (T + 1, 2, N, H) hold every row's state after every step.
-    A step over every row leaves its gate activations, in i, f, g, o order, in
-    gates[t] (2, N, 4H) and its new cell state in C_new[t]; a packed step
-    leaves in steps[t] its activations (2, n, 4H), the hidden and cell states
-    before it and the cell state after it, for the rows it computed.
+    and b (2, 4H) stack each direction's weights the same way. lengths (N,)
+    serves both, since reversal keeps padding in place: a row's tokens are its
+    first lengths[n] positions. Hs and Cs (T + 1, 2, N, H) hold the states
+    after each step, and a row's final state, h_final (2, N, H), is read at its
+    own length, so a row of length 0 reads the zero state Hs[0].
+
+    One step body serves both kinds of span (_spans). A span of every row
+    works in place, in gates[t], Cs[t + 1] and Hs[t + 1]; in a padded batch a
+    row past its length keeps stepping on its zero input, and nothing reads
+    what it computes. A packed span steps only the rows inside their length,
+    in fresh arrays scattered into Hs and Cs. Either way steps[t] holds, for
+    the rows step t computed, its gate activations (2, n, 4H) in i, f, g, o
+    order, the hidden and cell states before it and the cell state after it.
     """
     _, N, T, _ = X.shape
     H = Wh.shape[1]
     Hs = np.zeros((T + 1, 2, N, H))
     Cs = np.zeros((T + 1, 2, N, H))
-    keep = 1.0 - mask
     spans = [(0, T, None)]
     # a packed batch has two spans at least, so its padding must outweigh two
-    if N * T - mask.sum() >= 2 * PACK_SPAN_COST:
-        lengths = mask.sum(axis=1).astype(np.int64)
+    if N * T - lengths.sum() >= 2 * PACK_SPAN_COST:
         spans = _spans(lengths, T)
     # The input part, x @ Wx + b, is hoisted out of the loop: gates[t] holds it
     # for the rows step t computes.
-    if spans[-1][2] is None:  # one span of every row, masked
+    if spans[-1][2] is None:  # one span of every row
         gates = np.empty((T, 2, N, 4 * H))
         np.matmul(X, Wx[:, None], out=gates.transpose(1, 2, 0, 3))
         gates += b[:, None]
     else:
-        gates = _packed_gates(X, mask, lengths, Wx, b)
-    C_new = np.empty((T, 2, N, H))
+        gates = _packed_gates(X, lengths, Wx, b)
     steps = {}
     for start, stop, rows in spans:
-        if rows is None:
-            for t in range(start, stop):
-                s = gates[t]
-                a = np.matmul(Hs[t], Wh)
-                a += s
-                np.negative(a, out=s)  # one sigmoid over the whole slab, then tanh over g
-                np.exp(s, out=s)
-                s += 1.0
-                np.divide(1.0, s, out=s)
-                i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
-                np.tanh(a[..., 2 * H : 3 * H], out=g)
-                c_new = C_new[t]
-                np.multiply(f, Cs[t], out=c_new)
-                c_new += i * g
-                h_new = np.tanh(c_new)
-                h_new *= o
-                m, k = mask[:, t, None], keep[:, t, None]
-                np.multiply(m, c_new, out=Cs[t + 1])
-                Cs[t + 1] += k * Cs[t]
-                np.multiply(m, h_new, out=Hs[t + 1])
-                Hs[t + 1] += k * Hs[t]
-            continue
-        # the rows whose length is start keep their last state from here on
-        ended = np.flatnonzero(lengths == start)
-        Hs[start + 1 :, :, ended] = Hs[start][:, ended]
-        Cs[start + 1 :, :, ended] = Cs[start][:, ended]
-        if rows.size == 0:
+        whole = rows is None
+        if not whole and rows.size == 0:
             break
-        # The same arithmetic on the rows inside their length, into fresh
-        # arrays: a strided slab is slower to work in than to read once.
-        rows = _stepped(rows)
-        h, c = Hs[start][:, rows], Cs[start][:, rows]
+        # A packed span works in fresh arrays: a strided slab is slower to
+        # work in than to read once.
+        at = slice(None) if whole else _stepped(rows)
+        h, c = Hs[start][:, at], Cs[start][:, at]
         for t in range(start, stop):
             a = np.matmul(h, Wh)
             a += gates[t]  # a lone row's (2, 1, 4H) slab broadcasts over its copies
-            s = np.negative(a)
+            # one sigmoid over the whole slab, then tanh over g
+            s = np.negative(a, out=gates[t] if whole else None)
             np.exp(s, out=s)
             s += 1.0
             np.divide(1.0, s, out=s)
             i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
             np.tanh(a[..., 2 * H : 3 * H], out=g)
-            c_new = f * c
+            c_new = np.multiply(f, c, out=Cs[t + 1] if whole else None)
             c_new += i * g
             steps[t] = (s, h, c, c_new)
-            h = np.tanh(c_new)
+            h = np.tanh(c_new, out=Hs[t + 1] if whole else None)
             h *= o
             c = c_new
-            Hs[t + 1][:, rows] = h
-            Cs[t + 1][:, rows] = c
-    return {"Hs": Hs, "Cs": Cs, "h_final": Hs[T], "spans": spans, "gates": gates,
-            "C_new": C_new, "steps": steps}
+            if not whole:
+                Hs[t + 1][:, at] = h
+                Cs[t + 1][:, at] = c
+    h_final = Hs[lengths, :, np.arange(N)].swapaxes(0, 1)
+    return {"Hs": Hs, "h_final": h_final, "lengths": lengths, "spans": spans,
+            "steps": steps}
 
 
-def _lstm_backward(cache, dh_final, X, mask, Wx, Wh):
+def _lstm_backward(cache, dh_final, X, Wx, Wh):
     """Backprop through both directions in one reversed loop; dh_final is (2, N, H).
 
-    The gate arithmetic runs on the rows the forward stepped. The dX and dh
+    A row's gradient enters at its last step, so a row past its length has a
+    zero dA, and every other row's dA is the one a masked loop computes. The
+    gate arithmetic runs on the rows the forward stepped. The dX and dh
     matmuls run at the batch's full width, over a dA whose other rows stay
     zero: OpenBLAS picks their kernel, and so their rounding, by row count.
     The weight and input gradients are accumulated step by step, in the order
     a per-direction loop adds them, so they are bit-identical to it."""
     _, N, T, E = X.shape
     H = Wh.shape[1]
-    Hs, Cs, gates, C_new, steps = (cache[k] for k in ("Hs", "Cs", "gates", "C_new", "steps"))
+    Hs, lengths, steps = cache["Hs"], cache["lengths"], cache["steps"]
     WxT = Wx.transpose(0, 2, 1)
     WhT = Wh.transpose(0, 2, 1)
     dWx = np.zeros_like(Wx)
     dWh = np.zeros_like(Wh)
     db = np.zeros((2, 4 * H))
     dX = np.zeros_like(X)
+    # the steps at which rows' gradients enter, and those rows
+    ending = {L - 1: np.flatnonzero(lengths == L) for L in set(lengths.tolist()) - {0}}
     # Going back in time rows only join; a row's dA and cell gradient are zero
     # until it does.
     dA = np.zeros((2, N, 4 * H))
     dc_all = np.zeros((2, N, H))
-    dh = dh_final
-    keep = 1.0 - mask
+    dh = np.zeros((2, N, H))
     # The weight gradients sum over the rows inside their length. With E or H
     # of 1 their matmul has one row, and gemv's sums change when zero rows
     # drop out: those sum over every row.
     narrow = min(E, H) > 1
     for start, stop, rows in reversed(cache["spans"]):
-        masked = rows is None
-        if masked:
-            n, rows, stepped, dA_rows = None, slice(None), slice(None), dA
+        if rows is None:
+            n, rows, at, dA_rows = None, slice(None), slice(None), dA
         elif rows.size == 0:
             continue
         else:
-            n, stepped = rows.size, _stepped(rows)
-            dA_rows = np.empty((2, stepped.size, 4 * H))
-        dc = dc_all[:, stepped]
+            n, at = rows.size, _stepped(rows)
+            dA_rows = np.empty((2, at.size, 4 * H))
+        dc = dc_all[:, at]
         for t in range(stop - 1, start - 1, -1):
-            if masked:
-                s, h_prev, c_prev, c_new = gates[t], Hs[t], Cs[t], C_new[t]
-            else:
-                s, h_prev, c_prev, c_new = steps[t]
+            if t in ending:
+                dh[:, ending[t]] = dh_final[:, ending[t]]
+            s, h_prev, c_prev, c_new = steps[t]
             i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
             tanh_c = np.tanh(c_new)
-            dh_new = dh[:, stepped]
-            if masked:  # a row past its length passes its gradients back untouched
-                m = mask[:, t, None]
-                dh_new, dc_past, dc = dh_new * m, dc * keep[:, t, None], dc * m
+            dh_new = dh[:, at]
             do = dh_new * tanh_c
             dc_new = dc + dh_new * o * (1.0 - tanh_c**2)
             df = dc_new * c_prev
             di = dc_new * g
             dg = dc_new * i
             dc = dc_new * f
-            if masked:
-                dc += dc_past
             dA_rows[..., :H] = di * i * (1 - i)
             dA_rows[..., H : 2 * H] = df * f * (1 - f)
             dA_rows[..., 2 * H : 3 * H] = dg * (1 - g**2)
             dA_rows[..., 3 * H :] = do * o * (1 - o)
             if dA_rows is not dA:
-                dA[:, stepped] = dA_rows
+                dA[:, at] = dA_rows
             if narrow:  # a lone row, stepped twice, counts once
                 x, h, dA_w = X[:, rows, t], h_prev[:, :n], dA_rows[:, :n]
             else:
@@ -373,8 +355,8 @@ def _lstm_backward(cache, dh_final, X, mask, Wx, Wh):
             dWh += np.matmul(h.transpose(0, 2, 1), dA_w)
             db += dA_w.sum(axis=1)
             dX[:, :, t] = np.matmul(dA, WxT)
-            dh = dh * keep[:, t, None] + np.matmul(dA, WhT)
-        dc_all[:, stepped] = dc
+            dh = np.matmul(dA, WhT)
+        dc_all[:, at] = dc
     return dX, dWx, dWh, db
 
 
@@ -404,7 +386,8 @@ class Model:
         ids2 = np.stack([ids, _reverse_within_length(ids, mask)])  # (2, N, T): fw, bw
         X = p["embedding"][ids2] * maskf[..., None]
         W = {k: np.stack([p[f"lstm_fw_{k}"], p[f"lstm_bw_{k}"]]) for k in ("Wx", "Wh", "b")}
-        lstm = _lstm_forward(X, maskf, W["Wx"], W["Wh"], W["b"])
+        lengths = mask.sum(axis=1).astype(np.int64)
+        lstm = _lstm_forward(X, lengths, W["Wx"], W["Wh"], W["b"])
         enc = np.concatenate(lstm["h_final"], axis=1)
         cache = {"ids": ids2, "maskf": maskf, "X": X, "W": W, "lstm": lstm}
         return enc, cache
@@ -413,9 +396,7 @@ class Model:
         H = self.config.hidden_size
         W = cache["W"]
         dh = np.stack([denc[:, :H], denc[:, H:]])
-        dX, dWx, dWh, db = _lstm_backward(
-            cache["lstm"], dh, cache["X"], cache["maskf"], W["Wx"], W["Wh"]
-        )
+        dX, dWx, dWh, db = _lstm_backward(cache["lstm"], dh, cache["X"], W["Wx"], W["Wh"])
         for j, d in enumerate(("fw", "bw")):
             grads[f"lstm_{d}_Wx"] += dWx[j]
             grads[f"lstm_{d}_Wh"] += dWh[j]

@@ -269,6 +269,10 @@ EXIT_CODES = [
     (["predict", "--model", "{model}", "--data", "{data}", "--seed", "-1"], 1),
     (["train", "--data", "{data}", "--config", "{not_utf8}", "--out", "{tmp}/m.dcom"], 2),
     (["train", "--data", "{data}", "--config", "{huge_hidden}", "--out", "{tmp}/m.dcom"], 2),
+    (["train", "--data", "{data}", "--config", "{config}", "--out", "{tmp}"], 2),
+    # counts below one
+    *[(["synth", "--out", "{tmp}/c.jsonl", "--n-per-class", n], 1) for n in ("0", "-3")],
+    *[(VALID_ARGV["augment"] + ["--mode", "multi", "--r", r], 1) for r in ("0", "-3")],
 ]
 
 
@@ -343,6 +347,18 @@ class TestExitCodes:
         with np.errstate(all="ignore"):
             assert main([a.format(**fields) for a in argv]) == code
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_out_directory_refused_before_training(self, corpus_path, tmp_path, capsys):
+        config = tmp_path / "cfg.toml"
+        config.write_text(CONFIG.replace("epochs = 6", "epochs = 1"))
+        out = tmp_path / "bundle"
+        out.mkdir()
+        assert main(["train", "--data", str(corpus_path), "--config", str(config),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert str(out) in captured.err
+        assert "epoch 1" not in captured.out
+        assert not (tmp_path / "bundle.epochs.csv").exists()
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

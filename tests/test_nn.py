@@ -363,6 +363,9 @@ BENCH_WIDTH_CASES = {
     "multi one long row": lambda rng: ("multi", 176, 16,
                                        np.r_[16, rng.integers(1, 9, size=175)]),
     "multi equal lengths": lambda rng: ("multi", 176, 12, np.full(176, 12)),
+    # too little padding to pack: every row is stepped, past its length too
+    "multi one vote": lambda rng: ("multi", 6, 3, _spread(rng, 6, 3)),
+    "single few rows": lambda rng: ("single", 3, 30, [30, 28, 25]),
 }
 
 
