@@ -24,18 +24,21 @@ MAX_ENUMERATE_N = 6
 
 @dataclass(frozen=True)
 class SingleSequenceSample:
-    text: str
-    r: int
+    values: tuple[str, ...]
+
+    @property
+    def text(self) -> str:
+        return SEP_TEXT.join(self.values)
+
+    @property
+    def r(self) -> int:
+        return len(self.values)
 
 
 @dataclass(frozen=True)
 class MultiSequenceSample:
     texts: tuple[str, ...]
     pad_mask: tuple[bool, ...]
-
-
-def _join(values) -> str:
-    return SEP_TEXT.join(values)
 
 
 def sample_single(instance: ColumnInstance, rng, r=None) -> SingleSequenceSample:
@@ -50,7 +53,7 @@ def sample_single(instance: ColumnInstance, rng, r=None) -> SingleSequenceSample
     if not 1 <= r <= n:
         raise ConfigError(f"r={r} out of range [1, {n}]")
     idx = rng.permutation(n)[:r]
-    return SingleSequenceSample(text=_join(instance.values[i] for i in idx), r=r)
+    return SingleSequenceSample(tuple(instance.values[i] for i in idx))
 
 
 def enumerate_permutations(instance: ColumnInstance, r: int) -> list[SingleSequenceSample]:
@@ -64,7 +67,7 @@ def enumerate_permutations(instance: ColumnInstance, r: int) -> list[SingleSeque
     if not 1 <= r <= n:
         raise ConfigError(f"r={r} out of range [1, {n}]")
     samples = [
-        SingleSequenceSample(text=_join(instance.values[i] for i in idx), r=r)
+        SingleSequenceSample(tuple(instance.values[i] for i in idx))
         for idx in itertools.permutations(range(n), r)
     ]
     assert len(samples) == math.perm(n, r)

@@ -110,8 +110,9 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
-    if os.path.isdir(args.out):  # refused before training, not after it
-        raise DcomError(f"--out {args.out} is a directory")
+    # refused before training, not after it
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise DcomError(f"--out {args.out} must name a file in an existing directory")
     instances, _ = _load_data(args.data)
     config = parse_config_file(args.config) if args.config else TrainingConfig()
     if args.split:

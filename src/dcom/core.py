@@ -10,17 +10,12 @@ from .errors import ConfigError, ParseError
 # what the tokenizer recognizes; the joined form carries one space on each side.
 SEP_TOKEN = "<SEP>"
 SEP_TEXT = " <SEP> "
-# Raw cell values that happen to contain the separator are escaped at ingest so
-# a constructed text can always be split back into its source values.
+# Every ColumnInstance escapes the separator in its values, so a text joined
+# from them always splits back into those values.
 SEP_ESCAPED = "<\\SEP>"
 
 # Marker for a padded slot in multi-sequence inputs.
 PAD_VALUE = ""
-
-
-def escape_value(value: str) -> str:
-    """Escape separator collisions in a raw cell value."""
-    return value.replace(SEP_TOKEN, SEP_ESCAPED)
 
 
 @dataclass(frozen=True)
@@ -33,6 +28,9 @@ class ColumnInstance:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ParseError("column has no values")
+        # idempotent: an escaped value holds no SEP_TOKEN
+        object.__setattr__(self, "values", tuple(v.replace(SEP_TOKEN, SEP_ESCAPED)
+                                                 for v in self.values))
 
     @property
     def n(self) -> int:
@@ -40,8 +38,8 @@ class ColumnInstance:
 
 
 def make_instance(values, label=None) -> ColumnInstance:
-    """Build a ColumnInstance, escaping separator collisions in each value."""
-    return ColumnInstance(tuple(escape_value(str(v)) for v in values), label)
+    """Build a ColumnInstance from values of any type, each turned into a str."""
+    return ColumnInstance(tuple(str(v) for v in values), label)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ def _predict_columns(bundle: ModelBundle, instances, k, seeds, rows) -> list[Pre
 
     Column i draws its k samples from default_rng(seeds[i]), so what it votes
     on does not depend on `rows` or on the other columns.  The columns share
-    one slot cache.  Each latency_s is this call's wall time per column.
+    one token cache.  Each latency_s is this call's wall time per column.
     """
     if not instances:
         return []
@@ -70,7 +70,7 @@ def _predict_columns(bundle: ModelBundle, instances, k, seeds, rows) -> list[Pre
             instance, config.mode, k, rng, r_multi=config.r, multi_mode=config.multi_mode,
         )
         feats += [bundle.scaler.transform(extract_features(instance))] * k
-    probs = forward_samples(model, samples, feats, config, bundle.vocab, rows, slot_cache={})
+    probs = forward_samples(model, samples, feats, config, bundle.vocab, rows, token_cache={})
     voted = [_column_vote(bundle.class_vocab, probs[j : j + k])
              for j in range(0, len(probs), k)]
     latency_s = (time.perf_counter() - t0) / len(instances)

@@ -199,11 +199,12 @@ def _wordpiece_word(vocab: Vocabulary, word: str) -> list[int]:
     return ids
 
 
-def _encode_segment(vocab: Vocabulary, segment: str) -> list[int]:
+def encode_value(vocab: Vocabulary, value: str) -> list[int]:
+    """Uncut ids of one SEP_TEXT-free segment of a text, such as a column value."""
     if vocab.kind == "char":
-        return [vocab.index.get(c, UNK_ID) for c in segment]
+        return [vocab.index.get(c, UNK_ID) for c in value]
     ids = []
-    for word in segment.split():
+    for word in value.split():
         if word == SEP_TOKEN:
             ids.append(SEP_ID)
         elif vocab.kind == "word":
@@ -219,7 +220,7 @@ def encode(vocab: Vocabulary, text: str, max_len: int) -> TokenSequence:
     for i, segment in enumerate(text.split(SEP_TEXT)):
         if i > 0:
             ids.append(SEP_ID)
-        ids.extend(_encode_segment(vocab, segment))
+        ids.extend(encode_value(vocab, segment))
     ids = ids[:max_len]
     mask = [1] * len(ids) + [0] * (max_len - len(ids))
     ids = ids + [PAD_ID] * (max_len - len(ids))

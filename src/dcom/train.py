@@ -7,6 +7,7 @@ model sees a different ordering of every column's values each pass.
 from __future__ import annotations
 
 import copy
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -159,61 +160,57 @@ def _epoch_rng(seed, epoch, tag):
     return np.random.default_rng([seed, epoch, tag])
 
 
-def make_batch(samples, feats, config: TrainingConfig, vocab, slot_cache=None):
+def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
     """Tokenize a list of augment samples into one model batch dict.
 
-    Single: ids and tok_mask are (B, T), one encoded text per sample.
-
-    Multi: ids and tok_mask are (U, T), one row per distinct real slot text
-    of the batch, in first-seen order, and slots (B, R) gives each real slot
-    its row, -1 for a padded slot (a real slot is slots >= 0).  Padded slots
-    are neither tokenized nor stored.  Slot texts go through slot_cache, a
-    dict of slot text -> (ids, mask) at max_len_per_slot that the caller
-    scopes to where texts repeat: one train_model call (every epoch and
-    validation pass) or one predict_kvote call (the k samples of one column).
-    Without one, the cache lives for this call only.
-
-    Either way the token axis is trimmed to the longest sequence in the
-    batch, so every row equals its text's full-width encoding on its first
-    positions and every dropped position is padding.
+    A row is its values' ids joined by SEP_ID and cut: a single sample's at
+    max_len, one multi slot text's at max_len_per_slot.  Single ids and
+    tok_mask are (B, T), one row per sample.  Multi ones are (U, T), one row
+    per distinct real slot text in first-seen order, and slots (B, R) gives
+    each real slot its row, -1 for a padded slot.  T is the longest row, at
+    least 1.  As ColumnInstance escapes SEP_TOKEN, each row is tokenizers.encode
+    of its text on its first T positions.  token_cache maps a value to its
+    uncut ids (tokenizers.encode_value), so each value is tokenized once per
+    cache; the caller scopes it to one train_model or _predict_columns call.
     """
     if config.mode == "single":
-        seqs = [tokenizers.encode(vocab, s.text, config.max_len) for s in samples]
-        ids = np.stack([seq.ids for seq in seqs])
-        tok_mask = np.stack([seq.attention_mask for seq in seqs])
+        row_values, cut = [s.values for s in samples], config.max_len
         batch = {}
     else:
-        slot_cache = {} if slot_cache is None else slot_cache
         row_of = {}  # distinct real slot text -> its row, in first-seen order
         slots = [[row_of.setdefault(t, len(row_of)) if real else -1
                   for t, real in zip(s.texts, s.pad_mask)] for s in samples]
-        rows = []
-        for text in row_of:
-            row = slot_cache.get(text)
-            if row is None:
-                seq = tokenizers.encode(vocab, text, config.max_len_per_slot)
-                row = slot_cache[text] = (seq.ids, seq.attention_mask)
-            rows.append(row)
-        shape = (len(rows), config.max_len_per_slot)
-        # np.array builds from equal-length rows faster than np.stack
-        ids = np.array([r[0] for r in rows]).reshape(shape)
-        tok_mask = np.array([r[1] for r in rows]).reshape(shape)
+        row_values, cut = [(t,) for t in row_of], config.max_len_per_slot
         batch = {"slots": np.array(slots, dtype=np.int64)}
-    # trim trailing all-pad positions to the longest sequence in the batch
-    longest = max(1, int(tok_mask.sum(axis=-1).max()))
-    batch.update(ids=ids[..., :longest], tok_mask=tok_mask[..., :longest])
-    batch["feats"] = np.stack(feats)
+    rows = []
+    for values in row_values:
+        row = []
+        for j, value in enumerate(values):
+            if len(row) >= cut:
+                break
+            value_ids = token_cache.get(value)
+            if value_ids is None:
+                value_ids = token_cache[value] = tuple(tokenizers.encode_value(vocab, value))
+            if j:  # by position, so a value with no ids keeps its [SEP]
+                row.append(tokenizers.SEP_ID)
+            row.extend(value_ids)
+        rows.append(row[:cut])
+    lengths = np.array([len(row) for row in rows])
+    tok_mask = np.arange(max(1, lengths.max())) < lengths[:, None]
+    ids = np.full(tok_mask.shape, tokenizers.PAD_ID, dtype=np.int64)
+    ids[tok_mask] = np.fromiter(itertools.chain.from_iterable(rows), np.int64, lengths.sum())
+    batch.update(ids=ids, tok_mask=tok_mask.astype(np.int64), feats=np.stack(feats))
     return batch
 
 
-def forward_samples(model, samples, feats, config: TrainingConfig, vocab, rows, slot_cache):
+def forward_samples(model, samples, feats, config: TrainingConfig, vocab, rows, token_cache):
     """Inference probabilities, one row per sample (samples[i] with scaled
     features feats[i]), forwarded `rows` samples at a time through make_batch;
     each forward's step history is freed before the next forward runs."""
     probs = []
     for start in range(0, len(samples), rows):
         batch = make_batch(samples[start : start + rows], feats[start : start + rows],
-                           config, vocab, slot_cache)
+                           config, vocab, token_cache)
         probs.append(model.forward(batch, train_mode=False)[0])
     return np.vstack(probs)
 
@@ -272,7 +269,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
     )
     best_epoch = 0
     stale = 0
-    slot_cache = {}  # multi slot text -> (ids, mask), for this run only
+    token_cache = {}  # column value -> its token ids, for this run only
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         sample_rng = _epoch_rng(seed, epoch, 0)
@@ -289,7 +286,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
                     for i in chunk
                 ]
             batch = make_batch(samples, [scaled[i] for i in chunk], config, vocab,
-                               slot_cache)
+                               token_cache)
             labels = np.asarray([class_vocab.id_of(instances[i].label) for i in chunk])
             probs, cache = model.forward(batch, train_mode=True, dropout_rng=drop_rng)
             loss, dlogits = cross_entropy_batch(probs, labels, class_weights)
@@ -304,7 +301,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
             for i in split.validation
         ]
         val_probs = forward_samples(model, val_samples, val_feats, config, vocab,
-                                    config.batch_size, slot_cache)
+                                    config.batch_size, token_cache)
         val_pred = np.argmax(val_probs, axis=1).tolist()
         val_f1 = support_weighted_f1(val_labels, val_pred, len(class_vocab))
         val_acc = accuracy(val_labels, val_pred)

@@ -3,10 +3,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dcom import augment
-from dcom.core import SEP_TEXT, ColumnInstance, make_instance
+from dcom.core import SEP_TEXT, SEP_TOKEN, ColumnInstance, make_instance
 from dcom.errors import ConfigError
+from test_train import edge_value
 
 DESCRIPTION = ColumnInstance(
     (
@@ -157,8 +160,18 @@ class TestInferenceInputs:
         assert sum(samples[0].pad_mask) == 3
 
 
-def test_escaped_values_keep_segment_fidelity():
-    inst = make_instance(["left <SEP> right", "plain"])
-    rng = np.random.default_rng(0)
-    s = augment.sample_single(inst, rng, r=2)
-    assert len(s.text.split(SEP_TEXT)) == 2
+@given(values=st.lists(st.one_of(st.text(alphabet="<SEP>\\ a", max_size=12), edge_value),
+                      min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+@example(values=["left <SEP> right", "plain"], seed=0)
+@settings(max_examples=200, deadline=None)
+def test_escaped_values_keep_segment_fidelity(values, seed):
+    inst = ColumnInstance(tuple(values))
+    assert not any(SEP_TOKEN in v for v in inst.values)
+    # escaping is idempotent, and make_instance escapes the same way
+    assert ColumnInstance(inst.values) == inst == make_instance(values)
+    rng = np.random.default_rng(seed)
+    samples = [augment.sample_single(inst, rng) for _ in range(5)]
+    samples += [s for r in range(1, inst.n + 1) for s in augment.enumerate_permutations(inst, r)]
+    for s in samples:
+        assert s.text.split(SEP_TEXT) == list(s.values)

@@ -270,6 +270,7 @@ EXIT_CODES = [
     (["train", "--data", "{data}", "--config", "{not_utf8}", "--out", "{tmp}/m.dcom"], 2),
     (["train", "--data", "{data}", "--config", "{huge_hidden}", "--out", "{tmp}/m.dcom"], 2),
     (["train", "--data", "{data}", "--config", "{config}", "--out", "{tmp}"], 2),
+    (["train", "--data", "{data}", "--config", "{config}", "--out", "{tmp}/missing/m.dcom"], 2),
     # counts below one
     *[(["synth", "--out", "{tmp}/c.jsonl", "--n-per-class", n], 1) for n in ("0", "-3")],
     *[(VALID_ARGV["augment"] + ["--mode", "multi", "--r", r], 1) for r in ("0", "-3")],
@@ -348,17 +349,22 @@ class TestExitCodes:
             assert main([a.format(**fields) for a in argv]) == code
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_out_directory_refused_before_training(self, corpus_path, tmp_path, capsys):
+    @pytest.mark.parametrize("out,log", [("bundle", None), ("missing/m.dcom", "ep.csv")],
+                             ids=["directory", "missing-parent"])
+    def test_out_refused_before_training(self, out, log, corpus_path, tmp_path, capsys):
         config = tmp_path / "cfg.toml"
         config.write_text(CONFIG.replace("epochs = 6", "epochs = 1"))
-        out = tmp_path / "bundle"
-        out.mkdir()
-        assert main(["train", "--data", str(corpus_path), "--config", str(config),
-                     "--out", str(out)]) == 2
+        (tmp_path / "bundle").mkdir()
+        out = tmp_path / out
+        argv = ["train", "--data", str(corpus_path), "--config", str(config), "--out", str(out)]
+        if log:
+            argv += ["--log", str(tmp_path / log)]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert str(out) in captured.err
         assert "epoch 1" not in captured.out
-        assert not (tmp_path / "bundle.epochs.csv").exists()
+        # neither the default epoch log nor --log was opened
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "cfg.toml"]
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -36,8 +36,8 @@ def zero_bundle(n_classes=3):
     return bundle
 
 
-def random_multi_bundle():
-    training = TrainingConfig(mode="multi", embedding_dim=4, hidden_size=3, feature_dim=4,
+def random_bundle(mode):
+    training = TrainingConfig(mode=mode, embedding_dim=4, hidden_size=3, feature_dim=4,
                               dense_widths=(5,), dropout=0.0, r=6, tokenizer="char",
                               max_len_per_slot=16)
     return tiny_bundle(training, ["x", "y", "z"])
@@ -82,7 +82,7 @@ class TestPredictKvote:
         pred = predict_kvote(bundle, inst, k=1, seed=5)
         sample = augment.sample_single(inst, np.random.default_rng(5), r=inst.n)
         feats = bundle.scaler.transform(extract_features(inst))
-        batch = make_batch([sample], [feats], bundle.training, bundle.vocab)
+        batch = make_batch([sample], [feats], bundle.training, bundle.vocab, {})
         probs, _ = Model(bundle.arch, params=bundle.params).forward(batch, train_mode=False)
         np.testing.assert_array_equal(pred.probabilities, probs[0])
         assert pred.label == bundle.class_vocab.name_of(int(np.argmax(probs[0])))
@@ -135,20 +135,22 @@ class TestPredictKvote:
         summed = probs.sum(axis=0)
         assert winner == min(tied, key=lambda c: (-summed[c], c))
 
-    def test_multi_encodes_each_slot_text_once_per_call(self, monkeypatch):
-        bundle = random_multi_bundle()
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_encodes_each_value_once_per_call(self, mode, monkeypatch):
+        bundle = random_bundle(mode)
         inst = make_instance(["ab", "b1", "ab", "2 a"])
         encoded = []
-        encode = tokenizers.encode
+        encode_value = tokenizers.encode_value
 
-        def counting_encode(vocab, text, max_len):
-            encoded.append(text)
-            return encode(vocab, text, max_len)
+        def counting_encode_value(vocab, value):
+            encoded.append(value)
+            return encode_value(vocab, value)
 
-        monkeypatch.setattr(tokenizers, "encode", counting_encode)
+        monkeypatch.setattr(tokenizers, "encode_value", counting_encode_value)
         predict_kvote(bundle, inst, k=10, seed=4)
-        # 4 values in 6 pad-mode slots: every sample holds each value, and the
-        # two padded slots are not encoded
+        # single: the 10 samples share values.  multi: 4 values in 6 pad-mode
+        # slots, so every sample holds each value, and the two padded slots
+        # are not encoded
         assert sorted(encoded) == ["2 a", "ab", "b1"]
         # a second call fills a cache of its own
         predict_kvote(bundle, inst, k=10, seed=5)

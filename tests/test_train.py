@@ -1,13 +1,19 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dcom
 from dcom import augment, ingest
 from dcom import tokenizers as tk
-from dcom.core import make_instance
+from dcom.core import ColumnInstance, make_instance
 from dcom.errors import ConfigError, DiagnosticError
 from dcom.nn import AGGREGATIONS, ArchitectureConfig, Model
 from dcom.train import (
@@ -249,13 +255,22 @@ def full_width_batch(samples, feats, config, vocab):
     return batch
 
 
-value = st.text(alphabet="ab1:- ", max_size=14)
+# values that meet the separator: empty, blank, escaped and unescaped <SEP>,
+# and halves of " <SEP> " that a join could complete
+edge_value = st.one_of(
+    st.sampled_from(["", " ", " \t ", "<SEP>", " <SEP> ", "<\\SEP>", "a <SEP> b", "<SEP><SEP>"]),
+    st.text(alphabet="ab1 ", max_size=5).map(lambda v: v + " <SEP"),
+    st.text(alphabet="ab1 ", max_size=5).map(lambda v: "> " + v),
+)
+value = st.one_of(st.text(alphabet="ab1:- ", max_size=14), edge_value)
 columns = st.lists(st.lists(value, min_size=1, max_size=7), min_size=1, max_size=5)
 
 
 def draw_samples(cols, config, seed):
     rng = np.random.default_rng(seed)
-    instances = [make_instance(values) for values in cols]
+    # every other column is built directly, without make_instance
+    instances = [ColumnInstance(tuple(values)) if i % 2 else make_instance(values)
+                 for i, values in enumerate(cols)]
     if config.mode == "single":
         return [augment.sample_single(inst, rng) for inst in instances]
     return [augment.sample_multi(inst, config.r, config.multi_mode, rng) for inst in instances]
@@ -274,7 +289,7 @@ class TestMakeBatch:
         feats = [np.full(19, float(i)) for i in range(len(samples))]
         full = full_width_batch(samples, feats, config, VOCABS[kind])
         cache = {}
-        # the second call reads every multi slot from the cache the first filled
+        # the second call reads every value from the cache the first filled
         for batch in [make_batch(samples, feats, config, VOCABS[kind], cache) for _ in "ab"]:
             T = batch["ids"].shape[-1]
             assert T == max(1, int(full["tok_mask"].sum(axis=-1).max()))
@@ -317,7 +332,7 @@ class TestMakeBatch:
         model = Model(arch, seed=seed % 1000)
         samples = draw_samples(cols, config, seed)
         feats = [np.random.default_rng(seed).normal(size=19) for _ in samples]
-        batch = make_batch(samples, feats, config, vocab)
+        batch = make_batch(samples, feats, config, vocab, {})
         pad = 16 - batch["ids"].shape[-1]
         widened = {**batch,
                    "ids": np.pad(batch["ids"], ((0, 0), (0, pad))),
@@ -338,7 +353,7 @@ def repeated_batch(cols, r, multi_mode, seed):
     config = TrainingConfig(mode="multi", r=r, multi_mode=multi_mode, max_len_per_slot=16)
     samples = draw_samples(cols, config, seed)
     feats = [np.random.default_rng(seed).normal(size=19) for _ in samples]
-    return make_batch(samples, feats, config, VOCABS["wordpiece"])
+    return make_batch(samples, feats, config, VOCABS["wordpiece"], {})
 
 
 class TestDistinctSlotRows:
@@ -397,7 +412,45 @@ class TestDistinctSlotRows:
         np.testing.assert_array_equal(probs, expanded_probs)
 
 
+# trains each config of argv[1] ({file name: config dict}) at seed 3 and saves
+# its bundle in the working directory
+TRAIN_AND_SAVE = """
+import json, sys
+from dcom import ingest
+from dcom.serialize import save_bundle
+from dcom.train import TrainingConfig, train_model
+instances = ingest.generate_synthetic_corpus(ingest.DEFAULT_CLASS_SPEC, 60, seed=3)
+split = ingest.make_split(len(instances), seed=7, stratify_labels=[i.label for i in instances])
+for name, config in json.loads(sys.argv[1]).items():
+    bundle, _ = train_model(instances, split, TrainingConfig.from_dict(config), seed=3)
+    save_bundle(bundle, name)
+"""
+
+
 class TestTrainModel:
+    def test_bundles_byte_equal_across_blas_threads(self, tmp_path):
+        # the acceptance networks at 2 epochs: a seeded run must not depend on
+        # how many threads BLAS splits a product across
+        common = dict(embedding_dim=32, feature_dim=32, dense_widths=[96], epochs=2,
+                      vocab_budget=1000)
+        configs = {
+            "single.dcom": dict(mode="single", hidden_size=48, learning_rate=5e-4, max_len=96,
+                                **common),
+            "multi.dcom": dict(mode="multi", hidden_size=32, learning_rate=1e-3, r=45,
+                               max_len_per_slot=16, **common),
+        }
+        src = str(Path(dcom.__file__).parent.parent)
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            result = subprocess.run([sys.executable, "-c", TRAIN_AND_SAVE, json.dumps(configs)],
+                                    cwd=tmp_path / threads, env=env, capture_output=True,
+                                    text=True, timeout=600)
+            assert result.returncode == 0, result.stderr[-2000:]
+        for name in configs:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_sanity_learns(self, sanity_bundle):
         bundle, reports = sanity_bundle
         assert bundle.metadata["best_val_f1"] >= 0.95
@@ -450,8 +503,6 @@ class TestTrainModel:
             train_model(instances, dataclasses.replace(split, validation=()), config)
 
     def test_unlabeled_train_instance_rejected(self, sanity_corpus):
-        from dcom.core import ColumnInstance
-
         instances, split = sanity_corpus
         broken = list(instances)
         broken[split.train[0]] = ColumnInstance(("x",), None)
@@ -460,8 +511,6 @@ class TestTrainModel:
             train_model(broken, split, config, seed=0)
 
     def test_unlabeled_validation_instance_rejected(self, sanity_corpus):
-        from dcom.core import ColumnInstance
-
         instances, split = sanity_corpus
         broken = list(instances)
         i = split.validation[3]
