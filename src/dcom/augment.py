@@ -12,11 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import PAD_VALUE, SEP_TEXT, ColumnInstance
+from .core import MAX_SLOTS, MULTI_MODES, PAD_VALUE, SEP_TEXT, ColumnInstance
 from .errors import ConfigError
-
-# Hard cap on multi-sequence slot count, for memory sanity.
-MAX_SLOTS = 512
 
 # Largest n for which exhaustive permutation enumeration is allowed.
 MAX_ENUMERATE_N = 6
@@ -86,7 +83,7 @@ def sample_multi(instance: ColumnInstance, r: int, mode="pad", rng=None) -> Mult
         raise ConfigError("r must be >= 1")
     if r > MAX_SLOTS:
         raise ConfigError(f"r={r} exceeds the {MAX_SLOTS}-slot cap")
-    if mode not in ("pad", "with_replacement"):
+    if mode not in MULTI_MODES:
         raise ConfigError(f"unknown multi mode {mode!r}")
     n = instance.n
     if n >= r:

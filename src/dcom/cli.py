@@ -18,6 +18,7 @@ import numpy as np
 
 from . import augment as augment_mod
 from . import ingest
+from .core import MODES, MULTI_MODES
 from .errors import ConfigError, DcomError, ParseError
 from .explain import feature_importance
 from .features import FEATURE_NAMES, extract_features
@@ -113,8 +114,8 @@ def _cmd_train(args):
     # refused before training, not after it
     if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
         raise DcomError(f"--out {args.out} must name a file in an existing directory")
-    instances, _ = _load_data(args.data)
     config = parse_config_file(args.config) if args.config else TrainingConfig()
+    instances, _ = _load_data(args.data)
     if args.split:
         split = ingest.DatasetSplit.load(args.split)
     else:
@@ -275,9 +276,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("augment", help="stream constructed samples as JSONL")
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", choices=("single", "multi"), default="single")
+    p.add_argument("--mode", choices=MODES, default="single")
     p.add_argument("--r", type=_int_at_least(1), default=45)
-    p.add_argument("--multi-mode", choices=("pad", "with_replacement"), default="pad")
+    p.add_argument("--multi-mode", choices=MULTI_MODES, default="pad")
     p.add_argument("--out")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_augment)

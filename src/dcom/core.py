@@ -103,43 +103,29 @@ def check_disjoint(train, validation, test):
             seen[i] = part
 
 
-class FlatConfig:
-    """Dict form of a dataclass config whose every field has a default.
-
-    A value must have its default's type; an int passes for a float and a list
-    of ints for a tuple, which is how JSON and config files carry them.
-    """
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        defaults = {f.name: f.default for f in fields(cls)}
-        unknown = set(d) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in d.items():
-            kind = type(defaults[key])
-            if not has_type(value, kind):
-                raise ConfigError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+# The values a TrainingConfig field may take.
+MODES = ("single", "multi")
+MULTI_MODES = ("pad", "with_replacement")
+TOKENIZER_KINDS = ("char", "word", "wordpiece")
+AGGREGATIONS = ("mean", "sum", "concatenation", "weighted_sum")
+# Hard cap on multi-sequence slot count, for memory sanity.
+MAX_SLOTS = 512
 
 
 @dataclass
-class TrainingConfig(FlatConfig):
-    """The training recipe; a model bundle stores the one it was trained with."""
+class TrainingConfig:
+    """The training recipe, network included; a model bundle stores the one it
+    was trained with. Every field is checked where the config is made."""
 
     mode: str = "single"
     embedding_dim: int = 64
-    hidden_size: int = 128
-    feature_dim: int = 64
+    hidden_size: int = 128  # per direction; the encoder is always bidirectional
+    feature_dim: int = 64  # width D of the engineered-feature projection
     dense_widths: tuple[int, ...] = (256,)
     dropout: float = 0.3
     aggregation: str = "mean"
-    r: int = 45
-    multi_mode: str = "pad"  # "pad" | "with_replacement"
+    r: int = 45  # slot count, multi mode only
+    multi_mode: str = "pad"
     tokenizer: str = "wordpiece"
     vocab_budget: int = 8000
     max_len: int = 128  # single-sequence token cap
@@ -153,10 +139,24 @@ class TrainingConfig(FlatConfig):
     use_class_weights: bool = False
 
     def __post_init__(self):
-        for key in ("batch_size", "max_len", "max_len_per_slot", "r", "vocab_budget",
+        for key, allowed in (("mode", MODES), ("multi_mode", MULTI_MODES),
+                             ("tokenizer", TOKENIZER_KINDS), ("aggregation", AGGREGATIONS)):
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"config key {key!r} must be one of {allowed}, got "
+                                  f"{getattr(self, key)!r}")
+        for key in ("embedding_dim", "hidden_size", "feature_dim", "batch_size", "max_len",
+                    "max_len_per_slot", "r", "vocab_budget", "plateau_patience",
                     "early_stop_patience"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"config key {key!r} must be >= 1, got {getattr(self, key)!r}")
+        if any(width < 1 for width in self.dense_widths):
+            raise ConfigError(f"config key 'dense_widths' must hold widths >= 1, got "
+                              f"{self.dense_widths!r}")
+        if self.mode == "multi" and self.r > MAX_SLOTS:
+            raise ConfigError(f"config key 'r' must be <= {MAX_SLOTS} in multi mode, got "
+                              f"{self.r!r}")
+        if not 0 <= self.dropout < 1:  # also refuses NaN
+            raise ConfigError(f"config key 'dropout' must be in [0, 1), got {self.dropout!r}")
         if self.epochs < 0:
             raise ConfigError(f"config key 'epochs' must be >= 0, got {self.epochs!r}")
         if not self.learning_rate > 0:  # also refuses NaN
@@ -165,3 +165,21 @@ class TrainingConfig(FlatConfig):
         if not 0 < self.plateau_factor <= 1:
             raise ConfigError(f"config key 'plateau_factor' must be in (0, 1], got "
                               f"{self.plateau_factor!r}")
+
+    def to_dict(self) -> dict:
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainingConfig":
+        """A value must have its default's type; an int passes for a float and a
+        list of ints for a tuple, which is how JSON and config files carry them."""
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(d) - set(defaults)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            kind = type(defaults[key])
+            if not has_type(value, kind):
+                raise ConfigError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})

@@ -62,7 +62,7 @@ def _predict_columns(bundle: ModelBundle, instances, k, seeds, rows) -> list[Pre
         return []
     t0 = time.perf_counter()
     config = bundle.training
-    model = Model(bundle.arch, params=bundle.params)
+    model = Model(config, bundle.params)
     samples, feats = [], []
     for instance, seed in zip(instances, seeds):
         rng = np.random.default_rng(seed)
@@ -70,7 +70,7 @@ def _predict_columns(bundle: ModelBundle, instances, k, seeds, rows) -> list[Pre
             instance, config.mode, k, rng, r_multi=config.r, multi_mode=config.multi_mode,
         )
         feats += [bundle.scaler.transform(extract_features(instance))] * k
-    probs = forward_samples(model, samples, feats, config, bundle.vocab, rows, token_cache={})
+    probs = forward_samples(model, samples, feats, bundle.vocab, rows, token_cache={})
     voted = [_column_vote(bundle.class_vocab, probs[j : j + k])
              for j in range(0, len(probs), k)]
     latency_s = (time.perf_counter() - t0) / len(instances)

@@ -61,65 +61,27 @@ against finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
-from .core import FlatConfig, TrainingConfig
+from .core import TrainingConfig
 from .errors import ConfigError, DiagnosticError
-
-AGGREGATIONS = ("mean", "sum", "concatenation", "weighted_sum")
-
-
-@dataclass(frozen=True)
-class ArchitectureConfig(FlatConfig):
-    mode: str = "single"  # "single" | "multi"
-    vocab_size: int = 0
-    n_classes: int = 0
-    embedding_dim: int = 64
-    hidden_size: int = 128  # per direction; the encoder is always bidirectional
-    feature_dim: int = 64  # width D of the engineered-feature projection
-    dense_widths: tuple[int, ...] = (256,)
-    dropout: float = 0.3
-    aggregation: str = "mean"
-    r: int = 45  # slot count, multi mode only
-    n_features: int = 19
-
-    def __post_init__(self):
-        if self.mode not in ("single", "multi"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
-        if self.aggregation not in AGGREGATIONS:
-            raise ConfigError(f"unknown aggregation {self.aggregation!r}")
-        if self.vocab_size < 3 or self.n_classes < 2:
-            raise ConfigError("vocab_size and n_classes must be set")
-        widths = (self.embedding_dim, self.hidden_size, self.feature_dim, self.r,
-                  self.n_features, *self.dense_widths)
-        if min(widths) < 1:
-            raise ConfigError("layer widths, r and n_features must be >= 1")
-
-    @classmethod
-    def from_training(cls, training: TrainingConfig, vocab_size: int, n_classes: int):
-        """The network a training config builds: it copies every field the two share."""
-        shared = (f.name for f in fields(cls) if hasattr(training, f.name))
-        return cls(vocab_size=vocab_size, n_classes=n_classes,
-                   **{name: getattr(training, name) for name in shared})
-
-    @property
-    def text_dim(self) -> int:
-        per_slot = 2 * self.hidden_size
-        if self.mode == "multi" and self.aggregation == "concatenation":
-            return self.r * per_slot
-        return per_slot
+from .features import FEATURE_NAMES
 
 
-def param_shapes(config: ArchitectureConfig) -> dict:
+def text_dim(config: TrainingConfig) -> int:
+    """Width of the encoded text that joins the feature projection."""
+    per_slot = 2 * config.hidden_size
+    if config.mode == "multi" and config.aggregation == "concatenation":
+        return config.r * per_slot
+    return per_slot
+
+
+def param_shapes(config: TrainingConfig, vocab_size: int, n_classes: int) -> dict:
     """Name -> shape of every parameter, in initialization order."""
     E, H, D = config.embedding_dim, config.hidden_size, config.feature_dim
     shapes = {
-        "embedding": (config.vocab_size, E),
-        "feat_W": (config.n_features, D),
+        "embedding": (vocab_size, E),
+        "feat_W": (len(FEATURE_NAMES), D),
         "feat_b": (D,),
     }
     for d in ("fw", "bw"):
@@ -127,21 +89,21 @@ def param_shapes(config: ArchitectureConfig) -> dict:
                        f"lstm_{d}_b": (4 * H,)})
     if config.mode == "multi" and config.aggregation == "weighted_sum":
         shapes["agg_w"] = (config.r,)
-    prev = config.text_dim + D
+    prev = text_dim(config) + D
     for i, width in enumerate(config.dense_widths):
         shapes[f"dense_{i}_W"] = (prev, width)
         shapes[f"dense_{i}_b"] = (width,)
         prev = width
-    shapes["out_W"] = (prev, config.n_classes)
-    shapes["out_b"] = (config.n_classes,)
+    shapes["out_W"] = (prev, n_classes)
+    shapes["out_b"] = (n_classes,)
     return shapes
 
 
-def init_params(config: ArchitectureConfig, rng) -> dict:
+def init_params(config: TrainingConfig, vocab_size: int, n_classes: int, rng) -> dict:
     """Xavier-uniform weight matrices, zero biases; LSTM forget-gate bias starts
     at 1 and slot weights at 1/r. ConfigError for a shape numpy cannot allocate."""
     params = {}
-    for name, shape in param_shapes(config).items():
+    for name, shape in param_shapes(config, vocab_size, n_classes).items():
         try:
             if len(shape) == 2:
                 fan_in, fan_out = shape
@@ -372,10 +334,8 @@ def _reverse_within_length(ids, mask):
 class Model:
     """Parameter container plus batched forward/backward for both wirings."""
 
-    def __init__(self, config: ArchitectureConfig, params=None, seed=0):
+    def __init__(self, config: TrainingConfig, params: dict):
         self.config = config
-        if params is None:
-            params = init_params(config, np.random.default_rng(seed))
         self.params = params
 
     # -- text encoder (shared by both modes) --------------------------------
@@ -511,9 +471,9 @@ class Model:
             grads[f"dense_{i}_b"] += ds.sum(axis=0)
             da = ds @ p[f"dense_{i}_W"].T
 
-        text_dim = cfg.text_dim
-        dtext = da[:, :text_dim]
-        dfproj = da[:, text_dim:]
+        width = text_dim(cfg)
+        dtext = da[:, :width]
+        dfproj = da[:, width:]
         dpre = dfproj * (cache["pre_feat"] > 0.0)
         grads["feat_W"] += cache["feats"].T @ dpre
         grads["feat_b"] += dpre.sum(axis=0)

@@ -2,7 +2,8 @@
 
 One binary file carries everything needed to predict: parameters, tokenizer
 vocabulary, feature scaler, class vocabulary, training config and metadata,
-plus the architecture config those build, which loading checks.  Layout (all
+plus the network those build ("arch": the training config's network fields
+and the data's sizes), which loading checks.  Layout (all
 integers little-endian):
 
     magic "DCOM" | version u32 | payload_len u64 | crc32 u32 | payload
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ClassVocabulary, TrainingConfig, has_type
-from .errors import BundleError, ConfigError, DcomError
+from .errors import BundleError, DcomError
 from .features import FEATURE_NAMES, FeatureScaler
-from .nn import ArchitectureConfig, param_shapes
+from .nn import param_shapes
 from .tokenizers import Vocabulary
 
 MAGIC = b"DCOM"
@@ -54,16 +55,21 @@ class ModelBundle:
     training: TrainingConfig
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def arch(self) -> ArchitectureConfig:
-        return ArchitectureConfig.from_training(self.training, len(self.vocab),
-                                                len(self.class_vocab))
+
+def arch_header(training: TrainingConfig, vocab_size: int, n_classes: int) -> dict:
+    """The header's "arch": the network a training config builds over data of
+    these sizes."""
+    d = training.to_dict()
+    network = ("mode", "embedding_dim", "hidden_size", "feature_dim", "dense_widths",
+               "dropout", "aggregation", "r")
+    return {**{key: d[key] for key in network}, "vocab_size": vocab_size,
+            "n_classes": n_classes, "n_features": len(FEATURE_NAMES)}
 
 
 def _payload(bundle: ModelBundle) -> bytes:
     names = sorted(bundle.params)
     header = {
-        "arch": bundle.arch.to_dict(),
+        "arch": arch_header(bundle.training, len(bundle.vocab), len(bundle.class_vocab)),
         "training": bundle.training.to_dict(),
         "metadata": bundle.metadata,
         "classes": list(bundle.class_vocab.names),
@@ -114,13 +120,14 @@ def _decode(payload: bytes) -> ModelBundle:
     if training.to_dict() != header["training"]:
         raise BundleError("training config lacks a field")
     vocab = Vocabulary(kind=header["vocab"]["kind"], tokens=tuple(header["vocab"]["tokens"]))
+    if vocab.kind != training.tokenizer:
+        raise BundleError(f"vocabulary kind {vocab.kind!r} disagrees with the training "
+                          f"config's tokenizer {training.tokenizer!r}")
     class_vocab = ClassVocabulary(tuple(header["classes"]))
-    try:
-        arch = ArchitectureConfig.from_training(training, len(vocab), len(class_vocab))
-    except ConfigError as exc:
-        raise BundleError(f"training config, vocabulary and classes disagree: {exc}") from None
-    if header["arch"] != arch.to_dict():
+    if header["arch"] != arch_header(training, len(vocab), len(class_vocab)):
         raise BundleError("arch disagrees with the training config, vocabulary and classes")
+    if len(class_vocab) < 2:
+        raise BundleError(f"a model needs 2 classes at least, got {list(class_vocab.names)}")
     scaler = FeatureScaler(
         mean=np.asarray(header["scaler"]["mean"], dtype=np.float64),
         std=np.asarray(header["scaler"]["std"], dtype=np.float64),
@@ -130,7 +137,7 @@ def _decode(payload: bytes) -> ModelBundle:
             or not np.all(np.isfinite(scaler.mean) & np.isfinite(scaler.std) & (scaler.std > 0))):
         raise BundleError("scaler disagrees with the feature count or has a bad entry")
 
-    shapes = param_shapes(arch)
+    shapes = param_shapes(training, len(vocab), len(class_vocab))
     listed = [(p["name"], tuple(p["shape"])) for p in header["params"]]
     if listed != [(name, shapes[name]) for name in sorted(shapes)]:
         raise BundleError("parameter list does not match the architecture")

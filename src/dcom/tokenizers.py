@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SEP_TEXT, SEP_TOKEN
+from .core import SEP_TEXT, SEP_TOKEN, TOKENIZER_KINDS
 from .errors import ConfigError
 
 PAD, UNK, SEP = "[PAD]", "[UNK]", "[SEP]"
 RESERVED = (PAD, UNK, SEP)
 PAD_ID, UNK_ID, SEP_ID = 0, 1, 2
-
-KINDS = ("char", "word", "wordpiece")
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,7 @@ class Vocabulary:
     index: dict = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in TOKENIZER_KINDS:
             raise ConfigError(f"unknown tokenizer kind {self.kind!r}")
         if self.tokens[:3] != RESERVED:
             raise ConfigError("vocabulary must start with [PAD], [UNK], [SEP]")
@@ -147,7 +145,7 @@ def _train_wordpiece(word_freqs: Counter, budget: int) -> list[str]:
 
 def build_vocab(corpus, kind: str, size_budget: int = 8000) -> Vocabulary:
     """Learn a vocabulary of at most size_budget tokens from an iterable of texts."""
-    if kind not in KINDS:
+    if kind not in TOKENIZER_KINDS:
         raise ConfigError(f"unknown tokenizer kind {kind!r}")
     texts = [t.replace(SEP_TEXT, " ") for t in corpus]
     if not texts:

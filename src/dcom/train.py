@@ -17,7 +17,7 @@ from . import augment, tokenizers
 from .core import ClassVocabulary, TrainingConfig, check_disjoint, check_indices
 from .errors import ConfigError, DiagnosticError
 from .features import FeatureScaler, extract_features
-from .nn import ArchitectureConfig, Model, zeros_like_params
+from .nn import Model, init_params, zeros_like_params
 from .serialize import ModelBundle
 
 
@@ -203,14 +203,14 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
     return batch
 
 
-def forward_samples(model, samples, feats, config: TrainingConfig, vocab, rows, token_cache):
+def forward_samples(model, samples, feats, vocab, rows, token_cache):
     """Inference probabilities, one row per sample (samples[i] with scaled
     features feats[i]), forwarded `rows` samples at a time through make_batch;
     each forward's step history is freed before the next forward runs."""
     probs = []
     for start in range(0, len(samples), rows):
         batch = make_batch(samples[start : start + rows], feats[start : start + rows],
-                           config, vocab, token_cache)
+                           model.config, vocab, token_cache)
         probs.append(model.forward(batch, train_mode=False)[0])
     return np.vstack(probs)
 
@@ -235,6 +235,9 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
     class_vocab = ClassVocabulary.from_labels(
         instances[i].label for i in list(split.train) + list(split.validation)
     )
+    if len(class_vocab) < 2:
+        raise ConfigError(f"training needs 2 classes at least; the train and validation "
+                          f"columns have {list(class_vocab.names)}")
 
     feats_raw = {i: extract_features(instances[i]) for i in
                  set(split.train) | set(split.validation)}
@@ -244,8 +247,8 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
     corpus = (" ".join(instances[i].values) for i in split.train)
     vocab = tokenizers.build_vocab(corpus, config.tokenizer, config.vocab_budget)
 
-    model = Model(ArchitectureConfig.from_training(config, len(vocab), len(class_vocab)),
-                  seed=seed)
+    model = Model(config, init_params(config, len(vocab), len(class_vocab),
+                                      np.random.default_rng(seed)))
 
     class_weights = None
     if config.use_class_weights:
@@ -300,8 +303,8 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
                                      r_multi=config.r, multi_mode=config.multi_mode)[0]
             for i in split.validation
         ]
-        val_probs = forward_samples(model, val_samples, val_feats, config, vocab,
-                                    config.batch_size, token_cache)
+        val_probs = forward_samples(model, val_samples, val_feats, vocab, config.batch_size,
+                                    token_cache)
         val_pred = np.argmax(val_probs, axis=1).tolist()
         val_f1 = support_weighted_f1(val_labels, val_pred, len(class_vocab))
         val_acc = accuracy(val_labels, val_pred)

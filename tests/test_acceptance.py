@@ -16,7 +16,7 @@ from dcom.core import ColumnInstance
 from dcom.explain import importance_scores
 from dcom.features import extract_features
 from dcom.infer import evaluate, predict_kvote
-from dcom.nn import ArchitectureConfig, Model
+from dcom.nn import Model, init_params
 from dcom.serialize import load_bundle, save_bundle
 from dcom.train import (
     PlateauScheduler,
@@ -131,14 +131,14 @@ def test_criterion_2_permutation_construction():
 def test_criterion_3_gradient_check():
     with criterion(3, "gradient check vs central finite differences"):
         t0 = time.perf_counter()
-        config = ArchitectureConfig(
-            mode="single", vocab_size=12, n_classes=3, embedding_dim=4,
+        config = TrainingConfig(
+            mode="single", embedding_dim=4,
             hidden_size=3, feature_dim=4, dense_widths=(5,), dropout=0.0,
         )
         eps = 1e-5
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            model = Model(config, seed=seed)
+            model = Model(config, init_params(config, 12, 3, np.random.default_rng(seed)))
             ids = rng.integers(3, 12, size=(2, 5))
             mask = np.ones((2, 5), dtype=np.int64)
             mask[0, 3:] = 0

@@ -366,6 +366,23 @@ class TestExitCodes:
         # neither the default epoch log nor --log was opened
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "cfg.toml"]
 
+    @pytest.mark.parametrize("key,lines", [
+        ("mode", 'mode = "bogus"'), ("multi_mode", 'multi_mode = "bogus"'),
+        ("tokenizer", 'tokenizer = "bpe"'), ("aggregation", 'aggregation = "max"'),
+        ("dropout", "dropout = 1.5"), ("hidden_size", "hidden_size = 0"),
+        ("dense_widths", "dense_widths = [0]"), ("r", 'mode = "multi"\nr = 600'),
+    ], ids=["mode", "multi_mode", "tokenizer", "aggregation", "dropout", "hidden_size",
+            "dense_widths", "multi-r"])
+    def test_config_refused_before_data(self, key, lines, tmp_path, capsys):
+        config = tmp_path / "cfg.toml"
+        config.write_text(CONFIG + lines + "\n")
+        argv = ["train", "--data", str(tmp_path / "missing.jsonl"), "--config", str(config),
+                "--out", str(tmp_path / "m.dcom"), "--split-out", str(tmp_path / "split.json")]
+        assert main(argv) == 2
+        assert repr(key) in capsys.readouterr().err
+        # no epoch log, no split manifest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.toml"]
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "usage error" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from dcom.core import ClassVocabulary, ColumnInstance, TrainingConfig, make_inst
 from dcom.errors import ConfigError
 from dcom.features import FeatureScaler, extract_features
 from dcom.infer import _vote_winner, evaluate, predict_kvote, predict_many
-from dcom.nn import ArchitectureConfig, Model, init_params, zeros_like_params
+from dcom.nn import Model, init_params, zeros_like_params
 from dcom.serialize import ModelBundle
 from dcom.tokenizers import RESERVED, Vocabulary
 from dcom.train import make_batch
@@ -21,8 +21,8 @@ def tiny_bundle(training, class_names):
     random parameters."""
     vocab = Vocabulary("char", RESERVED + ("a", "b", "1", "2", " "))
     classes = ClassVocabulary(tuple(class_names))
-    arch = ArchitectureConfig.from_training(training, len(vocab), len(classes))
-    return ModelBundle(params=init_params(arch, np.random.default_rng(0)), vocab=vocab,
+    params = init_params(training, len(vocab), len(classes), np.random.default_rng(0))
+    return ModelBundle(params=params, vocab=vocab,
                        scaler=FeatureScaler(mean=np.zeros(19), std=np.ones(19)),
                        class_vocab=classes, training=training)
 
@@ -83,7 +83,7 @@ class TestPredictKvote:
         sample = augment.sample_single(inst, np.random.default_rng(5), r=inst.n)
         feats = bundle.scaler.transform(extract_features(inst))
         batch = make_batch([sample], [feats], bundle.training, bundle.vocab, {})
-        probs, _ = Model(bundle.arch, params=bundle.params).forward(batch, train_mode=False)
+        probs, _ = Model(bundle.training, bundle.params).forward(batch, train_mode=False)
         np.testing.assert_array_equal(pred.probabilities, probs[0])
         assert pred.label == bundle.class_vocab.name_of(int(np.argmax(probs[0])))
         assert pred.votes is None

@@ -1,4 +1,3 @@
-import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -7,19 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcom import nn
-from dcom.core import TrainingConfig
+from dcom.core import AGGREGATIONS, TrainingConfig
 from dcom.errors import ConfigError
-from dcom.nn import AGGREGATIONS, ArchitectureConfig, Model, init_params, zeros_like_params
+from dcom.nn import Model, init_params, text_dim, zeros_like_params
 from dcom.train import cross_entropy_batch
 from lstm_oracle import OracleModel
 
-TINY = dict(vocab_size=12, n_classes=3, embedding_dim=4, hidden_size=3,
-            feature_dim=4, dense_widths=(5,), dropout=0.0)
+TINY = dict(embedding_dim=4, hidden_size=3, feature_dim=4, dense_widths=(5,), dropout=0.0)
+# the data sizes of every tiny network
+VOCAB_SIZE, N_CLASSES, N_FEATURES = 12, 3, 19
 
 
 def tiny_config(mode="single", **overrides):
     kwargs = dict(TINY, mode=mode, **overrides)
-    return ArchitectureConfig(**kwargs)
+    return TrainingConfig(**kwargs)
+
+
+def seeded_model(config, seed, vocab_size=VOCAB_SIZE, n_classes=N_CLASSES):
+    return Model(config, init_params(config, vocab_size, n_classes, np.random.default_rng(seed)))
 
 
 def per_occurrence(ids, tok_mask, slot_mask):
@@ -44,7 +48,7 @@ def one_row_per_occurrence(batch):
 
 def random_batch(config, rng, B=2, T=5, lengths=None):
     if config.mode == "single":
-        ids = rng.integers(3, config.vocab_size, size=(B, T))
+        ids = rng.integers(3, VOCAB_SIZE, size=(B, T))
         mask = np.ones((B, T), dtype=np.int64)
         if lengths:
             for i, L in enumerate(lengths):
@@ -52,13 +56,13 @@ def random_batch(config, rng, B=2, T=5, lengths=None):
                 ids[i, L:] = 0
         batch = {"ids": ids, "tok_mask": mask}
     else:
-        ids = rng.integers(3, config.vocab_size, size=(B, config.r, T))
+        ids = rng.integers(3, VOCAB_SIZE, size=(B, config.r, T))
         mask = np.ones((B, config.r, T), dtype=np.int64)
         mask[0, :, T - 1 :] = 0
         slot = np.ones((B, config.r), dtype=bool)
         slot[0, -1] = False
         batch = per_occurrence(ids, mask, slot)
-    batch["feats"] = rng.normal(size=(B, config.n_features))
+    batch["feats"] = rng.normal(size=(B, N_FEATURES))
     return batch
 
 
@@ -92,7 +96,7 @@ class TestForwardContracts:
     @pytest.mark.parametrize("mode", ["single", "multi"])
     def test_softmax_contract(self, mode):
         config = tiny_config(mode, r=3) if mode == "multi" else tiny_config()
-        model = Model(config, seed=0)
+        model = seeded_model(config, 0)
         batch = random_batch(config, np.random.default_rng(1))
         probs, _ = model.forward(batch)
         assert probs.shape == (2, 3)
@@ -101,14 +105,14 @@ class TestForwardContracts:
 
     def test_zero_params_uniform(self):
         config = tiny_config()
-        model = Model(config, params=zeros_like_params(init_params(config, np.random.default_rng(0))))
+        model = Model(config, zeros_like_params(seeded_model(config, 0).params))
         batch = random_batch(config, np.random.default_rng(2))
         probs, _ = model.forward(batch)
         np.testing.assert_array_equal(probs, np.full((2, 3), 1 / 3))
 
     def test_deterministic_eval(self):
         config = tiny_config()
-        model = Model(config, seed=4)
+        model = seeded_model(config, 4)
         batch = random_batch(config, np.random.default_rng(3))
         a, _ = model.forward(batch)
         b, _ = model.forward(batch)
@@ -116,7 +120,7 @@ class TestForwardContracts:
 
     def test_identical_slots_mean_equals_one_slot(self):
         config = tiny_config("multi", r=3, aggregation="mean")
-        model = Model(config, seed=0)
+        model = seeded_model(config, 0)
         rng = np.random.default_rng(5)
         slot_ids = rng.integers(3, 12, size=(1, 1, 5))
         ids = np.repeat(slot_ids, 3, axis=1)
@@ -132,26 +136,26 @@ class TestForwardContracts:
         rng = np.random.default_rng(6)
         base = tiny_config("multi", r=3, aggregation="mean")
         batch = random_batch(base, rng)
-        params = init_params(base, np.random.default_rng(0))
+        params = init_params(base, VOCAB_SIZE, N_CLASSES, np.random.default_rng(0))
         enc_mean = Model(base, params=params)
         enc_sum = Model(tiny_config("multi", r=3, aggregation="sum"), params=params)
         _, cache_mean = enc_mean.forward(batch)
         _, cache_sum = enc_sum.forward(batch)
         counts = (batch["slots"] >= 0).sum(axis=1)
-        text_mean = cache_mean["z"][:, : base.text_dim]
-        text_sum = cache_sum["z"][:, : base.text_dim]
+        text_mean = cache_mean["z"][:, : text_dim(base)]
+        text_sum = cache_sum["z"][:, : text_dim(base)]
         np.testing.assert_allclose(text_mean * counts[:, None], text_sum, atol=1e-9)
 
     @pytest.mark.parametrize("aggregation", ["mean", "sum"])
     def test_slot_permutation_invariance(self, aggregation):
         config = tiny_config("multi", r=4, aggregation=aggregation)
-        model = Model(config, seed=1)
+        model = seeded_model(config, 1)
         rng = np.random.default_rng(7)
-        ids = rng.integers(3, config.vocab_size, size=(1, 4, 4))
+        ids = rng.integers(3, VOCAB_SIZE, size=(1, 4, 4))
         mask = np.ones((1, 4, 4), dtype=np.int64)
         mask[0, :, 3:] = 0
         slot_mask = np.array([[True, True, True, False]])
-        feats = {"feats": rng.normal(size=(1, config.n_features))}
+        feats = {"feats": rng.normal(size=(1, N_FEATURES))}
         probs, _ = model.forward({**per_occurrence(ids, mask, slot_mask), **feats})
         perm = rng.permutation(4)
         # the rows move with their slots
@@ -161,7 +165,7 @@ class TestForwardContracts:
 
     def test_all_slots_masked_rejected(self):
         config = tiny_config("multi", r=3)
-        model = Model(config, seed=0)
+        model = seeded_model(config, 0)
         batch = random_batch(config, np.random.default_rng(8))
         batch["slots"][0, :] = -1
         with pytest.raises(ConfigError, match="zero unmasked"):
@@ -173,7 +177,7 @@ class TestBackward:
     def test_gradients_match_finite_differences_single(self, seed):
         config = tiny_config()
         rng = np.random.default_rng(seed)
-        model = Model(config, seed=seed)
+        model = seeded_model(config, seed)
         batch = random_batch(config, rng, lengths=[3, 5])
         labels = rng.integers(0, 3, size=2)
         probs, cache = model.forward(batch)
@@ -188,7 +192,7 @@ class TestBackward:
     def test_gradients_match_finite_differences_multi(self, aggregation):
         config = tiny_config("multi", r=3, aggregation=aggregation)
         rng = np.random.default_rng(11)
-        model = Model(config, seed=2)
+        model = seeded_model(config, 2)
         batch = random_batch(config, rng, T=4)
         labels = rng.integers(0, 3, size=2)
         probs, cache = model.forward(batch)
@@ -209,7 +213,7 @@ class TestBackward:
         # differences to a millionth of their largest entry.
         config = tiny_config("multi", r=3, aggregation=aggregation)
         rng = np.random.default_rng(12)
-        model = Model(config, seed=2)
+        model = seeded_model(config, 2)
         batch = {**random_batch(config, rng, T=4), "slots": np.array(slots)}
         labels = rng.integers(0, 3, size=2)
         grads = []
@@ -226,7 +230,7 @@ class TestBackward:
 
     def test_zero_upstream_gradient(self):
         config = tiny_config()
-        model = Model(config, seed=0)
+        model = seeded_model(config, 0)
         batch = random_batch(config, np.random.default_rng(9))
         _, cache = model.forward(batch)
         grads = model.backward(cache, np.zeros((2, 3)))
@@ -234,7 +238,7 @@ class TestBackward:
 
     def test_params_not_mutated_by_backward(self):
         config = tiny_config()
-        model = Model(config, seed=0)
+        model = seeded_model(config, 0)
         before = {k: v.copy() for k, v in model.params.items()}
         batch = random_batch(config, np.random.default_rng(10))
         probs, cache = model.forward(batch)
@@ -249,9 +253,9 @@ def encoder_cases(draw):
     """A random config and batch: per-row lengths 1..T, masked multi slots,
     some sharing a row."""
     mode = draw(st.sampled_from(["single", "multi"]))
-    config = ArchitectureConfig(
-        mode=mode, vocab_size=draw(st.integers(4, 9)), n_classes=draw(st.integers(2, 4)),
-        embedding_dim=draw(st.integers(1, 6)), hidden_size=draw(st.integers(1, 6)),
+    sizes = draw(st.integers(4, 9)), draw(st.integers(2, 4))  # vocab_size, n_classes
+    config = TrainingConfig(
+        mode=mode, embedding_dim=draw(st.integers(1, 6)), hidden_size=draw(st.integers(1, 6)),
         feature_dim=3, dense_widths=(4,), dropout=draw(st.sampled_from([0.0, 0.4])),
         aggregation=draw(st.sampled_from(AGGREGATIONS)), r=draw(st.integers(1, 4)),
     )
@@ -260,8 +264,8 @@ def encoder_cases(draw):
     rows = B if mode == "single" else B * config.r
     lengths = rng.integers(1, T + 1, size=rows)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.int64)
-    ids = rng.integers(3, config.vocab_size, size=(rows, T)) * mask
-    batch = {"feats": rng.normal(size=(B, config.n_features))}
+    ids = rng.integers(3, sizes[0], size=(rows, T)) * mask
+    batch = {"feats": rng.normal(size=(B, N_FEATURES))}
     if mode == "single":
         batch.update(ids=ids, tok_mask=mask)
     else:
@@ -272,14 +276,15 @@ def encoder_cases(draw):
         if draw(st.booleans()):  # real slots share rows, as repeated texts do
             slots = batch["slots"]
             slots[slot_mask] = rng.integers(0, slot_mask.sum(), size=slot_mask.sum())
-    return config, batch, int(rng.integers(0, 2**32 - 1))
+    return config, sizes, batch, int(rng.integers(0, 2**32 - 1))
 
 
-def assert_equals_oracle(config, batch, seed, train_mode, packed=False):
+def assert_equals_oracle(config, batch, seed, train_mode, packed=False,
+                         sizes=(VOCAB_SIZE, N_CLASSES)):
     """The fused loop's probabilities and gradients equal those of one loop
     per direction (OracleModel), bit for bit. packed: pack every padded batch,
     however small (a span cost of 0)."""
-    model = Model(config, seed=seed)
+    model = seeded_model(config, seed, *sizes)
     oracle = OracleModel(config, params=model.params)
     runs = []
     for m in (model, oracle):
@@ -302,8 +307,8 @@ class TestFusedEncoderOracle:
         """Both LSTM directions stepped in one loop give the probabilities and
         gradients of one loop per direction, bit for bit, whether a padded
         batch steps every row, masked, or only the rows inside their length."""
-        config, batch, seed = case
-        assert_equals_oracle(config, batch, seed, train_mode, packed)
+        config, sizes, batch, seed = case
+        assert_equals_oracle(config, batch, seed, train_mode, packed, sizes)
 
     @pytest.mark.parametrize("train_mode", [False, True])
     @pytest.mark.parametrize("width", [1, 4])
@@ -318,24 +323,27 @@ class TestFusedEncoderOracle:
         rng = np.random.default_rng(width)
         lengths = np.asarray(lengths)
         mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.int64)
-        batch = {"ids": rng.integers(3, config.vocab_size, size=mask.shape) * mask,
+        batch = {"ids": rng.integers(3, VOCAB_SIZE, size=mask.shape) * mask,
                  "tok_mask": mask, "feats": rng.normal(size=(len(lengths), 19))}
         assert_equals_oracle(config, batch, 5, train_mode, packed=True)
+
+
+BENCH_SIZES = (300, 8)  # vocab_size, n_classes
 
 
 def bench_width_case(mode, rows, T, lengths, seed):
     """A bench-sized config and a batch of `rows` encoded texts with the given
     lengths (the longest is T): single at E=32, H=48, one text per sample;
     multi at E=32, H=32, the rows spread over 32 samples' slots."""
-    config = ArchitectureConfig(
-        mode=mode, vocab_size=300, n_classes=8, embedding_dim=32,
+    config = TrainingConfig(
+        mode=mode, embedding_dim=32,
         hidden_size=48 if mode == "single" else 32, feature_dim=32, dense_widths=(96,),
         dropout=0.3, r=45,
     )
     rng = np.random.default_rng(seed)
     lengths = np.asarray(lengths)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.int64)
-    ids = rng.integers(3, config.vocab_size, size=(rows, T)) * mask
+    ids = rng.integers(3, BENCH_SIZES[0], size=(rows, T)) * mask
     if mode == "single":
         return config, {"ids": ids, "tok_mask": mask, "feats": rng.normal(size=(rows, 19))}
     B = min(32, rows)
@@ -379,13 +387,13 @@ class TestFusedEncoderOracleAtBenchWidths:
         for seed in range(3):
             rng = np.random.default_rng(seed)
             config, batch = bench_width_case(*BENCH_WIDTH_CASES[name](rng), seed=seed)
-            assert_equals_oracle(config, batch, seed, train_mode)
+            assert_equals_oracle(config, batch, seed, train_mode, sizes=BENCH_SIZES)
 
 
 class TestDropout:
     def test_inverted_dropout_expectation(self):
         config = tiny_config(dropout=0.3)
-        model = Model(config, seed=3)
+        model = seeded_model(config, 3)
         batch = random_batch(config, np.random.default_rng(12))
         _, clean_cache = model.forward(batch, train_mode=False)
         reference = clean_cache["last_hidden"]
@@ -401,7 +409,7 @@ class TestDropout:
 
     def test_train_mode_requires_rng(self):
         config = tiny_config(dropout=0.3)
-        model = Model(config, seed=0)
+        model = seeded_model(config, 0)
         batch = random_batch(config, np.random.default_rng(13))
         with pytest.raises(ConfigError):
             model.forward(batch, train_mode=True)
@@ -432,30 +440,17 @@ class TestConfigValidation:
     def test_unallocatable_width_is_config_error(self, field, value, name):
         config = tiny_config(**{field: value})
         with pytest.raises(ConfigError, match=f"parameter {name} of shape"):
-            init_params(config, np.random.default_rng(0))
+            init_params(config, VOCAB_SIZE, N_CLASSES, np.random.default_rng(0))
 
     def test_from_dict_checks_types(self):
         d = tiny_config().to_dict()
         with pytest.raises(ConfigError, match="hidden_size"):
-            ArchitectureConfig.from_dict({**d, "hidden_size": "16"})
+            TrainingConfig.from_dict({**d, "hidden_size": "16"})
 
     def test_concatenation_widens_input(self):
         config = tiny_config("multi", r=4, aggregation="concatenation")
-        assert config.text_dim == 4 * 2 * config.hidden_size
+        assert text_dim(config) == 4 * 2 * config.hidden_size
 
     def test_round_trip_dict(self):
         config = tiny_config("multi", r=7)
-        assert ArchitectureConfig.from_dict(config.to_dict()) == config
-
-    def test_from_training_copies_shared_fields(self):
-        training = TrainingConfig(mode="multi", embedding_dim=5, hidden_size=6, feature_dim=7,
-                                  dense_widths=(8, 9), dropout=0.1, aggregation="sum", r=4)
-        assert ArchitectureConfig.from_training(training, 30, 3) == ArchitectureConfig(
-            mode="multi", vocab_size=30, n_classes=3, embedding_dim=5, hidden_size=6,
-            feature_dim=7, dense_widths=(8, 9), dropout=0.1, aggregation="sum", r=4)
-
-    def test_training_config_sets_every_layer_field(self):
-        # only the data's sizes are not part of the training recipe
-        arch_fields = {f.name for f in dataclasses.fields(ArchitectureConfig)}
-        training_fields = {f.name for f in dataclasses.fields(TrainingConfig)}
-        assert arch_fields - training_fields == {"vocab_size", "n_classes", "n_features"}
+        assert TrainingConfig.from_dict(config.to_dict()) == config

@@ -3,14 +3,24 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from bundle_edit import join_bundle, sign_payload, split_bundle
 from dcom import ingest
-from dcom.errors import BundleError
+from dcom.core import (AGGREGATIONS, MODES, MULTI_MODES, TOKENIZER_KINDS, ClassVocabulary,
+                       TrainingConfig)
+from dcom.errors import BundleError, ConfigError
+from dcom.features import FeatureScaler
 from dcom.infer import predict_kvote
-from dcom.serialize import FORMAT_VERSION, HEADER_FORMAT, MAGIC, load_bundle, save_bundle
+from dcom.nn import init_params
+from dcom.serialize import (FORMAT_VERSION, HEADER_FORMAT, MAGIC, ModelBundle, arch_header,
+                             load_bundle, save_bundle)
+from dcom.tokenizers import build_vocab
+
+
+def arch_of(bundle):
+    return arch_header(bundle.training, len(bundle.vocab), len(bundle.class_vocab))
 
 
 @pytest.fixture()
@@ -38,7 +48,7 @@ class TestRoundTrip:
     def test_fields_survive(self, saved):
         bundle, path = saved
         loaded = load_bundle(path)
-        assert loaded.arch == bundle.arch
+        assert arch_of(loaded) == arch_of(bundle)
         assert loaded.vocab.tokens == bundle.vocab.tokens
         assert loaded.class_vocab.names == bundle.class_vocab.names
         np.testing.assert_array_equal(loaded.scaler.mean, bundle.scaler.mean)
@@ -128,7 +138,7 @@ class TestHeaderValidation:
             load_bundle(_damaged(saved, tmp_path, lambda h: h.pop(key)))
 
     def test_missing_parameter(self, saved, tmp_path):
-        n_classes = saved[0].arch.n_classes
+        n_classes = len(saved[0].class_vocab)
         bad = _damaged(saved, tmp_path, _drop_out_b, lambda p: p[: -8 * n_classes])
         with pytest.raises(BundleError, match="parameter list"):
             load_bundle(bad)
@@ -142,6 +152,8 @@ class TestHeaderValidation:
     @pytest.mark.parametrize("field,value", [
         ("mode", "multi"), ("r", 7), ("aggregation", "sum"), ("embedding_dim", 8),
         ("hidden_size", 8), ("feature_dim", 8), ("dense_widths", [8]), ("dropout", 0.5),
+        # the vocabulary's kind is the tokenizer the config names
+        ("tokenizer", "char"),
     ])
     def test_training_disagrees_with_arch(self, saved, tmp_path, field, value):
         def edit(header):
@@ -174,7 +186,8 @@ class TestHeaderValidation:
 
     @pytest.mark.parametrize("training", [
         {"learning_rte": 0.1}, {"max_len": "64"}, {"batch_size": 0}, {"epochs": -1}, [],
-        {"learning_rate": -1.0}, {"plateau_factor": -0.5},
+        {"learning_rate": -1.0}, {"plateau_factor": -0.5}, {"multi_mode": "bogus"},
+        {"aggregation": "max"},
     ])
     def test_bad_training_config(self, saved, tmp_path, training):
         def edit(header):
@@ -254,3 +267,54 @@ def test_damaged_header_loads_or_raises_bundle_error(saved_parts, data):
     # what loads is a working bundle
     pred = predict_kvote(bundle, ingest.make_instance(["F", "M", "F"]), k=2)
     assert pred.label in bundle.class_vocab
+
+
+ENUMERATED = {"mode": MODES, "multi_mode": MULTI_MODES, "tokenizer": TOKENIZER_KINDS,
+              "aggregation": AGGREGATIONS}
+
+
+@st.composite
+def config_dicts(draw):
+    """Small training configs, each enumerated value in or out of its set."""
+    rarely = st.sampled_from([False] * 7 + [True])
+    d = {}
+    for key, allowed in ENUMERATED.items():
+        outside = draw(rarely)
+        d[key] = draw(st.sampled_from(["", "bogus", allowed[0].upper()] if outside else allowed))
+    width = st.builds(lambda bad, w: w - 9 if bad else w, rarely, st.integers(1, 8))
+    for key in ("embedding_dim", "hidden_size", "feature_dim"):
+        d[key] = draw(width)
+    d["dense_widths"] = draw(st.lists(width, max_size=2))
+    d["dropout"] = draw(st.floats(-0.5, 1.5))
+    d["r"] = draw(st.integers(0, 600))
+    d["max_len"] = d["max_len_per_slot"] = draw(st.integers(1, 16))
+    return d
+
+
+@given(d=config_dicts(), seed=st.integers(0, 2**16))
+@settings(max_examples=300, deadline=None)
+def test_config_refused_or_works(d, seed, tmp_path_factory):
+    """A config from_dict accepts builds a network whose forward gives finite
+    probabilities, and its bundle survives save and load."""
+    try:
+        config = TrainingConfig.from_dict(d)
+    except ConfigError as exc:
+        event(f"refused: {str(exc).split(',')[0]}")
+        return
+    event("accepted")
+    vocab = build_vocab(["F M 12 years", "ab ba 3:4"], config.tokenizer, 30)
+    classes = ClassVocabulary(("x", "y"))
+    bundle = ModelBundle(
+        params=init_params(config, len(vocab), len(classes), np.random.default_rng(seed)),
+        vocab=vocab, scaler=FeatureScaler(mean=np.zeros(19), std=np.ones(19)),
+        class_vocab=classes, training=config)
+    column = ingest.make_instance(["F", "M", "12 years"])
+    pred = predict_kvote(bundle, column, k=1, seed=seed)
+    assert np.all(np.isfinite(pred.probabilities))
+    assert pred.probabilities.sum() == pytest.approx(1.0)
+    path = tmp_path_factory.mktemp("drawn") / "model.dcom"
+    save_bundle(bundle, path)
+    loaded = load_bundle(path)
+    assert loaded.training == config
+    np.testing.assert_array_equal(predict_kvote(loaded, column, k=1, seed=seed).probabilities,
+                                  pred.probabilities)

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import dcom
 from dcom import augment, ingest
 from dcom import tokenizers as tk
-from dcom.core import ColumnInstance, make_instance
+from dcom.core import (AGGREGATIONS, MAX_SLOTS, TOKENIZER_KINDS, ColumnInstance,
+                       make_instance)
 from dcom.errors import ConfigError, DiagnosticError
-from dcom.nn import AGGREGATIONS, ArchitectureConfig, Model
+from dcom.nn import Model, init_params
 from dcom.train import (
     EpochReport,
     OptimizerState,
@@ -193,7 +194,8 @@ class TestTrainingConfig:
             TrainingConfig.from_dict({key: value})
 
     @pytest.mark.parametrize("key", [
-        "batch_size", "max_len", "max_len_per_slot", "r", "vocab_budget", "early_stop_patience",
+        "batch_size", "max_len", "max_len_per_slot", "r", "vocab_budget", "plateau_patience",
+        "early_stop_patience", "embedding_dim", "hidden_size", "feature_dim",
     ])
     def test_below_one_rejected(self, key):
         with pytest.raises(ConfigError, match=key):
@@ -220,6 +222,22 @@ class TestTrainingConfig:
         for value in good:
             assert getattr(TrainingConfig.from_dict({key: value}), key) == value
 
+    @pytest.mark.parametrize("key,value", [
+        ("mode", "bogus"), ("multi_mode", "bogus"), ("tokenizer", "bpe"),
+        ("aggregation", "max"), ("dropout", 1.5), ("dropout", -0.1), ("dropout", 1.0),
+        ("dropout", float("nan")), ("dense_widths", (8, 0)),
+    ])
+    def test_value_outside_its_range_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            TrainingConfig(**{key: value})
+
+    def test_slot_cap_in_multi_mode(self):
+        with pytest.raises(ConfigError, match=f"'r' must be <= {MAX_SLOTS}"):
+            TrainingConfig(mode="multi", r=MAX_SLOTS + 1)
+        assert TrainingConfig(mode="multi", r=MAX_SLOTS).r == MAX_SLOTS
+        # a single-mode network has no slots
+        assert TrainingConfig(r=MAX_SLOTS + 1).r == MAX_SLOTS + 1
+
     def test_int_passes_for_float(self):
         assert TrainingConfig.from_dict({"learning_rate": 1}).learning_rate == 1
 
@@ -230,7 +248,7 @@ class TestTrainingConfig:
 
 VOCABS = {
     kind: tk.build_vocab(["ab ba 1:1 a-b 11 aab b1", "ba ab a:b"], kind, 30)
-    for kind in tk.KINDS
+    for kind in TOKENIZER_KINDS
 }
 
 
@@ -278,7 +296,7 @@ def draw_samples(cols, config, seed):
 
 class TestMakeBatch:
     @given(cols=columns, mode=st.sampled_from(["single", "multi"]),
-           kind=st.sampled_from(tk.KINDS), r=st.integers(1, 6),
+           kind=st.sampled_from(TOKENIZER_KINDS), r=st.integers(1, 6),
            multi_mode=st.sampled_from(["pad", "with_replacement"]),
            max_len=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
@@ -325,11 +343,11 @@ class TestMakeBatch:
         # positions change nothing but the floating-point path of the matmuls
         config = TrainingConfig(mode="multi", r=5, max_len_per_slot=16, aggregation=aggregation)
         vocab = VOCABS["wordpiece"]
-        arch = ArchitectureConfig(
-            mode="multi", vocab_size=len(vocab), n_classes=3, embedding_dim=4, hidden_size=3,
+        arch = TrainingConfig(
+            mode="multi", embedding_dim=4, hidden_size=3,
             feature_dim=4, dense_widths=(5,), dropout=0.0, aggregation=aggregation, r=5,
         )
-        model = Model(arch, seed=seed % 1000)
+        model = Model(arch, init_params(arch, len(vocab), 3, np.random.default_rng(seed % 1000)))
         samples = draw_samples(cols, config, seed)
         feats = [np.random.default_rng(seed).normal(size=19) for _ in samples]
         batch = make_batch(samples, feats, config, vocab, {})
@@ -369,12 +387,13 @@ class TestDistinctSlotRows:
                                            embedding, dropout, seed):
         batch = repeated_batch(cols, r, multi_mode, seed)
         expanded = one_row_per_occurrence(batch)
-        arch = ArchitectureConfig(
-            mode="multi", vocab_size=len(VOCABS["wordpiece"]), n_classes=3,
+        arch = TrainingConfig(
+            mode="multi",
             embedding_dim=embedding, hidden_size=hidden, feature_dim=4, dense_widths=(5,),
             dropout=dropout, aggregation=aggregation, r=r,
         )
-        model = Model(arch, seed=seed % 1000)
+        model = Model(arch, init_params(arch, len(VOCABS["wordpiece"]), 3,
+                                        np.random.default_rng(seed % 1000)))
         # inference: the LSTM batch has another shape, so BLAS may round the
         # rows differently in the last bits
         probs, _ = model.forward(batch)
@@ -402,11 +421,12 @@ class TestDistinctSlotRows:
     def test_bit_equal_at_bench_widths(self, cols, multi_mode, seed):
         # the acceptance and bench multi network: 45 slots, every width a multiple of 4
         batch = repeated_batch(cols, 45, multi_mode, seed)
-        arch = ArchitectureConfig(
-            mode="multi", vocab_size=len(VOCABS["wordpiece"]), n_classes=4,
+        arch = TrainingConfig(
+            mode="multi",
             embedding_dim=32, hidden_size=32, feature_dim=32, dense_widths=(96,), r=45,
         )
-        model = Model(arch, seed=seed % 1000)
+        model = Model(arch, init_params(arch, len(VOCABS["wordpiece"]), 4,
+                                        np.random.default_rng(seed % 1000)))
         probs, _ = model.forward(batch)
         expanded_probs, _ = model.forward(one_row_per_occurrence(batch))
         np.testing.assert_array_equal(probs, expanded_probs)
@@ -518,6 +538,13 @@ class TestTrainModel:
         config = TrainingConfig(mode="single", epochs=1, **TINY_CONFIG)
         with pytest.raises(ConfigError, match=rf"validation instance {i} has no label"):
             train_model(broken, split, config, seed=0)
+
+    def test_one_class_rejected(self, sanity_corpus):
+        instances, split = sanity_corpus
+        relabeled = [ColumnInstance(inst.values, "gender") for inst in instances]
+        config = TrainingConfig(mode="single", epochs=1, **TINY_CONFIG)
+        with pytest.raises(ConfigError, match=r"2 classes at least.*\['gender'\]"):
+            train_model(relabeled, split, config, seed=0)
 
     def test_all_ones_class_weights_identical(self, sanity_corpus):
         instances, split = sanity_corpus
