@@ -8,6 +8,7 @@ randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -123,22 +124,34 @@ def _cmd_train(args):
             len(instances), seed=args.seed,
             stratify_labels=[i.label for i in instances],
         )
-    if args.split_out:
-        split.save(args.split_out)
     log_path = args.log or (args.out + ".epochs.csv")
-    with open(log_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_accuracy", "val_f1",
-                         "learning_rate", "wall_time_s"])
+    with contextlib.ExitStack() as stack:
+        fh = None
+
+        def start_outputs():
+            # --split-out and the epoch log are made once the first epoch
+            # reports, or training returns without one: a run that fails
+            # before then, say in building the model, leaves neither behind
+            nonlocal fh
+            if fh is None:
+                if args.split_out:
+                    split.save(args.split_out)
+                fh = stack.enter_context(open(log_path, "w", encoding="utf-8", newline=""))
+                csv.writer(fh).writerow(["epoch", "train_loss", "val_accuracy", "val_f1",
+                                         "learning_rate", "wall_time_s"])
+
         def log(report):
-            writer.writerow([report.epoch, f"{report.train_loss:.6f}",
-                             f"{report.val_accuracy:.4f}", f"{report.val_f1:.4f}",
-                             f"{report.learning_rate:.2e}", f"{report.wall_time_s:.2f}"])
+            start_outputs()
+            csv.writer(fh).writerow([report.epoch, f"{report.train_loss:.6f}",
+                                     f"{report.val_accuracy:.4f}", f"{report.val_f1:.4f}",
+                                     f"{report.learning_rate:.2e}", f"{report.wall_time_s:.2f}"])
             fh.flush()
             print(f"epoch {report.epoch}: loss {report.train_loss:.4f} "
                   f"val_f1 {report.val_f1:.4f} lr {report.learning_rate:.2e}")
+
         bundle, reports = train_model(instances, split, config, seed=args.seed,
                                       log_callback=log)
+        start_outputs()
     save_bundle(bundle, args.out)
     best = bundle.metadata["best_val_f1"]
     print(f"saved {args.out} (best val F1 {best:.4f} over {len(reports)} epochs)")

@@ -200,7 +200,8 @@ def _lstm_forward(X, lengths, Wx, Wh, b):
     what it computes. A packed span steps only the rows inside their length,
     in fresh arrays scattered into Hs and Cs. Either way steps[t] holds, for
     the rows step t computed, its gate activations (2, n, 4H) in i, f, g, o
-    order, the hidden and cell states before it and the cell state after it.
+    order, the hidden and cell states before it and tanh of the cell state
+    after it.
     """
     _, N, T, _ = X.shape
     H = Wh.shape[1]
@@ -239,9 +240,9 @@ def _lstm_forward(X, lengths, Wx, Wh, b):
             np.tanh(a[..., 2 * H : 3 * H], out=g)
             c_new = np.multiply(f, c, out=Cs[t + 1] if whole else None)
             c_new += i * g
-            steps[t] = (s, h, c, c_new)
-            h = np.tanh(c_new, out=Hs[t + 1] if whole else None)
-            h *= o
+            tanh_c = np.tanh(c_new)
+            steps[t] = (s, h, c, tanh_c)
+            h = np.multiply(tanh_c, o, out=Hs[t + 1] if whole else None)
             c = c_new
             if not whole:
                 Hs[t + 1][:, at] = h
@@ -260,7 +261,14 @@ def _lstm_backward(cache, dh_final, X, Wx, Wh):
     matmuls run at the batch's full width, over a dA whose other rows stay
     zero: OpenBLAS picks their kernel, and so their rounding, by row count.
     The weight and input gradients are accumulated step by step, in the order
-    a per-direction loop adds them, so they are bit-identical to it."""
+    a per-direction loop adds them, so they are bit-identical to it.
+
+    A step writes the gradients of the four gate outputs into one (2, n, 4H)
+    slab, dS, takes the sigmoid derivative over the whole slab as
+    (dS * s) * (1 - s), the order of a per-gate d * i * (1 - i), and then
+    overwrites the g block with dg * (1 - g**2). dX is filled time-major,
+    (T, 2, N, E), one matmul straight into each step's block, and returned
+    as a (2, N, T, E) view."""
     _, N, T, E = X.shape
     H = Wh.shape[1]
     Hs, lengths, steps = cache["Hs"], cache["lengths"], cache["steps"]
@@ -269,7 +277,7 @@ def _lstm_backward(cache, dh_final, X, Wx, Wh):
     dWx = np.zeros_like(Wx)
     dWh = np.zeros_like(Wh)
     db = np.zeros((2, 4 * H))
-    dX = np.zeros_like(X)
+    dX = np.zeros((T, 2, N, E))
     # the steps at which rows' gradients enter, and those rows
     ending = {L - 1: np.flatnonzero(lengths == L) for L in set(lengths.tolist()) - {0}}
     # Going back in time rows only join; a row's dA and cell gradient are zero
@@ -289,24 +297,24 @@ def _lstm_backward(cache, dh_final, X, Wx, Wh):
         else:
             n, at = rows.size, _stepped(rows)
             dA_rows = np.empty((2, at.size, 4 * H))
+        dS = np.empty(dA_rows.shape)
         dc = dc_all[:, at]
         for t in range(stop - 1, start - 1, -1):
             if t in ending:
                 dh[:, ending[t]] = dh_final[:, ending[t]]
-            s, h_prev, c_prev, c_new = steps[t]
+            s, h_prev, c_prev, tanh_c = steps[t]
             i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
-            tanh_c = np.tanh(c_new)
             dh_new = dh[:, at]
-            do = dh_new * tanh_c
             dc_new = dc + dh_new * o * (1.0 - tanh_c**2)
-            df = dc_new * c_prev
-            di = dc_new * g
-            dg = dc_new * i
+            dg = dS[..., 2 * H : 3 * H]
+            np.multiply(dc_new, g, out=dS[..., :H])
+            np.multiply(dc_new, c_prev, out=dS[..., H : 2 * H])
+            np.multiply(dc_new, i, out=dg)
+            np.multiply(dh_new, tanh_c, out=dS[..., 3 * H :])
             dc = dc_new * f
-            dA_rows[..., :H] = di * i * (1 - i)
-            dA_rows[..., H : 2 * H] = df * f * (1 - f)
+            np.multiply(dS, s, out=dA_rows)
+            dA_rows *= 1 - s
             dA_rows[..., 2 * H : 3 * H] = dg * (1 - g**2)
-            dA_rows[..., 3 * H :] = do * o * (1 - o)
             if dA_rows is not dA:
                 dA[:, at] = dA_rows
             if narrow:  # a lone row, stepped twice, counts once
@@ -316,10 +324,10 @@ def _lstm_backward(cache, dh_final, X, Wx, Wh):
             dWx += np.matmul(x.transpose(0, 2, 1), dA_w)
             dWh += np.matmul(h.transpose(0, 2, 1), dA_w)
             db += dA_w.sum(axis=1)
-            dX[:, :, t] = np.matmul(dA, WxT)
+            np.matmul(dA, WxT, out=dX[t])
             dh = np.matmul(dA, WhT)
         dc_all[:, at] = dc
-    return dX, dWx, dWh, db
+    return dX.transpose(1, 2, 0, 3), dWx, dWh, db
 
 
 def _reverse_within_length(ids, mask):

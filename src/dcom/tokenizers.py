@@ -7,7 +7,7 @@ separator text produced by the augmentation stage always maps to the single
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,35 +56,64 @@ def _iter_words(corpus):
                 yield word
 
 
-def _merge(parts: list[str], a: str, b: str) -> list[str]:
+def _merge(parts: list[str], a: str, b: str, changes: dict | None = None, freq: int = 0) -> list[str]:
     """Merge every adjacent (a, b) in parts, left to right, without overlap.
 
     Merging (a, ##a) turns [a, ##a, ##a] into [aa, ##a]: the second ##a was
     already taken by the first merge, so it stays.
+
+    With a `changes` dict, also add to it what the merge does to the counts
+    of parts (str keys) and adjacent pairs (tuple keys), freq per merge site:
+    a and b lose one each and the merged token gains one; (a, b) and the
+    site's old neighbour pairs lose one and its new neighbour pairs gain one.
+    A pair between two adjacent sites is counted once, by the left site.
     """
     merged = a + b[2:]
-    out = []
+    n = len(parts)
+    out: list[str] = []
+    copied = 0  # parts[:copied] are already in out
     i = 0
-    while i < len(parts):
-        if i + 1 < len(parts) and parts[i] == a and parts[i + 1] == b:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(parts[i])
+    while True:
+        try:
+            i = parts.index(a, i, n - 1)  # an a with room for a b after it
+        except ValueError:
+            break
+        if parts[i + 1] != b:
             i += 1
+            continue
+        if changes is not None:
+            get = changes.get
+            changes[a] = get(a, 0) - freq
+            changes[b] = get(b, 0) - freq
+            changes[merged] = get(merged, 0) + freq
+            changes[a, b] = get((a, b), 0) - freq
+            if i:
+                if i == copied:
+                    # touches the previous site, which already took (b, a)
+                    pair = (merged, merged)
+                else:
+                    pair = (parts[i - 1], a)
+                    changes[pair] = get(pair, 0) - freq
+                    pair = (parts[i - 1], merged)
+                changes[pair] = get(pair, 0) + freq
+            if i + 2 < n:
+                right = parts[i + 2]
+                pair = (b, right)
+                changes[pair] = get(pair, 0) - freq
+                if not (right == a and i + 3 < n and parts[i + 3] == b):
+                    pair = (merged, right)
+                    changes[pair] = get(pair, 0) + freq
+        out += parts[copied:i]
+        out.append(merged)
+        i = copied = i + 2
+    out += parts[copied:]
     return out
 
 
-def _count(parts: list[str], freq: int, part_freq: dict, pair_freq: dict) -> None:
-    """Add freq (negative to subtract) to the counts of parts and their
-    adjacent pairs, deleting every key whose count reaches 0."""
-    for counts, keys in ((part_freq, parts), (pair_freq, zip(parts, parts[1:]))):
-        for key in keys:
-            n = counts.get(key, 0) + freq
-            if n:
-                counts[key] = n
-            else:
-                del counts[key]
+# Relative float slack for the merge shortlist.  A float score is within a
+# few ulps (~1e-15) of the exact score, so every pair whose exact key could
+# win lies within this of the float max.
+_SHORTLIST_RTOL = 1e-9
 
 
 def _train_wordpiece(word_freqs: Counter, budget: int) -> list[str]:
@@ -97,49 +126,111 @@ def _train_wordpiece(word_freqs: Counter, budget: int) -> list[str]:
 
     The counts are kept incrementally, as in the BPE reference code of
     Sennrich et al. 2016 ("Neural Machine Translation of Rare Words with
-    Subword Units"): part_freq and pair_freq are counted once, and `where`
-    maps each pair to the words that hold it.  A merge re-splits only the
-    words in where[best], subtracts their old part and pair counts, adds the
-    new ones and drops keys that reach 0.  So before every merge the counts
-    hold exactly the keys and values a full recount of every split would
-    give, and the score and the (score, pair) max pick the same pair: the
-    result equals that of recounting the corpus after each merge, token for
-    token.  Word frequencies must be positive.
+    Subword Units"), in two forms: exact int dicts (part_freq, pair_freq)
+    and float arrays (`partf` by part id; `pf`, `left`, `right` by pair
+    slot).  Before each merge one vectorized step scores every slot as
+    pf / (partf[left] * partf[right]) and shortlists the slots within
+    _SHORTLIST_RTOL of the float max.  The winner is the shortlist's max of
+    the exact key (pair_freq[p] / (part_freq[a] * part_freq[b]), p), so
+    ties and counts past 2**53 resolve as a full recount would resolve them.
+
+    `where` maps each pair to a superset of the words that hold it.  A merge
+    re-splits only the words in where[best]; `_merge` reports the count
+    changes at each merge site, and only the nonzero net changes are applied
+    to the dicts and arrays.  A pair whose count reaches 0 leaves the dicts,
+    and its slot is freed.  So before every merge the dicts hold exactly the
+    keys and values a full recount of every split would give: the result
+    equals that of recounting the corpus after each merge, token for token.
+    Word frequencies must be positive.
     """
     splits = {w: [w[0]] + ["##" + c for c in w[1:]] for w in word_freqs}
     vocab = sorted({piece for parts in splits.values() for piece in parts})
     part_freq: dict = {}
     pair_freq: dict = {}
-    where: dict = {}
+    where = defaultdict(set)
     for word, parts in splits.items():
-        _count(parts, word_freqs[word], part_freq, pair_freq)
+        freq = word_freqs[word]
+        for part in parts:
+            part_freq[part] = part_freq.get(part, 0) + freq
         for pair in zip(parts, parts[1:]):
-            where.setdefault(pair, set()).add(word)
+            pair_freq[pair] = pair_freq.get(pair, 0) + freq
+            where[pair].add(word)
+
+    # Part id 0 is a dummy with count 1: freed slots point at it and score 0.
+    part_id = {part: i for i, part in enumerate(part_freq, start=1)}
+    partf = np.ones(len(part_id) + 1 + budget)
+    for part, i in part_id.items():
+        partf[i] = part_freq[part]
+    slot_pair = list(pair_freq)
+    slot_of = {pair: s for s, pair in enumerate(slot_pair)}
+    capacity = max(16, 2 * len(slot_pair))
+    pf = np.zeros(capacity)
+    left = np.zeros(capacity, dtype=np.intp)
+    right = np.zeros(capacity, dtype=np.intp)
+    for s, (a, b) in enumerate(slot_pair):
+        pf[s] = pair_freq[a, b]
+        left[s] = part_id[a]
+        right[s] = part_id[b]
+    free: list[int] = []
+
     while len(vocab) + len(RESERVED) < budget:
         if not pair_freq:
             break
+        m = len(slot_pair)
+        scores = pf[:m] / (partf[left[:m]] * partf[right[:m]])
+        top = scores.max()
+        shortlist = np.flatnonzero(scores >= top * (1.0 - _SHORTLIST_RTOL))
         best = max(
-            pair_freq,
+            (slot_pair[s] for s in shortlist.tolist()),
             key=lambda p: (pair_freq[p] / (part_freq[p[0]] * part_freq[p[1]]), p),
         )
         a, b = best
-        # no word holds `best` after its merge, so its index entry goes
+        merged = a + b[2:]
+        part_id.setdefault(merged, len(part_id) + 1)
+        changes: dict = {}
         for word in where.pop(best):
-            old = splits[word]
-            new = splits[word] = _merge(old, a, b)
-            freq = word_freqs[word]
-            _count(old, -freq, part_freq, pair_freq)
-            _count(new, freq, part_freq, pair_freq)
-            old_pairs = set(zip(old, old[1:]))
-            new_pairs = set(zip(new, new[1:]))
-            for pair in old_pairs - new_pairs - {best}:
-                holders = where[pair]
-                holders.discard(word)
-                if not holders:
-                    del where[pair]
-            for pair in new_pairs - old_pairs:
-                where.setdefault(pair, set()).add(word)
-        vocab.append(a + b[2:])
+            parts = splits[word]
+            new = _merge(parts, a, b, changes, word_freqs[word])
+            if len(new) == len(parts):
+                continue  # a stale index entry: the word lost the pair earlier
+            splits[word] = new
+            for pair in zip(new, new[1:]):
+                if merged in pair:
+                    where[pair].add(word)
+        for key, delta in changes.items():
+            if not delta:
+                continue
+            if isinstance(key, str):
+                count = part_freq[key] = part_freq.get(key, 0) + delta
+                partf[part_id[key]] = count
+                continue
+            count = pair_freq.get(key, 0) + delta
+            if count:
+                pair_freq[key] = count
+                s = slot_of.get(key)
+                if s is None:
+                    if free:
+                        s = free.pop()
+                        slot_pair[s] = key
+                    else:
+                        s = len(slot_pair)
+                        slot_pair.append(key)
+                        if s == len(pf):
+                            pf, left, right = (
+                                np.concatenate([arr, np.zeros_like(arr)])
+                                for arr in (pf, left, right)
+                            )
+                    slot_of[key] = s
+                    left[s] = part_id[key[0]]
+                    right[s] = part_id[key[1]]
+                pf[s] = count
+            else:
+                del pair_freq[key]
+                where.pop(key, None)
+                s = slot_of.pop(key)
+                pf[s] = left[s] = right[s] = 0
+                free.append(s)
+        vocab.append(merged)
     return vocab
 
 

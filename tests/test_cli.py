@@ -383,6 +383,35 @@ class TestExitCodes:
         # no epoch log, no split manifest
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.toml"]
 
+    @pytest.mark.parametrize("case", ["huge-hidden", "one-class-split"])
+    def test_failed_training_leaves_no_files(self, case, trained, corpus_path, tmp_path,
+                                             capsys):
+        # train_model fails after the config and the data are read, in
+        # building the model or in checking the classes
+        _, split = trained
+        config = tmp_path / "cfg.toml"
+        argv = ["train", "--data", str(corpus_path), "--config", str(config),
+                "--out", str(tmp_path / "m.dcom"), "--split-out", str(tmp_path / "out.json")]
+        if case == "huge-hidden":
+            config.write_text(CONFIG.replace("hidden_size = 16",
+                                             "hidden_size = 99999999999999999999"))
+        else:
+            config.write_text(CONFIG.replace("epochs = 6", "epochs = 1"))
+            labels = [json.loads(line)["label"] for line in corpus_path.read_text().splitlines()]
+            manifest = json.loads(split.read_text())
+            one = labels[manifest["indices"]["train"][0]]
+            for part in ("train", "validation"):
+                manifest["indices"][part] = [
+                    i for i in manifest["indices"][part] if labels[i] == one
+                ]
+            (tmp_path / "one_class.json").write_text(json.dumps(manifest))
+            argv += ["--split", str(tmp_path / "one_class.json")]
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        # no epoch log, no split manifest, no bundle
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "usage error" in capsys.readouterr().err

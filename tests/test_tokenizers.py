@@ -53,6 +53,28 @@ def word_freqs_and_budget(draw):
     return Counter(words), draw(st.integers(0, 40))
 
 
+@st.composite
+def wide_word_freqs_and_budget(draw):
+    # more letters, words and merges; in about half the cases frequencies
+    # up to 2**40, so that part-count products pass 2**53 and the float
+    # scores that shortlist the merge round
+    letters = "abcdef"[: draw(st.integers(2, 6))]
+    big = draw(st.booleans())
+    words = draw(st.dictionaries(
+        st.text(st.sampled_from(letters), min_size=1, max_size=12),
+        st.integers(1, 2**40 if big else 6), min_size=1, max_size=30,
+    ))
+    return Counter(words), draw(st.integers(0, 120))
+
+
+def pair_and_part_counts(splits, word_freqs):
+    counts = Counter()
+    for word, parts in splits.items():
+        for key in [*parts, *zip(parts, parts[1:])]:
+            counts[key] += word_freqs[word]
+    return counts
+
+
 class TestTrainWordpiece:
     def test_merge_is_left_to_right_without_overlap(self):
         assert tk._merge(["a", "##a", "##a"], "a", "##a") == ["aa", "##a"]
@@ -66,6 +88,36 @@ class TestTrainWordpiece:
             word_freqs, budget
         )
 
+    @given(wide_word_freqs_and_budget())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_full_recount_oracle_wide(self, case):
+        word_freqs, budget = case
+        assert tk._train_wordpiece(word_freqs, budget) == oracle_train_wordpiece(
+            word_freqs, budget
+        )
+
+    @given(wide_word_freqs_and_budget(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_merge_changes_equal_recount_difference(self, case, data):
+        # the counts _merge reports at its merge sites are the difference of
+        # a full recount before and after the merge
+        word_freqs, _ = case
+        splits = {w: [w[0]] + ["##" + c for c in w[1:]] for w in word_freqs}
+        for _ in range(data.draw(st.integers(0, 4))):  # some words already merged
+            parts = data.draw(st.sampled_from(sorted(splits.values())))
+            if len(parts) > 1:
+                at = data.draw(st.integers(0, len(parts) - 2))
+                splits = {w: tk._merge(p, parts[at], parts[at + 1]) for w, p in splits.items()}
+        pairs = sorted({pair for parts in splits.values() for pair in zip(parts, parts[1:])})
+        if not pairs:
+            return
+        a, b = data.draw(st.sampled_from(pairs))
+        changes: dict = {}
+        merged = {w: tk._merge(p, a, b, changes, word_freqs[w]) for w, p in splits.items()}
+        expected = pair_and_part_counts(merged, word_freqs)
+        expected.subtract(pair_and_part_counts(splits, word_freqs))
+        assert {k: d for k, d in changes.items() if d} == {k: d for k, d in expected.items() if d}
+
     def test_acceptance_vocab_pinned(self):
         # Pinned from oracle_train_wordpiece on the acceptance train split
         # (corpus seed 11, split seed 7), budget 1000, plus the reserved tokens.
@@ -78,6 +130,20 @@ class TestTrainWordpiece:
         assert len(vocab) == 1000
         digest = hashlib.sha256("\n".join(vocab.tokens).encode()).hexdigest()
         assert digest == "46c01f257a3f82c716634333ac06457b7daaecc12842b98ff28bb71a839394c2"
+
+    def test_large_corpus_vocab_pinned(self):
+        # Pinned from oracle_train_wordpiece on the train split (split seed 7)
+        # of 1000 columns per class at corpus seed 5: 5,238 distinct words,
+        # budget 1000, plus the reserved tokens.
+        instances = ingest.generate_synthetic_corpus(ingest.DEFAULT_CLASS_SPEC, 1000, seed=5)
+        split = ingest.make_split(
+            len(instances), seed=7, stratify_labels=[i.label for i in instances]
+        )
+        corpus = (" ".join(instances[i].values) for i in split.train)
+        vocab = tk.build_vocab(corpus, "wordpiece", 1000)
+        assert len(vocab) == 1000
+        digest = hashlib.sha256("\n".join(vocab.tokens).encode()).hexdigest()
+        assert digest == "fec689a52e058fccd5637292eec64b7c3f70ebc7cbe53e4d92a24824cb7752e7"
 
 
 def tokens_of(vocab, seq):
