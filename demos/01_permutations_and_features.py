@@ -40,6 +40,6 @@ for text, used in zip(m.texts, m.pad_mask):
     print(f"   mask={used} text={text!r}")
 
 print("\n== The 19 engineered statistics ==")
-vec = extract_features(column)
+vec = extract_features([column])[0]
 for name, value in zip(FEATURE_NAMES, vec):
     print(f"   {name:35s} {value:.4f}")

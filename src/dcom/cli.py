@@ -1,5 +1,5 @@
 """Command-line surface: synth, train, predict, evaluate, augment,
-features dump, and explain.
+features dump, explain, and inspect.
 
 Exit codes: 0 success, 1 usage error, 2 data, config or file error.  All
 randomness flows from --seed.
@@ -24,7 +24,7 @@ from .errors import ConfigError, DcomError, ParseError
 from .explain import feature_importance
 from .features import FEATURE_NAMES, extract_features
 from .infer import evaluate, predict_many
-from .serialize import load_bundle, save_bundle
+from .serialize import arch_header, load_bundle, save_bundle
 from .train import TrainingConfig, train_model
 
 CONFIG_VERSION = 1
@@ -230,9 +230,8 @@ def _cmd_features(args):
     try:
         writer = csv.writer(out)
         writer.writerow(("source", "label") + FEATURE_NAMES)
-        for i, inst in enumerate(instances):
-            row = extract_features(inst)
-            writer.writerow([i, inst.label or ""] + [repr(float(v)) for v in row])
+        for i, (inst, row) in enumerate(zip(instances, extract_features(instances).tolist())):
+            writer.writerow([i, inst.label or ""] + [repr(v) for v in row])
     finally:
         if args.out:
             out.close()
@@ -245,6 +244,19 @@ def _cmd_explain(args):
     print(report.format_table())
     if args.csv:
         report.write_csv(args.csv)
+    return 0
+
+
+def _cmd_inspect(args):
+    bundle = load_bundle(args.model)
+    print(json.dumps({
+        "training": bundle.training.to_dict(),
+        "metadata": bundle.metadata,
+        "vocab": {"kind": bundle.vocab.kind, "size": len(bundle.vocab)},
+        "classes": list(bundle.class_vocab.names),
+        "arch": arch_header(bundle.training, len(bundle.vocab), len(bundle.class_vocab)),
+        "n_parameters": sum(p.size for p in bundle.params.values()),
+    }, indent=2))
     return 0
 
 
@@ -308,6 +320,11 @@ def build_parser() -> _Parser:
     p.add_argument("--labels", action="store_true",
                    help="use long feature labels instead of short names")
     p.set_defaults(func=_cmd_explain)
+
+    p = sub.add_parser("inspect", help="print a bundle's config, metadata, vocabulary, "
+                                       "classes, arch and parameter count as JSON")
+    p.add_argument("model", help="bundle path (.dcom)")
+    p.set_defaults(func=_cmd_inspect)
     return parser
 
 

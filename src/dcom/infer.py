@@ -63,13 +63,13 @@ def _predict_columns(bundle: ModelBundle, instances, k, seeds, rows) -> list[Pre
     t0 = time.perf_counter()
     config = bundle.training
     model = Model(config, bundle.params)
-    samples, feats = [], []
+    samples = []
     for instance, seed in zip(instances, seeds):
         rng = np.random.default_rng(seed)
         samples += augment.inference_inputs(
             instance, config.mode, k, rng, r_multi=config.r, multi_mode=config.multi_mode,
         )
-        feats += [bundle.scaler.transform(extract_features(instance))] * k
+    feats = np.repeat(bundle.scaler.transform(extract_features(instances)), k, axis=0)
     probs = forward_samples(model, samples, feats, bundle.vocab, rows, token_cache={})
     voted = [_column_vote(bundle.class_vocab, probs[j : j + k])
              for j in range(0, len(probs), k)]

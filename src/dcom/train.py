@@ -232,17 +232,16 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
         if unlabeled:
             raise ConfigError(f"{part} instance {unlabeled[0]} has no label: train and "
                               f"validation columns must be labeled")
-    class_vocab = ClassVocabulary.from_labels(
-        instances[i].label for i in list(split.train) + list(split.validation)
-    )
+    labeled = (*split.train, *split.validation)
+    class_vocab = ClassVocabulary.from_labels(instances[i].label for i in labeled)
     if len(class_vocab) < 2:
         raise ConfigError(f"training needs 2 classes at least; the train and validation "
                           f"columns have {list(class_vocab.names)}")
 
-    feats_raw = {i: extract_features(instances[i]) for i in
-                 set(split.train) | set(split.validation)}
-    scaler = FeatureScaler.fit([feats_raw[i] for i in split.train])
-    scaled = {i: scaler.transform(v) for i, v in feats_raw.items()}
+    # row j holds split.train[j]'s features, then the validation columns follow
+    feats_raw = extract_features([instances[i] for i in labeled])
+    scaler = FeatureScaler.fit(feats_raw[: len(split.train)])
+    scaled = scaler.transform(feats_raw)
 
     corpus = (" ".join(instances[i].values) for i in split.train)
     vocab = tokenizers.build_vocab(corpus, config.tokenizer, config.vocab_budget)
@@ -261,7 +260,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
     sched = PlateauScheduler(config.learning_rate, config.plateau_factor,
                              config.plateau_patience)
     val_labels = [class_vocab.id_of(instances[i].label) for i in split.validation]
-    val_feats = [scaled[i] for i in split.validation]
+    val_feats = scaled[len(split.train) :]
 
     reports = []
     best_f1 = -1.0
@@ -280,7 +279,8 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
         order = _epoch_rng(seed, epoch, 2).permutation(len(split.train))
         losses = []
         for start in range(0, len(order), config.batch_size):
-            chunk = [split.train[j] for j in order[start : start + config.batch_size]]
+            rows = order[start : start + config.batch_size]
+            chunk = [split.train[j] for j in rows]
             if config.mode == "single":
                 samples = [augment.sample_single(instances[i], sample_rng) for i in chunk]
             else:
@@ -288,8 +288,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
                     augment.sample_multi(instances[i], config.r, config.multi_mode, sample_rng)
                     for i in chunk
                 ]
-            batch = make_batch(samples, [scaled[i] for i in chunk], config, vocab,
-                               token_cache)
+            batch = make_batch(samples, scaled[rows], config, vocab, token_cache)
             labels = np.asarray([class_vocab.id_of(instances[i].label) for i in chunk])
             probs, cache = model.forward(batch, train_mode=True, dropout_rng=drop_rng)
             loss, dlogits = cross_entropy_batch(probs, labels, class_weights)

@@ -84,7 +84,7 @@ def test_criterion_1_feature_oracle():
         t0 = time.perf_counter()
         for _ in range(1000):
             values = random_column(rng)
-            got = extract_features(ColumnInstance(tuple(values)))
+            got = extract_features([ColumnInstance(tuple(values))])[0]
             np.testing.assert_allclose(got, oracle_features(values), atol=1e-9)
         assert time.perf_counter() - t0 < 5.0
 

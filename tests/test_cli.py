@@ -14,7 +14,7 @@ from dcom.cli import main, parse_config_file
 from dcom.errors import ConfigError, DcomError
 from dcom.features import FEATURE_NAMES
 from dcom.infer import predict_kvote
-from dcom.serialize import save_bundle
+from dcom.serialize import load_bundle, save_bundle
 from feature_oracle import oracle_features
 
 CONFIG = """\
@@ -220,6 +220,23 @@ class TestExplainCommand:
         assert len(csv_out.read_text().splitlines()) == 20
 
 
+class TestInspectCommand:
+    def test_inspect_prints_the_bundle(self, trained, capsys):
+        model, _ = trained
+        bundle = load_bundle(model)
+        header, _ = split_bundle(model.read_bytes())
+        assert main(["inspect", str(model)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == {
+            "training": header["training"],
+            "metadata": header["metadata"],
+            "vocab": {"kind": "wordpiece", "size": len(header["vocab"]["tokens"])},
+            "classes": header["classes"],
+            "arch": header["arch"],
+            "n_parameters": sum(p.size for p in bundle.params.values()),
+        }
+
+
 # One valid command line per subcommand; {name} fields are filled in by
 # test_exit_code.
 VALID_ARGV = {
@@ -232,6 +249,7 @@ VALID_ARGV = {
     "augment": ["augment", "--data", "{data}", "--out", "{tmp}/a.jsonl"],
     "features": ["features", "dump", "--data", "{data}", "--out", "{tmp}/f.csv"],
     "explain": ["explain", "--model", "{model}"],
+    "inspect": ["inspect", "{model}"],
 }
 
 EXIT_CODES = [
@@ -250,6 +268,12 @@ EXIT_CODES = [
       "--out", "{tmp}/m.dcom"], 2),
     (["evaluate", "--model", "{model}", "--data", "{data}", "--split", "{negative_test}"], 2),
     (["explain", "--model", "{damaged}"], 2),
+    (["inspect", "{damaged}"], 2),
+    (["inspect", "{data}"], 2),
+    (["inspect", "{tmp}/missing.dcom"], 2),
+    (["inspect", "{tmp}"], 2),
+    (["inspect"], 1),
+    (VALID_ARGV["inspect"] + ["{split}"], 1),
     (["augment", "--data", "{tmp}/missing.jsonl"], 2),
     (["train", "--data", "{data}", "--config", "{negative_rate}", "--out", "{tmp}/m.dcom"], 2),
     (["train", "--data", "{data}", "--config", "{negative_factor}", "--out", "{tmp}/m.dcom"], 2),
@@ -554,16 +578,20 @@ def test_predict_and_evaluate_exit_cleanly_on_any_files(valid_files, tmp_path_fa
 @settings(max_examples=200, deadline=None)
 def test_features_explain_augment_exit_cleanly_on_any_files(valid_files, tmp_path_factory,
                                                             data):
+    # inspect rides along: like explain, it reads only a bundle
     directory = tmp_path_factory.mktemp("cli-fuzz")
-    command = data.draw(st.sampled_from(["features", "explain", "augment"]))
+    command = data.draw(st.sampled_from(["features", "explain", "augment", "inspect"]))
     damaged = data.draw(st.booleans())
     out = str(directory / "out")
-    if command == "explain":
+    if command in ("explain", "inspect"):
         model = directory / "model.dcom"
         model.write_bytes(_file_bytes(data, data.draw(st.sampled_from(valid_files["bundle"])),
                                       damaged, resign=True))
-        argv = ["explain", "--model", str(model), "--csv", out]
-        argv += data.draw(st.sampled_from([[], ["--labels"]]))
+        if command == "inspect":
+            argv = ["inspect", str(model)]
+        else:
+            argv = ["explain", "--model", str(model), "--csv", out]
+            argv += data.draw(st.sampled_from([[], ["--labels"]]))
     else:
         which = data.draw(st.sampled_from([0, 1]))
         path = directory / ("data.jsonl", "data.csv")[which]
@@ -577,7 +605,8 @@ def test_features_explain_augment_exit_cleanly_on_any_files(valid_files, tmp_pat
                     # 0 and 600 lie outside the slot range [1, 512]
                     "--r", data.draw(st.sampled_from(["0", "1", "5", "45", "600"]))]
     stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr), np.errstate(all="ignore"):
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
+            np.errstate(all="ignore"):
         code = main(argv)
     event(f"{command} exit {code}")
     assert code in (0, 1, 2)

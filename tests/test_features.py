@@ -12,11 +12,31 @@ from feature_oracle import oracle_features, random_column, reference_extract_fea
 
 
 def feat(values):
-    return extract_features(ColumnInstance(tuple(values)))
+    return extract_features([ColumnInstance(tuple(values))])[0]
 
 
 def by_name(vector):
     return dict(zip(FEATURE_NAMES, vector))
+
+
+_VALUE = st.text(alphabet="ab1 9.-é٣\t", max_size=6)
+
+
+def _column(n):
+    """n values, drawn freely or from a pool of up to 3, so that values repeat."""
+    return st.one_of(
+        st.lists(_VALUE, min_size=n, max_size=n),
+        st.lists(_VALUE, min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+    )
+
+
+# Runs of 1-4 neighbouring columns with one value count each. Counts of 1,
+# 2-7 and 8-300 cross numpy's 8-wide and 128-wide pairwise-sum blocks.
+_RUN = st.tuples(st.one_of(st.just(1), st.integers(2, 7), st.integers(8, 300)),
+                 st.integers(1, 4)).flatmap(
+    lambda t: st.lists(_column(t[0]), min_size=t[1], max_size=t[1]))
+_COLUMNS = st.lists(_RUN, max_size=12).map(lambda runs: [c for run in runs for c in run][:40])
 
 
 class TestExtractFeatures:
@@ -91,6 +111,23 @@ class TestExtractFeatures:
         assert 0.0 <= f["frac_cells_alpha"] <= 1.0
         assert 0.0 <= f["frac_cells_numeric"] <= 1.0
         assert f["min_value_length"] <= f["median_length"] <= f["max_value_length"]
+
+
+class TestBatchedPass:
+    def test_no_columns(self):
+        assert extract_features([]).shape == (0, len(FEATURE_NAMES))
+
+    @given(columns=_COLUMNS, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_one_column_reference(self, columns, data):
+        got = extract_features([ColumnInstance(tuple(v)) for v in columns])
+        assert got.shape == (len(columns), len(FEATURE_NAMES))
+        for row, values in zip(got, columns):
+            np.testing.assert_array_equal(row, reference_extract_features(values))
+        # a row does not depend on its neighbours
+        order = data.draw(st.permutations(range(len(columns))))
+        permuted = extract_features([ColumnInstance(tuple(columns[i])) for i in order])
+        np.testing.assert_array_equal(permuted, got[list(order)])
 
 
 class TestFeatureScaler:

@@ -81,7 +81,7 @@ class TestPredictKvote:
         inst = make_instance(["M", "F", "M"])
         pred = predict_kvote(bundle, inst, k=1, seed=5)
         sample = augment.sample_single(inst, np.random.default_rng(5), r=inst.n)
-        feats = bundle.scaler.transform(extract_features(inst))
+        feats = bundle.scaler.transform(extract_features([inst])[0])
         batch = make_batch([sample], [feats], bundle.training, bundle.vocab, {})
         probs, _ = Model(bundle.training, bundle.params).forward(batch, train_mode=False)
         np.testing.assert_array_equal(pred.probabilities, probs[0])

@@ -564,7 +564,7 @@ class TestTrainModel:
         instances, split = sanity_corpus
         config = TrainingConfig(mode="single", epochs=1, **TINY_CONFIG)
         bundle, _ = train_model(instances, split, config, seed=5)
-        train_rows = np.array([extract_features(instances[i]) for i in split.train])
+        train_rows = extract_features([instances[i] for i in split.train])
         np.testing.assert_allclose(bundle.scaler.mean, train_rows.mean(axis=0), atol=1e-12)
 
     def test_epoch_report_fields(self, sanity_bundle):
