@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import MAX_SLOTS, MULTI_MODES, PAD_VALUE, SEP_TEXT, ColumnInstance
+from .core import MAX_SLOTS, MULTI_MODES, PAD_VALUE, SEP_TEXT, ColumnInstance, TrainingConfig
 from .errors import ConfigError
 
 # Largest n for which exhaustive permutation enumeration is allowed.
@@ -71,7 +71,7 @@ def enumerate_permutations(instance: ColumnInstance, r: int) -> list[SingleSeque
     return samples
 
 
-def sample_multi(instance: ColumnInstance, r: int, mode="pad", rng=None) -> MultiSequenceSample:
+def sample_multi(instance: ColumnInstance, r: int, mode: str, rng) -> MultiSequenceSample:
     """Draw one multi-sequence sample with exactly r slots.
 
     If the column has at least r values, both modes place r distinct values in
@@ -101,21 +101,25 @@ def sample_multi(instance: ColumnInstance, r: int, mode="pad", rng=None) -> Mult
     return MultiSequenceSample(texts=texts, pad_mask=mask)
 
 
-def inference_inputs(instance: ColumnInstance, model_kind: str, k: int, rng,
-                     r_multi: int = 45, multi_mode: str = "pad"):
+def training_sample(instance: ColumnInstance, config: TrainingConfig, rng):
+    """The sample a training epoch draws for one column under config: single
+    mode a random-length selection, multi mode config.r slots filled as
+    config.multi_mode says."""
+    if config.mode == "single":
+        return sample_single(instance, rng)
+    return sample_multi(instance, config.r, config.multi_mode, rng)
+
+
+def inference_inputs(instance: ColumnInstance, config: TrainingConfig, k: int, rng):
     """Build the k inference-time samples for one column.
 
-    k=1 single: one full random permutation (r = n).  k=1 multi: one sample at
-    the trained r (values truncated by random permutation prefix when n > r).
-    k>1: k independent samples, with r re-drawn from [1, n] per sample for the
-    single kind.
+    k=1 single: one full random permutation (r = n).  Otherwise k independent
+    training samples (training_sample): r re-drawn from [1, n] per sample in
+    single mode, the trained r slots in multi mode (values truncated by random
+    permutation prefix when n > r).
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    if model_kind == "single":
-        if k == 1:
-            return [sample_single(instance, rng, r=instance.n)]
-        return [sample_single(instance, rng) for _ in range(k)]
-    if model_kind == "multi":
-        return [sample_multi(instance, r_multi, mode=multi_mode, rng=rng) for _ in range(k)]
-    raise ConfigError(f"unknown model kind {model_kind!r}")
+    if k == 1 and config.mode == "single":
+        return [sample_single(instance, rng, r=instance.n)]
+    return [training_sample(instance, config, rng) for _ in range(k)]

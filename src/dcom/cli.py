@@ -205,17 +205,18 @@ def _cmd_evaluate(args):
 
 
 def _cmd_augment(args):
+    # a bad --r is refused before the data is read
+    config = TrainingConfig(mode=args.mode, r=args.r, multi_mode=args.multi_mode)
     instances, _ = _load_data(args.data)
     rng = np.random.default_rng(args.seed)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for i, inst in enumerate(instances):
-            if args.mode == "single":
-                s = augment_mod.sample_single(inst, rng)
+            s = augment_mod.training_sample(inst, config, rng)
+            if config.mode == "single":
                 record = {"source": i, "r": s.r, "text": s.text}
             else:
-                s = augment_mod.sample_multi(inst, args.r, args.multi_mode, rng)
-                record = {"source": i, "r": args.r, "texts": list(s.texts),
+                record = {"source": i, "r": config.r, "texts": list(s.texts),
                           "mask": [int(m) for m in s.pad_mask]}
             out.write(json.dumps(record, ensure_ascii=False) + "\n")
     finally:

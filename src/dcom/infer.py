@@ -65,10 +65,7 @@ def _predict_columns(bundle: ModelBundle, instances, k, seeds, rows) -> list[Pre
     model = Model(config, bundle.params)
     samples = []
     for instance, seed in zip(instances, seeds):
-        rng = np.random.default_rng(seed)
-        samples += augment.inference_inputs(
-            instance, config.mode, k, rng, r_multi=config.r, multi_mode=config.multi_mode,
-        )
+        samples += augment.inference_inputs(instance, config, k, np.random.default_rng(seed))
     feats = np.repeat(bundle.scaler.transform(extract_features(instances)), k, axis=0)
     probs = forward_samples(model, samples, feats, bundle.vocab, rows, token_cache={})
     voted = [_column_vote(bundle.class_vocab, probs[j : j + k])

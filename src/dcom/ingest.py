@@ -279,27 +279,23 @@ def _count(rng, lo=3, hi=12):
     return int(rng.integers(lo, hi + 1))
 
 
-def _gen_day_numbers(rng, **_):
+def _gen_day_numbers(rng):
     return [str(int(v)) for v in rng.integers(1, 32, size=_count(rng))]
 
 
-def _gen_small_ints(rng, lo=1, hi=31, **_):
-    return [str(int(v)) for v in rng.integers(lo, hi + 1, size=_count(rng))]
-
-
-def _gen_durations(rng, **_):
+def _gen_durations(rng):
     return [f"{int(rng.integers(0, 10))}:{int(rng.integers(0, 60)):02d}" for _ in range(_count(rng))]
 
 
-def _gen_gender_codes(rng, **_):
+def _gen_gender_codes(rng):
     return [["F", "M"][int(rng.integers(0, 2))] for _ in range(_count(rng, 2, 8))]
 
 
-def _gen_state_codes(rng, **_):
+def _gen_state_codes(rng):
     return [_STATE_CODES[int(i)] for i in rng.integers(0, len(_STATE_CODES), size=_count(rng))]
 
 
-def _gen_descriptions(rng, **_):
+def _gen_descriptions(rng):
     out = []
     for _ in range(_count(rng, 2, 6)):
         subject = _DESCRIPTION_SUBJECTS[int(rng.integers(0, len(_DESCRIPTION_SUBJECTS)))]
@@ -308,7 +304,7 @@ def _gen_descriptions(rng, **_):
     return out
 
 
-def _gen_isbn_like(rng, **_):
+def _gen_isbn_like(rng):
     out = []
     for _ in range(_count(rng)):
         digits = rng.integers(0, 10, size=10)
@@ -318,15 +314,15 @@ def _gen_isbn_like(rng, **_):
     return out
 
 
-def _gen_ages(rng, **_):
+def _gen_ages(rng):
     return [f"{int(rng.integers(1, 100))} years" for _ in range(_count(rng))]
 
 
-def _gen_categories(rng, **_):
+def _gen_categories(rng):
     return [_CATEGORY_WORDS[int(i)] for i in rng.integers(0, len(_CATEGORY_WORDS), size=_count(rng, 2, 6))]
 
 
-def _gen_free_text(rng, **_):
+def _gen_free_text(rng):
     words = _DESCRIPTION_OBJECTS + _CATEGORY_WORDS
     out = []
     for _ in range(_count(rng, 2, 6)):
@@ -335,7 +331,7 @@ def _gen_free_text(rng, **_):
     return out
 
 
-def _gen_rank_like(rng, **_):
+def _gen_rank_like(rng):
     # Deliberately overlapping small-integer columns shared by the
     # rank/ranking/position confusion triple.
     k = _count(rng, 3, 14)
@@ -344,7 +340,7 @@ def _gen_rank_like(rng, **_):
 
 GENERATORS = {
     "day_numbers": _gen_day_numbers,
-    "small_ints": _gen_small_ints,
+    "small_ints": _gen_day_numbers,  # the same draws: integers in [1, 31]
     "durations": _gen_durations,
     "gender_codes": _gen_gender_codes,
     "state_codes": _gen_state_codes,
@@ -381,24 +377,18 @@ CONFUSION_CLASS_SPEC = {
 def generate_synthetic_corpus(spec, n_per_class, seed=0):
     """Generate a labeled corpus with n_per_class columns for each class.
 
-    spec maps class name -> generator name or {"generator": name, ...params}.
+    spec maps class name -> generator name (a key of GENERATORS).
     Reproducible for a fixed (spec, n_per_class, seed).
     """
     if len(spec) < 2:
         raise ConfigError("need at least 2 classes")
     instances = []
     for class_index, class_name in enumerate(sorted(spec)):
-        entry = spec[class_name]
-        if isinstance(entry, str):
-            gen_name, params = entry, {}
-        else:
-            entry = dict(entry)
-            gen_name = entry.pop("generator")
-            params = entry
-        if gen_name not in GENERATORS:
+        gen_name = spec[class_name]
+        if not isinstance(gen_name, str) or gen_name not in GENERATORS:
             raise ConfigError(f"unknown generator {gen_name!r}")
         generator = GENERATORS[gen_name]
         for j in range(n_per_class):
             rng = np.random.default_rng([seed, class_index, j])
-            instances.append(make_instance(generator(rng, **params), class_name))
+            instances.append(make_instance(generator(rng), class_name))
     return instances

@@ -25,22 +25,28 @@ batched matmul, one sigmoid over the (2, n, 4H) gate slab and one tanh over
 its g block. The saved parameters stay one set per direction
 (lstm_fw_*, lstm_bw_*).
 
-No step masks its rows. As in cuDNN's variable-length RNNs, each row's final
-state is read at its own length, and it is all the encoder uses; backward
-lets a row's gradient in at that same step. The steps are packed where that
-pays: a step computes only the n rows still inside their length, in row
-order. The set of rows changes only where a row ends, so one index array
-serves every step between two lengths. The input part x @ Wx + b is
-multiplied for the positions inside a length only, and backward sums the
-weight gradients and scatters the embedding gradient over those rows only.
-A step in which every row is inside its length, as every step of a one-row
-batch is, runs on the whole batch with no index at all. So does every step of
-a batch whose padding is small against its number of distinct lengths
-(PACK_SPAN_COST), such as the few short slot texts of one multi sample: a row
-past its length keeps stepping on its zero input, which costs fewer numpy
-calls than the indexing would, and nothing reads what it computes. Both kinds
-of span share one step body, written inline: a helper function called per
-step costs about 3 us per step at one row.
+Nothing in the network is masked: padding is stated once, by each row's
+length and by slots >= 0. As in cuDNN's variable-length RNNs, each row's
+final state is read at its own length, and it is all the encoder uses;
+backward lets a row's gradient in at that same step. So the encoder embeds
+the padded positions as they are, and no step reads them for a row inside
+its length. The slot head writes the real slots' encodings into a zero
+(B, R, 2H) array and takes each real slot's gradient straight out of the
+text gradient, by its (b, r) index.
+
+The steps are packed where that pays: a step computes only the n rows still
+inside their length, in row order. The set of rows changes only where a row
+ends, so one index array serves every step between two lengths. The input
+part x @ Wx + b is multiplied for the positions inside a length only, and
+backward sums the weight gradients and scatters the embedding gradient over
+those rows only. A step in which every row is inside its length, as every
+step of a one-row batch is, runs on the whole batch with no index at all. So
+does every step of a batch whose padding is small against its number of
+distinct lengths (PACK_SPAN_COST), such as the few short slot texts of one
+multi sample: a row past its length keeps stepping on its padded input,
+which costs fewer numpy calls than the indexing would, and nothing reads
+what it computes. Both kinds of span share one step body, written inline: a
+helper function called per step costs about 3 us per step at one row.
 
 Two matmuls stay at the batch's full width: backward's dA @ Wx^T and
 dA @ Wh^T run over a (2, N, 4H) dA whose other rows are zero, because
@@ -196,7 +202,7 @@ def _lstm_forward(X, lengths, Wx, Wh, b):
 
     One step body serves both kinds of span (_spans). A span of every row
     works in place, in gates[t], Cs[t + 1] and Hs[t + 1]; in a padded batch a
-    row past its length keeps stepping on its zero input, and nothing reads
+    row past its length keeps stepping on its padded input, and nothing reads
     what it computes. A packed span steps only the rows inside their length,
     in fresh arrays scattered into Hs and Cs. Either way steps[t] holds, for
     the rows step t computed, its gate activations (2, n, 4H) in i, f, g, o
@@ -350,14 +356,13 @@ class Model:
 
     def _encode(self, ids, mask):
         p = self.params
-        maskf = mask.astype(np.float64)
         ids2 = np.stack([ids, _reverse_within_length(ids, mask)])  # (2, N, T): fw, bw
-        X = p["embedding"][ids2] * maskf[..., None]
+        X = p["embedding"][ids2]  # padded positions are embedded too; nothing reads them
         W = {k: np.stack([p[f"lstm_fw_{k}"], p[f"lstm_bw_{k}"]]) for k in ("Wx", "Wh", "b")}
         lengths = mask.sum(axis=1).astype(np.int64)
         lstm = _lstm_forward(X, lengths, W["Wx"], W["Wh"], W["b"])
         enc = np.concatenate(lstm["h_final"], axis=1)
-        cache = {"ids": ids2, "maskf": maskf, "X": X, "W": W, "lstm": lstm}
+        cache = {"ids": ids2, "inside": mask > 0, "X": X, "W": W, "lstm": lstm}
         return enc, cache
 
     def _encode_backward(self, cache, denc, grads):
@@ -369,9 +374,9 @@ class Model:
             grads[f"lstm_{d}_Wx"] += dWx[j]
             grads[f"lstm_{d}_Wh"] += dWh[j]
             grads[f"lstm_{d}_b"] += db[j]
-        # One scatter over fw rows then bw rows: the order two per-direction
-        # scatters would add them in. Padded positions would add zeros.
-        inside = cache["maskf"] > 0
+        # One scatter over fw rows then bw rows, the order two per-direction
+        # scatters would add them in, over the positions inside a length only.
+        inside = cache["inside"]
         np.add.at(
             grads["embedding"],
             cache["ids"][:, inside].reshape(-1),
@@ -396,12 +401,12 @@ class Model:
             B, R = slots.shape
             if R != cfg.r:
                 raise ConfigError(f"expected {cfg.r} slots, got {R}")
-            slot_mask = slots >= 0
-            counts = slot_mask.sum(axis=1)
+            real = slots >= 0
+            counts = real.sum(axis=1)
             if np.any(counts == 0):
                 raise ConfigError("cannot aggregate a sample with zero unmasked slots")
-            sel = slot_mask.reshape(-1)
-            occ = slots.reshape(-1)[sel]  # the row of each real slot, in (b, r) order
+            b, r = np.nonzero(real)  # the real slots, in (b, r) order
+            occ = slots[b, r]  # the row of each real slot
             ids, tok_mask = batch["ids"], batch["tok_mask"]
             if train_mode:
                 # one encoded row per occurrence, so training's arithmetic
@@ -415,9 +420,8 @@ class Model:
                 # an encoded text does not depend on its slot: encode each row once
                 gather = occ
             enc_rows, enc_cache = self._encode(ids, tok_mask)
-            enc = np.zeros((B * R, 2 * cfg.hidden_size))
-            enc[sel] = enc_rows if gather is None else enc_rows[gather]
-            enc = enc.reshape(B, R, -1)
+            enc = np.zeros((B, R, 2 * cfg.hidden_size))  # a padded slot encodes as zeros
+            enc[b, r] = enc_rows if gather is None else enc_rows[gather]
             if cfg.aggregation == "mean":
                 text = enc.sum(axis=1) / counts[:, None]
             elif cfg.aggregation == "sum":
@@ -427,7 +431,7 @@ class Model:
             else:  # concatenation
                 text = enc.reshape(B, R * 2 * cfg.hidden_size)
             cache.update(
-                enc_cache=enc_cache, enc=enc, sel=sel, slot_mask=slot_mask,
+                enc_cache=enc_cache, enc=enc, b=b, r=r,
                 counts=counts, gather=gather, n_rows=len(ids),
             )
 
@@ -490,22 +494,17 @@ class Model:
             self._encode_backward(cache["enc_cache"], dtext, grads)
             return grads
 
-        B, R = cache["slot_mask"].shape
-        slot_mask = cache["slot_mask"]
-        counts = cache["counts"]
+        # the gradient of each real slot, in (b, r) order
+        b, r = cache["b"], cache["r"]
         if cfg.aggregation == "mean":
-            denc = np.repeat((dtext / counts[:, None])[:, None, :], R, axis=1)
+            denc_occ = (dtext / cache["counts"][:, None])[b]
         elif cfg.aggregation == "sum":
-            denc = np.repeat(dtext[:, None, :], R, axis=1)
+            denc_occ = dtext[b]
         elif cfg.aggregation == "weighted_sum":
-            denc = dtext[:, None, :] * p["agg_w"][None, :, None]
-            grads["agg_w"] += np.einsum(
-                "brh,bh->r", cache["enc"] * slot_mask[..., None], dtext
-            )
+            denc_occ = dtext[b] * p["agg_w"][r, None]
+            grads["agg_w"] += np.einsum("brh,bh->r", cache["enc"], dtext)
         else:
-            denc = dtext.reshape(B, R, 2 * cfg.hidden_size)
-        denc = denc * slot_mask[..., None]
-        denc_occ = denc.reshape(B * R, -1)[cache["sel"]]
+            denc_occ = dtext.reshape(len(dtext), cfg.r, -1)[b, r]
         if cache["gather"] is None:
             denc_rows = denc_occ
         else:  # each encoded row collects the gradients of its occurrences

@@ -243,22 +243,18 @@ def build_vocab(corpus, kind: str, size_budget: int = 8000) -> Vocabulary:
         raise ConfigError("empty corpus")
     if kind == "char":
         counts = Counter(ch for t in texts for ch in t)
-        if size_budget < len(RESERVED) + len(counts):
-            raise ConfigError(
-                f"budget {size_budget} below reserved + alphabet size {len(RESERVED) + len(counts)}"
-            )
-        learned = [c for c, _ in counts.most_common()]
-    elif kind == "word":
-        counts = Counter(_iter_words(texts))
-        learned = [w for w, _ in counts.most_common(size_budget - len(RESERVED))]
+        alphabet = counts
     else:
-        word_freqs = Counter(_iter_words(texts))
-        alphabet_size = len({c for w in word_freqs for c in w})
-        if size_budget < len(RESERVED) + alphabet_size:
-            raise ConfigError(
-                f"budget {size_budget} below reserved + alphabet size {len(RESERVED) + alphabet_size}"
-            )
-        learned = _train_wordpiece(word_freqs, size_budget)
+        counts = Counter(_iter_words(texts))
+        # a word vocabulary needs no alphabet: an unknown word is [UNK]
+        alphabet = {c for w in counts for c in w} if kind == "wordpiece" else ()
+    floor = len(RESERVED) + len(alphabet)
+    if size_budget < floor:
+        raise ConfigError(f"budget {size_budget} below reserved + alphabet size {floor}")
+    if kind == "wordpiece":
+        learned = _train_wordpiece(counts, size_budget)
+    else:  # char keeps its whole alphabet, word its most common words
+        learned = [t for t, _ in counts.most_common(size_budget - len(RESERVED))]
     return Vocabulary(kind=kind, tokens=RESERVED + tuple(learned))
 
 

@@ -264,11 +264,8 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
 
     reports = []
     best_f1 = -1.0
-    # an untrained bundle predicts the uniform distribution
-    best_params = (
-        zeros_like_params(model.params) if config.epochs == 0
-        else copy.deepcopy(model.params)
-    )
+    # an untrained bundle predicts the uniform distribution; any epoch beats it
+    best_params = zeros_like_params(model.params)
     best_epoch = 0
     stale = 0
     token_cache = {}  # column value -> its token ids, for this run only
@@ -281,13 +278,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
         for start in range(0, len(order), config.batch_size):
             rows = order[start : start + config.batch_size]
             chunk = [split.train[j] for j in rows]
-            if config.mode == "single":
-                samples = [augment.sample_single(instances[i], sample_rng) for i in chunk]
-            else:
-                samples = [
-                    augment.sample_multi(instances[i], config.r, config.multi_mode, sample_rng)
-                    for i in chunk
-                ]
+            samples = [augment.training_sample(instances[i], config, sample_rng) for i in chunk]
             batch = make_batch(samples, scaled[rows], config, vocab, token_cache)
             labels = np.asarray([class_vocab.id_of(instances[i].label) for i in chunk])
             probs, cache = model.forward(batch, train_mode=True, dropout_rng=drop_rng)
@@ -297,11 +288,8 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
             adam_step(model.params, grads, opt)
 
         val_rng = _epoch_rng(seed, epoch, 3)
-        val_samples = [
-            augment.inference_inputs(instances[i], config.mode, 1, val_rng,
-                                     r_multi=config.r, multi_mode=config.multi_mode)[0]
-            for i in split.validation
-        ]
+        val_samples = [augment.inference_inputs(instances[i], config, 1, val_rng)[0]
+                       for i in split.validation]
         val_probs = forward_samples(model, val_samples, val_feats, vocab, config.batch_size,
                                     token_cache)
         val_pred = np.argmax(val_probs, axis=1).tolist()
@@ -319,19 +307,12 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
         reports.append(report)
         if log_callback is not None:
             log_callback(report)
-        if val_f1 > best_f1:
-            best_f1 = val_f1
+        stale = 0 if val_f1 > best_f1 else stale + 1
+        if val_f1 >= best_f1:  # among equal-F1 epochs keep the latest (lower train loss)
+            best_f1, best_epoch = val_f1, epoch
             best_params = copy.deepcopy(model.params)
-            best_epoch = epoch
-            stale = 0
-        else:
-            if val_f1 == best_f1:
-                # among equal-F1 epochs keep the latest (lower train loss)
-                best_params = copy.deepcopy(model.params)
-                best_epoch = epoch
-            stale += 1
-            if stale >= config.early_stop_patience:
-                break
+        if stale >= config.early_stop_patience:
+            break
 
     bundle = ModelBundle(
         params=best_params,

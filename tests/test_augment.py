@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcom import augment
-from dcom.core import SEP_TEXT, SEP_TOKEN, ColumnInstance, make_instance
+from dcom.core import SEP_TEXT, SEP_TOKEN, ColumnInstance, TrainingConfig, make_instance
 from dcom.errors import ConfigError
 from test_train import edge_value
 
@@ -135,26 +135,29 @@ class TestSampleMulti:
             augment.sample_multi(inst, 1000, "pad", np.random.default_rng(0))
 
 
+SINGLE = TrainingConfig(mode="single")
+
+
 class TestInferenceInputs:
     def test_single_k1_full_permutation(self):
-        samples = augment.inference_inputs(DESCRIPTION, "single", 1, np.random.default_rng(0))
+        samples = augment.inference_inputs(DESCRIPTION, SINGLE, 1, np.random.default_rng(0))
         assert len(samples) == 1
         assert samples[0].r == 3
         assert sorted(samples[0].text.split(SEP_TEXT)) == sorted(DESCRIPTION.values)
 
     def test_k10_count(self):
-        samples = augment.inference_inputs(DESCRIPTION, "single", 10, np.random.default_rng(0))
+        samples = augment.inference_inputs(DESCRIPTION, SINGLE, 10, np.random.default_rng(0))
         assert len(samples) == 10
 
     def test_k10_single_value(self):
         inst = ColumnInstance(("solo",))
-        samples = augment.inference_inputs(inst, "single", 10, np.random.default_rng(0))
+        samples = augment.inference_inputs(inst, SINGLE, 10, np.random.default_rng(0))
         assert all(s.text == "solo" for s in samples)
 
     def test_multi_truncates_to_r(self):
         inst = ColumnInstance(tuple(str(i) for i in range(8)))
         samples = augment.inference_inputs(
-            inst, "multi", 1, np.random.default_rng(0), r_multi=3
+            inst, TrainingConfig(mode="multi", r=3), 1, np.random.default_rng(0)
         )
         assert len(samples[0].texts) == 3
         assert sum(samples[0].pad_mask) == 3

@@ -293,6 +293,7 @@ EXIT_CODES = [
     (["predict", "--model", "{model}", "--data", "{data}", "--seed", "-1"], 1),
     (["train", "--data", "{data}", "--config", "{not_utf8}", "--out", "{tmp}/m.dcom"], 2),
     (["train", "--data", "{data}", "--config", "{huge_hidden}", "--out", "{tmp}/m.dcom"], 2),
+    (["train", "--data", "{data}", "--config", "{word_budget}", "--out", "{tmp}/m.dcom"], 2),
     (["train", "--data", "{data}", "--config", "{config}", "--out", "{tmp}"], 2),
     (["train", "--data", "{data}", "--config", "{config}", "--out", "{tmp}/missing/m.dcom"], 2),
     # counts below one
@@ -361,6 +362,10 @@ class TestExitCodes:
         huge_hidden = tmp_path / "huge_hidden.toml"
         huge_hidden.write_text(CONFIG.replace("hidden_size = 16",
                                               "hidden_size = 99999999999999999999"))
+        # below the three reserved tokens
+        word_budget = tmp_path / "word_budget.toml"
+        word_budget.write_text(CONFIG.replace("vocab_budget = 300", "vocab_budget = 2")
+                               + 'tokenizer = "word"\n')
         fields = dict(tmp=tmp_path, data=corpus_path, model=model, split=split,
                       config=config, diverging=diverging, damaged=damaged,
                       zero_batch=zero_batch, negative_epochs=negative_epochs,
@@ -368,7 +373,7 @@ class TestExitCodes:
                       negative_rate=negative_rate, negative_factor=negative_factor,
                       overlapping=overlapping, repeated_test=repeated_test,
                       unlabeled_validation=unlabeled_validation, not_utf8=not_utf8,
-                      huge_hidden=huge_hidden)
+                      huge_hidden=huge_hidden, word_budget=word_budget)
         with np.errstate(all="ignore"):
             assert main([a.format(**fields) for a in argv]) == code
         assert "Traceback" not in capsys.readouterr().err
@@ -406,6 +411,13 @@ class TestExitCodes:
         assert repr(key) in capsys.readouterr().err
         # no epoch log, no split manifest
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.toml"]
+
+    def test_augment_r_refused_before_data(self, tmp_path, capsys):
+        argv = ["augment", "--data", str(tmp_path / "missing.jsonl"), "--mode", "multi",
+                "--r", "600", "--out", str(tmp_path / "a.jsonl")]
+        assert main(argv) == 2
+        assert "'r'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("case", ["huge-hidden", "one-class-split"])
     def test_failed_training_leaves_no_files(self, case, trained, corpus_path, tmp_path,

@@ -274,6 +274,10 @@ class TestSyntheticCorpus:
         with pytest.raises(ConfigError, match="unknown generator"):
             ingest.generate_synthetic_corpus({"a": "nope", "b": "ages"}, 1, seed=0)
 
+    def test_generator_must_be_a_name(self):
+        with pytest.raises(ConfigError, match="unknown generator"):
+            ingest.generate_synthetic_corpus({"a": {"generator": "ages"}, "b": "ages"}, 1, seed=0)
+
     def test_needs_two_classes(self):
         with pytest.raises(ConfigError):
             ingest.generate_synthetic_corpus({"a": "ages"}, 1, seed=0)

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -388,6 +389,71 @@ class TestFusedEncoderOracleAtBenchWidths:
             rng = np.random.default_rng(seed)
             config, batch = bench_width_case(*BENCH_WIDTH_CASES[name](rng), seed=seed)
             assert_equals_oracle(config, batch, seed, train_mode, sizes=BENCH_SIZES)
+
+
+@st.composite
+def padded_cases(draw):
+    """A random config and a padded batch, with or without enough padding to
+    pack its steps (PACK_SPAN_COST). The packed kind has one full-length row
+    and rows of 0-3 tokens, so its padding outweighs its few distinct lengths.
+    A multi batch's real slots take its rows once each, so the batch that
+    training encodes, one row per real slot, pads as much."""
+    mode = draw(st.sampled_from(["single", "multi"]))
+    packed = draw(st.booleans())
+    config = TrainingConfig(
+        mode=mode, embedding_dim=draw(st.integers(1, 4)), hidden_size=draw(st.integers(1, 4)),
+        feature_dim=3, dense_widths=(4,), dropout=0.4,
+        aggregation=draw(st.sampled_from(AGGREGATIONS)), r=draw(st.integers(1, 4)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if packed:
+        rows, T = draw(st.integers(6, 10)), draw(st.integers(16, 20))
+        lengths = np.r_[T, rng.integers(0, 4, size=rows - 1)]
+        rng.shuffle(lengths)
+    else:
+        rows, T = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        lengths = rng.integers(0, T + 1, size=rows)
+    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.int64)
+    batch = {"ids": rng.integers(3, VOCAB_SIZE, size=(rows, T)) * mask, "tok_mask": mask}
+    B = rows
+    if mode == "multi":
+        B = draw(st.integers(1, rows))
+        owned = np.array_split(rng.permutation(rows), B)
+        config = dataclasses.replace(config, r=max(config.r, *map(len, owned)))
+        batch["slots"] = np.full((B, config.r), -1, dtype=np.int64)
+        for b, own in enumerate(owned):
+            batch["slots"][b, rng.choice(config.r, size=len(own), replace=False)] = own
+    batch["feats"] = rng.normal(size=(B, N_FEATURES))
+    return config, batch, packed, int(rng.integers(0, 2**32 - 1))
+
+
+class TestPaddingIsNeverRead:
+    @settings(max_examples=200, deadline=None)
+    @given(padded_cases(), st.data())
+    def test_any_ids_at_padded_positions(self, case, data):
+        """Probabilities, at inference and in training with the same dropout
+        rng, and gradients do not change when the padded positions hold any
+        vocabulary ids instead of [PAD]."""
+        config, batch, packed, seed = case
+        pad = batch["tok_mask"] == 0
+        garbage = data.draw(st.lists(st.integers(0, VOCAB_SIZE - 1), min_size=int(pad.sum()),
+                                     max_size=int(pad.sum())))
+        noisy = {**batch, "ids": batch["ids"].copy()}
+        noisy["ids"][pad] = garbage
+        model = seeded_model(config, seed)
+        for train_mode in (False, True):
+            runs = []
+            for b in (batch, noisy):
+                rng = np.random.default_rng(seed) if train_mode else None
+                probs, cache = model.forward(b, train_mode=train_mode, dropout_rng=rng)
+                dlogits = np.random.default_rng(seed).normal(size=probs.shape)
+                runs.append((probs, model.backward(cache, dlogits)))
+            # the batch is on the intended side of PACK_SPAN_COST
+            assert (cache["enc_cache"]["lstm"]["spans"][-1][2] is not None) == packed
+            (probs, grads), (noisy_probs, noisy_grads) = runs
+            np.testing.assert_array_equal(probs, noisy_probs)
+            for name in grads:
+                np.testing.assert_array_equal(grads[name], noisy_grads[name], err_msg=name)
 
 
 class TestDropout:

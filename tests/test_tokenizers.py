@@ -26,9 +26,14 @@ class TestBuildVocab:
         vocab = tk.build_vocab(["playing playing playing"], "wordpiece", size_budget=100)
         assert "playing" in vocab.index
 
-    def test_budget_too_small(self):
+    @pytest.mark.parametrize("kind,budget", [("char", 10), ("word", 2), ("wordpiece", 10)],
+                             ids=["char", "word", "wordpiece"])
+    def test_budget_too_small(self, kind, budget):
+        # char and wordpiece need the 3 reserved tokens and the alphabet a-h,
+        # word only the reserved tokens
         with pytest.raises(ConfigError, match="budget"):
-            tk.build_vocab(["abcdefgh"], "char", size_budget=5)
+            tk.build_vocab(["abcdefgh"], kind, size_budget=budget)
+        assert len(tk.build_vocab(["abcdefgh"], kind, size_budget=budget + 1)) <= budget + 1
 
     def test_wordpiece_budget_cap(self):
         vocab = tk.build_vocab(

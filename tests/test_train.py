@@ -289,9 +289,7 @@ def draw_samples(cols, config, seed):
     # every other column is built directly, without make_instance
     instances = [ColumnInstance(tuple(values)) if i % 2 else make_instance(values)
                  for i, values in enumerate(cols)]
-    if config.mode == "single":
-        return [augment.sample_single(inst, rng) for inst in instances]
-    return [augment.sample_multi(inst, config.r, config.multi_mode, rng) for inst in instances]
+    return [augment.training_sample(inst, config, rng) for inst in instances]
 
 
 class TestMakeBatch:
