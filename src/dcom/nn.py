@@ -12,10 +12,9 @@ Two wirings over shared building blocks:
 A single batch holds ids and tok_mask (B, T) and feats (B, F).  A multi batch
 holds each distinct slot text once: ids and tok_mask are (U, T), one row per
 distinct text, and slots (B, R) gives each real slot its row, -1 for a padded
-slot.  An encoded text does not depend on its slot, so inference encodes each
-row once and gathers the result into every slot that holds it; backward adds
-those slots' gradients into the row.  Training encodes one row per real slot,
-as if no text repeated, so its arithmetic does not depend on the repeats.
+slot.  An encoded text does not depend on its slot, so inference and training
+encode each row once and gather the result into every slot that holds it;
+backward adds those slots' gradients into the row.
 
 The bidirectional LSTM steps both directions together in one time loop, as
 cuDNN's fused RNNs do (Appleyard et al. 2016): the forward ids and the
@@ -48,18 +47,17 @@ which costs fewer numpy calls than the indexing would, and nothing reads
 what it computes. Both kinds of span share one step body, written inline: a
 helper function called per step costs about 3 us per step at one row.
 
-Two matmuls stay at the batch's full width: backward's dA @ Wx^T and
-dA @ Wh^T run over a (2, N, 4H) dA whose other rows are zero, because
-OpenBLAS picks their kernel by row count and a narrower product rounds
-differently at the bench's widths. For the same reason a lone row is stepped
-as two equal rows: numpy sends a one-row matmul to gemv. Inside its length a
+A lone row is stepped as two equal rows: numpy sends a one-row matmul to
+gemv, which rounds differently from the many-row kernel. Inside its length a
 row's arithmetic is that of a masked loop, whose blend m * x + (1 - m) * y
-returns x exactly where m = 1; past it, a row's dA is zero and adds only
-zeros to the full-width sums. So probabilities and gradients are
-bit-identical to one masked loop per direction over every row
-(tests/lstm_oracle.py, also at the bench's widths). Inference keeps the step
-history that backward reads: gradient checks run backward on the cache of a
-default forward.
+returns x exactly where m = 1. So inference is bit-identical to one masked
+loop per direction over every row (tests/lstm_oracle.py, also at the bench's
+widths). Backward computes only the rows a packed step computed, as cuDNN's
+does; OpenBLAS picks a product's kernel, and so its rounding, by row count,
+so training gradients match the oracle within 1e-12 of their largest entry,
+and bit for bit where no span is packed. Inference keeps the step history
+that backward reads: gradient checks run backward on the cache of a default
+forward.
 
 Everything is float64 and deterministic for a fixed rng; gradients are checked
 against finite differences in the test suite.
@@ -254,30 +252,32 @@ def _lstm_forward(X, lengths, Wx, Wh, b):
                 Hs[t + 1][:, at] = h
                 Cs[t + 1][:, at] = c
     h_final = Hs[lengths, :, np.arange(N)].swapaxes(0, 1)
-    return {"Hs": Hs, "h_final": h_final, "lengths": lengths, "spans": spans,
-            "steps": steps}
+    return {"h_final": h_final, "lengths": lengths, "spans": spans, "steps": steps}
 
 
 def _lstm_backward(cache, dh_final, X, Wx, Wh):
     """Backprop through both directions in one reversed loop; dh_final is (2, N, H).
 
-    A row's gradient enters at its last step, so a row past its length has a
-    zero dA, and every other row's dA is the one a masked loop computes. The
-    gate arithmetic runs on the rows the forward stepped. The dX and dh
-    matmuls run at the batch's full width, over a dA whose other rows stay
-    zero: OpenBLAS picks their kernel, and so their rounding, by row count.
-    The weight and input gradients are accumulated step by step, in the order
-    a per-direction loop adds them, so they are bit-identical to it.
+    A row's gradient enters at its last step, so the rows past their length
+    have a zero dA, and backward, as in cuDNN's variable-length RNNs, computes
+    only the rows the forward stepped: a packed span's dX and dh products and
+    weight gradients run over its rows alone, and a lone row, stepped twice,
+    counts once. Inside its length a row's dA is the one a masked loop
+    computes; its products only have another number of rows, and OpenBLAS
+    picks their kernel, and so their rounding, by row count. So gradients
+    match one masked loop per direction within 1e-12 of their largest entry
+    (about 1e-15 at the bench's widths), and bit for bit where no span is
+    packed.
 
     A step writes the gradients of the four gate outputs into one (2, n, 4H)
     slab, dS, takes the sigmoid derivative over the whole slab as
     (dS * s) * (1 - s), the order of a per-gate d * i * (1 - i), and then
     overwrites the g block with dg * (1 - g**2). dX is filled time-major,
-    (T, 2, N, E), one matmul straight into each step's block, and returned
-    as a (2, N, T, E) view."""
+    (T, 2, N, E), one matmul into each step's rows, and returned as a
+    (2, N, T, E) view."""
     _, N, T, E = X.shape
     H = Wh.shape[1]
-    Hs, lengths, steps = cache["Hs"], cache["lengths"], cache["steps"]
+    lengths, steps = cache["lengths"], cache["steps"]
     WxT = Wx.transpose(0, 2, 1)
     WhT = Wh.transpose(0, 2, 1)
     dWx = np.zeros_like(Wx)
@@ -286,24 +286,19 @@ def _lstm_backward(cache, dh_final, X, Wx, Wh):
     dX = np.zeros((T, 2, N, E))
     # the steps at which rows' gradients enter, and those rows
     ending = {L - 1: np.flatnonzero(lengths == L) for L in set(lengths.tolist()) - {0}}
-    # Going back in time rows only join; a row's dA and cell gradient are zero
-    # until it does.
-    dA = np.zeros((2, N, 4 * H))
+    # Going back in time rows only join; a row's dh is set as it joins, and its
+    # cell gradient is zero until then.
     dc_all = np.zeros((2, N, H))
     dh = np.zeros((2, N, H))
-    # The weight gradients sum over the rows inside their length. With E or H
-    # of 1 their matmul has one row, and gemv's sums change when zero rows
-    # drop out: those sum over every row.
-    narrow = min(E, H) > 1
     for start, stop, rows in reversed(cache["spans"]):
         if rows is None:
-            n, rows, at, dA_rows = None, slice(None), slice(None), dA
+            n, rows, at = N, slice(None), slice(None)
         elif rows.size == 0:
             continue
         else:
             n, at = rows.size, _stepped(rows)
-            dA_rows = np.empty((2, at.size, 4 * H))
-        dS = np.empty(dA_rows.shape)
+        dS = np.empty_like(steps[stop - 1][0])
+        dA = np.empty_like(dS)
         dc = dc_all[:, at]
         for t in range(stop - 1, start - 1, -1):
             if t in ending:
@@ -318,20 +313,15 @@ def _lstm_backward(cache, dh_final, X, Wx, Wh):
             np.multiply(dc_new, i, out=dg)
             np.multiply(dh_new, tanh_c, out=dS[..., 3 * H :])
             dc = dc_new * f
-            np.multiply(dS, s, out=dA_rows)
-            dA_rows *= 1 - s
-            dA_rows[..., 2 * H : 3 * H] = dg * (1 - g**2)
-            if dA_rows is not dA:
-                dA[:, at] = dA_rows
-            if narrow:  # a lone row, stepped twice, counts once
-                x, h, dA_w = X[:, rows, t], h_prev[:, :n], dA_rows[:, :n]
-            else:
-                x, h, dA_w = X[:, :, t], Hs[t], dA
-            dWx += np.matmul(x.transpose(0, 2, 1), dA_w)
-            dWh += np.matmul(h.transpose(0, 2, 1), dA_w)
+            np.multiply(dS, s, out=dA)
+            dA *= 1 - s
+            dA[..., 2 * H : 3 * H] = dg * (1 - g**2)
+            dA_w = dA[:, :n]  # a lone row, stepped twice, counts once
+            dWx += np.matmul(X[:, rows, t].transpose(0, 2, 1), dA_w)
+            dWh += np.matmul(h_prev[:, :n].transpose(0, 2, 1), dA_w)
             db += dA_w.sum(axis=1)
-            np.matmul(dA, WxT, out=dX[t])
-            dh = np.matmul(dA, WhT)
+            dX[t][:, at] = np.matmul(dA, WxT)
+            dh[:, at] = np.matmul(dA, WhT)
         dc_all[:, at] = dc
     return dX.transpose(1, 2, 0, 3), dWx, dWh, db
 
@@ -407,21 +397,15 @@ class Model:
                 raise ConfigError("cannot aggregate a sample with zero unmasked slots")
             b, r = np.nonzero(real)  # the real slots, in (b, r) order
             occ = slots[b, r]  # the row of each real slot
+            # an encoded text does not depend on its slot: encode each row once
             ids, tok_mask = batch["ids"], batch["tok_mask"]
-            if train_mode:
-                # one encoded row per occurrence, so training's arithmetic
-                # does not depend on how often a text repeats
-                ids, tok_mask, gather = ids[occ], tok_mask[occ], None
-            elif len(ids) == 1 < len(occ):
+            if len(ids) == 1 < len(occ):
                 # numpy sends a one-row matmul to gemv, which rounds
                 # differently from the many-row kernel: encode the row twice
-                ids, tok_mask, gather = np.repeat(ids, 2, 0), np.repeat(tok_mask, 2, 0), occ
-            else:
-                # an encoded text does not depend on its slot: encode each row once
-                gather = occ
+                ids, tok_mask = np.repeat(ids, 2, 0), np.repeat(tok_mask, 2, 0)
             enc_rows, enc_cache = self._encode(ids, tok_mask)
             enc = np.zeros((B, R, 2 * cfg.hidden_size))  # a padded slot encodes as zeros
-            enc[b, r] = enc_rows if gather is None else enc_rows[gather]
+            enc[b, r] = enc_rows[occ]
             if cfg.aggregation == "mean":
                 text = enc.sum(axis=1) / counts[:, None]
             elif cfg.aggregation == "sum":
@@ -432,7 +416,7 @@ class Model:
                 text = enc.reshape(B, R * 2 * cfg.hidden_size)
             cache.update(
                 enc_cache=enc_cache, enc=enc, b=b, r=r,
-                counts=counts, gather=gather, n_rows=len(ids),
+                counts=counts, occ=occ, n_rows=len(ids),
             )
 
         pre_feat = feats @ p["feat_W"] + p["feat_b"]
@@ -505,10 +489,8 @@ class Model:
             grads["agg_w"] += np.einsum("brh,bh->r", cache["enc"], dtext)
         else:
             denc_occ = dtext.reshape(len(dtext), cfg.r, -1)[b, r]
-        if cache["gather"] is None:
-            denc_rows = denc_occ
-        else:  # each encoded row collects the gradients of its occurrences
-            denc_rows = np.zeros((cache["n_rows"], denc_occ.shape[1]))
-            np.add.at(denc_rows, cache["gather"], denc_occ)
+        # each encoded row collects the gradients of its occurrences
+        denc_rows = np.zeros((cache["n_rows"], denc_occ.shape[1]))
+        np.add.at(denc_rows, cache["occ"], denc_occ)
         self._encode_backward(cache["enc_cache"], denc_rows, grads)
         return grads

@@ -150,6 +150,8 @@ def _decode(payload: bytes) -> ModelBundle:
         params[name] = (
             np.frombuffer(payload[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
         )
+        if not np.all(np.isfinite(params[name])):
+            raise BundleError(f"parameter {name} has a non-finite entry")
         offset = end
     if offset != len(payload):
         raise BundleError("trailing bytes after the last parameter")

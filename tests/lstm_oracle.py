@@ -3,9 +3,12 @@
 Each direction runs its own masked LSTM over its own (N, T, E) inputs with its
 own weights, and the backward pass walks each direction back separately.  Slow
 (two loops of per-gate numpy calls) but short enough to check by eye.  Used as
-the oracle for the fused loop in dcom.nn, whose probabilities and gradients
-must be bit-identical: ``OracleModel`` is ``dcom.nn.Model`` with the text
-encoder swapped for this one.
+the oracle for the fused loop in dcom.nn: ``OracleModel`` is
+``dcom.nn.Model`` with the text encoder swapped for this one.  The fused
+loop's probabilities must be bit-identical to the oracle's.  So must its
+gradients where it steps every row; where it packs a span, its backward
+products run over fewer rows than these full-width ones, which BLAS rounds
+differently, and its gradients must be within 1e-12 of the largest entry.
 """
 
 import numpy as np

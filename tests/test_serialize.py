@@ -1,4 +1,7 @@
+import contextlib
 import copy
+import dataclasses
+import io
 import struct
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from bundle_edit import join_bundle, sign_payload, split_bundle
 from dcom import ingest
+from dcom.cli import main
 from dcom.core import (AGGREGATIONS, MODES, MULTI_MODES, TOKENIZER_KINDS, ClassVocabulary,
                        TrainingConfig)
 from dcom.errors import BundleError, ConfigError
@@ -267,6 +271,36 @@ def test_damaged_header_loads_or_raises_bundle_error(saved_parts, data):
     # what loads is a working bundle
     pred = predict_kvote(bundle, ingest.make_instance(["F", "M", "F"]), k=2)
     assert pred.label in bundle.class_vocab
+
+
+@pytest.fixture(scope="module")
+def column_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("columns") / "data.jsonl"
+    ingest.save_jsonl([ingest.make_instance(["F", "M", "F"])], path)
+    return path
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_non_finite_parameter_raises_bundle_error(sanity_bundle, column_file, data):
+    """A bundle whose checksum is valid but one parameter entry is NaN or
+    infinite does not load, and the commands that read it exit 2."""
+    bundle = sanity_bundle[0]
+    name = data.draw(st.sampled_from(sorted(bundle.params)))
+    value = bundle.params[name].copy()
+    value.flat[data.draw(st.integers(0, value.size - 1))] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    path = column_file.parent / "non_finite.dcom"
+    save_bundle(dataclasses.replace(bundle, params={**bundle.params, name: value}), path)
+    with pytest.raises(BundleError, match=f"parameter {name} has a non-finite entry"):
+        load_bundle(path)
+    out = str(column_file.parent / "out.jsonl")
+    for argv in (["inspect", str(path)],
+                 ["predict", "--model", str(path), "--data", str(column_file), "--out", out]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 2, argv[0]
+        assert "Traceback" not in stderr.getvalue()
 
 
 ENUMERATED = {"mode": MODES, "multi_mode": MULTI_MODES, "tokenizer": TOKENIZER_KINDS,
