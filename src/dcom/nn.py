@@ -36,28 +36,35 @@ text gradient, by its (b, r) index.
 The steps are packed where that pays: a step computes only the n rows still
 inside their length, in row order. The set of rows changes only where a row
 ends, so one index array serves every step between two lengths. The input
-part x @ Wx + b is multiplied for the positions inside a length only, and
-backward sums the weight gradients and scatters the embedding gradient over
-those rows only. A step in which every row is inside its length, as every
-step of a one-row batch is, runs on the whole batch with no index at all. So
-does every step of a batch whose padding is small against its number of
-distinct lengths (PACK_SPAN_COST), such as the few short slot texts of one
-multi sample: a row past its length keeps stepping on its padded input,
-which costs fewer numpy calls than the indexing would, and nothing reads
-what it computes. Both kinds of span share one step body, written inline: a
-helper function called per step costs about 3 us per step at one row.
+part x @ Wx + b is multiplied for the positions inside a length only. A step
+in which every row is inside its length, as every step of a one-row batch
+is, runs on the whole batch with no index at all. So does every step of a
+batch whose padding is small against its number of distinct lengths
+(PACK_SPAN_COST), such as the few short slot texts of one multi sample: a row
+past its length keeps stepping on its padded input, which costs fewer numpy
+calls than the indexing would, and nothing reads what it computes. Both
+kinds of span share one step body, written inline: a helper function called
+per step costs about 3 us per step at one row.
 
 A lone row is stepped as two equal rows: numpy sends a one-row matmul to
 gemv, which rounds differently from the many-row kernel. Inside its length a
 row's arithmetic is that of a masked loop, whose blend m * x + (1 - m) * y
 returns x exactly where m = 1. So inference is bit-identical to one masked
 loop per direction over every row (tests/lstm_oracle.py, also at the bench's
-widths). Backward computes only the rows a packed step computed, as cuDNN's
-does; OpenBLAS picks a product's kernel, and so its rounding, by row count,
-so training gradients match the oracle within 1e-12 of their largest entry,
-and bit for bit where no span is packed. Inference keeps the step history
-that backward reads: gradient checks run backward on the cache of a default
-forward.
+widths). Inference keeps the step history that backward reads: gradient
+checks run backward on the cache of a default forward.
+
+Backward keeps only the recurrence in its time loop, as the forward keeps
+x @ Wx + b out of it (Appleyard et al. 2016). A step computes the gate
+gradients dA and dh = dA @ Wh^T for the rows the forward stepped, and packs
+its dA rows into one slab over every stepped position. dX and db are then
+one product and one sum over that slab, the weight gradients products summed
+GRAD_BLOCK positions at a time, and the embedding gradient one np.bincount.
+Per-step products over a few rows cost more in call overhead than in
+arithmetic: a step holds 5-6 of 32 rows on average in a bench single epoch.
+A step's dA is the one a masked loop computes, but the products after the
+loop add in another order, so training gradients match the oracle within
+1e-12 of their largest entry, not bit for bit.
 
 Everything is float64 and deterministic for a fixed rng; gradients are checked
 against finite differences in the test suite.
@@ -158,6 +165,29 @@ def _spans(lengths, T):
     return spans
 
 
+# Backward sums the weight gradients over this many stepped positions at a
+# time. One product over every position is not thread-invariant: OpenBLAS
+# 0.3.31 (Haswell kernels) rounds (32 x K) @ (K x 192) differently under 1 and
+# 2 threads for K of 385, 450, 513 or 600, and alike for every K up to 129,
+# also at 48 x 192 and 32 x 128.
+GRAD_BLOCK = 128
+
+
+def _stepped_positions(lengths, T, every_row):
+    """The (row, t) positions a forward stepped, time-major, rows in row order
+    at each step: a packed batch steps the positions inside a length, a batch
+    of one span of every row (every_row) all N x T. Returns (rows, t,
+    offsets): step t's positions start at offsets[t]."""
+    if every_row:
+        stepped = np.ones((T, len(lengths)), dtype=bool)
+    else:
+        stepped = np.arange(T)[:, None] < lengths
+    t, rows = np.nonzero(stepped)
+    offsets = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(stepped.sum(axis=1), out=offsets[1:])
+    return rows, t, offsets.tolist()
+
+
 def _stepped(rows):
     """The rows a packed step computes. numpy sends a one-row matmul to gemv,
     which rounds differently from the many-row kernel: a lone row is stepped
@@ -196,7 +226,8 @@ def _lstm_forward(X, lengths, Wx, Wh, b):
     serves both, since reversal keeps padding in place: a row's tokens are its
     first lengths[n] positions. Hs and Cs (T + 1, 2, N, H) hold the states
     after each step, and a row's final state, h_final (2, N, H), is read at its
-    own length, so a row of length 0 reads the zero state Hs[0].
+    own length, so a row of length 0 reads the zero state Hs[0]. Backward reads
+    Hs for the hidden state before each step.
 
     One step body serves both kinds of span (_spans). A span of every row
     works in place, in gates[t], Cs[t + 1] and Hs[t + 1]; in a padded batch a
@@ -204,8 +235,7 @@ def _lstm_forward(X, lengths, Wx, Wh, b):
     what it computes. A packed span steps only the rows inside their length,
     in fresh arrays scattered into Hs and Cs. Either way steps[t] holds, for
     the rows step t computed, its gate activations (2, n, 4H) in i, f, g, o
-    order, the hidden and cell states before it and tanh of the cell state
-    after it.
+    order, the cell state before it and tanh of the cell state after it.
     """
     _, N, T, _ = X.shape
     H = Wh.shape[1]
@@ -245,85 +275,112 @@ def _lstm_forward(X, lengths, Wx, Wh, b):
             c_new = np.multiply(f, c, out=Cs[t + 1] if whole else None)
             c_new += i * g
             tanh_c = np.tanh(c_new)
-            steps[t] = (s, h, c, tanh_c)
+            steps[t] = (s, c, tanh_c)
             h = np.multiply(tanh_c, o, out=Hs[t + 1] if whole else None)
             c = c_new
             if not whole:
                 Hs[t + 1][:, at] = h
                 Cs[t + 1][:, at] = c
     h_final = Hs[lengths, :, np.arange(N)].swapaxes(0, 1)
-    return {"h_final": h_final, "lengths": lengths, "spans": spans, "steps": steps}
+    return {"h_final": h_final, "lengths": lengths, "spans": spans, "steps": steps,
+            "Hs": Hs}
 
 
 def _lstm_backward(cache, dh_final, X, Wx, Wh):
     """Backprop through both directions in one reversed loop; dh_final is (2, N, H).
 
-    A row's gradient enters at its last step, so the rows past their length
-    have a zero dA, and backward, as in cuDNN's variable-length RNNs, computes
-    only the rows the forward stepped: a packed span's dX and dh products and
-    weight gradients run over its rows alone, and a lone row, stepped twice,
-    counts once. Inside its length a row's dA is the one a masked loop
-    computes; its products only have another number of rows, and OpenBLAS
-    picks their kernel, and so their rounding, by row count. So gradients
-    match one masked loop per direction within 1e-12 of their largest entry
-    (about 1e-15 at the bench's widths), and bit for bit where no span is
-    packed.
+    Only the recurrence stays in the loop (Appleyard et al. 2016). A step
+    computes dc, the gate gradients dA and dh = dA @ Wh^T for the rows the
+    forward stepped, and writes its rows of dA, a lone row once, into one
+    packed (2, P, 4H) slab: the P positions the forward stepped, time-major,
+    rows in row order at each step (_stepped_positions). A row's gradient
+    enters at its last step, so a packed span's rows join only at its last
+    step, and dh and dc are gathered and scattered at span boundaries only.
+
+    After the loop, dX = dA @ Wx^T is one product over the P rows, which
+    OpenBLAS splits among its threads by rows, so its bits do not depend on
+    the thread count, and db is one sum. dWx = X_p^T dA and dWh = H_p^T dA,
+    over the inputs and the hidden states before each stepped position, are
+    summed GRAD_BLOCK positions at a time, the blocks added in order. A row
+    past its length, stepped in a span of every row, has dA exactly 0, so it
+    adds nothing.
+
+    A row's dA inside its length is the one a masked loop computes; the
+    products that follow it have other shapes and sum in another order. So
+    gradients match one masked loop per direction within 1e-12 of their
+    largest entry (about 1e-15 at the bench's widths), not bit for bit.
 
     A step writes the gradients of the four gate outputs into one (2, n, 4H)
     slab, dS, takes the sigmoid derivative over the whole slab as
     (dS * s) * (1 - s), the order of a per-gate d * i * (1 - i), and then
-    overwrites the g block with dg * (1 - g**2). dX is filled time-major,
-    (T, 2, N, E), one matmul into each step's rows, and returned as a
-    (2, N, T, E) view."""
-    _, N, T, E = X.shape
+    overwrites the g block with dg * (1 - g**2).
+
+    Returns dX (2, P, E), the gradient of X at the stepped positions, those
+    positions as (rows, t) index arrays, and dWx, dWh and db."""
+    N = X.shape[1]
     H = Wh.shape[1]
-    lengths, steps = cache["lengths"], cache["steps"]
-    WxT = Wx.transpose(0, 2, 1)
+    lengths, steps, spans = cache["lengths"], cache["steps"], cache["spans"]
+    rows_p, t_p, offsets = _stepped_positions(lengths, X.shape[2], spans[-1][2] is None)
     WhT = Wh.transpose(0, 2, 1)
-    dWx = np.zeros_like(Wx)
-    dWh = np.zeros_like(Wh)
-    db = np.zeros((2, 4 * H))
-    dX = np.zeros((T, 2, N, E))
+    dA_p = np.empty((2, len(t_p), 4 * H))
     # the steps at which rows' gradients enter, and those rows
     ending = {L - 1: np.flatnonzero(lengths == L) for L in set(lengths.tolist()) - {0}}
     # Going back in time rows only join; a row's dh is set as it joins, and its
     # cell gradient is zero until then.
-    dc_all = np.zeros((2, N, H))
     dh = np.zeros((2, N, H))
-    for start, stop, rows in reversed(cache["spans"]):
-        if rows is None:
-            n, rows, at = N, slice(None), slice(None)
+    dc = np.zeros((2, N, H))
+    for start, stop, rows in reversed(spans):
+        whole = rows is None
+        if whole:
+            n, at = N, slice(None)
         elif rows.size == 0:
             continue
         else:
             n, at = rows.size, _stepped(rows)
+            if stop - 1 in ending:  # every row of a packed span is inside its length
+                dh[:, ending[stop - 1]] = dh_final[:, ending[stop - 1]]
+        dh_s, dc_s = dh[:, at], dc[:, at]
         dS = np.empty_like(steps[stop - 1][0])
         dA = np.empty_like(dS)
-        dc = dc_all[:, at]
         for t in range(stop - 1, start - 1, -1):
-            if t in ending:
-                dh[:, ending[t]] = dh_final[:, ending[t]]
-            s, h_prev, c_prev, tanh_c = steps[t]
+            if whole and t in ending:
+                dh_s[:, ending[t]] = dh_final[:, ending[t]]
+            s, c_prev, tanh_c = steps[t]
             i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
-            dh_new = dh[:, at]
-            dc_new = dc + dh_new * o * (1.0 - tanh_c**2)
+            dc_new = dc_s + dh_s * o * (1.0 - tanh_c**2)
             dg = dS[..., 2 * H : 3 * H]
             np.multiply(dc_new, g, out=dS[..., :H])
             np.multiply(dc_new, c_prev, out=dS[..., H : 2 * H])
             np.multiply(dc_new, i, out=dg)
-            np.multiply(dh_new, tanh_c, out=dS[..., 3 * H :])
-            dc = dc_new * f
+            np.multiply(dh_s, tanh_c, out=dS[..., 3 * H :])
+            dc_s = dc_new * f
             np.multiply(dS, s, out=dA)
             dA *= 1 - s
             dA[..., 2 * H : 3 * H] = dg * (1 - g**2)
-            dA_w = dA[:, :n]  # a lone row, stepped twice, counts once
-            dWx += np.matmul(X[:, rows, t].transpose(0, 2, 1), dA_w)
-            dWh += np.matmul(h_prev[:, :n].transpose(0, 2, 1), dA_w)
-            db += dA_w.sum(axis=1)
-            dX[t][:, at] = np.matmul(dA, WxT)
-            dh[:, at] = np.matmul(dA, WhT)
-        dc_all[:, at] = dc
-    return dX.transpose(1, 2, 0, 3), dWx, dWh, db
+            dA_p[:, offsets[t] : offsets[t] + n] = dA[:, :n]  # a lone row is written once
+            dh_s = np.matmul(dA, WhT)
+        dh[:, at] = dh_s
+        dc[:, at] = dc_s
+    dX = np.matmul(dA_p, Wx.transpose(0, 2, 1))
+    db = dA_p.sum(axis=1)
+    X_p = X[:, rows_p, t_p]
+    H_p = cache["Hs"].transpose(1, 0, 2, 3)[:, t_p, rows_p]
+    dWx = np.zeros_like(Wx)
+    dWh = np.zeros_like(Wh)
+    for k in range(0, len(t_p), GRAD_BLOCK):
+        block = slice(k, k + GRAD_BLOCK)
+        dWx += np.matmul(X_p[:, block].transpose(0, 2, 1), dA_p[:, block])
+        dWh += np.matmul(H_p[:, block].transpose(0, 2, 1), dA_p[:, block])
+    return dX, (rows_p, t_p), dWx, dWh, db
+
+
+def _add_rows(index, values, n):
+    """The (n, w) sums of the rows of values (..., w) by their index (...):
+    np.add.at into zeros, as one np.bincount, which adds in the same order
+    and is 2-4x faster."""
+    w = values.shape[-1]
+    flat = (index[..., None] * w + np.arange(w)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * w).reshape(n, w)
 
 
 def _reverse_within_length(ids, mask):
@@ -352,26 +409,21 @@ class Model:
         lengths = mask.sum(axis=1).astype(np.int64)
         lstm = _lstm_forward(X, lengths, W["Wx"], W["Wh"], W["b"])
         enc = np.concatenate(lstm["h_final"], axis=1)
-        cache = {"ids": ids2, "inside": mask > 0, "X": X, "W": W, "lstm": lstm}
+        cache = {"ids": ids2, "X": X, "W": W, "lstm": lstm}
         return enc, cache
 
     def _encode_backward(self, cache, denc, grads):
         H = self.config.hidden_size
         W = cache["W"]
         dh = np.stack([denc[:, :H], denc[:, H:]])
-        dX, dWx, dWh, db = _lstm_backward(cache["lstm"], dh, cache["X"], W["Wx"], W["Wh"])
+        dX, (rows, t), dWx, dWh, db = _lstm_backward(
+            cache["lstm"], dh, cache["X"], W["Wx"], W["Wh"])
         for j, d in enumerate(("fw", "bw")):
             grads[f"lstm_{d}_Wx"] += dWx[j]
             grads[f"lstm_{d}_Wh"] += dWh[j]
             grads[f"lstm_{d}_b"] += db[j]
-        # One scatter over fw rows then bw rows, the order two per-direction
-        # scatters would add them in, over the positions inside a length only.
-        inside = cache["inside"]
-        np.add.at(
-            grads["embedding"],
-            cache["ids"][:, inside].reshape(-1),
-            dX[:, inside].reshape(-1, self.config.embedding_dim),
-        )
+        # one scatter over the fw positions, then the bw ones
+        grads["embedding"] += _add_rows(cache["ids"][:, rows, t], dX, len(grads["embedding"]))
 
     # -- forward -------------------------------------------------------------
 
@@ -490,7 +542,6 @@ class Model:
         else:
             denc_occ = dtext.reshape(len(dtext), cfg.r, -1)[b, r]
         # each encoded row collects the gradients of its occurrences
-        denc_rows = np.zeros((cache["n_rows"], denc_occ.shape[1]))
-        np.add.at(denc_rows, cache["occ"], denc_occ)
+        denc_rows = _add_rows(cache["occ"], denc_occ, cache["n_rows"])
         self._encode_backward(cache["enc_cache"], denc_rows, grads)
         return grads

@@ -148,11 +148,17 @@ def accuracy(y_true, y_pred) -> float:
 
 @dataclass(frozen=True)
 class EpochReport:
+    """One epoch's summary. grad_norm_max is the largest global L2 norm of the
+    gradients over the epoch's steps, before the Adam update: exploding
+    gradients show first there (Pascanu et al. 2013). 0 for an epoch of no
+    steps."""
+
     epoch: int
     train_loss: float
     val_accuracy: float
     val_f1: float
     learning_rate: float
+    grad_norm_max: float
     wall_time_s: float
 
 
@@ -275,6 +281,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
         drop_rng = _epoch_rng(seed, epoch, 1)
         order = _epoch_rng(seed, epoch, 2).permutation(len(split.train))
         losses = []
+        grad_norm_max = 0.0
         for start in range(0, len(order), config.batch_size):
             rows = order[start : start + config.batch_size]
             chunk = [split.train[j] for j in rows]
@@ -285,6 +292,8 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
             loss, dlogits = cross_entropy_batch(probs, labels, class_weights)
             losses.append(loss)
             grads = model.backward(cache, dlogits)
+            grad_norm = float(np.sqrt(sum(np.vdot(g, g) for g in grads.values())))
+            grad_norm_max = max(grad_norm_max, grad_norm)
             adam_step(model.params, grads, opt)
 
         val_rng = _epoch_rng(seed, epoch, 3)
@@ -302,6 +311,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
             val_accuracy=val_acc,
             val_f1=val_f1,
             learning_rate=opt.learning_rate,
+            grad_norm_max=grad_norm_max,
             wall_time_s=time.perf_counter() - t0,
         )
         reports.append(report)

@@ -5,10 +5,11 @@ own weights, and the backward pass walks each direction back separately.  Slow
 (two loops of per-gate numpy calls) but short enough to check by eye.  Used as
 the oracle for the fused loop in dcom.nn: ``OracleModel`` is
 ``dcom.nn.Model`` with the text encoder swapped for this one.  The fused
-loop's probabilities must be bit-identical to the oracle's.  So must its
-gradients where it steps every row; where it packs a span, its backward
-products run over fewer rows than these full-width ones, which BLAS rounds
-differently, and its gradients must be within 1e-12 of the largest entry.
+loop's probabilities must be bit-identical to the oracle's.  Its gradients
+must be within 1e-12 of the largest entry: its backward takes dX and the
+weight gradients out of the time loop, as products over every stepped
+position summed in blocks, which add in another order than the per-step
+products here.
 """
 
 import numpy as np

@@ -1,7 +1,9 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +11,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from bundle_edit import join_bundle, sign_payload, split_bundle
-from dcom import ingest
+from dcom import cli, ingest
 from dcom.cli import main, parse_config_file
 from dcom.errors import ConfigError, DcomError
 from dcom.features import FEATURE_NAMES
 from dcom.infer import predict_kvote
 from dcom.serialize import load_bundle, save_bundle
+from dcom.train import EpochReport, train_model
 from feature_oracle import oracle_features
 
 CONFIG = """\
@@ -723,6 +726,44 @@ def test_train_exits_cleanly_on_any_files(train_files, tmp_path_factory, data):
     event(f"train, {damaged} damaged: exit {code}")
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
+
+
+# How far a value written to the epoch log may lie from its EpochReport
+# field, by the precision the column is written at.
+LOG_PRECISION = {"train_loss": dict(abs=5.1e-7), "val_accuracy": dict(abs=5.1e-5),
+                 "val_f1": dict(abs=5.1e-5), "learning_rate": dict(rel=5.1e-3),
+                 "grad_norm_max": dict(rel=5.1e-5), "wall_time_s": dict(abs=5.1e-3)}
+
+
+@given(mode=st.sampled_from(["single", "multi"]), epochs=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=6, deadline=None)
+def test_epoch_log_rows_match_reports(corpus_path, tmp_path_factory, mode, epochs, seed):
+    """Each row of `dcom train --log` is the EpochReport train_model returned
+    for that epoch, field by field, to the precision it is written at."""
+    directory = tmp_path_factory.mktemp("epoch-log")
+    config = directory / "cfg.toml"
+    config.write_text(CONFIG.replace('"single"', f'"{mode}"')
+                      .replace("epochs = 6", f"epochs = {epochs}"))
+    returned = []
+
+    def spy(*args, **kwargs):
+        bundle, reports = train_model(*args, **kwargs)
+        returned.extend(reports)
+        return bundle, reports
+
+    log = directory / "epochs.csv"
+    with mock.patch.object(cli, "train_model", spy), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--data", str(corpus_path), "--config", str(config),
+                     "--out", str(directory / "m.dcom"), "--log", str(log),
+                     "--seed", str(seed)]) == 0
+    rows = list(csv.DictReader(log.read_text().splitlines()))
+    assert len(rows) == len(returned) >= 1
+    for row, report in zip(rows, returned):
+        assert list(row) == [f.name for f in dataclasses.fields(EpochReport)]
+        assert int(row["epoch"]) == report.epoch
+        for name, precision in LOG_PRECISION.items():
+            assert float(row[name]) == pytest.approx(getattr(report, name), **precision), name
 
 
 @given(out=st.sampled_from(["file", "directory", "missing parent"]),

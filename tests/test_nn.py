@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -287,11 +292,11 @@ def encoder_cases(draw):
 def assert_equals_oracle(config, batch, seed, train_mode, packed=False,
                          sizes=(VOCAB_SIZE, N_CLASSES)):
     """The fused loop's probabilities equal those of one loop per direction
-    (OracleModel), bit for bit. So do its gradients where the batch has no
-    packed span. A packed span's backward products run over its rows alone,
-    and BLAS rounds a product of another row count differently: there each
-    gradient is within 1e-12 of the oracle's largest entry. packed: pack every
-    padded batch, however small (a span cost of 0)."""
+    (OracleModel), bit for bit. Its gradients are within 1e-12 of the
+    oracle's largest entry: backward takes dX and the weight gradients out of
+    the time loop, as products over every stepped position summed in blocks,
+    so they add in another order than the oracle's per-step products. packed:
+    pack every padded batch, however small (a span cost of 0)."""
     model = seeded_model(config, seed, *sizes)
     oracle = OracleModel(config, params=model.params)
     runs = []
@@ -300,18 +305,14 @@ def assert_equals_oracle(config, batch, seed, train_mode, packed=False,
         with mock.patch.object(nn, "PACK_SPAN_COST", 0 if packed else nn.PACK_SPAN_COST):
             probs, cache = m.forward(batch, train_mode=train_mode, dropout_rng=rng)
         dlogits = np.random.default_rng(seed).normal(size=probs.shape)
-        runs.append((probs, m.backward(cache, dlogits), cache))
-    (probs, grads, cache), (oracle_probs, oracle_grads, _) = runs
+        runs.append((probs, m.backward(cache, dlogits)))
+    (probs, grads), (oracle_probs, oracle_grads) = runs
     np.testing.assert_array_equal(probs, oracle_probs)
     assert grads.keys() == oracle_grads.keys()
-    exact = all(rows is None for _, _, rows in cache["enc_cache"]["lstm"]["spans"])
     for name in grads:
-        if exact:
-            np.testing.assert_array_equal(grads[name], oracle_grads[name], err_msg=name)
-        else:
-            scale = np.abs(oracle_grads[name]).max()
-            np.testing.assert_allclose(grads[name], oracle_grads[name], rtol=0,
-                                       atol=1e-12 * scale, err_msg=name)
+        scale = np.abs(oracle_grads[name]).max()
+        np.testing.assert_allclose(grads[name], oracle_grads[name], rtol=0,
+                                   atol=1e-12 * scale, err_msg=name)
 
 
 class TestFusedEncoderOracle:
@@ -332,6 +333,9 @@ class TestFusedEncoderOracle:
         ([1, 1, 0], 1),  # one step: each row's own product has one row
         ([4, 0, 2], 4),  # a row with no tokens, and a lone row at the end
         ([3, 1, 1, 1], 3),
+        # every row empty: no stepped position at all, and zero LSTM and
+        # embedding gradients (the oracle's)
+        ([0] * (2 * nn.PACK_SPAN_COST), 1),
     ])
     def test_packed_edge_cases(self, lengths, T, width, train_mode):
         config = tiny_config(embedding_dim=width, hidden_size=width)
@@ -403,6 +407,49 @@ class TestFusedEncoderOracleAtBenchWidths:
             rng = np.random.default_rng(seed)
             config, batch = bench_width_case(*BENCH_WIDTH_CASES[name](rng), seed=seed)
             assert_equals_oracle(config, batch, seed, train_mode, sizes=BENCH_SIZES)
+
+
+# One packed training step at the bench's single widths, its gradients saved.
+BACKWARD_AND_SAVE = """
+import json, sys
+import numpy as np
+from test_nn import BENCH_SIZES, BENCH_WIDTH_CASES, bench_width_case, seeded_model
+config, batch = bench_width_case(*BENCH_WIDTH_CASES["single spread"](np.random.default_rng(0)),
+                                 seed=0)
+model = seeded_model(config, 0, *BENCH_SIZES)
+probs, cache = model.forward(batch, train_mode=True, dropout_rng=np.random.default_rng(0))
+grads = model.backward(cache, np.random.default_rng(1).normal(size=probs.shape))
+np.savez("grads.npz", **grads)
+packed = cache["enc_cache"]["lstm"]["spans"][-1][2] is not None
+print(json.dumps({"packed": packed, "positions": int(batch["tok_mask"].sum())}))
+"""
+
+
+class TestBackwardThreadInvariance:
+    def test_gradients_byte_equal_across_blas_threads(self, tmp_path):
+        """OpenBLAS rounds one product over every stepped position differently
+        under 1 and 2 threads; backward sums the weight gradients in blocks of
+        nn.GRAD_BLOCK positions, whose products do not depend on the thread
+        count. Several full blocks and a partial one."""
+        tests = str(Path(__file__).parent)
+        src = str(Path(nn.__file__).parent.parent)
+        saved = []
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                p for p in (src, tests, os.environ.get("PYTHONPATH")) if p)}
+            result = subprocess.run([sys.executable, "-c", BACKWARD_AND_SAVE],
+                                    cwd=tmp_path / threads, env=env, capture_output=True,
+                                    text=True, timeout=300)
+            assert result.returncode == 0, result.stderr[-2000:]
+            shape = json.loads(result.stdout.splitlines()[-1])
+            assert shape["packed"] and shape["positions"] > 600
+            assert shape["positions"] % nn.GRAD_BLOCK
+            saved.append(np.load(tmp_path / threads / "grads.npz"))
+        one, two = saved
+        assert sorted(one.files) == sorted(two.files)
+        for name in one.files:
+            assert one[name].tobytes() == two[name].tobytes(), name
 
 
 @st.composite

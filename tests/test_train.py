@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,9 +36,8 @@ from test_nn import one_row_per_occurrence
 
 
 def strip_time(reports):
-    """Drop the wall-time field so reports can be compared across runs."""
-    return [(r.epoch, r.train_loss, r.val_accuracy, r.val_f1, r.learning_rate)
-            for r in reports]
+    """Zero the wall-time field so reports can be compared across runs."""
+    return [dataclasses.replace(r, wall_time_s=0.0) for r in reports]
 
 
 def brute_force_weighted_f1(y_true, y_pred, n_classes):
@@ -569,6 +570,26 @@ class TestTrainModel:
         train_rows = extract_features([instances[i] for i in split.train])
         np.testing.assert_allclose(bundle.scaler.mean, train_rows.mean(axis=0), atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_grad_norm_max_is_largest_norm_before_update(self, sanity_corpus, mode):
+        # each epoch reports the largest global L2 norm of the gradients that
+        # reach adam_step
+        instances, split = sanity_corpus
+        config = TrainingConfig(mode=mode, epochs=2, r=8, **TINY_CONFIG)
+        norms, epoch_norms = [], []
+
+        def spy(params, grads, state):
+            norms.append(math.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+            return adam_step(params, grads, state)
+
+        def log(report):
+            epoch_norms.append(max(norms))
+            norms.clear()
+
+        with mock.patch("dcom.train.adam_step", spy):
+            _, reports = train_model(instances, split, config, seed=5, log_callback=log)
+        assert [r.grad_norm_max for r in reports] == pytest.approx(epoch_norms, rel=1e-12)
+
     def test_epoch_report_fields(self, sanity_bundle):
         _, reports = sanity_bundle
         for r in reports:
@@ -577,3 +598,4 @@ class TestTrainModel:
             assert 0.0 <= r.val_f1 <= 1.0
             assert r.train_loss >= 0.0
             assert r.learning_rate > 0.0
+            assert r.grad_norm_max > 0.0
