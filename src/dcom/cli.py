@@ -138,14 +138,16 @@ def _cmd_train(args):
                     split.save(args.split_out)
                 fh = stack.enter_context(open(log_path, "w", encoding="utf-8", newline=""))
                 csv.writer(fh).writerow(["epoch", "train_loss", "val_accuracy", "val_f1",
-                                         "learning_rate", "grad_norm_max", "wall_time_s"])
+                                         "learning_rate", "grad_norm_max", "truncated_frac",
+                                         "wall_time_s"])
 
         def log(report):
             start_outputs()
             csv.writer(fh).writerow([report.epoch, f"{report.train_loss:.6f}",
                                      f"{report.val_accuracy:.4f}", f"{report.val_f1:.4f}",
                                      f"{report.learning_rate:.2e}",
-                                     f"{report.grad_norm_max:.4e}", f"{report.wall_time_s:.2f}"])
+                                     f"{report.grad_norm_max:.4e}", f"{report.truncated_frac:.4f}",
+                                     f"{report.wall_time_s:.2f}"])
             fh.flush()
             print(f"epoch {report.epoch}: loss {report.train_loss:.4f} "
                   f"val_f1 {report.val_f1:.4f} lr {report.learning_rate:.2e}")

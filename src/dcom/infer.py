@@ -91,9 +91,12 @@ def predict_many(bundle: ModelBundle, instances, k, seeds) -> list[Prediction]:
     across columns for throughput.
 
     The columns go `bundle.training.batch_size` at a time, and their k samples
-    each are forwarded batch_size rows at a time.  The samples, and so the
-    votes and labels, are predict_kvote's; a probability may differ from it
-    in the last bits, because a BLAS result depends on the batch's shape.
+    each are forwarded batch_size rows at a time; in single mode
+    forward_samples takes them in order of their row length, so a forward
+    runs as many steps as the longest of rows of like length.  The samples,
+    and so the votes and labels, are predict_kvote's; a probability may
+    differ from it in the last bits, because a BLAS result depends on the
+    batch's shape and on a row's place in it.
     """
     instances, seeds = list(instances), list(seeds)
     if len(seeds) != len(instances):

@@ -35,16 +35,22 @@ text gradient, by its (b, r) index.
 
 The steps are packed where that pays: a step computes only the n rows still
 inside their length, in row order. The set of rows changes only where a row
-ends, so one index array serves every step between two lengths. The input
-part x @ Wx + b is multiplied for the positions inside a length only. A step
-in which every row is inside its length, as every step of a one-row batch
-is, runs on the whole batch with no index at all. So does every step of a
-batch whose padding is small against its number of distinct lengths
-(PACK_SPAN_COST), such as the few short slot texts of one multi sample: a row
-past its length keeps stepping on its padded input, which costs fewer numpy
-calls than the indexing would, and nothing reads what it computes. Both
-kinds of span share one step body, written inline: a helper function called
-per step costs about 3 us per step at one row.
+ends, so one index array serves every step between two lengths. A packed
+batch holds nothing of its padding: it embeds only the P positions inside a
+length, multiplies x @ Wx + b for them only, keeps the hidden and cell state
+of the current span's rows only, handing them to the next span with one
+gather, and records the hidden state before each step into a packed
+(2, P, H) array that backward reads. So its memory grows with P, as
+cuDNN's variable-length RNNs do, not with N x T. A step in which every row
+is inside its length, as every step of a one-row batch is, runs on the
+whole batch with no index at all. So does every step of a batch whose
+padding is small against its number of distinct lengths (PACK_SPAN_COST),
+such as the few short slot texts of one multi sample: it embeds all N x T
+positions and keeps (T + 1, 2, N, H) state histories, a row past its length
+keeps stepping on its padded input, which costs fewer numpy calls than the
+indexing would, and nothing reads what it computes. Both kinds of batch
+share one step body, written inline: a helper function called per step
+costs about 3 us per step at one row.
 
 A lone row is stepped as two equal rows: numpy sends a one-row matmul to
 gemv, which rounds differently from the many-row kernel. Inside its length a
@@ -173,7 +179,7 @@ def _spans(lengths, T):
 GRAD_BLOCK = 128
 
 
-def _stepped_positions(lengths, T, every_row):
+def _stepped_positions(lengths, T, every_row=False):
     """The (row, t) positions a forward stepped, time-major, rows in row order
     at each step: a packed batch steps the positions inside a length, a batch
     of one span of every row (every_row) all N x T. Returns (rows, t,
@@ -195,113 +201,139 @@ def _stepped(rows):
     return rows if rows.size > 1 else rows.repeat(2)
 
 
-def _packed_gates(X, lengths, Wx, b):
-    """The input part of the gates, x @ Wx + b, for the positions inside a
-    length only, packed time-major: gates[t] is (2, n, 4H) for the n rows
-    inside their length at step t.
+def _packed_gates(X_p, embedding, ids, positions, Wx, b):
+    """The input part of the gates, x @ Wx + b, for the stepped positions
+    only, X_p (2, P, E): gates[t] is (2, n, 4H) for the n rows inside their
+    length at step t.
 
     Where the packed product, or a per-row one (T == 1), has one row it goes
-    to gemv, which rounds differently: then each row's product is taken at
-    full width, as a loop per row does, and packed after."""
-    T = X.shape[2]
-    inside = np.arange(T)[:, None] < lengths
-    if T > 1 and lengths.sum() > 1:
-        gates = np.matmul(X.transpose(0, 2, 1, 3)[:, inside], Wx)
+    to gemv, which rounds differently: then each stepped row's product is
+    taken at full width, as a loop per row does, and its positions picked
+    after."""
+    rows, t, offsets = positions
+    T = ids.shape[2]
+    if T > 1 and len(t) > 1:
+        gates = np.matmul(X_p, Wx)
     else:
-        gates = np.matmul(X, Wx[:, None]).transpose(0, 2, 1, 3)[:, inside]
+        gates = np.matmul(embedding[ids[:, rows]], Wx[:, None])[:, np.arange(len(t)), t]
     gates += b[:, None]
-    slabs, at = [], 0
-    for n in inside.sum(axis=1).tolist():
-        slabs.append(gates[:, at : at + n])
-        at += n
-    return slabs
+    return [gates[:, offsets[s] : offsets[s + 1]] for s in range(T)]
 
 
-def _lstm_forward(X, lengths, Wx, Wh, b):
+def _lstm_forward(embedding, ids, lengths, Wx, Wh, b):
     """Both directions of an LSTM over rows of their own lengths, stepped
     together in one time loop.
 
-    X is (2, N, T, E) with the direction on axis 0; Wx (2, E, 4H), Wh (2, H, 4H)
-    and b (2, 4H) stack each direction's weights the same way. lengths (N,)
-    serves both, since reversal keeps padding in place: a row's tokens are its
-    first lengths[n] positions. Hs and Cs (T + 1, 2, N, H) hold the states
-    after each step, and a row's final state, h_final (2, N, H), is read at its
-    own length, so a row of length 0 reads the zero state Hs[0]. Backward reads
-    Hs for the hidden state before each step.
+    ids is (2, N, T) with the direction on axis 0, embedded through embedding
+    (V, E); Wx (2, E, 4H), Wh (2, H, 4H) and b (2, 4H) stack each direction's
+    weights the same way. lengths (N,) serves both, since reversal keeps
+    padding in place: a row's tokens are its first lengths[n] positions. A
+    row's final state, h_final (2, N, H), is read at its own length, so a row
+    of length 0 keeps the zero state.
 
-    One step body serves both kinds of span (_spans). A span of every row
-    works in place, in gates[t], Cs[t + 1] and Hs[t + 1]; in a padded batch a
-    row past its length keeps stepping on its padded input, and nothing reads
-    what it computes. A packed span steps only the rows inside their length,
-    in fresh arrays scattered into Hs and Cs. Either way steps[t] holds, for
-    the rows step t computed, its gate activations (2, n, 4H) in i, f, g, o
-    order, the cell state before it and tanh of the cell state after it.
+    One step body serves both kinds of batch. A batch of one span of every
+    row (_spans) embeds all N x T positions and works in place, in gates[t]
+    and in Hs and Cs (T + 1, 2, N, H), the states after each step; in a
+    padded batch a row past its length keeps stepping on its padded input,
+    and nothing reads what it computes. A packed batch holds its stepped
+    positions only, time-major, rows in row order (_stepped_positions): it
+    embeds their ids once as X_p (2, P, E), keeps h and c for the span's
+    rows only, hands them to the next span with one gather of the rows that
+    go on, and copies the hidden state before each step into H_p (2, P, H).
+    So its memory grows with P, not with N x T. Either way steps[t] holds,
+    for the rows step t computed, its gate activations (2, n, 4H) in i, f,
+    g, o order, the cell state before it and tanh of the cell state after
+    it. Backward reads the inputs and hidden states before each stepped
+    position from X_p and H_p, or gathers them from X and Hs.
     """
-    _, N, T, _ = X.shape
+    _, N, T = ids.shape
     H = Wh.shape[1]
-    Hs = np.zeros((T + 1, 2, N, H))
-    Cs = np.zeros((T + 1, 2, N, H))
     spans = [(0, T, None)]
     # a packed batch has two spans at least, so its padding must outweigh two
     if N * T - lengths.sum() >= 2 * PACK_SPAN_COST:
         spans = _spans(lengths, T)
+    packed = spans[-1][2] is not None
     # The input part, x @ Wx + b, is hoisted out of the loop: gates[t] holds it
     # for the rows step t computes.
-    if spans[-1][2] is None:  # one span of every row
+    if packed:
+        positions = rows_p, t_p, offsets = _stepped_positions(lengths, T)
+        ids_p = ids[:, rows_p, t_p]
+        X_p = embedding[ids_p]
+        gates = _packed_gates(X_p, embedding, ids, positions, Wx, b)
+        H_p = np.empty((2, len(t_p), H))
+        h_final = np.zeros((2, N, H))
+    else:
+        X = embedding[ids]  # padded positions are embedded too; nothing reads them
+        Hs = np.zeros((T + 1, 2, N, H))
+        Cs = np.zeros((T + 1, 2, N, H))
         gates = np.empty((T, 2, N, 4 * H))
         np.matmul(X, Wx[:, None], out=gates.transpose(1, 2, 0, 3))
         gates += b[:, None]
-    else:
-        gates = _packed_gates(X, lengths, Wx, b)
+        h, c = Hs[0], Cs[0]
     steps = {}
+    prev = None  # the rows whose state h and c hold, None for every row
     for start, stop, rows in spans:
-        whole = rows is None
-        if not whole and rows.size == 0:
+        n = N if rows is None else rows.size
+        if n == 0:
             break
-        # A packed span works in fresh arrays: a strided slab is slower to
-        # work in than to read once.
-        at = slice(None) if whole else _stepped(rows)
-        h, c = Hs[start][:, at], Cs[start][:, at]
+        if packed:
+            # A packed span works on its own rows in fresh arrays: a strided
+            # slab is slower to work in than to read once. Rows only leave.
+            if start == 0:
+                h = c = np.zeros((2, N if rows is None else _stepped(rows).size, H))
+            else:
+                keep = _stepped(rows if prev is None else np.searchsorted(prev, rows))
+                h, c = h[:, keep], c[:, keep]
         for t in range(start, stop):
+            if packed:
+                H_p[:, offsets[t] : offsets[t] + n] = h[:, :n]  # a lone row once
             a = np.matmul(h, Wh)
             a += gates[t]  # a lone row's (2, 1, 4H) slab broadcasts over its copies
             # one sigmoid over the whole slab, then tanh over g
-            s = np.negative(a, out=gates[t] if whole else None)
+            s = np.negative(a, out=None if packed else gates[t])
             np.exp(s, out=s)
             s += 1.0
             np.divide(1.0, s, out=s)
             i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
             np.tanh(a[..., 2 * H : 3 * H], out=g)
-            c_new = np.multiply(f, c, out=Cs[t + 1] if whole else None)
+            c_new = np.multiply(f, c, out=None if packed else Cs[t + 1])
             c_new += i * g
             tanh_c = np.tanh(c_new)
             steps[t] = (s, c, tanh_c)
-            h = np.multiply(tanh_c, o, out=Hs[t + 1] if whole else None)
+            h = np.multiply(tanh_c, o, out=None if packed else Hs[t + 1])
             c = c_new
-            if not whole:
-                Hs[t + 1][:, at] = h
-                Cs[t + 1][:, at] = c
-    h_final = Hs[lengths, :, np.arange(N)].swapaxes(0, 1)
-    return {"h_final": h_final, "lengths": lengths, "spans": spans, "steps": steps,
-            "Hs": Hs}
+        if packed:  # a row's last write is its final state
+            h_final[:, slice(None) if rows is None else rows] = h[:, :n]
+        prev = rows
+    cache = {"lengths": lengths, "spans": spans, "steps": steps}
+    if packed:
+        cache.update(positions=positions, ids_p=ids_p, X_p=X_p, H_p=H_p)
+    else:
+        h_final = Hs[lengths, :, np.arange(N)].swapaxes(0, 1)
+        cache.update(ids=ids, X=X, Hs=Hs)
+    cache["h_final"] = h_final
+    return cache
 
 
-def _lstm_backward(cache, dh_final, X, Wx, Wh):
+def _lstm_backward(cache, dh_final, Wx, Wh):
     """Backprop through both directions in one reversed loop; dh_final is (2, N, H).
 
     Only the recurrence stays in the loop (Appleyard et al. 2016). A step
     computes dc, the gate gradients dA and dh = dA @ Wh^T for the rows the
     forward stepped, and writes its rows of dA, a lone row once, into one
     packed (2, P, 4H) slab: the P positions the forward stepped, time-major,
-    rows in row order at each step (_stepped_positions). A row's gradient
-    enters at its last step, so a packed span's rows join only at its last
-    step, and dh and dc are gathered and scattered at span boundaries only.
+    rows in row order at each step (_stepped_positions), the order of a
+    packed forward's X_p and H_p. A row's gradient enters at its last step,
+    so a packed span's rows join only at its last step, and dh and dc are
+    gathered and scattered at span boundaries only.
 
     After the loop, dX = dA @ Wx^T is one product over the P rows, which
     OpenBLAS splits among its threads by rows, so its bits do not depend on
     the thread count, and db is one sum. dWx = X_p^T dA and dWh = H_p^T dA,
     over the inputs and the hidden states before each stepped position, are
-    summed GRAD_BLOCK positions at a time, the blocks added in order. A row
+    summed GRAD_BLOCK positions at a time, the blocks added in order. A
+    packed forward kept X_p and H_p; for a batch of one span of every row
+    they are gathered here from X and Hs, over all N x T positions. A row
     past its length, stepped in a span of every row, has dA exactly 0, so it
     adds nothing.
 
@@ -315,12 +347,16 @@ def _lstm_backward(cache, dh_final, X, Wx, Wh):
     (dS * s) * (1 - s), the order of a per-gate d * i * (1 - i), and then
     overwrites the g block with dg * (1 - g**2).
 
-    Returns dX (2, P, E), the gradient of X at the stepped positions, those
-    positions as (rows, t) index arrays, and dWx, dWh and db."""
-    N = X.shape[1]
-    H = Wh.shape[1]
+    Returns dX (2, P, E), the gradient of the embedded inputs at the stepped
+    positions, their ids (2, P), and dWx, dWh and db."""
     lengths, steps, spans = cache["lengths"], cache["steps"], cache["spans"]
-    rows_p, t_p, offsets = _stepped_positions(lengths, X.shape[2], spans[-1][2] is None)
+    N = len(lengths)
+    H = Wh.shape[1]
+    packed = "H_p" in cache
+    if packed:
+        rows_p, t_p, offsets = cache["positions"]
+    else:
+        rows_p, t_p, offsets = _stepped_positions(lengths, cache["X"].shape[2], every_row=True)
     WhT = Wh.transpose(0, 2, 1)
     dA_p = np.empty((2, len(t_p), 4 * H))
     # the steps at which rows' gradients enter, and those rows
@@ -363,15 +399,19 @@ def _lstm_backward(cache, dh_final, X, Wx, Wh):
         dc[:, at] = dc_s
     dX = np.matmul(dA_p, Wx.transpose(0, 2, 1))
     db = dA_p.sum(axis=1)
-    X_p = X[:, rows_p, t_p]
-    H_p = cache["Hs"].transpose(1, 0, 2, 3)[:, t_p, rows_p]
+    if packed:
+        ids_p, X_p, H_p = cache["ids_p"], cache["X_p"], cache["H_p"]
+    else:
+        ids_p = cache["ids"][:, rows_p, t_p]
+        X_p = cache["X"][:, rows_p, t_p]
+        H_p = cache["Hs"].transpose(1, 0, 2, 3)[:, t_p, rows_p]
     dWx = np.zeros_like(Wx)
     dWh = np.zeros_like(Wh)
     for k in range(0, len(t_p), GRAD_BLOCK):
         block = slice(k, k + GRAD_BLOCK)
         dWx += np.matmul(X_p[:, block].transpose(0, 2, 1), dA_p[:, block])
         dWh += np.matmul(H_p[:, block].transpose(0, 2, 1), dA_p[:, block])
-    return dX, (rows_p, t_p), dWx, dWh, db
+    return dX, ids_p, dWx, dWh, db
 
 
 def _add_rows(index, values, n):
@@ -404,26 +444,23 @@ class Model:
     def _encode(self, ids, mask):
         p = self.params
         ids2 = np.stack([ids, _reverse_within_length(ids, mask)])  # (2, N, T): fw, bw
-        X = p["embedding"][ids2]  # padded positions are embedded too; nothing reads them
         W = {k: np.stack([p[f"lstm_fw_{k}"], p[f"lstm_bw_{k}"]]) for k in ("Wx", "Wh", "b")}
         lengths = mask.sum(axis=1).astype(np.int64)
-        lstm = _lstm_forward(X, lengths, W["Wx"], W["Wh"], W["b"])
+        lstm = _lstm_forward(p["embedding"], ids2, lengths, W["Wx"], W["Wh"], W["b"])
         enc = np.concatenate(lstm["h_final"], axis=1)
-        cache = {"ids": ids2, "X": X, "W": W, "lstm": lstm}
-        return enc, cache
+        return enc, {"W": W, "lstm": lstm}
 
     def _encode_backward(self, cache, denc, grads):
         H = self.config.hidden_size
         W = cache["W"]
         dh = np.stack([denc[:, :H], denc[:, H:]])
-        dX, (rows, t), dWx, dWh, db = _lstm_backward(
-            cache["lstm"], dh, cache["X"], W["Wx"], W["Wh"])
+        dX, ids, dWx, dWh, db = _lstm_backward(cache["lstm"], dh, W["Wx"], W["Wh"])
         for j, d in enumerate(("fw", "bw")):
             grads[f"lstm_{d}_Wx"] += dWx[j]
             grads[f"lstm_{d}_Wh"] += dWh[j]
             grads[f"lstm_{d}_b"] += db[j]
         # one scatter over the fw positions, then the bw ones
-        grads["embedding"] += _add_rows(cache["ids"][:, rows, t], dX, len(grads["embedding"]))
+        grads["embedding"] += _add_rows(ids, dX, len(grads["embedding"]))
 
     # -- forward -------------------------------------------------------------
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import copy
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,31 +53,53 @@ PLATEAU_MIN_DELTA = 1e-6
 
 @dataclass
 class OptimizerState:
-    """Adam moments per parameter, plus the current learning rate."""
+    """Adam's moments, flat over the parameters in the gradients' key order,
+    plus the current learning rate. scratch holds two buffers of the same
+    size that each update works in."""
 
     learning_rate: float = 1e-4
     step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    scratch: tuple = ()
 
 
 def adam_step(params, grads, state: OptimizerState):
-    """One bias-corrected Adam update, in place on params."""
-    for g in grads.values():
-        if not np.all(np.isfinite(g)):
-            raise DiagnosticError("non-finite gradient; update aborted")
+    """One bias-corrected Adam update, in place on params.
+
+    The gradients are concatenated once, in their key order, which must stay
+    the same from step to step. The moments and the update are then computed
+    over that flat array, in place and in the two scratch buffers, each
+    element by the operations and in the order of the per-array update
+    m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g,
+    p -= lr * m_hat / (sqrt(v_hat) + eps). So the update is bit-equal to the
+    per-array one without its six temporaries per parameter. A non-finite
+    gradient aborts before any state changes."""
+    g = np.concatenate([grad.ravel() for grad in grads.values()])
+    if not np.all(np.isfinite(g)):
+        raise DiagnosticError("non-finite gradient; update aborted")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
+        state.scratch = (np.empty_like(g), np.empty_like(g))
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for name, g in grads.items():
-        if name not in state.m:
-            state.m[name] = np.zeros_like(g)
-            state.v[name] = np.zeros_like(g)
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1**t)
-        v_hat = state.v[name] / (1 - b2**t)
-        params[name] -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v, (a, update) = state.m, state.v, state.scratch
+    m *= b1
+    m += np.multiply(g, 1 - b1, out=a)
+    v *= b2
+    np.multiply(g, 1 - b2, out=a)
+    v += np.multiply(a, g, out=a)
+    np.divide(m, 1 - b1**t, out=update)  # m_hat
+    update *= state.learning_rate
+    np.divide(v, 1 - b2**t, out=a)  # v_hat
+    np.sqrt(a, out=a)
+    a += ADAM_EPS
+    update /= a
+    at = 0
+    for name, grad in grads.items():
+        params[name] -= update[at : at + grad.size].reshape(grad.shape)
+        at += grad.size
 
 
 @dataclass
@@ -150,8 +172,10 @@ def accuracy(y_true, y_pred) -> float:
 class EpochReport:
     """One epoch's summary. grad_norm_max is the largest global L2 norm of the
     gradients over the epoch's steps, before the Adam update: exploding
-    gradients show first there (Pascanu et al. 2013). 0 for an epoch of no
-    steps."""
+    gradients show first there (Pascanu et al. 2013). truncated_frac is the
+    share of the epoch's training rows that make_batch cut: single samples
+    cut at max_len, or a multi batch's distinct slot texts cut at
+    max_len_per_slot. Both are 0 for an epoch of no steps."""
 
     epoch: int
     train_loss: float
@@ -159,11 +183,33 @@ class EpochReport:
     val_f1: float
     learning_rate: float
     grad_norm_max: float
+    truncated_frac: float
     wall_time_s: float
 
 
 def _epoch_rng(seed, epoch, tag):
     return np.random.default_rng([seed, epoch, tag])
+
+
+def _token_rows(row_values, cut, vocab, token_cache):
+    """Each row's ids, its values' ids joined by SEP_ID and cut at cut, and
+    the number of rows the cut shortened. token_cache maps a value to its
+    uncut ids (tokenizers.encode_value)."""
+    rows, truncated = [], 0
+    for values in row_values:
+        row = []
+        for j, value in enumerate(values):
+            if j:  # by position, so a value with no ids keeps its [SEP]
+                row.append(tokenizers.SEP_ID)
+            if len(row) > cut:
+                break
+            value_ids = token_cache.get(value)
+            if value_ids is None:
+                value_ids = token_cache[value] = tuple(tokenizers.encode_value(vocab, value))
+            row.extend(value_ids)
+        truncated += len(row) > cut
+        rows.append(row[:cut])
+    return rows, truncated
 
 
 def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
@@ -174,10 +220,11 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
     tok_mask are (B, T), one row per sample.  Multi ones are (U, T), one row
     per distinct real slot text in first-seen order, and slots (B, R) gives
     each real slot its row, -1 for a padded slot.  T is the longest row, at
-    least 1.  As ColumnInstance escapes SEP_TOKEN, each row is tokenizers.encode
-    of its text on its first T positions.  token_cache maps a value to its
-    uncut ids (tokenizers.encode_value), so each value is tokenized once per
-    cache; the caller scopes it to one train_model or _predict_columns call.
+    least 1.  truncated counts the rows that were cut.  As ColumnInstance
+    escapes SEP_TOKEN, each row is tokenizers.encode of its text on its first
+    T positions.  token_cache maps a value to its uncut ids
+    (tokenizers.encode_value), so each value is tokenized once per cache; the
+    caller scopes it to one train_model or _predict_columns call.
     """
     if config.mode == "single":
         row_values, cut = [s.values for s in samples], config.max_len
@@ -188,37 +235,65 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
                   for t, real in zip(s.texts, s.pad_mask)] for s in samples]
         row_values, cut = [(t,) for t in row_of], config.max_len_per_slot
         batch = {"slots": np.array(slots, dtype=np.int64)}
-    rows = []
-    for values in row_values:
-        row = []
-        for j, value in enumerate(values):
-            if len(row) >= cut:
-                break
-            value_ids = token_cache.get(value)
-            if value_ids is None:
-                value_ids = token_cache[value] = tuple(tokenizers.encode_value(vocab, value))
-            if j:  # by position, so a value with no ids keeps its [SEP]
-                row.append(tokenizers.SEP_ID)
-            row.extend(value_ids)
-        rows.append(row[:cut])
+    rows, truncated = _token_rows(row_values, cut, vocab, token_cache)
     lengths = np.array([len(row) for row in rows])
     tok_mask = np.arange(max(1, lengths.max())) < lengths[:, None]
     ids = np.full(tok_mask.shape, tokenizers.PAD_ID, dtype=np.int64)
     ids[tok_mask] = np.fromiter(itertools.chain.from_iterable(rows), np.int64, lengths.sum())
-    batch.update(ids=ids, tok_mask=tok_mask.astype(np.int64), feats=np.stack(feats))
+    batch.update(ids=ids, tok_mask=tok_mask.astype(np.int64), feats=np.stack(feats),
+                 truncated=truncated)
     return batch
 
 
 def forward_samples(model, samples, feats, vocab, rows, token_cache):
     """Inference probabilities, one row per sample (samples[i] with scaled
     features feats[i]), forwarded `rows` samples at a time through make_batch;
-    each forward's step history is freed before the next forward runs."""
-    probs = []
-    for start in range(0, len(samples), rows):
-        batch = make_batch(samples[start : start + rows], feats[start : start + rows],
-                           model.config, vocab, token_cache)
-        probs.append(model.forward(batch, train_mode=False)[0])
-    return np.vstack(probs)
+    each forward's step history is freed before the next forward runs.
+
+    In single mode a forward's rows are the samples themselves, and a forward
+    runs as many steps as its longest row. So more than one forward of more
+    than one row (validation, predict_many) takes the samples in order of
+    their row length, a stable sort, and writes the probabilities back in
+    the caller's order. A row's arithmetic does not depend on which rows
+    share its forward; its rounding does only where the BLAS rounds a row by
+    its place. So the probabilities are the caller-order ones, bit for bit,
+    when every forward holds the same number of rows, a multiple of 4
+    (OpenBLAS's Haswell kernels compute a product's rows in blocks of 4), and
+    a row of 2 tokens at least (a row's input product of one row goes to
+    gemv). Validation's 320 rows in forwards of 32 are such a case, and
+    seeded bundles do not change; elsewhere a probability may move in its
+    last bits. A multi forward's rows are its distinct slot texts, each at
+    most max_len_per_slot long, which ordering the samples does not shorten.
+    rows == 1 (predict_kvote) keeps the caller's order.
+    """
+    config = model.config
+    order = None
+    if config.mode == "single" and 1 < rows < len(samples):
+        token_rows, _ = _token_rows([s.values for s in samples], config.max_len, vocab,
+                                    token_cache)
+        order = np.argsort([len(row) for row in token_rows], kind="stable")
+        samples, feats = [samples[i] for i in order], feats[order]
+    probs = np.vstack([
+        model.forward(make_batch(samples[start : start + rows], feats[start : start + rows],
+                                 config, vocab, token_cache), train_mode=False)[0]
+        for start in range(0, len(samples), rows)])
+    if order is not None:
+        probs[order] = probs.copy()
+    return probs
+
+
+def _train_step(model, batch, labels, class_weights, dropout_rng, opt):
+    """One forward, backward and Adam update; returns (loss, gradient norm).
+    The forward's cache, with its whole step history, dies with this call,
+    so it is never alive beside the next step's forward or the validation
+    pass."""
+    probs, cache = model.forward(batch, train_mode=True, dropout_rng=dropout_rng)
+    loss, dlogits = cross_entropy_batch(probs, labels, class_weights)
+    grads = model.backward(cache, dlogits)
+    del cache
+    grad_norm = float(np.sqrt(sum(np.vdot(g, g) for g in grads.values())))
+    adam_step(model.params, grads, opt)
+    return loss, grad_norm
 
 
 def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=None):
@@ -282,19 +357,18 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
         order = _epoch_rng(seed, epoch, 2).permutation(len(split.train))
         losses = []
         grad_norm_max = 0.0
+        n_rows = n_truncated = 0
         for start in range(0, len(order), config.batch_size):
             rows = order[start : start + config.batch_size]
             chunk = [split.train[j] for j in rows]
             samples = [augment.training_sample(instances[i], config, sample_rng) for i in chunk]
             batch = make_batch(samples, scaled[rows], config, vocab, token_cache)
+            n_rows += len(batch["ids"])
+            n_truncated += batch["truncated"]
             labels = np.asarray([class_vocab.id_of(instances[i].label) for i in chunk])
-            probs, cache = model.forward(batch, train_mode=True, dropout_rng=drop_rng)
-            loss, dlogits = cross_entropy_batch(probs, labels, class_weights)
+            loss, grad_norm = _train_step(model, batch, labels, class_weights, drop_rng, opt)
             losses.append(loss)
-            grads = model.backward(cache, dlogits)
-            grad_norm = float(np.sqrt(sum(np.vdot(g, g) for g in grads.values())))
             grad_norm_max = max(grad_norm_max, grad_norm)
-            adam_step(model.params, grads, opt)
 
         val_rng = _epoch_rng(seed, epoch, 3)
         val_samples = [augment.inference_inputs(instances[i], config, 1, val_rng)[0]
@@ -312,6 +386,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
             val_f1=val_f1,
             learning_rate=opt.learning_rate,
             grad_norm_max=grad_norm_max,
+            truncated_frac=n_truncated / n_rows if n_rows else 0.0,
             wall_time_s=time.perf_counter() - t0,
         )
         reports.append(report)

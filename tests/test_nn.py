@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -450,6 +451,27 @@ class TestBackwardThreadInvariance:
         assert sorted(one.files) == sorted(two.files)
         for name in one.files:
             assert one[name].tobytes() == two[name].tobytes(), name
+
+
+class TestPackedMemory:
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_forward_holds_stepped_positions_only(self, train_mode):
+        """A packed forward keeps the stepped positions only, not N x T: at the
+        bench's single widths, 32 rows (one of length 96, 31 of length 1)
+        peak below one (T + 1, 2, N, H) float64 array, the size of each of the
+        padded state histories Hs and Cs."""
+        T, N = 96, 32
+        config, batch = bench_width_case("single", N, T, np.r_[T, np.ones(N - 1, int)], seed=0)
+        model = seeded_model(config, 0, *BENCH_SIZES)
+        rng = np.random.default_rng(0) if train_mode else None
+        tracemalloc.start()
+        try:
+            _, cache = model.forward(batch, train_mode=train_mode, dropout_rng=rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cache["enc_cache"]["lstm"]["spans"][-1][2] is not None  # packed
+        assert peak < (T + 1) * 2 * N * config.hidden_size * 8
 
 
 @st.composite

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +21,9 @@ from dcom.core import (AGGREGATIONS, MAX_SLOTS, TOKENIZER_KINDS, ColumnInstance,
 from dcom.errors import ConfigError, DiagnosticError
 from dcom.nn import Model, init_params
 from dcom.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     EpochReport,
     OptimizerState,
     PlateauScheduler,
@@ -27,6 +31,7 @@ from dcom.train import (
     accuracy,
     adam_step,
     cross_entropy_batch,
+    forward_samples,
     make_batch,
     support_weighted_f1,
     train_model,
@@ -122,6 +127,57 @@ class TestAdam:
 
         with pytest.raises(DiagnosticError):
             adam_step({"w": np.zeros(1)}, {"w": np.array([np.nan])}, OptimizerState())
+
+
+def reference_adam_step(params, grads, m, v, t, learning_rate):
+    """The per-array Adam update that adam_step's flat one replaced, kept as
+    its exact reference; m and v map each name to its moments."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    for name, g in grads.items():
+        if name not in m:
+            m[name] = np.zeros_like(g)
+            v[name] = np.zeros_like(g)
+        m[name] = b1 * m[name] + (1 - b1) * g
+        v[name] = b2 * v[name] + (1 - b2) * g * g
+        m_hat = m[name] / (1 - b1**t)
+        v_hat = v[name] / (1 - b2**t)
+        params[name] -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+class TestFlatAdam:
+    @settings(max_examples=200, deadline=None)
+    @given(shapes=st.lists(st.lists(st.integers(1, 5), max_size=3), min_size=1, max_size=5),
+           rates=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=6),
+           scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e4]), seed=st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_per_array_update(self, shapes, rates, scale, seed):
+        """adam_step over one flat array updates every parameter to the bits
+        of the per-array update, step after step, while the learning rate
+        changes between steps."""
+        rng = np.random.default_rng(seed)
+        params = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+        ref = {name: p.copy() for name, p in params.items()}
+        state, m, v = OptimizerState(), {}, {}
+        for t, rate in enumerate(rates, start=1):
+            grads = {name: scale * rng.normal(size=p.shape) for name, p in params.items()}
+            state.learning_rate = rate
+            adam_step(params, grads, state)
+            reference_adam_step(ref, grads, m, v, t, rate)
+            assert state.step_count == t
+            for name in params:
+                assert params[name].tobytes() == ref[name].tobytes(), (t, name)
+
+    def test_nonfinite_gradient_changes_nothing(self):
+        params = {"a": np.ones(3), "b": np.ones((2, 2))}
+        state = OptimizerState(learning_rate=1e-2)
+        adam_step(params, {"a": np.ones(3), "b": np.ones((2, 2))}, state)
+        before = ({k: p.copy() for k, p in params.items()}, state.m.copy(), state.v.copy())
+        with pytest.raises(DiagnosticError):
+            adam_step(params, {"a": np.ones(3), "b": np.array([[1.0, np.inf], [0, 0]])}, state)
+        assert state.step_count == 1
+        np.testing.assert_array_equal(state.m, before[1])
+        np.testing.assert_array_equal(state.v, before[2])
+        for name in params:
+            np.testing.assert_array_equal(params[name], before[0][name])
 
 
 class TestPlateauScheduler:
@@ -313,13 +369,19 @@ class TestMakeBatch:
             assert np.all(full["ids"][..., T:] == tk.PAD_ID)
             assert np.all(full["tok_mask"][..., T:] == 0)
             np.testing.assert_array_equal(batch["feats"], full["feats"])
+            # a row is cut where its text's whole encoding is longer than the cut
+            cut = config.max_len if mode == "single" else config.max_len_per_slot
+            texts = ([s.text for s in samples] if mode == "single" else list(dict.fromkeys(
+                t for s in samples for t, real in zip(s.texts, s.pad_mask) if real)))
+            whole = [int(tk.encode(VOCABS[kind], t, 1000).attention_mask.sum()) for t in texts]
+            assert batch["truncated"] == sum(n > cut for n in whole)
             if mode == "single":
-                assert sorted(batch) == sorted(full)
+                assert sorted(batch) == sorted([*full, "truncated"])
                 assert batch["ids"].shape == full["ids"].shape[:-1] + (T,)
                 np.testing.assert_array_equal(batch["ids"], full["ids"][..., :T])
                 np.testing.assert_array_equal(batch["tok_mask"], full["tok_mask"][..., :T])
                 continue
-            assert sorted(batch) == ["feats", "ids", "slots", "tok_mask"]
+            assert sorted(batch) == ["feats", "ids", "slots", "tok_mask", "truncated"]
             slots, real = batch["slots"], full["slot_mask"]
             assert slots.shape == real.shape
             np.testing.assert_array_equal(slots < 0, ~real)
@@ -599,3 +661,141 @@ class TestTrainModel:
             assert r.train_loss >= 0.0
             assert r.learning_rate > 0.0
             assert r.grad_norm_max > 0.0
+            assert 0.0 <= r.truncated_frac <= 1.0
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_truncated_frac(self, sanity_corpus, mode):
+        # the share of an epoch's training rows make_batch cut: more than 0
+        # under a tiny cut, 0 under one no row reaches
+        instances, split = sanity_corpus
+        for cut, cut_some in ((1, True), (10_000, False)):
+            config = TrainingConfig(mode=mode, epochs=1, r=8,
+                                    **{**TINY_CONFIG, "max_len": cut, "max_len_per_slot": cut})
+            _, (report,) = train_model(instances, split, config, seed=5)
+            assert (report.truncated_frac > 0.0) == cut_some
+            assert report.truncated_frac <= 1.0
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_one_step_cache_alive(self, sanity_corpus, mode):
+        """train_model holds at most one step's forward cache: an array only a
+        training forward's cache holds is freed before the next training
+        forward, and before the validation pass, starts."""
+        instances, split = sanity_corpus
+        config = TrainingConfig(mode=mode, epochs=2, r=8, **TINY_CONFIG)
+        forward = Model.forward
+        last = []  # a weakref to the last training forward's cache-only array
+        checked = {True: [], False: []}  # train_mode -> was it still alive?
+
+        def spy(self, batch, train_mode=False, dropout_rng=None):
+            if last:
+                checked[train_mode].append(last[-1]() is not None)
+            probs, cache = forward(self, batch, train_mode=train_mode, dropout_rng=dropout_rng)
+            if train_mode:
+                last.append(weakref.ref(cache["z"]))
+            return probs, cache
+
+        with mock.patch.object(Model, "forward", spy):
+            train_model(instances, split, config, seed=5)
+        assert checked[True] and checked[False]
+        assert not any(checked[True]) and not any(checked[False])
+
+
+def caller_order_probs(model, samples, feats, vocab, rows):
+    """Inference probabilities forwarded chunk by chunk in the caller's order."""
+    return np.vstack([
+        model.forward(make_batch(samples[i : i + rows], feats[i : i + rows], model.config,
+                                 vocab, {}))[0]
+        for i in range(0, len(samples), rows)])
+
+
+class TestOrderedForward:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_caller_order(self, sanity_bundle, sanity_corpus, data):
+        """Single-mode forward_samples orders the samples by row length, the
+        chunks shortest first, and returns each probability in the caller's
+        place. It is the bits of the caller-order forward when a row's
+        rounding cannot depend on its chunk: every chunk holds the same
+        number of rows, a multiple of 4, and a row of 2 tokens at least, in
+        both orders; validation's 320 rows in chunks of 32 do. Otherwise it
+        is within 1e-12:
+        - OpenBLAS's Haswell kernel computes a product's rows in blocks of
+          4 and rounds a partial block's rows differently: the output
+          layer's (B, 32) @ (32, 2) product gives a row other bits as the
+          5th of 5 rows than as the 1st.
+        - In a chunk whose rows have 1 token at most, each row's input
+          product has one row and goes to gemv (nn._packed_gates)."""
+        bundle, _ = sanity_bundle
+        instances, _ = sanity_corpus
+        rows = data.draw(st.one_of(st.sampled_from([4, 8]), st.integers(2, 8)), label="rows")
+        if data.draw(st.booleans(), label="full chunks"):
+            n = rows * data.draw(st.integers(2, 5), label="chunks")
+        else:
+            n = data.draw(st.integers(rows + 1, 40), label="n")
+        k = data.draw(st.sampled_from([1, 4]), label="k")
+        picked = data.draw(st.lists(st.sampled_from(range(len(instances))), min_size=n,
+                                    max_size=n), label="columns")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        samples = [augment.inference_inputs(instances[i], bundle.training, k, rng)[0]
+                   for i in picked]
+        feats = rng.normal(size=(n, 19))
+        model = Model(bundle.training, bundle.params)
+        seen = []
+
+        def spy(chunk, *args):
+            batch = make_batch(chunk, *args)
+            seen.append(batch["tok_mask"].sum(axis=1))
+            return batch
+
+        with mock.patch("dcom.train.make_batch", spy):
+            probs = forward_samples(model, samples, feats, bundle.vocab, rows, {})
+        want = caller_order_probs(model, samples, feats, bundle.vocab, rows)
+        lengths = np.concatenate(seen)
+        assert np.all(np.diff(lengths) >= 0)
+        in_caller_order = [b["tok_mask"].sum(axis=1) for b in (
+            make_batch(samples[i : i + rows], feats[i : i + rows], model.config,
+                       bundle.vocab, {}) for i in range(0, n, rows))]
+        if (rows % 4 == 0 and n % rows == 0
+                and min(c.max() for c in seen + in_caller_order) >= 2):
+            np.testing.assert_array_equal(probs, want)
+        else:
+            np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [4, 8])
+    def test_validation_sized_chunks_bit_equal(self, sanity_bundle, sanity_corpus, rows):
+        """Full chunks of rows that are a multiple of 4, every row 2 tokens
+        long at least: the ordered forward is the caller-order one, bit for
+        bit, as validation is."""
+        bundle, _ = sanity_bundle
+        instances, _ = sanity_corpus
+        rng = np.random.default_rng(rows)
+        samples = [augment.inference_inputs(inst, bundle.training, 1, rng)[0]
+                   for inst in instances[: 4 * rows]]
+        feats = rng.normal(size=(len(samples), 19))
+        model = Model(bundle.training, bundle.params)
+        probs = forward_samples(model, samples, feats, bundle.vocab, rows, {})
+        np.testing.assert_array_equal(
+            probs, caller_order_probs(model, samples, feats, bundle.vocab, rows))
+
+    @pytest.mark.parametrize("mode,rows", [("single", 1), ("multi", 4)])
+    def test_keeps_caller_order(self, sanity_bundle, sanity_multi_bundle, sanity_corpus,
+                                mode, rows):
+        """rows == 1 (predict_kvote) never reorders, nor does multi mode, whose
+        rows are slot texts that ordering the samples does not shorten."""
+        bundle = sanity_bundle[0] if mode == "single" else sanity_multi_bundle
+        instances, _ = sanity_corpus
+        rng = np.random.default_rng(0)
+        samples = [augment.inference_inputs(inst, bundle.training, 3, rng)[j]
+                   for inst in instances[:12] for j in range(3)]
+        feats = rng.normal(size=(len(samples), 19))
+        seen = []
+
+        def spy(chunk, *args):
+            seen.extend(chunk)
+            return make_batch(chunk, *args)
+
+        with mock.patch("dcom.train.make_batch", spy):
+            probs = forward_samples(Model(bundle.training, bundle.params), samples, feats,
+                                    bundle.vocab, rows, {})
+        assert [id(s) for s in seen] == [id(s) for s in samples]
+        assert probs.shape == (len(samples), len(bundle.class_vocab))
