@@ -39,26 +39,39 @@ ends, so one index array serves every step between two lengths. A packed
 batch holds nothing of its padding: it embeds only the P positions inside a
 length, multiplies x @ Wx + b for them only, keeps the hidden and cell state
 of the current span's rows only, handing them to the next span with one
-gather, and records the hidden state before each step into a packed
-(2, P, H) array that backward reads. So its memory grows with P, as
+gather, and in training records the hidden state before each step into a
+packed (2, P, H) array that backward reads. So its memory grows with P, as
 cuDNN's variable-length RNNs do, not with N x T. A step in which every row
 is inside its length, as every step of a one-row batch is, runs on the
 whole batch with no index at all. So does every step of a batch whose
 padding is small against its number of distinct lengths (PACK_SPAN_COST),
 such as the few short slot texts of one multi sample: it embeds all N x T
-positions and keeps (T + 1, 2, N, H) state histories, a row past its length
-keeps stepping on its padded input, which costs fewer numpy calls than the
-indexing would, and nothing reads what it computes. Both kinds of batch
-share one step body, written inline: a helper function called per step
-costs about 3 us per step at one row.
+positions, keeps the hidden state after each step (T + 1, 2, N, H), and
+reads each row's final state there at its own length; a row past its
+length keeps stepping on its padded input, which costs fewer numpy calls
+than the indexing would, and nothing reads what it computes. Both kinds of
+batch share one step body, written inline: a helper function called per
+step costs about 3 us per step at one row.
 
 A lone row is stepped as two equal rows: numpy sends a one-row matmul to
 gemv, which rounds differently from the many-row kernel. Inside its length a
 row's arithmetic is that of a masked loop, whose blend m * x + (1 - m) * y
 returns x exactly where m = 1. So inference is bit-identical to one masked
 loop per direction over every row (tests/lstm_oracle.py, also at the bench's
-widths). Inference keeps the step history that backward reads: gradient
-checks run backward on the cache of a default forward.
+widths).
+
+Only a training forward (train_mode) keeps the step history that backward
+reads. An inference forward drops the inputs once their product with Wx is
+taken, and each step's cell state and activations once the next step has
+read them; the hidden state after a step overwrites that step's input-gate
+activation in the gate array, which nothing reads by then. So validation's
+longest chunk, 32 rows of 96 tokens at the bench's single widths, holds
+little beside its gate array. Backward on an inference cache, which only
+gradient checks call, recomputes the history from the cache's ids,
+lengths, spans and stacked weights, as recompute-for-backward does (Chen et
+al. 2016, "Training Deep Nets with Sublinear Memory Cost"): the forward is
+deterministic, so its gradients are those of a training cache, bit for
+bit.
 
 Backward keeps only the recurrence in its time loop, as the forward keeps
 x @ Wx + b out of it (Appleyard et al. 2016). A step computes the gate
@@ -220,7 +233,7 @@ def _packed_gates(X_p, embedding, ids, positions, Wx, b):
     return [gates[:, offsets[s] : offsets[s + 1]] for s in range(T)]
 
 
-def _lstm_forward(embedding, ids, lengths, Wx, Wh, b):
+def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True, spans=None):
     """Both directions of an LSTM over rows of their own lengths, stepped
     together in one time loop.
 
@@ -229,47 +242,76 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b):
     weights the same way. lengths (N,) serves both, since reversal keeps
     padding in place: a row's tokens are its first lengths[n] positions. A
     row's final state, h_final (2, N, H), is read at its own length, so a row
-    of length 0 keeps the zero state.
+    of length 0 keeps the zero state. spans (_spans) defaults to the batch's
+    own; a recompute passes those of the forward it repeats.
 
     One step body serves both kinds of batch. A batch of one span of every
-    row (_spans) embeds all N x T positions and works in place, in gates[t]
-    and in Hs and Cs (T + 1, 2, N, H), the states after each step; in a
-    padded batch a row past its length keeps stepping on its padded input,
-    and nothing reads what it computes. A packed batch holds its stepped
-    positions only, time-major, rows in row order (_stepped_positions): it
-    embeds their ids once as X_p (2, P, E), keeps h and c for the span's
-    rows only, hands them to the next span with one gather of the rows that
-    go on, and copies the hidden state before each step into H_p (2, P, H).
-    So its memory grows with P, not with N x T. Either way steps[t] holds,
-    for the rows step t computed, its gate activations (2, n, 4H) in i, f,
-    g, o order, the cell state before it and tanh of the cell state after
-    it. Backward reads the inputs and hidden states before each stepped
-    position from X_p and H_p, or gathers them from X and Hs.
+    row (_spans) embeds all N x T positions, computes each step's
+    activations in place in gates[t] and writes the hidden state after each
+    step into Hs (T + 1, 2, N, H), where each row's final state is read at
+    its own length; in a padded batch a row past its length keeps stepping
+    on its padded input, and nothing reads what it computes. A packed batch
+    holds its stepped positions only, time-major, rows in row order
+    (_stepped_positions): it embeds their ids once as X_p (2, P, E) and
+    keeps h and c for the span's rows only, handing them to the next span
+    with one gather of the rows that go on and writing them into h_final at
+    the span's end. So its memory grows with P, not with N x T.
+
+    With history, as training needs, the cache holds what backward reads:
+    steps[t] holds, for the rows step t computed, its gate activations
+    (2, n, 4H) in i, f, g, o order, the cell state before it and tanh of the
+    cell state after it. A batch of one span of every row also keeps X, Hs
+    and the cell states Cs (T + 1, 2, N, H); a packed one keeps X_p and
+    copies the hidden state before each step into H_p (2, P, H). Without
+    history, as inference runs, the inputs are dropped once x @ Wx + b is
+    taken, a step's cell state and activations once the next step has read
+    them, and Hs takes no memory of its own: it lives in the gate array, one
+    step longer. So the gate array is the only float array over the
+    positions. The cache holds ids, lengths, spans and h_final, from which
+    Model._encode_backward recomputes the history.
     """
     _, N, T = ids.shape
     H = Wh.shape[1]
-    spans = [(0, T, None)]
-    # a packed batch has two spans at least, so its padding must outweigh two
-    if N * T - lengths.sum() >= 2 * PACK_SPAN_COST:
-        spans = _spans(lengths, T)
+    if spans is None:
+        spans = [(0, T, None)]
+        # a packed batch has two spans at least, so its padding must outweigh two
+        if N * T - lengths.sum() >= 2 * PACK_SPAN_COST:
+            spans = _spans(lengths, T)
     packed = spans[-1][2] is not None
+    cache = {"ids": ids, "lengths": lengths, "spans": spans}
     # The input part, x @ Wx + b, is hoisted out of the loop: gates[t] holds it
     # for the rows step t computes.
+    H_p = Hs = Cs = None
     if packed:
         positions = rows_p, t_p, offsets = _stepped_positions(lengths, T)
         ids_p = ids[:, rows_p, t_p]
         X_p = embedding[ids_p]
         gates = _packed_gates(X_p, embedding, ids, positions, Wx, b)
-        H_p = np.empty((2, len(t_p), H))
+        if history:
+            H_p = np.empty((2, len(t_p), H))
+            cache.update(positions=positions, ids_p=ids_p, X_p=X_p, H_p=H_p)
+        del X_p
         h_final = np.zeros((2, N, H))
     else:
         X = embedding[ids]  # padded positions are embedded too; nothing reads them
-        Hs = np.zeros((T + 1, 2, N, H))
-        Cs = np.zeros((T + 1, 2, N, H))
-        gates = np.empty((T, 2, N, 4 * H))
+        # without history one slot more, before the first step (Hs below)
+        slab = np.empty((T + (not history), 2, N, 4 * H))
+        gates = slab[-T:]
         np.matmul(X, Wx[:, None], out=gates.transpose(1, 2, 0, 3))
         gates += b[:, None]
-        h, c = Hs[0], Cs[0]
+        if history:
+            Hs, Cs = np.zeros((T + 1, 2, N, H)), np.zeros((T + 1, 2, N, H))
+            cache.update(X=X, Hs=Hs)
+        else:
+            # The hidden state after step t overwrites that step's input gate
+            # activation, which nothing reads once the cell state is taken:
+            # Hs[t + 1] is gates[t][..., :H], and Hs[0] the zero state. It
+            # costs no allocation, and a separate Hs would be the largest
+            # array of a long batch after the gates.
+            Hs = slab[..., :H]
+            Hs[0] = 0.0
+        del X
+        h, c = Hs[0], Hs[0] if Cs is None else Cs[0]
     steps = {}
     prev = None  # the rows whose state h and c hold, None for every row
     for start, stop, rows in spans:
@@ -285,7 +327,7 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b):
                 keep = _stepped(rows if prev is None else np.searchsorted(prev, rows))
                 h, c = h[:, keep], c[:, keep]
         for t in range(start, stop):
-            if packed:
+            if H_p is not None:
                 H_p[:, offsets[t] : offsets[t] + n] = h[:, :n]  # a lone row once
             a = np.matmul(h, Wh)
             a += gates[t]  # a lone row's (2, 1, 4H) slab broadcasts over its copies
@@ -296,21 +338,20 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b):
             np.divide(1.0, s, out=s)
             i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
             np.tanh(a[..., 2 * H : 3 * H], out=g)
-            c_new = np.multiply(f, c, out=None if packed else Cs[t + 1])
+            c_new = np.multiply(f, c, out=None if Cs is None else Cs[t + 1])
             c_new += i * g
             tanh_c = np.tanh(c_new)
-            steps[t] = (s, c, tanh_c)
-            h = np.multiply(tanh_c, o, out=None if packed else Hs[t + 1])
+            if history:
+                steps[t] = (s, c, tanh_c)
+            h = np.multiply(tanh_c, o, out=None if Hs is None else Hs[t + 1])
             c = c_new
         if packed:  # a row's last write is its final state
             h_final[:, slice(None) if rows is None else rows] = h[:, :n]
         prev = rows
-    cache = {"lengths": lengths, "spans": spans, "steps": steps}
-    if packed:
-        cache.update(positions=positions, ids_p=ids_p, X_p=X_p, H_p=H_p)
-    else:
+    if not packed:
         h_final = Hs[lengths, :, np.arange(N)].swapaxes(0, 1)
-        cache.update(ids=ids, X=X, Hs=Hs)
+    if history:
+        cache["steps"] = steps
     cache["h_final"] = h_final
     return cache
 
@@ -331,11 +372,11 @@ def _lstm_backward(cache, dh_final, Wx, Wh):
     OpenBLAS splits among its threads by rows, so its bits do not depend on
     the thread count, and db is one sum. dWx = X_p^T dA and dWh = H_p^T dA,
     over the inputs and the hidden states before each stepped position, are
-    summed GRAD_BLOCK positions at a time, the blocks added in order. A
-    packed forward kept X_p and H_p; for a batch of one span of every row
-    they are gathered here from X and Hs, over all N x T positions. A row
-    past its length, stepped in a span of every row, has dA exactly 0, so it
-    adds nothing.
+    summed GRAD_BLOCK positions at a time, the blocks added in order. The
+    cache is one with history (_lstm_forward): a packed forward kept X_p and
+    H_p; for a batch of one span of every row they are gathered here from X
+    and Hs, over all N x T positions. A row past its length, stepped in a
+    span of every row, has dA exactly 0, so it adds nothing.
 
     A row's dA inside its length is the one a masked loop computes; the
     products that follow it have other shapes and sum in another order. So
@@ -441,20 +482,28 @@ class Model:
 
     # -- text encoder (shared by both modes) --------------------------------
 
-    def _encode(self, ids, mask):
+    def _encode(self, ids, mask, history):
+        """The (N, 2H) encoding of each row and the cache backward reads; only
+        with history does the cache hold the step history (_lstm_forward)."""
         p = self.params
         ids2 = np.stack([ids, _reverse_within_length(ids, mask)])  # (2, N, T): fw, bw
         W = {k: np.stack([p[f"lstm_fw_{k}"], p[f"lstm_bw_{k}"]]) for k in ("Wx", "Wh", "b")}
         lengths = mask.sum(axis=1).astype(np.int64)
-        lstm = _lstm_forward(p["embedding"], ids2, lengths, W["Wx"], W["Wh"], W["b"])
+        lstm = _lstm_forward(p["embedding"], ids2, lengths, W["Wx"], W["Wh"], W["b"], history)
         enc = np.concatenate(lstm["h_final"], axis=1)
         return enc, {"W": W, "lstm": lstm}
 
     def _encode_backward(self, cache, denc, grads):
         H = self.config.hidden_size
-        W = cache["W"]
+        W, lstm = cache["W"], cache["lstm"]
+        if "steps" not in lstm:
+            # An inference forward kept no step history: recompute it, with the
+            # same weights and spans. The forward is deterministic, so backward
+            # reads what a forward with history would have kept, bit for bit.
+            lstm = _lstm_forward(self.params["embedding"], lstm["ids"], lstm["lengths"],
+                                 W["Wx"], W["Wh"], W["b"], spans=lstm["spans"])
         dh = np.stack([denc[:, :H], denc[:, H:]])
-        dX, ids, dWx, dWh, db = _lstm_backward(cache["lstm"], dh, W["Wx"], W["Wh"])
+        dX, ids, dWx, dWh, db = _lstm_backward(lstm, dh, W["Wx"], W["Wh"])
         for j, d in enumerate(("fw", "bw")):
             grads[f"lstm_{d}_Wx"] += dWx[j]
             grads[f"lstm_{d}_Wh"] += dWh[j]
@@ -472,7 +521,7 @@ class Model:
         cache = {"feats": feats}
 
         if cfg.mode == "single":
-            enc, enc_cache = self._encode(batch["ids"], batch["tok_mask"])
+            enc, enc_cache = self._encode(batch["ids"], batch["tok_mask"], train_mode)
             text = enc
             cache["enc_cache"] = enc_cache
         else:
@@ -492,7 +541,7 @@ class Model:
                 # numpy sends a one-row matmul to gemv, which rounds
                 # differently from the many-row kernel: encode the row twice
                 ids, tok_mask = np.repeat(ids, 2, 0), np.repeat(tok_mask, 2, 0)
-            enc_rows, enc_cache = self._encode(ids, tok_mask)
+            enc_rows, enc_cache = self._encode(ids, tok_mask, train_mode)
             enc = np.zeros((B, R, 2 * cfg.hidden_size))  # a padded slot encodes as zeros
             enc[b, r] = enc_rows[occ]
             if cfg.aggregation == "mean":

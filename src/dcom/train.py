@@ -248,7 +248,8 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
 def forward_samples(model, samples, feats, vocab, rows, token_cache):
     """Inference probabilities, one row per sample (samples[i] with scaled
     features feats[i]), forwarded `rows` samples at a time through make_batch;
-    each forward's step history is freed before the next forward runs.
+    an inference forward keeps no step history, so a forward holds little
+    beyond its gate array, and that dies before the next forward runs.
 
     In single mode a forward's rows are the samples themselves, and a forward
     runs as many steps as its longest row. So more than one forward of more
@@ -284,9 +285,10 @@ def forward_samples(model, samples, feats, vocab, rows, token_cache):
 
 def _train_step(model, batch, labels, class_weights, dropout_rng, opt):
     """One forward, backward and Adam update; returns (loss, gradient norm).
-    The forward's cache, with its whole step history, dies with this call,
-    so it is never alive beside the next step's forward or the validation
-    pass."""
+    The training forward is the only one that keeps its step history, for
+    backward to read. Its cache dies with this call, so it is never alive
+    beside the next step's forward or the validation pass, whose inference
+    forwards keep none."""
     probs, cache = model.forward(batch, train_mode=True, dropout_rng=dropout_rng)
     loss, dlogits = cross_entropy_batch(probs, labels, class_weights)
     grads = model.backward(cache, dlogits)

@@ -90,7 +90,8 @@ def lstm_backward(cache, dh_final, X, mask, Wx, Wh):
 class OracleModel(Model):
     """dcom.nn.Model whose text encoder runs one LSTM loop per direction."""
 
-    def _encode(self, ids, mask):
+    def _encode(self, ids, mask, history):
+        # history: this encoder always keeps what its backward reads
         p = self.params
         maskf = mask.astype(np.float64)
         X_fw = p["embedding"][ids] * maskf[..., None]

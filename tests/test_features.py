@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcom.core import ColumnInstance
@@ -91,16 +91,21 @@ class TestExtractFeatures:
         # at the last ulp, so invariance holds to within 1e-12
         np.testing.assert_allclose(feat(values), feat(shuffled), atol=1e-12)
 
-    @given(st.one_of(
+    @given(values=st.one_of(
         st.lists(st.text(max_size=12), min_size=1, max_size=20),
         # numpy sums 8 at a time in blocks of 128: cross both boundaries
         st.integers(8, 300).flatmap(lambda n: st.lists(
             st.text(alphabet="ab1 9.-é٣\t", max_size=6), min_size=n, max_size=n)),
     ))
+    # a ColumnInstance stores <SEP> escaped as <\SEP>, and the features
+    # measure the stored value
+    @example(values=["<SEP>"])
     @settings(max_examples=200, deadline=None)
     def test_bit_equal_to_per_count_reductions(self, values):
-        # the stacked (5, n) reductions give what one 1-D reduction per count gave
-        np.testing.assert_array_equal(feat(values), reference_extract_features(values))
+        # the stacked (5, n) reductions give what one 1-D reduction per count
+        # gave, over the values the column stores
+        stored = ColumnInstance(tuple(values)).values
+        np.testing.assert_array_equal(feat(values), reference_extract_features(stored))
 
     @given(st.lists(st.text(max_size=12), min_size=1, max_size=15))
     @settings(max_examples=100, deadline=None)

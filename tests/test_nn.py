@@ -316,6 +316,29 @@ def assert_equals_oracle(config, batch, seed, train_mode, packed=False,
                                    atol=1e-12 * scale, err_msg=name)
 
 
+PACKED_EDGE_CASES = [
+    ([1], 2),  # one position in all: its packed product has one row
+    ([1, 1, 0], 1),  # one step: each row's own product has one row
+    ([4, 0, 2], 4),  # a row with no tokens, and a lone row at the end
+    ([3, 1, 1, 1], 3),
+    # every row empty: no stepped position at all, and zero LSTM and
+    # embedding gradients (the oracle's)
+    ([0] * (2 * nn.PACK_SPAN_COST), 1),
+]
+
+
+def packed_edge_case(lengths, T, width):
+    """A tiny single config of the given widths and a batch of rows of the
+    given lengths, padded to T."""
+    config = tiny_config(embedding_dim=width, hidden_size=width)
+    rng = np.random.default_rng(width)
+    lengths = np.asarray(lengths)
+    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.int64)
+    batch = {"ids": rng.integers(3, VOCAB_SIZE, size=mask.shape) * mask,
+             "tok_mask": mask, "feats": rng.normal(size=(len(lengths), 19))}
+    return config, batch
+
+
 class TestFusedEncoderOracle:
     @settings(max_examples=200, deadline=None)
     @given(encoder_cases(), st.booleans(), st.booleans())
@@ -329,22 +352,9 @@ class TestFusedEncoderOracle:
 
     @pytest.mark.parametrize("train_mode", [False, True])
     @pytest.mark.parametrize("width", [1, 4])
-    @pytest.mark.parametrize("lengths,T", [
-        ([1], 2),  # one position in all: its packed product has one row
-        ([1, 1, 0], 1),  # one step: each row's own product has one row
-        ([4, 0, 2], 4),  # a row with no tokens, and a lone row at the end
-        ([3, 1, 1, 1], 3),
-        # every row empty: no stepped position at all, and zero LSTM and
-        # embedding gradients (the oracle's)
-        ([0] * (2 * nn.PACK_SPAN_COST), 1),
-    ])
+    @pytest.mark.parametrize("lengths,T", PACKED_EDGE_CASES)
     def test_packed_edge_cases(self, lengths, T, width, train_mode):
-        config = tiny_config(embedding_dim=width, hidden_size=width)
-        rng = np.random.default_rng(width)
-        lengths = np.asarray(lengths)
-        mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.int64)
-        batch = {"ids": rng.integers(3, VOCAB_SIZE, size=mask.shape) * mask,
-                 "tok_mask": mask, "feats": rng.normal(size=(len(lengths), 19))}
+        config, batch = packed_edge_case(lengths, T, width)
         assert_equals_oracle(config, batch, 5, train_mode, packed=True)
 
 
@@ -537,6 +547,81 @@ class TestPaddingIsNeverRead:
             np.testing.assert_array_equal(probs, noisy_probs)
             for name in grads:
                 np.testing.assert_array_equal(grads[name], noisy_grads[name], err_msg=name)
+
+
+# What only backward reads: an inference forward keeps none of it.
+STEP_HISTORY = {"steps", "X", "X_p", "H_p", "Hs", "Cs"}
+
+
+class TestInferenceMemory:
+    def test_forward_keeps_no_step_history(self):
+        """An inference forward keeps only what prediction reads. At the
+        bench's single widths, on an unpacked batch of 32 rows of 96 tokens
+        each (validation's longest chunk), it peaks below the (T, 2, N, 4H)
+        gate array plus one (T + 1, 2, N, H) float64 array: the inputs, the
+        cell states and each step's activations are not kept beside them."""
+        T, N = 96, 32
+        config, batch = bench_width_case("single", N, T, np.full(N, T), seed=0)
+        model = seeded_model(config, 0, *BENCH_SIZES)
+        tracemalloc.start()
+        try:
+            _, cache = model.forward(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        H = config.hidden_size
+        assert peak < T * 2 * N * 4 * H * 8 + (T + 1) * 2 * N * H * 8
+        lstm = cache["enc_cache"]["lstm"]
+        assert lstm["spans"] == [(0, T, None)]  # unpacked
+        assert not STEP_HISTORY & lstm.keys()
+
+
+def assert_recompute_exact(config, batch, seed, sizes=(VOCAB_SIZE, N_CLASSES), packed=False):
+    """Backward on an inference forward's cache, which recomputes the step
+    history, gives the bytes of backward on a training forward's cache, at
+    dropout 0 so both forwards compute the same probabilities. packed: pack
+    every padded batch (a span cost of 0), in the forwards only, as
+    assert_equals_oracle does."""
+    model = seeded_model(dataclasses.replace(config, dropout=0.0), seed, *sizes)
+    runs = []
+    for train_mode in (False, True):
+        with mock.patch.object(nn, "PACK_SPAN_COST", 0 if packed else nn.PACK_SPAN_COST):
+            probs, cache = model.forward(batch, train_mode=train_mode)
+        # only a training forward keeps the step history, packed or not
+        assert bool(STEP_HISTORY & cache["enc_cache"]["lstm"].keys()) == train_mode
+        dlogits = np.random.default_rng(seed).normal(size=probs.shape)
+        runs.append((probs, model.backward(cache, dlogits)))
+    (probs, grads), (train_probs, train_grads) = runs
+    assert probs.tobytes() == train_probs.tobytes()
+    assert grads.keys() == train_grads.keys()
+    for name in grads:
+        assert grads[name].tobytes() == train_grads[name].tobytes(), name
+
+
+class TestInferenceBackwardRecomputes:
+    @settings(max_examples=100, deadline=None)
+    @given(encoder_cases(), st.booleans())
+    def test_byte_equal_to_training_cache(self, case, packed):
+        config, sizes, batch, seed = case
+        assert_recompute_exact(config, batch, seed, sizes, packed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(padded_cases())
+    def test_byte_equal_on_padded_batches(self, case):
+        config, batch, _, seed = case
+        assert_recompute_exact(config, batch, seed)
+
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("lengths,T", PACKED_EDGE_CASES)
+    def test_byte_equal_on_packed_edge_cases(self, lengths, T, width):
+        config, batch = packed_edge_case(lengths, T, width)
+        assert_recompute_exact(config, batch, 5, packed=True)
+
+    @pytest.mark.parametrize("name", list(BENCH_WIDTH_CASES))
+    def test_byte_equal_at_bench_widths(self, name):
+        config, batch = bench_width_case(*BENCH_WIDTH_CASES[name](np.random.default_rng(1)),
+                                         seed=1)
+        assert_recompute_exact(config, batch, 1, BENCH_SIZES)
 
 
 class TestDropout:
