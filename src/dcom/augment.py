@@ -1,8 +1,8 @@
 """Permutation-based input construction.
 
 A column's values have no meaningful relative order, so instead of feeding
-them in storage order we feed random ordered selections: either joined into a
-single separator-delimited text (single-sequence) or as a fixed number r of
+them in storage order we feed random ordered selections: either as one
+sequence with [SEP] between values (single-sequence) or as a fixed number r of
 parallel texts encoded with shared weights (multi-sequence).
 """
 
@@ -25,6 +25,7 @@ class SingleSequenceSample:
 
     @property
     def text(self) -> str:
+        """The values joined for reading; a value may hold SEP_TEXT."""
         return SEP_TEXT.join(self.values)
 
     @property

@@ -217,7 +217,7 @@ def _cmd_augment(args):
         for i, inst in enumerate(instances):
             s = augment_mod.training_sample(inst, config, rng)
             if config.mode == "single":
-                record = {"source": i, "r": s.r, "text": s.text}
+                record = {"source": i, "r": s.r, "values": list(s.values), "text": s.text}
             else:
                 record = {"source": i, "r": config.r, "texts": list(s.texts),
                           "mask": [int(m) for m in s.pad_mask]}

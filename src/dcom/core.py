@@ -6,13 +6,10 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, ParseError
 
-# Separator used when joining column values into one text.  The bare token is
-# what the tokenizer recognizes; the joined form carries one space on each side.
-SEP_TOKEN = "<SEP>"
+# Joins a sample's values into one readable text.  The model's input separates
+# values by the [SEP] id alone, so a value may hold this text, and a joined
+# text need not split back into its values.
 SEP_TEXT = " <SEP> "
-# Every ColumnInstance escapes the separator in its values, so a text joined
-# from them always splits back into those values.
-SEP_ESCAPED = "<\\SEP>"
 
 # Marker for a padded slot in multi-sequence inputs.
 PAD_VALUE = ""
@@ -28,9 +25,6 @@ class ColumnInstance:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ParseError("column has no values")
-        # idempotent: an escaped value holds no SEP_TOKEN
-        object.__setattr__(self, "values", tuple(v.replace(SEP_TOKEN, SEP_ESCAPED)
-                                                 for v in self.values))
 
     @property
     def n(self) -> int:

@@ -1,8 +1,8 @@
 """Character, whitespace-word, and WordPiece tokenizers over a shared vocabulary.
 
-All three kinds share the reserved ids [PAD]=0, [UNK]=1, [SEP]=2.  The
-separator text produced by the augmentation stage always maps to the single
-[SEP] id.
+All three kinds share the reserved ids [PAD]=0, [UNK]=1, [SEP]=2.  A value
+is tokenized as it was given: a literal "<SEP>" or "[SEP]" in it is ordinary
+text, and [SEP] enters a row only as the id put between two values.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SEP_TEXT, SEP_TOKEN, TOKENIZER_KINDS
+from .core import SEP_TEXT, TOKENIZER_KINDS
 from .errors import ConfigError
 
 PAD, UNK, SEP = "[PAD]", "[UNK]", "[SEP]"
@@ -33,7 +33,9 @@ class Vocabulary:
             raise ConfigError("vocabulary must start with [PAD], [UNK], [SEP]")
         if len(set(self.tokens)) != len(self.tokens):
             raise ConfigError("duplicate tokens in vocabulary")
-        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.tokens)})
+        # lookups see the learned tokens only: no text maps to a reserved id
+        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.tokens)
+                                           if i >= len(RESERVED)})
 
     def __len__(self):
         return len(self.tokens)
@@ -47,13 +49,6 @@ class TokenSequence:
 
 # ---------------------------------------------------------------------------
 # Vocabulary construction
-
-
-def _iter_words(corpus):
-    for text in corpus:
-        for word in text.split():
-            if word != SEP_TOKEN:
-                yield word
 
 
 def _merge(parts: list[str], a: str, b: str, changes: dict | None = None, freq: int = 0) -> list[str]:
@@ -238,14 +233,14 @@ def build_vocab(corpus, kind: str, size_budget: int = 8000) -> Vocabulary:
     """Learn a vocabulary of at most size_budget tokens from an iterable of texts."""
     if kind not in TOKENIZER_KINDS:
         raise ConfigError(f"unknown tokenizer kind {kind!r}")
-    texts = [t.replace(SEP_TEXT, " ") for t in corpus]
+    texts = list(corpus)
     if not texts:
         raise ConfigError("empty corpus")
     if kind == "char":
         counts = Counter(ch for t in texts for ch in t)
         alphabet = counts
     else:
-        counts = Counter(_iter_words(texts))
+        counts = Counter(word for t in texts for word in t.split())
         # a word vocabulary needs no alphabet: an unknown word is [UNK]
         alphabet = {c for w in counts for c in w} if kind == "wordpiece" else ()
     floor = len(RESERVED) + len(alphabet)
@@ -255,7 +250,8 @@ def build_vocab(corpus, kind: str, size_budget: int = 8000) -> Vocabulary:
         learned = _train_wordpiece(counts, size_budget)
     else:  # char keeps its whole alphabet, word its most common words
         learned = [t for t, _ in counts.most_common(size_budget - len(RESERVED))]
-    return Vocabulary(kind=kind, tokens=RESERVED + tuple(learned))
+    # a text's "[SEP]" is ordinary text, so it is never learned as the separator
+    return Vocabulary(kind=kind, tokens=RESERVED + tuple(t for t in learned if t not in RESERVED))
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +281,12 @@ def _wordpiece_word(vocab: Vocabulary, word: str) -> list[int]:
 
 
 def encode_value(vocab: Vocabulary, value: str) -> list[int]:
-    """Uncut ids of one SEP_TEXT-free segment of a text, such as a column value."""
+    """Uncut ids of one column value; it never holds [SEP]."""
     if vocab.kind == "char":
         return [vocab.index.get(c, UNK_ID) for c in value]
     ids = []
     for word in value.split():
-        if word == SEP_TOKEN:
-            ids.append(SEP_ID)
-        elif vocab.kind == "word":
+        if vocab.kind == "word":
             ids.append(vocab.index.get(word, UNK_ID))
         else:
             ids.extend(_wordpiece_word(vocab, word))
@@ -300,7 +294,9 @@ def encode_value(vocab: Vocabulary, value: str) -> list[int]:
 
 
 def encode(vocab: Vocabulary, text: str, max_len: int) -> TokenSequence:
-    """Encode one text to a fixed-length, padded, masked id sequence."""
+    """Encode one SEP_TEXT-joined text to max_len padded, masked ids, [SEP]
+    between its segments.  A reference for tests and the benchmark's tracer:
+    a value that holds " <SEP> " does not split back from a joined text."""
     ids: list[int] = []
     for i, segment in enumerate(text.split(SEP_TEXT)):
         if i > 0:

@@ -220,11 +220,11 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
     tok_mask are (B, T), one row per sample.  Multi ones are (U, T), one row
     per distinct real slot text in first-seen order, and slots (B, R) gives
     each real slot its row, -1 for a padded slot.  T is the longest row, at
-    least 1.  truncated counts the rows that were cut.  As ColumnInstance
-    escapes SEP_TOKEN, each row is tokenizers.encode of its text on its first
-    T positions.  token_cache maps a value to its uncut ids
-    (tokenizers.encode_value), so each value is tokenized once per cache; the
-    caller scopes it to one train_model or _predict_columns call.
+    least 1.  truncated counts the rows that were cut.  SEP_ID enters a row
+    only between two values; a "<SEP>" inside a value is text.  token_cache
+    maps a value to its uncut ids (tokenizers.encode_value), so each value is
+    tokenized once per cache; the caller scopes it to one train_model or
+    _predict_columns call.
     """
     if config.mode == "single":
         row_values, cut = [s.values for s in samples], config.max_len

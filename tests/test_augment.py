@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcom import augment
-from dcom.core import SEP_TEXT, SEP_TOKEN, ColumnInstance, TrainingConfig, make_instance
+from dcom.core import SEP_TEXT, ColumnInstance, TrainingConfig, make_instance
 from dcom.errors import ConfigError
 from test_train import edge_value
 
@@ -168,13 +168,16 @@ class TestInferenceInputs:
        seed=st.integers(0, 2**32 - 1))
 @example(values=["left <SEP> right", "plain"], seed=0)
 @settings(max_examples=200, deadline=None)
-def test_escaped_values_keep_segment_fidelity(values, seed):
+def test_values_kept_as_given(values, seed):
+    # a "<SEP>" inside a value is text: the column and its samples keep it
     inst = ColumnInstance(tuple(values))
-    assert not any(SEP_TOKEN in v for v in inst.values)
-    # escaping is idempotent, and make_instance escapes the same way
-    assert ColumnInstance(inst.values) == inst == make_instance(values)
+    assert inst.values == tuple(values) == make_instance(values).values
     rng = np.random.default_rng(seed)
     samples = [augment.sample_single(inst, rng) for _ in range(5)]
     samples += [s for r in range(1, inst.n + 1) for s in augment.enumerate_permutations(inst, r)]
     for s in samples:
-        assert s.text.split(SEP_TEXT) == list(s.values)
+        # an ordered selection of the values as given, shown joined
+        assert not Counter(s.values) - Counter(values)
+        assert s.text == SEP_TEXT.join(s.values)
+    multi = augment.sample_multi(inst, 3, "with_replacement", rng)
+    assert set(multi.texts) <= set(values)

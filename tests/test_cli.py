@@ -191,6 +191,14 @@ class TestAugmentCommand:
         records = [json.loads(line) for line in open(out)]
         assert len(records) == 60
         assert all("text" in r and "r" in r for r in records)
+        # values are written as given: a value holding " <SEP> " comes back whole
+        data = tmp_path / "sep.jsonl"
+        data.write_text(json.dumps({"label": "a", "values": ["x <SEP> y"]}) + "\n")
+        assert main(["augment", "--data", str(data), "--mode", "single",
+                     "--out", str(out)]) == 0
+        [record] = [json.loads(line) for line in open(out)]
+        assert record["values"] == ["x <SEP> y"]
+        assert record["text"] == "x <SEP> y" and record["r"] == 1
 
     def test_multi_stream(self, corpus_path, tmp_path):
         out = tmp_path / "aug.jsonl"

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -81,12 +82,23 @@ class TestLoadJsonl:
         assert reloaded == instances
         assert [i.label for i in instances] == ["a", "b"]
 
-    def test_separator_collision_escaped(self, tmp_path):
-        f = tmp_path / "d.jsonl"
-        write_lines(f, ['{"label":"a","values":["x <SEP> y"]}'])
-        instances, _ = ingest.load_dataset(f, "jsonl")
-        assert "<SEP>" not in instances[0].values[0]
-        assert "<\\SEP>" in instances[0].values[0]
+    def test_separator_values_kept_byte_for_byte(self, tmp_path):
+        # the separator is only an id between values, so no value is rewritten
+        values = ["<SEP>", "<\\SEP>", "a <SEP> b", "<SEP><SEP>"]
+        jsonl = tmp_path / "d.jsonl"
+        write_lines(jsonl, [json.dumps({"label": "a", "values": values})])
+        long = tmp_path / "d.csv"
+        with open(long, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["column_id", "label", "value"])
+            writer.writerows(["c1", "a", v] for v in values)
+        saved = tmp_path / "saved.jsonl"
+        for path, fmt in ((jsonl, "jsonl"), (long, "csv_long")):
+            instances, _ = ingest.load_dataset(path, fmt)
+            assert instances[0].values == tuple(values)
+            ingest.save_jsonl(instances, saved)
+            reloaded, _ = ingest.load_dataset(saved, "jsonl")
+            assert reloaded == instances
 
 
 class TestLoadCsvLong:

@@ -41,9 +41,16 @@ class TestBuildVocab:
         )
         assert len(vocab) <= 25
 
-    def test_separator_excluded_from_vocab(self):
-        vocab = tk.build_vocab(["a <SEP> b"], "word", size_budget=50)
-        assert "<SEP>" not in vocab.tokens[3:]
+    def test_separator_text_is_ordinary_word(self):
+        # [SEP] is only the id between values: a corpus's "<SEP>" is learned
+        # as a word, and its "[SEP]" or "[UNK]" is text that maps to no reserved id
+        vocab = tk.build_vocab(["a <SEP> b [SEP] [UNK]"], "word", size_budget=50)
+        assert vocab.tokens == tk.RESERVED + ("a", "<SEP>", "b")
+        assert tk.encode_value(vocab, "a <SEP> [SEP] [PAD]") == [3, 4, tk.UNK_ID, tk.UNK_ID]
+        for kind in ("char", "wordpiece"):
+            vocab = tk.build_vocab(["<SEP> [SEP]"] * 3, kind, size_budget=50)
+            assert vocab.tokens.count("[SEP]") == 1
+            assert tk.SEP_ID not in tk.encode_value(vocab, "<SEP> [SEP]")
 
 
 @st.composite

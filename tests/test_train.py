@@ -19,6 +19,7 @@ from dcom import tokenizers as tk
 from dcom.core import (AGGREGATIONS, MAX_SLOTS, TOKENIZER_KINDS, ColumnInstance,
                        make_instance)
 from dcom.errors import ConfigError, DiagnosticError
+from dcom.features import extract_features
 from dcom.nn import Model, init_params
 from dcom.train import (
     ADAM_BETA1,
@@ -309,18 +310,27 @@ VOCABS = {
 }
 
 
+def reference_ids(vocab, values):
+    """Uncut ids of a row: each value's own ids, SEP_ID between two values."""
+    ids = []
+    for j, value in enumerate(values):
+        ids += [tk.SEP_ID] * (j > 0) + tk.encode_value(vocab, value)
+    return ids
+
+
 def full_width_batch(samples, feats, config, vocab):
-    """The reference arrays: every text encoded on its own, nothing trimmed.
-    Multi ids and tok_mask are per slot, (B, R, max_len_per_slot), and
-    slot_mask marks the real slots."""
+    """The reference arrays: every row encoded on its own, cut and padded to
+    its mode's max length, nothing trimmed. Multi ids and tok_mask are per
+    slot, (B, R, max_len_per_slot), and slot_mask marks the real slots."""
     if config.mode == "single":
-        seqs = [[tk.encode(vocab, s.text, config.max_len)] for s in samples]
+        rows, width = [[s.values] for s in samples], config.max_len
     else:
-        seqs = [[tk.encode(vocab, t, config.max_len_per_slot) for t in s.texts]
-                for s in samples]
+        rows, width = [[(t,) for t in s.texts] for s in samples], config.max_len_per_slot
+    cut = [[reference_ids(vocab, values)[:width] for values in row] for row in rows]
     batch = {
-        "ids": np.array([[q.ids for q in row] for row in seqs]),
-        "tok_mask": np.array([[q.attention_mask for q in row] for row in seqs]),
+        "ids": np.array([[ids + [tk.PAD_ID] * (width - len(ids)) for ids in row] for row in cut]),
+        "tok_mask": np.array([[[1] * len(ids) + [0] * (width - len(ids)) for ids in row]
+                              for row in cut]),
         "feats": np.stack(feats),
     }
     if config.mode == "single":
@@ -330,10 +340,11 @@ def full_width_batch(samples, feats, config, vocab):
     return batch
 
 
-# values that meet the separator: empty, blank, escaped and unescaped <SEP>,
-# and halves of " <SEP> " that a join could complete
+# values that meet the separator: empty, blank, <SEP> and <\SEP> as text, the
+# reserved token names, and halves of " <SEP> " that a join could complete
 edge_value = st.one_of(
-    st.sampled_from(["", " ", " \t ", "<SEP>", " <SEP> ", "<\\SEP>", "a <SEP> b", "<SEP><SEP>"]),
+    st.sampled_from(["", " ", " \t ", "<SEP>", " <SEP> ", "<\\SEP>", "a <SEP> b", "<SEP><SEP>",
+                     "[SEP]", "a [PAD] [UNK]"]),
     st.text(alphabet="ab1 ", max_size=5).map(lambda v: v + " <SEP"),
     st.text(alphabet="ab1 ", max_size=5).map(lambda v: "> " + v),
 )
@@ -369,11 +380,11 @@ class TestMakeBatch:
             assert np.all(full["ids"][..., T:] == tk.PAD_ID)
             assert np.all(full["tok_mask"][..., T:] == 0)
             np.testing.assert_array_equal(batch["feats"], full["feats"])
-            # a row is cut where its text's whole encoding is longer than the cut
+            # a row is cut where its values' whole encoding is longer than the cut
             cut = config.max_len if mode == "single" else config.max_len_per_slot
-            texts = ([s.text for s in samples] if mode == "single" else list(dict.fromkeys(
-                t for s in samples for t, real in zip(s.texts, s.pad_mask) if real)))
-            whole = [int(tk.encode(VOCABS[kind], t, 1000).attention_mask.sum()) for t in texts]
+            rows = ([s.values for s in samples] if mode == "single" else list(dict.fromkeys(
+                (t,) for s in samples for t, real in zip(s.texts, s.pad_mask) if real)))
+            whole = [len(reference_ids(VOCABS[kind], values)) for values in rows]
             assert batch["truncated"] == sum(n > cut for n in whole)
             if mode == "single":
                 assert sorted(batch) == sorted([*full, "truncated"])
@@ -395,6 +406,43 @@ class TestMakeBatch:
             first_seen = list(dict.fromkeys(texts))
             assert batch["ids"].shape == (len(first_seen), T)
             np.testing.assert_array_equal(slots[real], [first_seen.index(t) for t in texts])
+
+    @given(values=st.lists(value, min_size=1, max_size=7),
+           kind=st.sampled_from(TOKENIZER_KINDS), own_vocab=st.booleans(),
+           max_len=st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_one_separator_per_value_boundary(self, values, kind, own_vocab, max_len):
+        # [SEP] enters a row only between two values, also where a value's
+        # text is "<SEP>" or "[SEP]" and the vocabulary learned its words
+        vocab = tk.build_vocab([" ".join(values)], kind, 500) if own_vocab else VOCABS[kind]
+        value_ids = [tk.encode_value(vocab, v) for v in values]
+        assert not any(tk.SEP_ID in ids for ids in value_ids)
+        boundaries = np.cumsum([len(ids) + 1 for ids in value_ids])[:-1] - 1
+        batch = make_batch([augment.SingleSequenceSample(tuple(values))], [np.zeros(19)],
+                           TrainingConfig(max_len=max_len), vocab, {})
+        row = batch["ids"][0][: batch["tok_mask"][0].sum()]
+        np.testing.assert_array_equal(np.flatnonzero(row == tk.SEP_ID),
+                                      boundaries[boundaries < max_len])
+
+    @given(values=st.lists(st.lists(st.sampled_from(["a", "1", " ", ":", "<SEP>", "<\\SEP>", "@"]),
+                                    max_size=5).map("".join), min_size=1, max_size=6),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_separator_text_and_its_old_escape_stay_apart(self, values, data):
+        # two columns that differ only by <SEP> against <\SEP> at the "@"s
+        i = data.draw(st.integers(0, len(values) - 1))
+        at = data.draw(st.integers(0, len(values[i])))
+        values[i] = values[i][:at] + "@" + values[i][at:]
+        raw = ColumnInstance(tuple(v.replace("@", "<SEP>") for v in values))
+        escaped = ColumnInstance(tuple(v.replace("@", "<\\SEP>") for v in values))
+        assert raw != escaped
+        feats = extract_features([raw, escaped])
+        assert not np.array_equal(feats[0], feats[1])
+        samples = [augment.SingleSequenceSample(c.values) for c in (raw, escaped)]
+        for kind in TOKENIZER_KINDS:
+            vocab = tk.build_vocab([" ".join(c.values) for c in (raw, escaped)], kind, 500)
+            batch = make_batch(samples, list(feats), TrainingConfig(max_len=1000), vocab, {})
+            assert not np.array_equal(batch["ids"][0], batch["ids"][1])
 
     @given(cols=columns, aggregation=st.sampled_from(AGGREGATIONS),
            seed=st.integers(0, 2**32 - 1))
@@ -624,8 +672,6 @@ class TestTrainModel:
             np.testing.assert_array_equal(bundle_plain.params[name], bundle_w.params[name])
 
     def test_scaler_fitted_on_train_only(self, sanity_corpus):
-        from dcom.features import extract_features
-
         instances, split = sanity_corpus
         config = TrainingConfig(mode="single", epochs=1, **TINY_CONFIG)
         bundle, _ = train_model(instances, split, config, seed=5)
