@@ -86,26 +86,57 @@ def predict_kvote(bundle: ModelBundle, instance, k=10, seed=0) -> Prediction:
     return _predict_columns(bundle, [instance], k, [seed], rows=1)[0]
 
 
+def _forward_groups(instances, k, config):
+    """(start, stop, rows) of each run of columns predict_many predicts
+    together, forwarding its samples `rows` at a time.
+
+    A forward's rows grow with its samples in single mode, and with
+    concatenation its head's input does: there a run is batch_size columns,
+    forwarded batch_size samples at a time. A mean, sum or weighted_sum
+    forward's LSTM rows are its distinct slot texts, and a column of n values
+    has min(n, k * r) of them at most: there a run is as many consecutive
+    columns, batch_size at most, as fit in batch_size * r texts, the most a
+    forward of batch_size samples can hold, and it is one forward. A column
+    over that bound alone is forwarded batch_size samples at a time.
+    """
+    size = config.batch_size
+    if config.mode == "single" or config.aggregation == "concatenation":
+        return [(start, start + size, size) for start in range(0, len(instances), size)]
+    cap = size * config.r
+    bounds = [min(instance.n, k * config.r) for instance in instances]
+    starts, texts = [], 0
+    for i, bound in enumerate(bounds):
+        if not starts or texts + bound > cap or i - starts[-1] == size:
+            starts.append(i)
+            texts = 0
+        texts += bound
+    # only a column alone can be over the bound
+    return [(start, stop, size if bounds[start] > cap else k * (stop - start))
+            for start, stop in zip(starts, starts[1:] + [len(instances)])]
+
+
 def predict_many(bundle: ModelBundle, instances, k, seeds) -> list[Prediction]:
     """predict_kvote of every column, column i with seed seeds[i], batched
     across columns for throughput.
 
-    The columns go `bundle.training.batch_size` at a time, and their k samples
-    each are forwarded batch_size rows at a time; in single mode
-    forward_samples takes them in order of their row length, so a forward
-    runs as many steps as the longest of rows of like length.  The samples,
-    and so the votes and labels, are predict_kvote's; a probability may
-    differ from it in the last bits, because a BLAS result depends on the
-    batch's shape and on a row's place in it.
+    In multi mode with mean, sum or weighted_sum, a run of columns whose
+    distinct slot texts fit in those of one batch_size-sample forward runs
+    as one forward, so the LSTM meets each text once per run, not once per
+    vote; elsewhere the columns go batch_size at a time, their k samples
+    each batch_size per forward (_forward_groups). In single mode
+    forward_samples takes the samples in order of their row length, so a
+    forward runs as many steps as the longest of rows of like length. The
+    samples, and so the votes and labels, are predict_kvote's; a
+    probability may differ from it in the last bits, because a BLAS result
+    depends on the batch's shape and on a row's place in it.
     """
     instances, seeds = list(instances), list(seeds)
     if len(seeds) != len(instances):
         raise ConfigError(f"{len(instances)} columns but {len(seeds)} seeds")
-    rows = bundle.training.batch_size
     predictions = []
-    for start in range(0, len(instances), rows):
-        predictions += _predict_columns(bundle, instances[start : start + rows], k,
-                                        seeds[start : start + rows], rows)
+    for start, stop, rows in _forward_groups(instances, k, bundle.training):
+        predictions += _predict_columns(bundle, instances[start:stop], k, seeds[start:stop],
+                                        rows)
     return predictions
 
 

@@ -29,9 +29,11 @@ length and by slots >= 0. As in cuDNN's variable-length RNNs, each row's
 final state is read at its own length, and it is all the encoder uses;
 backward lets a row's gradient in at that same step. So the encoder embeds
 the padded positions as they are, and no step reads them for a row inside
-its length. The slot head writes the real slots' encodings into a zero
-(B, R, 2H) array and takes each real slot's gradient straight out of the
-text gradient, by its (b, r) index.
+its length. The slot head of mean, sum and weighted_sum adds each sample's
+real slots only, in slot order, the bits of a sum over a (B, R, 2H) array
+with zero padded slots, which only concatenation's head, whose text it is,
+and weighted_sum's backward build; backward takes each real slot's gradient
+straight out of the text gradient, by its (b, r) index.
 
 The steps are packed where that pays: a step computes only the n rows still
 inside their length, in row order. The set of rows changes only where a row
@@ -64,14 +66,25 @@ Only a training forward (train_mode) keeps the step history that backward
 reads. An inference forward drops the inputs once their product with Wx is
 taken, and each step's cell state and activations once the next step has
 read them; the hidden state after a step overwrites that step's input-gate
-activation in the gate array, which nothing reads by then. So validation's
-longest chunk, 32 rows of 96 tokens at the bench's single widths, holds
-little beside its gate array. Backward on an inference cache, which only
-gradient checks call, recomputes the history from the cache's ids,
-lengths, spans and stacked weights, as recompute-for-backward does (Chen et
-al. 2016, "Training Deep Nets with Sublinear Memory Cost"): the forward is
-deterministic, so its gradients are those of a training cache, bit for
-bit.
+activation in the gate array, which nothing reads by then. And it takes
+x @ Wx + b a block of whole steps at a time, INFER_BLOCK stepped positions
+at most, inside the one step loop: a packed batch's block is a range of its
+time-major positions, and an unpacked batch reuses one gate array of a
+block's steps, the state carried across blocks in its first slot and each
+row's final state read in the block where its length ends. A row's product
+does not depend on how many rows or steps share its matmul, as long as
+there are two (one goes to gemv), so the bits are those of one product
+over every position. So an inference forward's working set is one block
+and its steps' own rows, whatever its length: validation's longest chunk,
+32 rows of 96 tokens at the bench's single widths, and a predict_many
+group forward of up to batch_size * r slot texts. A forward that fits in
+one block, as every bench per-vote forward does, runs as it did before
+blocks. Backward on
+an inference cache, which only gradient checks call, recomputes the
+history from the cache's ids, lengths, spans and stacked weights, as
+recompute-for-backward does (Chen et al. 2016, "Training Deep Nets with
+Sublinear Memory Cost"): the forward is deterministic, so its gradients
+are those of a training cache, bit for bit.
 
 Backward keeps only the recurrence in its time loop, as the forward keeps
 x @ Wx + b out of it (Appleyard et al. 2016). A step computes the gate
@@ -90,6 +103,8 @@ against finite differences in the test suite.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -191,6 +206,16 @@ def _spans(lengths, T):
 # also at 48 x 192 and 32 x 128.
 GRAD_BLOCK = 128
 
+# An inference forward takes x @ Wx + b this many stepped positions (one row
+# at one step) at a time, a block of whole steps, so its gate array does not
+# grow with the batch: validation's longest chunk and a predict_many group
+# forward hold one block's. In a sweep on the bench (ROADMAP) a validation
+# pass peaked at 2.8 MB (tracemalloc) here against 11.1 MB unblocked, and
+# took the same time at 128 to 1024 positions. 512 leaves room over the
+# bench's largest per-vote forward, 168 positions, which so runs in one
+# block as it did before blocks.
+INFER_BLOCK = 512
+
 
 def _stepped_positions(lengths, T, every_row=False):
     """The (row, t) positions a forward stepped, time-major, rows in row order
@@ -214,10 +239,10 @@ def _stepped(rows):
     return rows if rows.size > 1 else rows.repeat(2)
 
 
-def _packed_gates(X_p, embedding, ids, positions, Wx, b):
-    """The input part of the gates, x @ Wx + b, for the stepped positions
-    only, X_p (2, P, E): gates[t] is (2, n, 4H) for the n rows inside their
-    length at step t.
+def _packed_gates(X_p, embedding, ids, positions, Wx, b, t0=0, t1=None):
+    """The input part of the gates, x @ Wx + b, for the stepped positions of
+    steps t0..t1 only (all T by default), X_p (2, p, E) their inputs:
+    gates[t] is (2, n, 4H) for the n rows inside their length at step t.
 
     Where the packed product, or a per-row one (T == 1), has one row it goes
     to gemv, which rounds differently: then each stepped row's product is
@@ -225,12 +250,54 @@ def _packed_gates(X_p, embedding, ids, positions, Wx, b):
     after."""
     rows, t, offsets = positions
     T = ids.shape[2]
-    if T > 1 and len(t) > 1:
+    t1 = T if t1 is None else t1
+    lo, hi = offsets[t0], offsets[t1]
+    if T > 1 and hi - lo > 1:
         gates = np.matmul(X_p, Wx)
     else:
-        gates = np.matmul(embedding[ids[:, rows]], Wx[:, None])[:, np.arange(len(t)), t]
+        per_row = np.matmul(embedding[ids[:, rows[lo:hi]]], Wx[:, None])
+        gates = per_row[:, np.arange(hi - lo), t[lo:hi]]
     gates += b[:, None]
-    return [gates[:, offsets[s] : offsets[s + 1]] for s in range(T)]
+    return [None] * t0 + [gates[:, offsets[s] - lo : offsets[s + 1] - lo] for s in range(t0, t1)]
+
+
+def _block_gates(embedding, ids, Wx, b, t0, t1, packed_ids, out):
+    """The inputs of steps t0..t1 and their part of the gates, x @ Wx + b,
+    hoisted out of the time loop: gates[t] holds it for the rows step t
+    computes. packed_ids is (ids_p, positions) of a packed batch, which
+    embeds the stepped positions of those steps only (_packed_gates); an
+    unpacked batch (packed_ids None) embeds every row's, padding too, and
+    writes the gates into out (t1 - t0, 2, N, 4H)."""
+    if packed_ids is not None:
+        ids_p, positions = packed_ids
+        offsets = positions[2]
+        X_p = embedding[ids_p[:, offsets[t0] : offsets[t1]]]
+        return X_p, _packed_gates(X_p, embedding, ids, positions, Wx, b, t0, t1)
+    X = embedding[ids[:, :, t0:t1]]  # padded positions too; nothing reads them
+    np.matmul(X, Wx[:, None], out=out.transpose(1, 2, 0, 3))
+    out += b[:, None]
+    return X, out if t0 == 0 else [None] * t0 + list(out)
+
+
+def _step_blocks(offsets, min_steps):
+    """Cut the steps of an inference forward into blocks of whole steps.
+
+    offsets[t] is the number of stepped positions before step t
+    (_stepped_positions). A block holds at most INFER_BLOCK positions, but
+    min_steps steps at least, and a last block of fewer steps joins the one
+    before. Returns the steps at which the blocks start, then T.
+    """
+    T = len(offsets) - 1
+    starts = [0]
+    while True:
+        t = max(starts[-1] + min_steps,
+                bisect.bisect_right(offsets, offsets[starts[-1]] + INFER_BLOCK) - 1)
+        if t >= T:
+            break
+        starts.append(t)
+    if len(starts) > 1 and T - starts[-1] < min_steps:
+        starts.pop()
+    return starts + [T]
 
 
 def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True, spans=None):
@@ -266,9 +333,19 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True, spans=None):
     history, as inference runs, the inputs are dropped once x @ Wx + b is
     taken, a step's cell state and activations once the next step has read
     them, and Hs takes no memory of its own: it lives in the gate array, one
-    step longer. So the gate array is the only float array over the
-    positions. The cache holds ids, lengths, spans and h_final, from which
+    step longer. The cache holds ids, lengths, spans and h_final, from which
     Model._encode_backward recomputes the history.
+
+    Without history x @ Wx + b is also taken a block of whole steps at a
+    time (_step_blocks), as the loop reaches the block: INFER_BLOCK stepped
+    positions at most, a contiguous range of a packed batch's time-major
+    positions, or at least two steps of an unpacked batch, whose one gate
+    array of a block's steps, one slot more before them, serves every
+    block. At a new block the rows that ended in the last one read their
+    final state, and the hidden state moves to that first slot. So the gate
+    array is the only float array over positions, and it holds one block's.
+    A batch of no more positions than INFER_BLOCK is one block, as a
+    training forward is, and runs as it did before blocks.
     """
     _, N, T = ids.shape
     H = Wh.shape[1]
@@ -279,39 +356,48 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True, spans=None):
             spans = _spans(lengths, T)
     packed = spans[-1][2] is not None
     cache = {"ids": ids, "lengths": lengths, "spans": spans}
-    # The input part, x @ Wx + b, is hoisted out of the loop: gates[t] holds it
-    # for the rows step t computes.
     H_p = Hs = Cs = None
+    packed_ids = None
     if packed:
         positions = rows_p, t_p, offsets = _stepped_positions(lengths, T)
         ids_p = ids[:, rows_p, t_p]
-        X_p = embedding[ids_p]
-        gates = _packed_gates(X_p, embedding, ids, positions, Wx, b)
+        packed_ids = ids_p, positions
+    # A training forward, and an inference one that fits in one, is one block
+    # of steps; an unpacked block has two steps at least, as a row's product
+    # of one step goes to gemv.
+    blocks = [0, T]
+    if not history and (len(t_p) if packed else N * T) > INFER_BLOCK:
+        blocks = _step_blocks(offsets if packed else np.arange(T + 1) * N, 1 if packed else 2)
+    if packed or len(blocks) > 2:
+        h_final = np.zeros((2, N, H))
+    if not packed:
+        # without history one slot more, before the block's first step (Hs below)
+        first = 0 if history else 1
+        longest = T if len(blocks) == 2 else max(np.diff(blocks))
+        slab = np.empty((first + longest, 2, N, 4 * H))
+
+    X, gates = _block_gates(embedding, ids, Wx, b, 0, blocks[1], packed_ids,
+                            None if packed else slab[first : first + blocks[1]])
+    if packed:
         if history:
             H_p = np.empty((2, len(t_p), H))
-            cache.update(positions=positions, ids_p=ids_p, X_p=X_p, H_p=H_p)
-        del X_p
-        h_final = np.zeros((2, N, H))
+            cache.update(positions=positions, ids_p=ids_p, X_p=X, H_p=H_p)
     else:
-        X = embedding[ids]  # padded positions are embedded too; nothing reads them
-        # without history one slot more, before the first step (Hs below)
-        slab = np.empty((T + (not history), 2, N, 4 * H))
-        gates = slab[-T:]
-        np.matmul(X, Wx[:, None], out=gates.transpose(1, 2, 0, 3))
-        gates += b[:, None]
         if history:
             Hs, Cs = np.zeros((T + 1, 2, N, H)), np.zeros((T + 1, 2, N, H))
             cache.update(X=X, Hs=Hs)
         else:
             # The hidden state after step t overwrites that step's input gate
             # activation, which nothing reads once the cell state is taken:
-            # Hs[t + 1] is gates[t][..., :H], and Hs[0] the zero state. It
-            # costs no allocation, and a separate Hs would be the largest
+            # Hs[t + 1] is gates[t][..., :H], and Hs[t0] the state before a
+            # block from t0, in the slab's first slot: zero before the first.
+            # It costs no allocation, and a separate Hs would be the largest
             # array of a long batch after the gates.
             Hs = slab[..., :H]
             Hs[0] = 0.0
-        del X
         h, c = Hs[0], Hs[0] if Cs is None else Cs[0]
+    del X
+    t0, k = 0, 1  # the current block starts at t0, the next at blocks[k]
     steps = {}
     prev = None  # the rows whose state h and c hold, None for every row
     for start, stop, rows in spans:
@@ -327,6 +413,18 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True, spans=None):
                 keep = _stepped(rows if prev is None else np.searchsorted(prev, rows))
                 h, c = h[:, keep], c[:, keep]
         for t in range(start, stop):
+            if t == blocks[k]:  # the next block of an inference forward
+                if not packed:
+                    # the rows that ended in the block read their final state
+                    # before the slab is reused; the state moves to its first slot
+                    _read_final(h_final, slab[..., :H], lengths, t0, t)
+                    slab[0, ..., :H] = h
+                    Hs = [None] * t + list(slab[..., :H])
+                    h = Hs[t]
+                gates = None  # a packed block's gates die before the next is taken
+                gates = _block_gates(embedding, ids, Wx, b, t, blocks[k + 1], packed_ids,
+                                     None if packed else slab[1 : 1 + blocks[k + 1] - t])[1]
+                t0, k = t, k + 1
             if H_p is not None:
                 H_p[:, offsets[t] : offsets[t] + n] = h[:, :n]  # a lone row once
             a = np.matmul(h, Wh)
@@ -349,11 +447,22 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True, spans=None):
             h_final[:, slice(None) if rows is None else rows] = h[:, :n]
         prev = rows
     if not packed:
-        h_final = Hs[lengths, :, np.arange(N)].swapaxes(0, 1)
+        if len(blocks) == 2:  # every row ends in the one block
+            h_final = Hs[lengths, :, np.arange(N)].swapaxes(0, 1)
+        else:
+            _read_final(h_final, slab[..., :H], lengths, t0, T)
     if history:
         cache["steps"] = steps
     cache["h_final"] = h_final
     return cache
+
+
+def _read_final(h_final, Hs, lengths, t0, t1):
+    """Write into h_final (2, N, H) the final state of each row whose length
+    ends in the steps t0 + 1..t1, read in Hs (.., 2, N, H), the hidden
+    states of a block of steps from t0: Hs[j] after step t0 + j - 1."""
+    rows = np.flatnonzero((lengths > t0) & (lengths <= t1))
+    h_final[:, rows] = Hs[lengths[rows] - t0, :, rows].swapaxes(0, 1)
 
 
 def _lstm_backward(cache, dh_final, Wx, Wh):
@@ -464,6 +573,50 @@ def _add_rows(index, values, n):
     return np.bincount(flat, weights=values.ravel(), minlength=n * w).reshape(n, w)
 
 
+def _sum_slots(enc_rows, b, occ, counts, weights=None):
+    """The (B, w) sum of each sample's real slot encodings enc_rows[occ],
+    times weights (one per real slot) if given: b, occ and weights are in
+    (b, r) order, and counts holds the real slots of each sample.
+
+    A sample's slots add in r order, as a sum over a (B, R, w) array with
+    zero padded slots adds them, so the bits are that sum's; no such array is
+    built. Where every sample holds as many slots (a forward of one column's
+    samples) that is one reshape and sum. Where most counts have one or two
+    samples (training and validation batches, one sample per column) it is
+    one np.bincount over every slot (_add_rows), whose cost does not grow
+    with the counts. Otherwise (a predict_many group, k samples per column)
+    the samples of each count are summed in one reshape, gathering only
+    their slots: a few numpy calls per count, about half the bincount's time
+    and a small part of its memory on a 320-sample group."""
+
+    def slot_encodings(at):
+        enc = enc_rows[occ[at]]
+        if weights is not None:
+            enc *= weights[at, None]
+        return enc
+
+    distinct = set(counts.tolist())
+    if len(distinct) == 1:
+        return slot_encodings(slice(None)).reshape(len(counts), distinct.pop(), -1).sum(axis=1)
+    if 2 * len(distinct) > len(counts):
+        return _add_rows(b, slot_encodings(slice(None)), len(counts))
+    text = np.empty((len(counts), enc_rows.shape[1]))
+    starts = np.cumsum(counts) - counts
+    for c in distinct:
+        rows = np.flatnonzero(counts == c)
+        enc = slot_encodings((starts[rows, None] + np.arange(c)).ravel())
+        text[rows] = enc.reshape(len(rows), c, -1).sum(axis=1)
+    return text
+
+
+def _slot_array(enc_rows, b, r, occ, B, R):
+    """The (B, R, 2H) encoding of every slot: each real slot (b, r) that of
+    its row occ, a padded slot zeros."""
+    enc = np.zeros((B, R, enc_rows.shape[1]))
+    enc[b, r] = enc_rows[occ]
+    return enc
+
+
 def _reverse_within_length(ids, mask):
     """Per-row reversal of the first L tokens; padding stays in place."""
     T = ids.shape[1]
@@ -511,6 +664,40 @@ class Model:
         # one scatter over the fw positions, then the bw ones
         grads["embedding"] += _add_rows(ids, dX, len(grads["embedding"]))
 
+    # -- multi slot head -----------------------------------------------------
+
+    def _aggregate(self, cache):
+        """The (B, text_dim) text of a multi batch from the encoding of each
+        row (cache: enc_rows, the real slots b, r in (b, r) order, the row occ
+        of each and the counts of real slots per sample). mean, sum and
+        weighted_sum add each sample's real slots only (_sum_slots), which
+        gives the bits of a sum over a (B, R, 2H) array with zero padded
+        slots; concatenation's text is that array, padded slots zeros."""
+        cfg = self.config
+        enc_rows, b, r, occ, counts = (cache[k] for k in ("enc_rows", "b", "r", "occ", "counts"))
+        if cfg.aggregation == "concatenation":
+            return _slot_array(enc_rows, b, r, occ, len(counts), cfg.r).reshape(len(counts), -1)
+        weights = self.params["agg_w"][r] if cfg.aggregation == "weighted_sum" else None
+        text = _sum_slots(enc_rows, b, occ, counts, weights)
+        if cfg.aggregation == "mean":
+            text /= counts[:, None]
+        return text
+
+    def _aggregate_backward(self, cache, dtext, grads):
+        """The gradient of each real slot's encoding, in (b, r) order, given
+        that of the text; adds agg_w's into grads."""
+        cfg = self.config
+        b, r = cache["b"], cache["r"]
+        if cfg.aggregation == "mean":
+            return (dtext / cache["counts"][:, None])[b]
+        if cfg.aggregation == "sum":
+            return dtext[b]
+        if cfg.aggregation == "weighted_sum":
+            enc = _slot_array(cache["enc_rows"], b, r, cache["occ"], len(dtext), cfg.r)
+            grads["agg_w"] += np.einsum("brh,bh->r", enc, dtext)
+            return dtext[b] * self.params["agg_w"][r, None]
+        return dtext.reshape(len(dtext), cfg.r, -1)[b, r]
+
     # -- forward -------------------------------------------------------------
 
     def forward(self, batch, train_mode=False, dropout_rng=None):
@@ -526,7 +713,7 @@ class Model:
             cache["enc_cache"] = enc_cache
         else:
             slots = np.asarray(batch["slots"])  # (B, R): row of each real slot, -1 if padded
-            B, R = slots.shape
+            R = slots.shape[1]
             if R != cfg.r:
                 raise ConfigError(f"expected {cfg.r} slots, got {R}")
             real = slots >= 0
@@ -542,20 +729,11 @@ class Model:
                 # differently from the many-row kernel: encode the row twice
                 ids, tok_mask = np.repeat(ids, 2, 0), np.repeat(tok_mask, 2, 0)
             enc_rows, enc_cache = self._encode(ids, tok_mask, train_mode)
-            enc = np.zeros((B, R, 2 * cfg.hidden_size))  # a padded slot encodes as zeros
-            enc[b, r] = enc_rows[occ]
-            if cfg.aggregation == "mean":
-                text = enc.sum(axis=1) / counts[:, None]
-            elif cfg.aggregation == "sum":
-                text = enc.sum(axis=1)
-            elif cfg.aggregation == "weighted_sum":
-                text = (enc * p["agg_w"][None, :, None]).sum(axis=1)
-            else:  # concatenation
-                text = enc.reshape(B, R * 2 * cfg.hidden_size)
             cache.update(
-                enc_cache=enc_cache, enc=enc, b=b, r=r,
+                enc_cache=enc_cache, enc_rows=enc_rows, b=b, r=r,
                 counts=counts, occ=occ, n_rows=len(ids),
             )
+            text = self._aggregate(cache)
 
         pre_feat = feats @ p["feat_W"] + p["feat_b"]
         fproj = np.maximum(pre_feat, 0.0)
@@ -616,18 +794,8 @@ class Model:
             self._encode_backward(cache["enc_cache"], dtext, grads)
             return grads
 
-        # the gradient of each real slot, in (b, r) order
-        b, r = cache["b"], cache["r"]
-        if cfg.aggregation == "mean":
-            denc_occ = (dtext / cache["counts"][:, None])[b]
-        elif cfg.aggregation == "sum":
-            denc_occ = dtext[b]
-        elif cfg.aggregation == "weighted_sum":
-            denc_occ = dtext[b] * p["agg_w"][r, None]
-            grads["agg_w"] += np.einsum("brh,bh->r", cache["enc"], dtext)
-        else:
-            denc_occ = dtext.reshape(len(dtext), cfg.r, -1)[b, r]
         # each encoded row collects the gradients of its occurrences
-        denc_rows = _add_rows(cache["occ"], denc_occ, cache["n_rows"])
+        denc_rows = _add_rows(cache["occ"], self._aggregate_backward(cache, dtext, grads),
+                              cache["n_rows"])
         self._encode_backward(cache["enc_cache"], denc_rows, grads)
         return grads

@@ -16,6 +16,7 @@ Saving is deterministic, so save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -100,12 +101,19 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 
 def _conforms(value, form) -> bool:
+    """Whether a JSON value has the form (HEADER_FORMAT's notation). A list of
+    a primitive type, such as the vocabulary's tokens, is checked in one
+    has_type pass over its items, not one recursive call per item."""
     if isinstance(form, dict):
         return isinstance(value, dict) and all(
             key in value and _conforms(value[key], sub) for key, sub in form.items()
         )
     if isinstance(form, list):
-        return isinstance(value, list) and all(_conforms(v, form[0]) for v in value)
+        if not isinstance(value, list):
+            return False
+        if isinstance(form[0], (dict, list)):
+            return all(_conforms(v, form[0]) for v in value)
+        return all(map(has_type, value, itertools.repeat(form[0])))
     return has_type(value, form)
 
 

@@ -1,17 +1,20 @@
+import json
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcom import augment, tokenizers
+from dcom import augment, ingest, tokenizers
+from dcom.cli import main
 from dcom.core import ClassVocabulary, ColumnInstance, TrainingConfig, make_instance
 from dcom.errors import ConfigError
 from dcom.features import FeatureScaler, extract_features
 from dcom.infer import _vote_winner, evaluate, predict_kvote, predict_many
 from dcom.nn import Model, init_params, zeros_like_params
-from dcom.serialize import ModelBundle
+from dcom.serialize import ModelBundle, save_bundle
 from dcom.tokenizers import RESERVED, Vocabulary
 from dcom.train import make_batch
 
@@ -192,6 +195,132 @@ class TestPredictMany:
     def test_seed_count_must_match(self, bundle):
         with pytest.raises(ConfigError, match="2 columns but 1 seeds"):
             predict_many(bundle, [make_instance(["F"]), make_instance(["M"])], 3, [0])
+
+
+# columns of 1-20 values drawn from a small pool, so that values repeat within
+# a column and many columns have more values than a bundle's r
+grouped_columns = st.lists(
+    st.lists(st.sampled_from(["a", "b", "ab", "1", "2", "b1", "a 2", "12", "ba", "21"]),
+             min_size=1, max_size=20),
+    min_size=1, max_size=12)
+
+
+def spied_predict_many(bundle, columns, k, seeds):
+    """predict_many's predictions and, per forward, its samples and the
+    number of its distinct slot texts (make_batch's rows)."""
+    forwards = []
+
+    def spy(samples, *args):
+        batch = make_batch(samples, *args)
+        forwards.append((samples, len(batch["ids"])))
+        return batch
+
+    with mock.patch("dcom.train.make_batch", spy):
+        predictions = predict_many(bundle, columns, k, seeds)
+    return predictions, forwards
+
+
+class TestPredictManyGroups:
+    """A multi bundle that aggregates by mean, sum or weighted_sum forwards
+    each run of columns whose distinct slot texts fit in batch_size * r once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cols=grouped_columns, k=st.sampled_from([1, 3, 10]),
+           batch_size=st.sampled_from([1, 2, 4]),
+           aggregation=st.sampled_from(["mean", "sum", "weighted_sum"]),
+           multi_mode=st.sampled_from(["pad", "with_replacement"]))
+    def test_one_forward_per_group(self, cols, k, batch_size, aggregation, multi_mode):
+        training = TrainingConfig(mode="multi", embedding_dim=4, hidden_size=3,
+                                  feature_dim=4, dense_widths=(5,), dropout=0.0, r=6,
+                                  tokenizer="char", max_len_per_slot=16,
+                                  batch_size=batch_size, aggregation=aggregation,
+                                  multi_mode=multi_mode)
+        bundle = tiny_bundle(training, ["x", "y", "z"])
+        columns = [make_instance(values) for values in cols]
+        seeds = list(range(len(columns)))
+        predictions, forwards = spied_predict_many(bundle, columns, k, seeds)
+        for column, seed, got in zip(columns, seeds, predictions):
+            want = predict_kvote(bundle, column, k, seed)
+            assert (got.label, got.votes, got.k) == (want.label, want.votes, want.k)
+        cap = batch_size * training.r
+        # walk the forwards against the columns: each forward is one group of
+        # whole columns, or a part of a column over the bound alone
+        bounds = [min(c.n, k * training.r) for c in columns]  # most distinct texts
+        i = 0
+        while forwards:
+            if bounds[i] > cap:  # alone, batch_size samples per forward
+                for _ in range(0, k, batch_size):
+                    samples, texts = forwards.pop(0)
+                    assert len(samples) <= batch_size and texts <= cap
+                i += 1
+                continue
+            samples, texts = forwards.pop(0)
+            assert len(samples) % k == 0
+            n = len(samples) // k
+            assert 1 <= n <= batch_size
+            assert texts <= sum(bounds[i : i + n]) <= cap
+            # the group is as long as it can be: the next column would not fit
+            if i + n < len(columns):
+                assert n == batch_size or sum(bounds[i : i + n + 1]) > cap
+            i += n
+        assert i == len(columns)
+
+    def test_bench_sized_shard_is_two_forwards(self):
+        """40 columns of 20-40 values, r = 45 and batch_size 32, in chunks of
+        32 columns as dcom predict makes them: two forwards at k = 10, where
+        one forward per batch_size samples took 13."""
+        training = TrainingConfig(mode="multi", embedding_dim=4, hidden_size=3,
+                                  feature_dim=4, dense_widths=(5,), dropout=0.0, r=45,
+                                  tokenizer="char", max_len_per_slot=16)
+        bundle = tiny_bundle(training, ["x", "y", "z"])
+        rng = np.random.default_rng(0)
+        columns = [make_instance([f"{v}" for v in rng.integers(0, 60, size=rng.integers(20, 41))])
+                   for _ in range(40)]
+        n_forwards = 0
+        for start in range(0, 40, 32):
+            chunk = columns[start : start + 32]
+            _, forwards = spied_predict_many(bundle, chunk, 10, list(range(len(chunk))))
+            n_forwards += len(forwards)
+        assert n_forwards == 2
+
+    @pytest.mark.parametrize("mode,aggregation", [("multi", "concatenation"),
+                                                  ("single", "mean")])
+    def test_batch_size_forwards_elsewhere(self, mode, aggregation):
+        """Concatenation's head input, and single mode's rows, grow with the
+        samples: their forwards keep batch_size samples, batch_size columns
+        at a time."""
+        training = TrainingConfig(mode=mode, embedding_dim=4, hidden_size=3, feature_dim=4,
+                                  dense_widths=(5,), dropout=0.0, r=6, tokenizer="char",
+                                  max_len_per_slot=16, batch_size=4, aggregation=aggregation)
+        bundle = tiny_bundle(training, ["x", "y", "z"])
+        columns = [make_instance(["a", "b", "ab", "1"][: 1 + i % 4]) for i in range(10)]
+        predictions, forwards = spied_predict_many(bundle, columns, 3, list(range(10)))
+        # 3 chunks of 4, 4 and 2 columns, each 12, 12 and 6 samples in fours
+        assert [len(samples) for samples, _ in forwards] == [4, 4, 4, 4, 4, 4, 4, 2]
+        for column, seed, got in zip(columns, range(10), predictions):
+            assert got.label == predict_kvote(bundle, column, 3, seed).label
+
+    def test_cli_labels_equal_predict_kvote(self, sanity_multi_bundle, tmp_path):
+        """dcom predict --k 10 on columns of repeated values, most with more
+        values than r, gives predict_kvote's labels and votes, as the bench's
+        dcom predict gate requires."""
+        bundle = sanity_multi_bundle
+        rng = np.random.default_rng(1)
+        pool = ["F", "M", "12 years", "3 years", "a tall tree", "red", "7", "x1"]
+        columns = [make_instance(list(rng.choice(pool, size=rng.integers(1, 30))))
+                   for _ in range(40)]
+        model, data, out = tmp_path / "model.dcom", tmp_path / "cols.jsonl", tmp_path / "p.jsonl"
+        save_bundle(bundle, model)
+        ingest.save_jsonl(columns, data)
+        _, forwards = spied_predict_many(bundle, columns[:16], 10, list(range(16)))
+        assert len(forwards) < 16 * 10 / bundle.training.batch_size  # groups did form
+        assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(out),
+                     "--k", "10", "--seed", "3"]) == 0
+        records = [json.loads(line) for line in open(out)]
+        assert len(records) == len(columns)
+        for i, (column, record) in enumerate(zip(columns, records)):
+            want = predict_kvote(bundle, column, 10, np.random.default_rng([3, i]).integers(2**63))
+            assert (record["label"], record["votes"]) == (want.label, want.votes)
 
 
 class TestEvaluate:

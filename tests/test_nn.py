@@ -9,14 +9,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dcom import nn
+from dcom import augment, nn, tokenizers
 from dcom.core import AGGREGATIONS, TrainingConfig
 from dcom.errors import ConfigError
 from dcom.nn import Model, init_params, text_dim, zeros_like_params
-from dcom.train import cross_entropy_batch
+from dcom.train import cross_entropy_batch, forward_samples
 from lstm_oracle import OracleModel
 
 TINY = dict(embedding_dim=4, hidden_size=3, feature_dim=4, dense_widths=(5,), dropout=0.0)
@@ -576,6 +576,66 @@ class TestInferenceMemory:
         assert not STEP_HISTORY & lstm.keys()
 
 
+def inference_peak(fn):
+    """The tracemalloc peak of fn(), in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedInferenceMemory:
+    """An inference forward's working set is one block of INFER_BLOCK stepped
+    positions, their gates and inputs, plus what each step works in over its
+    N rows, a few (2, N, 4H) arrays: the bound below counts (2 * INFER_BLOCK
+    + 8 * N) positions of (2, 4H) float64. A forward that takes every
+    position at once, as validation's longest chunk and a predict_many group
+    forward did, exceeds it."""
+
+    @staticmethod
+    def bound(N, H):
+        return (2 * nn.INFER_BLOCK + 8 * N) * 2 * 4 * H * 8
+
+    @pytest.mark.parametrize("budget", [128, None])
+    def test_validation_chunk(self, budget):
+        """forward_samples over 32 rows of 96 tokens at the bench's single
+        widths, validation's longest chunk: it peaked at about 11 MB with the
+        whole (T + 1, 2, N, 4H) gate array."""
+        vocab = tokenizers.build_vocab(["ab1"], "char", 30)
+        config = TrainingConfig(mode="single", embedding_dim=32, hidden_size=48,
+                                feature_dim=32, dense_widths=(96,), dropout=0.3, max_len=96)
+        model = seeded_model(config, 0, len(vocab), BENCH_SIZES[1])
+        samples = [augment.SingleSequenceSample(("ab1" * 40,))] * 32
+        feats = np.random.default_rng(0).normal(size=(32, N_FEATURES))
+        token_cache = {}  # warm, as validation's is after the first epoch
+
+        def run():
+            forward_samples(model, samples, feats, vocab, 32, token_cache)
+
+        run()
+        with mock.patch.object(nn, "INFER_BLOCK", budget or nn.INFER_BLOCK):
+            assert inference_peak(run) < self.bound(32, config.hidden_size)
+
+    @pytest.mark.parametrize("budget", [128, None])
+    @pytest.mark.parametrize("kind", ["unpacked", "packed"])
+    def test_multi_group_forward(self, kind, budget):
+        """One multi forward of 250 slot texts of up to 14 tokens at the
+        bench's multi widths, the size of a predict_many group's: it peaked
+        at about 9.7 MB unpacked and 6.5 MB packed."""
+        lengths = np.full(250, 14)
+        if kind == "packed":
+            lengths[1:] = np.random.default_rng(0).integers(1, 15, size=249)
+        config, batch = bench_width_case("multi", 250, 14, lengths, seed=0)
+        model = seeded_model(config, 0, *BENCH_SIZES)
+        with mock.patch.object(nn, "INFER_BLOCK", budget or nn.INFER_BLOCK):
+            peak = inference_peak(lambda: model.forward(batch))
+            _, cache = model.forward(batch)
+        assert (cache["enc_cache"]["lstm"]["spans"][-1][2] is not None) == (kind == "packed")
+        assert peak < self.bound(250, config.hidden_size)
+
+
 def assert_recompute_exact(config, batch, seed, sizes=(VOCAB_SIZE, N_CLASSES), packed=False):
     """Backward on an inference forward's cache, which recomputes the step
     history, gives the bytes of backward on a training forward's cache, at
@@ -622,6 +682,84 @@ class TestInferenceBackwardRecomputes:
         config, batch = bench_width_case(*BENCH_WIDTH_CASES[name](np.random.default_rng(1)),
                                          seed=1)
         assert_recompute_exact(config, batch, 1, BENCH_SIZES)
+
+
+# budgets small enough to cut the random and edge-case batches into many blocks
+INFER_BUDGETS = [1, 2, 5, 16]
+
+
+def assert_blocked_inference_exact(config, batch, seed, sizes=(VOCAB_SIZE, N_CLASSES),
+                                   packed=False):
+    """An inference forward, which takes x @ Wx + b a block of steps at a time
+    (nn.INFER_BLOCK), gives the probabilities of a training forward at
+    dropout 0, which takes every step at once, and of one masked loop per
+    direction (OracleModel), bit for bit; backward on its cache gives the
+    bytes of backward on the training cache (assert_recompute_exact). Returns
+    the number of blocks the inference forward took."""
+    config = dataclasses.replace(config, dropout=0.0)
+    model = seeded_model(config, seed, *sizes)
+    blocks = []
+    step_blocks = nn._step_blocks
+
+    def spy(offsets, min_steps):
+        blocks.append(step_blocks(offsets, min_steps))
+        return blocks[-1]
+
+    with mock.patch.object(nn, "PACK_SPAN_COST", 0 if packed else nn.PACK_SPAN_COST), \
+            mock.patch.object(nn, "_step_blocks", spy):
+        probs, _ = model.forward(batch)
+        train_probs, _ = model.forward(batch, train_mode=True)
+        oracle_probs, _ = OracleModel(config, params=model.params).forward(batch)
+    np.testing.assert_array_equal(probs, train_probs)
+    np.testing.assert_array_equal(probs, oracle_probs)
+    assert_recompute_exact(config, batch, seed, sizes, packed)
+    # only an inference forward of more than one block cuts its steps
+    assert len(blocks) <= 1
+    return len(blocks[0]) - 1 if blocks else 1
+
+
+class TestBlockedInference:
+    @settings(max_examples=150, deadline=None)
+    @given(encoder_cases(), st.booleans(), st.sampled_from(INFER_BUDGETS))
+    def test_bit_equal_on_random_batches(self, case, packed, budget):
+        config, sizes, batch, seed = case
+        with mock.patch.object(nn, "INFER_BLOCK", budget):
+            assert_blocked_inference_exact(config, batch, seed, sizes, packed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(padded_cases(), st.sampled_from(INFER_BUDGETS))
+    def test_bit_equal_on_padded_batches(self, case, budget):
+        """Rows of length 0 and lone long rows, packed or not: a row's final
+        state is read in the block where its length ends."""
+        config, batch, _, seed = case
+        with mock.patch.object(nn, "INFER_BLOCK", budget):
+            assert_blocked_inference_exact(config, batch, seed)
+
+    @pytest.mark.parametrize("budget", INFER_BUDGETS)
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("lengths,T", PACKED_EDGE_CASES)
+    def test_bit_equal_on_packed_edge_cases(self, lengths, T, width, budget):
+        """A packed T == 1 batch keeps its per-row (gemv) product, and a
+        block of one stepped position its full-width one."""
+        config, batch = packed_edge_case(lengths, T, width)
+        with mock.patch.object(nn, "INFER_BLOCK", budget):
+            assert_blocked_inference_exact(config, batch, 5, packed=True)
+
+    @pytest.mark.parametrize("budget", [*INFER_BUDGETS, 64, None])
+    @pytest.mark.parametrize("name", list(BENCH_WIDTH_CASES))
+    def test_bit_equal_at_bench_widths(self, name, budget):
+        """A small budget cuts every case of 4 steps or more into blocks (an
+        unpacked block has 2 steps at least, and a last one of 1 joins the
+        block before); at nn.INFER_BLOCK itself (None) a case of no more
+        stepped positions is one block."""
+        config, batch = bench_width_case(*BENCH_WIDTH_CASES[name](np.random.default_rng(2)),
+                                         seed=2)
+        with mock.patch.object(nn, "INFER_BLOCK", budget or nn.INFER_BLOCK):
+            n_blocks = assert_blocked_inference_exact(config, batch, 2, BENCH_SIZES)
+        if budget is not None:
+            assert n_blocks > 1 or batch["ids"].shape[1] < 4
+        elif batch["tok_mask"].sum() <= nn.INFER_BLOCK:
+            assert n_blocks == 1
 
 
 class TestDropout:
@@ -688,3 +826,83 @@ class TestConfigValidation:
     def test_round_trip_dict(self):
         config = tiny_config("multi", r=7)
         assert TrainingConfig.from_dict(config.to_dict()) == config
+
+
+class DenseSlotModel(Model):
+    """Model whose mean, sum and weighted_sum slot head writes the real slots'
+    encodings into a zero (B, R, 2H) array and sums it over the slots, and
+    whose backward reads that array, as the slot head did before it added
+    the real slots only."""
+
+    def _aggregate(self, cache):
+        cfg = self.config
+        enc = np.zeros((len(cache["counts"]), cfg.r, 2 * cfg.hidden_size))  # padded: zeros
+        enc[cache["b"], cache["r"]] = cache["enc_rows"][cache["occ"]]
+        cache["enc"] = enc
+        if cfg.aggregation == "mean":
+            return enc.sum(axis=1) / cache["counts"][:, None]
+        if cfg.aggregation == "sum":
+            return enc.sum(axis=1)
+        return (enc * self.params["agg_w"][None, :, None]).sum(axis=1)
+
+    def _aggregate_backward(self, cache, dtext, grads):
+        b, r = cache["b"], cache["r"]
+        if self.config.aggregation == "mean":
+            return (dtext / cache["counts"][:, None])[b]
+        if self.config.aggregation == "sum":
+            return dtext[b]
+        grads["agg_w"] += np.einsum("brh,bh->r", cache["enc"], dtext)
+        return dtext[b] * self.params["agg_w"][r, None]
+
+
+@st.composite
+def slot_head_cases(draw):
+    """A multi config and batch whose padded slots sit anywhere among the real
+    ones, B = 1 and samples of one real slot among them, and agg_w away from
+    its uniform start. The samples take their real slots from a few
+    patterns, as a column's k samples share their count, so a batch has one
+    count, one or two samples per count, or many."""
+    aggregation = draw(st.sampled_from(["mean", "sum", "weighted_sum"]))
+    r, B = draw(st.integers(1, 8)), draw(st.sampled_from([1, 1, 2, 3, 5, 8]))
+    config = TrainingConfig(mode="multi", embedding_dim=draw(st.integers(1, 5)),
+                            hidden_size=draw(st.integers(1, 5)), feature_dim=3,
+                            dense_widths=(4,), dropout=0.0, aggregation=aggregation, r=r)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    patterns = np.zeros((draw(st.integers(1, B)), r), dtype=bool)
+    for pattern in patterns:  # one real slot at least, anywhere
+        pattern[rng.choice(r, size=rng.integers(1, r + 1), replace=False)] = True
+    real = patterns[rng.integers(0, len(patterns), size=B)]
+    n_real = int(real.sum())
+    U = draw(st.integers(1, n_real))  # rows, each held by one real slot at least
+    slots = np.full((B, r), -1, dtype=np.int64)
+    slots[real] = rng.permutation(np.r_[np.arange(U), rng.integers(0, U, size=n_real - U)])
+    T = draw(st.integers(1, 5))
+    lengths = rng.integers(1, T + 1, size=U)
+    mask = (np.arange(T) < lengths[:, None]).astype(np.int64)
+    batch = {"ids": rng.integers(3, VOCAB_SIZE, size=(U, T)) * mask, "tok_mask": mask,
+             "slots": slots, "feats": rng.normal(size=(B, N_FEATURES))}
+    return config, batch, int(rng.integers(0, 2**32 - 1))
+
+
+class TestSlotHeadReference:
+    @settings(max_examples=200, deadline=None)
+    @given(slot_head_cases(), st.booleans())
+    def test_byte_equal_to_dense_slot_array(self, case, train_mode):
+        """Adding the real slots only gives the probabilities and every
+        gradient of the sum over a dense (B, R, 2H) array, byte for byte."""
+        config, batch, seed = case
+        params = init_params(config, VOCAB_SIZE, N_CLASSES, np.random.default_rng(seed))
+        if "agg_w" in params:
+            params["agg_w"] = np.random.default_rng(seed).normal(size=config.r)
+        runs = []
+        for model in (Model(config, params), DenseSlotModel(config, params)):
+            probs, cache = model.forward(batch, train_mode=train_mode)
+            dlogits = np.random.default_rng(seed).normal(size=probs.shape)
+            runs.append((probs, model.backward(cache, dlogits)))
+        (probs, grads), (dense_probs, dense_grads) = runs
+        counts = (batch["slots"] >= 0).sum(axis=1)
+        event(f"{len(set(counts.tolist()))} counts over {len(counts)} samples")
+        assert probs.tobytes() == dense_probs.tobytes()
+        assert grads.keys() == dense_grads.keys()
+        for name in grads:
+            assert grads[name].tobytes() == dense_grads[name].tobytes(), name

@@ -18,8 +18,9 @@ from dcom.errors import BundleError, ConfigError
 from dcom.features import FeatureScaler
 from dcom.infer import predict_kvote
 from dcom.nn import init_params
-from dcom.serialize import (FORMAT_VERSION, HEADER_FORMAT, MAGIC, ModelBundle, arch_header,
-                             load_bundle, save_bundle)
+from dcom.core import has_type
+from dcom.serialize import (FORMAT_VERSION, HEADER_FORMAT, MAGIC, ModelBundle, _conforms,
+                             arch_header, load_bundle, save_bundle)
 from dcom.tokenizers import build_vocab
 
 
@@ -234,6 +235,51 @@ def _paths(node, prefix=()):
     for key, child in items:
         yield prefix + (key,)
         yield from _paths(child, prefix + (key,))
+
+
+def recursive_conforms(value, form) -> bool:
+    """The header check as one recursive call per list item."""
+    if isinstance(form, dict):
+        return isinstance(value, dict) and all(
+            key in value and recursive_conforms(value[key], sub) for key, sub in form.items()
+        )
+    if isinstance(form, list):
+        return isinstance(value, list) and all(recursive_conforms(v, form[0]) for v in value)
+    return has_type(value, form)
+
+
+PRIMITIVES = {str: st.text(max_size=3), int: st.integers(), dict: st.dictionaries(
+    st.text(max_size=3), JSON_VALUES, max_size=2), float: st.floats(-2, 2) | st.integers()}
+
+
+def conforming(form):
+    """JSON values of the form, in HEADER_FORMAT's notation."""
+    if isinstance(form, dict):
+        return st.fixed_dictionaries({k: conforming(v) for k, v in form.items()})
+    if isinstance(form, list):
+        return st.lists(conforming(form[0]), max_size=5)
+    return PRIMITIVES[form]
+
+
+@given(header=conforming(HEADER_FORMAT), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_header_check_equals_recursive_check(header, data):
+    """The header check's answer is the recursive one's on headers of the
+    form, and on headers with one value replaced, by one of any JSON type,
+    or deleted: a list item, a list, a field."""
+    paths = list(_paths(header))
+    if paths and data.draw(st.booleans()):
+        target = data.draw(st.sampled_from(paths))
+        parent = header
+        for key in target[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[target[-1]]
+        else:
+            parent[target[-1]] = data.draw(JSON_VALUES)
+    expected = recursive_conforms(header, HEADER_FORMAT)
+    event(f"conforms: {expected}")
+    assert _conforms(header, HEADER_FORMAT) == expected
 
 
 @pytest.fixture(scope="module")
