@@ -35,8 +35,25 @@ class SingleSequenceSample:
 
 @dataclass(frozen=True)
 class MultiSequenceSample:
-    texts: tuple[str, ...]
-    pad_mask: tuple[bool, ...]
+    """r parallel slot texts, of which the first len(values) are real.
+
+    values holds the real slot texts only: a multi sample's real slots are
+    always a prefix, and the slots after them are padding (pad mode with
+    fewer values than slots).  texts and pad_mask spell out all r slots.
+    """
+
+    values: tuple[str, ...]
+    r: int
+
+    @property
+    def texts(self) -> tuple[str, ...]:
+        """All r slot texts, the padded ones PAD_VALUE."""
+        return self.values + (PAD_VALUE,) * (self.r - len(self.values))
+
+    @property
+    def pad_mask(self) -> tuple[bool, ...]:
+        """Per slot, whether it is real."""
+        return (True,) * len(self.values) + (False,) * (self.r - len(self.values))
 
 
 def sample_single(instance: ColumnInstance, rng, r=None) -> SingleSequenceSample:
@@ -76,9 +93,11 @@ def sample_multi(instance: ColumnInstance, r: int, mode: str, rng) -> MultiSeque
     """Draw one multi-sequence sample with exactly r slots.
 
     If the column has at least r values, both modes place r distinct values in
-    random order.  With fewer values, pad mode fills the remaining slots with
-    the empty marker (mask false); with_replacement mode draws r values
-    uniformly with replacement.
+    random order.  With fewer values, pad mode places all n in random order
+    and leaves the last r - n slots padded; with_replacement mode draws r
+    values uniformly with replacement.  The sample holds the real slots'
+    values only (MultiSequenceSample); the draws are one rng.permutation, or
+    one rng.integers in with_replacement mode below r values.
     """
     if r < 1:
         raise ConfigError("r must be >= 1")
@@ -89,17 +108,12 @@ def sample_multi(instance: ColumnInstance, r: int, mode: str, rng) -> MultiSeque
     n = instance.n
     if n >= r:
         idx = rng.permutation(n)[:r]
-        texts = tuple(instance.values[i] for i in idx)
-        mask = (True,) * r
     elif mode == "pad":
         idx = rng.permutation(n)
-        texts = tuple(instance.values[i] for i in idx) + (PAD_VALUE,) * (r - n)
-        mask = (True,) * n + (False,) * (r - n)
     else:
         idx = rng.integers(0, n, size=r)
-        texts = tuple(instance.values[int(i)] for i in idx)
-        mask = (True,) * r
-    return MultiSequenceSample(texts=texts, pad_mask=mask)
+    values = instance.values
+    return MultiSequenceSample(tuple([values[i] for i in idx.tolist()]), r)
 
 
 def training_sample(instance: ColumnInstance, config: TrainingConfig, rng):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,28 +26,30 @@ class Prediction:
     latency_s: float = 0.0
 
 
-def _vote_winner(probs: np.ndarray) -> tuple[int, dict]:
-    """Majority label over the argmaxes of k distributions.
+def _group_vote(class_vocab, probs, k):
+    """(mean distribution, label, votes by label) of each column of a group
+    whose probs hold k sample rows per column, the columns in order.
 
-    Ties break by highest summed probability among the tied labels, then by
-    lowest class id.
+    A column's label is the most frequent argmax of its rows; a tie goes to
+    the highest summed probability among the tied labels, then to the lowest
+    class id. Its votes are in class-id order, and a single sample (k=1)
+    reports none. The whole group is voted in a few array operations: one
+    argmax, one bincount of (column, label) pairs and one reshaped sum.
     """
-    votes = Counter(int(np.argmax(p)) for p in probs)
-    top = max(votes.values())
-    tied = [label for label, count in votes.items() if count == top]
-    summed = probs.sum(axis=0)
-    winner = min(tied, key=lambda c: (-summed[c], c))
-    return winner, dict(votes)
-
-
-def _column_vote(class_vocab, probs):
-    """(mean distribution, label, votes by label) of one column's k sample rows;
-    a single sample reports no votes."""
-    if len(probs) == 1:
-        return probs[0], class_vocab.name_of(int(np.argmax(probs[0]))), None
-    class_id, votes = _vote_winner(probs)
-    return (probs.mean(axis=0), class_vocab.name_of(class_id),
-            {class_vocab.name_of(c): n for c, n in sorted(votes.items())})
+    names = class_vocab.names
+    argmaxes = probs.argmax(axis=1)
+    if k == 1:
+        return [(p, names[c], None) for p, c in zip(probs, argmaxes.tolist())]
+    cols, n_classes = len(probs) // k, probs.shape[1]
+    summed = probs.reshape(cols, k, n_classes).sum(axis=1)
+    pairs = argmaxes + np.repeat(np.arange(cols) * n_classes, k)
+    counts = np.bincount(pairs, minlength=cols * n_classes).reshape(cols, n_classes)
+    tied = counts == counts.max(axis=1, keepdims=True)
+    # argmax takes the first of equal sums, so the lowest class id
+    winners = np.where(tied, summed, -np.inf).argmax(axis=1).tolist()
+    mean = summed / k  # np.mean's arithmetic, so bit-equal to rows.mean(axis=0)
+    return [(p, names[c], {names[label]: n for label, n in enumerate(row) if n})
+            for p, c, row in zip(mean, winners, counts.tolist())]
 
 
 def _predict_columns(bundle: ModelBundle, instances, k, seeds, rows) -> list[Prediction]:
@@ -68,8 +69,7 @@ def _predict_columns(bundle: ModelBundle, instances, k, seeds, rows) -> list[Pre
         samples += augment.inference_inputs(instance, config, k, np.random.default_rng(seed))
     feats = np.repeat(bundle.scaler.transform(extract_features(instances)), k, axis=0)
     probs = forward_samples(model, samples, feats, bundle.vocab, rows, token_cache={})
-    voted = [_column_vote(bundle.class_vocab, probs[j : j + k])
-             for j in range(0, len(probs), k)]
+    voted = _group_vote(bundle.class_vocab, probs, k)
     latency_s = (time.perf_counter() - t0) / len(instances)
     return [Prediction(probabilities=p, label=label, k=k, votes=votes, latency_s=latency_s)
             for p, label, votes in voted]
@@ -123,12 +123,16 @@ def predict_many(bundle: ModelBundle, instances, k, seeds) -> list[Prediction]:
     distinct slot texts fit in those of one batch_size-sample forward runs
     as one forward, so the LSTM meets each text once per run, not once per
     vote; elsewhere the columns go batch_size at a time, their k samples
-    each batch_size per forward (_forward_groups). In single mode
-    forward_samples takes the samples in order of their row length, so a
-    forward runs as many steps as the longest of rows of like length. The
-    samples, and so the votes and labels, are predict_kvote's; a
-    probability may differ from it in the last bits, because a BLAS result
-    depends on the batch's shape and on a row's place in it.
+    each batch_size per forward (_forward_groups). A run's columns are voted
+    together, in one pass of array operations over its probabilities
+    (_group_vote). A multi sample holds its real slots only, so drawing and
+    batching it take a step per real slot, not per slot: min(n, r) of r in
+    pad mode. In single mode forward_samples takes the samples in order of
+    their row length, so a forward runs as many steps as the longest of rows
+    of like length. The samples, and so the votes and labels, are
+    predict_kvote's; a probability may differ from it in the last bits,
+    because a BLAS result depends on the batch's shape and on a row's place
+    in it.
     """
     instances, seeds = list(instances), list(seeds)
     if len(seeds) != len(instances):

@@ -219,7 +219,9 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
     max_len, one multi slot text's at max_len_per_slot.  Single ids and
     tok_mask are (B, T), one row per sample.  Multi ones are (U, T), one row
     per distinct real slot text in first-seen order, and slots (B, R) gives
-    each real slot its row, -1 for a padded slot.  T is the longest row, at
+    each real slot its row, -1 for a padded slot.  A multi sample holds only
+    its real slots' values, so the rows cost one step per real slot, not per
+    slot; its r must be config.r (ConfigError).  T is the longest row, at
     least 1.  truncated counts the rows that were cut.  SEP_ID enters a row
     only between two values; a "<SEP>" inside a value is text.  token_cache
     maps a value to its uncut ids (tokenizers.encode_value), so each value is
@@ -230,11 +232,16 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
         row_values, cut = [s.values for s in samples], config.max_len
         batch = {}
     else:
+        r = config.r
+        n_real = [len(s.values) for s in samples]
+        if max(n_real) > r or any(s.r != r for s in samples):
+            raise ConfigError(f"multi samples must have r={r} slots, at most r of them real")
         row_of = {}  # distinct real slot text -> its row, in first-seen order
-        slots = [[row_of.setdefault(t, len(row_of)) if real else -1
-                  for t, real in zip(s.texts, s.pad_mask)] for s in samples]
+        real = [row_of.setdefault(t, len(row_of)) for s in samples for t in s.values]
+        slots = np.full((len(samples), r), -1, dtype=np.int64)
+        slots[np.arange(r) < np.array(n_real)[:, None]] = real  # real slots are a prefix
         row_values, cut = [(t,) for t in row_of], config.max_len_per_slot
-        batch = {"slots": np.array(slots, dtype=np.int64)}
+        batch = {"slots": slots}
     rows, truncated = _token_rows(row_values, cut, vocab, token_cache)
     lengths = np.array([len(row) for row in rows])
     tok_mask = np.arange(max(1, lengths.max())) < lengths[:, None]

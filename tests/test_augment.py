@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcom import augment
-from dcom.core import SEP_TEXT, ColumnInstance, TrainingConfig, make_instance
+from dcom.core import MULTI_MODES, PAD_VALUE, SEP_TEXT, ColumnInstance, TrainingConfig, make_instance
 from dcom.errors import ConfigError
 from test_train import edge_value
 
@@ -133,6 +133,46 @@ class TestSampleMulti:
         inst = ColumnInstance(("a",))
         with pytest.raises(ConfigError, match="cap"):
             augment.sample_multi(inst, 1000, "pad", np.random.default_rng(0))
+
+
+def reference_sample_multi(instance, r, mode, rng):
+    """(texts, pad_mask) of sample_multi as it was when a sample held all r
+    slot texts, draw for draw: the reference the real-slot sampler keeps."""
+    n = instance.n
+    if n >= r:
+        idx = rng.permutation(n)[:r]
+        texts = tuple(instance.values[i] for i in idx)
+        mask = (True,) * r
+    elif mode == "pad":
+        idx = rng.permutation(n)
+        texts = tuple(instance.values[i] for i in idx) + (PAD_VALUE,) * (r - n)
+        mask = (True,) * n + (False,) * (r - n)
+    else:
+        idx = rng.integers(0, n, size=r)
+        texts = tuple(instance.values[int(i)] for i in idx)
+        mask = (True,) * r
+    return texts, mask
+
+
+@given(values=st.lists(st.sampled_from(["a", "b", "ab", "", " ", "<SEP>", "12"]),
+                       min_size=1, max_size=12),
+       r=st.integers(1, 12), mode=st.sampled_from(MULTI_MODES),
+       seed=st.integers(0, 2**32 - 1))
+@example(values=["a", "b"], r=5, mode="pad", seed=0)  # n < r
+@example(values=["a", "b"], r=5, mode="with_replacement", seed=0)
+@example(values=["a", "a", "b"], r=3, mode="pad", seed=0)  # n = r, repeated
+@example(values=["a", "a", "b"], r=3, mode="with_replacement", seed=0)
+@example(values=["a", "b", "a", "", "b"], r=2, mode="pad", seed=0)  # n > r
+@settings(max_examples=300, deadline=None)
+def test_sample_multi_matches_reference(values, r, mode, seed):
+    # the same slots, and the rng left where the reference leaves it, so every
+    # later draw of a seeded run, and its bundle, stays where it was
+    inst = ColumnInstance(tuple(values))
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        s = augment.sample_multi(inst, r, mode, rng)
+        assert (s.texts, s.pad_mask) == reference_sample_multi(inst, r, mode, reference_rng)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 SINGLE = TrainingConfig(mode="single")

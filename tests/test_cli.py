@@ -19,6 +19,7 @@ from dcom.infer import predict_kvote
 from dcom.serialize import load_bundle, save_bundle
 from dcom.train import EpochReport, train_model
 from feature_oracle import oracle_features
+from test_augment import reference_sample_multi
 
 CONFIG = """\
 # sanity training configuration
@@ -206,6 +207,25 @@ class TestAugmentCommand:
                      "--r", "6", "--out", str(out), "--seed", "1"]) == 0
         records = [json.loads(line) for line in open(out)]
         assert all(len(r["texts"]) == 6 and len(r["mask"]) == 6 for r in records)
+
+    @pytest.mark.parametrize("multi_mode", ["pad", "with_replacement"])
+    def test_multi_bytes_equal_reference_sampler(self, tmp_path, multi_mode):
+        # columns of 1-9 values, repeated, around r = 5: fewer, as many and more
+        rng = np.random.default_rng(0)
+        columns = [ingest.make_instance(list(rng.choice(["a", "b", "ab", "", "7"], size=n)))
+                   for n in [1, 4, 5, 6, 9, 2, 5, 3]]
+        data, out = tmp_path / "cols.jsonl", tmp_path / "aug.jsonl"
+        ingest.save_jsonl(columns, data)
+        assert main(["augment", "--data", str(data), "--mode", "multi", "--r", "5",
+                     "--multi-mode", multi_mode, "--out", str(out), "--seed", "4"]) == 0
+        instances, _ = ingest.load_dataset(data, "jsonl")
+        sample_rng = np.random.default_rng(4)
+        want = ""
+        for i, inst in enumerate(instances):
+            texts, mask = reference_sample_multi(inst, 5, multi_mode, sample_rng)
+            want += json.dumps({"source": i, "r": 5, "texts": list(texts),
+                                "mask": [int(m) for m in mask]}, ensure_ascii=False) + "\n"
+        assert out.read_bytes() == want.encode("utf-8")
 
 
 class TestFeaturesDump:

@@ -12,7 +12,7 @@ from dcom.cli import main
 from dcom.core import ClassVocabulary, ColumnInstance, TrainingConfig, make_instance
 from dcom.errors import ConfigError
 from dcom.features import FeatureScaler, extract_features
-from dcom.infer import _vote_winner, evaluate, predict_kvote, predict_many
+from dcom.infer import _group_vote, evaluate, predict_kvote, predict_many
 from dcom.nn import Model, init_params, zeros_like_params
 from dcom.serialize import ModelBundle, save_bundle
 from dcom.tokenizers import RESERVED, Vocabulary
@@ -44,6 +44,31 @@ def random_bundle(mode):
                               dense_widths=(5,), dropout=0.0, r=6, tokenizer="char",
                               max_len_per_slot=16)
     return tiny_bundle(training, ["x", "y", "z"])
+
+
+def _vote_winner(probs: np.ndarray) -> tuple[int, dict]:
+    """The per-column vote the group vote replaced, kept as its oracle:
+    majority label over the argmaxes of k distributions, ties broken by
+    highest summed probability among the tied labels, then by lowest class
+    id."""
+    votes = Counter(int(np.argmax(p)) for p in probs)
+    top = max(votes.values())
+    tied = [label for label, count in votes.items() if count == top]
+    summed = probs.sum(axis=0)
+    winner = min(tied, key=lambda c: (-summed[c], c))
+    return winner, dict(votes)
+
+
+def id_vocab(n_classes):
+    """A class vocabulary whose names are the class ids."""
+    return ClassVocabulary(tuple(str(c) for c in range(n_classes)))
+
+
+def vote_by_id(probs):
+    """_group_vote's (winner, votes) of one column of len(probs) samples, by
+    class id."""
+    [(_, label, votes)] = _group_vote(id_vocab(probs.shape[1]), probs, len(probs))
+    return int(label), votes and {int(c): n for c, n in votes.items()}
 
 
 class TestPredictOne:
@@ -101,7 +126,7 @@ class TestPredictKvote:
 
     def test_strict_majority(self):
         probs = np.array([[0.6, 0.4]] * 7 + [[0.4, 0.6]] * 3)
-        winner, votes = _vote_winner(probs)
+        winner, votes = vote_by_id(probs)
         assert winner == 0
         assert votes == {0: 7, 1: 3}
 
@@ -111,13 +136,13 @@ class TestPredictKvote:
         )
         # votes 2-2; summed p: A=2.0 vs B=2.0 ... adjust to favor A
         probs[0] = [0.95, 0.05, 0.0]
-        winner, votes = _vote_winner(probs)
+        winner, votes = vote_by_id(probs)
         assert votes[0] == votes[1] == 2
         assert winner == 0
 
     def test_tie_then_class_id(self):
         probs = np.array([[0.6, 0.4], [0.4, 0.6]])
-        winner, _ = _vote_winner(probs)
+        winner, _ = vote_by_id(probs)
         assert winner == 0  # equal votes and equal summed probability
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12))
@@ -130,9 +155,9 @@ class TestPredictKvote:
             row[label] += 1.0
             probs.append(row / row.sum())
         probs = np.array(probs)
-        winner, votes = _vote_winner(probs)
+        winner, votes = vote_by_id(probs)
         tally = Counter(argmaxes)
-        assert votes == dict(tally)
+        assert votes == (dict(tally) if len(argmaxes) > 1 else None)  # one sample: no vote
         top = max(tally.values())
         tied = [c for c, n in tally.items() if n == top]
         summed = probs.sum(axis=0)
@@ -163,6 +188,39 @@ class TestPredictKvote:
         bundle, _ = sanity_bundle
         with pytest.raises(ConfigError):
             predict_kvote(bundle, make_instance(["F"]), k=0)
+
+
+class TestGroupVote:
+    """_group_vote votes each column of a group as _vote_winner votes it alone."""
+
+    @given(data=st.data(), k=st.one_of(st.sampled_from([1, 2]), st.integers(3, 12)),
+           cols=st.integers(1, 6), n_classes=st.integers(2, 5), dyadic=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_column_oracle(self, data, k, cols, n_classes, dyadic):
+        if dyadic:
+            # every row a permutation of one distribution of powers of two:
+            # votes tie often, and so do the tied labels' summed probabilities
+            base = 2.0 ** -np.arange(1, n_classes + 1)
+            base[-1] *= 2
+            perms = data.draw(st.lists(st.permutations(range(n_classes)),
+                                       min_size=cols * k, max_size=cols * k))
+            probs = np.array([base[list(perm)] for perm in perms])
+        else:
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            probs = np.random.default_rng(seed).dirichlet(np.ones(n_classes), size=cols * k)
+        voted = _group_vote(id_vocab(n_classes), probs, k)
+        assert len(voted) == cols
+        for j, (mean, label, votes) in enumerate(voted):
+            rows = probs[j * k : (j + 1) * k]
+            winner, oracle_votes = _vote_winner(rows)
+            assert label == str(winner)
+            assert mean.tobytes() == rows.mean(axis=0).tobytes()
+            if k == 1:
+                assert votes is None
+                continue
+            assert votes == {str(c): n for c, n in oracle_votes.items()}
+            assert list(votes) == sorted(votes, key=int)  # class-id order
+            assert all(type(n) is int for n in votes.values())
 
 
 class TestPredictMany:

@@ -340,6 +340,24 @@ def full_width_batch(samples, feats, config, vocab):
     return batch
 
 
+def per_slot_multi_batch(samples, config, vocab):
+    """make_batch's multi ids, tok_mask, slots and truncated built one slot at
+    a time over each sample's r padded texts and its pad_mask."""
+    row_of = {}
+    slots = [[row_of.setdefault(t, len(row_of)) if real else -1
+              for t, real in zip(s.texts, s.pad_mask)] for s in samples]
+    whole = [reference_ids(vocab, (t,)) for t in row_of]
+    cut = [ids[: config.max_len_per_slot] for ids in whole]
+    T = max([1] + [len(ids) for ids in cut])
+    return {
+        "ids": np.array([ids + [tk.PAD_ID] * (T - len(ids)) for ids in cut], dtype=np.int64),
+        "tok_mask": np.array([[1] * len(ids) + [0] * (T - len(ids)) for ids in cut],
+                             dtype=np.int64),
+        "slots": np.array(slots, dtype=np.int64),
+        "truncated": sum(len(ids) > config.max_len_per_slot for ids in whole),
+    }
+
+
 # values that meet the separator: empty, blank, <SEP> and <\SEP> as text, the
 # reserved token names, and halves of " <SEP> " that a join could complete
 edge_value = st.one_of(
@@ -358,6 +376,12 @@ def draw_samples(cols, config, seed):
     instances = [ColumnInstance(tuple(values)) if i % 2 else make_instance(values)
                  for i, values in enumerate(cols)]
     return [augment.training_sample(inst, config, rng) for inst in instances]
+
+
+# columns whose values come from one pool of 1-4 texts, so columns share values
+shared_columns = st.lists(value, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=12),
+                          min_size=1, max_size=5))
 
 
 class TestMakeBatch:
@@ -406,6 +430,31 @@ class TestMakeBatch:
             first_seen = list(dict.fromkeys(texts))
             assert batch["ids"].shape == (len(first_seen), T)
             np.testing.assert_array_equal(slots[real], [first_seen.index(t) for t in texts])
+
+    @given(cols=shared_columns, kind=st.sampled_from(TOKENIZER_KINDS), r=st.integers(1, 8),
+           multi_mode=st.sampled_from(["pad", "with_replacement"]),
+           max_len_per_slot=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_multi_equals_per_slot_reference(self, cols, kind, r, multi_mode,
+                                             max_len_per_slot, seed):
+        # columns share values, and short cuts cut many slot texts
+        config = TrainingConfig(mode="multi", r=r, multi_mode=multi_mode,
+                                max_len_per_slot=max_len_per_slot)
+        samples = draw_samples(cols, config, seed)
+        feats = [np.zeros(19) for _ in samples]
+        batch = make_batch(samples, feats, config, VOCABS[kind], {})
+        want = per_slot_multi_batch(samples, config, VOCABS[kind])
+        for key in ("ids", "tok_mask", "slots"):
+            np.testing.assert_array_equal(batch[key], want[key], strict=True)
+        assert batch["truncated"] == want["truncated"]
+
+    def test_multi_sample_of_another_r_refused(self):
+        config = TrainingConfig(mode="multi", r=3)
+        for sample in (augment.MultiSequenceSample(("a", "b"), 4),
+                       augment.MultiSequenceSample(("a", "b", "a", "b"), 3)):
+            with pytest.raises(ConfigError, match="r=3"):
+                make_batch([augment.MultiSequenceSample(("a",), 3), sample],
+                           [np.zeros(19)] * 2, config, VOCABS["char"], {})
 
     @given(values=st.lists(value, min_size=1, max_size=7),
            kind=st.sampled_from(TOKENIZER_KINDS), own_vocab=st.booleans(),
