@@ -35,7 +35,7 @@ for _ in range(3):
     print(f"r={s.r}: {s.text!r}")
 
 print("\n== Multi-sequence construction: fixed slot count, padding mask ==")
-m = sample_multi(column, r=5, mode="pad", rng=rng)
+[m] = sample_multi(column, r=5, mode="pad", rng=rng)
 for text, used in zip(m.texts, m.pad_mask):
     print(f"   mask={used} text={text!r}")
 

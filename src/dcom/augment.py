@@ -12,6 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import MAX_SLOTS, MULTI_MODES, PAD_VALUE, SEP_TEXT, ColumnInstance, TrainingConfig
 from .errors import ConfigError
 
@@ -33,27 +35,46 @@ class SingleSequenceSample:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class MultiSequenceSample:
-    """r parallel slot texts, of which the first len(values) are real.
+    """r parallel slot texts: slot j < len(idx) holds column[idx[j]], and the
+    slots after them are padding (pad mode with fewer values than slots).
 
-    values holds the real slot texts only: a multi sample's real slots are
-    always a prefix, and the slots after them are padding (pad mode with
-    fewer values than slots).  texts and pad_mask spell out all r slots.
+    column is the column's values, shared by the samples drawn from it, and
+    idx the real slots' value indices, a row of their draw; a multi sample's
+    real slots are always a prefix.  values, texts and pad_mask spell the
+    slots out, and two samples are equal when their values and r are.  Not
+    frozen, as SingleSequenceSample is, because a frozen dataclass takes
+    twice as long to build, and predict_many builds k per column; sample_multi
+    makes idx read-only.
     """
 
-    values: tuple[str, ...]
+    column: tuple[str, ...]
+    idx: np.ndarray
     r: int
+
+    @property
+    def values(self) -> tuple[str, ...]:
+        """The real slot texts."""
+        return tuple([self.column[i] for i in self.idx.tolist()])
 
     @property
     def texts(self) -> tuple[str, ...]:
         """All r slot texts, the padded ones PAD_VALUE."""
-        return self.values + (PAD_VALUE,) * (self.r - len(self.values))
+        return self.values + (PAD_VALUE,) * (self.r - len(self.idx))
 
     @property
     def pad_mask(self) -> tuple[bool, ...]:
         """Per slot, whether it is real."""
-        return (True,) * len(self.values) + (False,) * (self.r - len(self.values))
+        return (True,) * len(self.idx) + (False,) * (self.r - len(self.idx))
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiSequenceSample):
+            return NotImplemented
+        return (self.values, self.r) == (other.values, other.r)
+
+    def __hash__(self):
+        return hash((self.values, self.r))
 
 
 def sample_single(instance: ColumnInstance, rng, r=None) -> SingleSequenceSample:
@@ -89,15 +110,21 @@ def enumerate_permutations(instance: ColumnInstance, r: int) -> list[SingleSeque
     return samples
 
 
-def sample_multi(instance: ColumnInstance, r: int, mode: str, rng) -> MultiSequenceSample:
-    """Draw one multi-sequence sample with exactly r slots.
+def sample_multi(instance: ColumnInstance, r: int, mode: str, rng,
+                 k: int = 1) -> list[MultiSequenceSample]:
+    """Draw k multi-sequence samples of the column, each with exactly r slots.
 
     If the column has at least r values, both modes place r distinct values in
     random order.  With fewer values, pad mode places all n in random order
     and leaves the last r - n slots padded; with_replacement mode draws r
-    values uniformly with replacement.  The sample holds the real slots'
-    values only (MultiSequenceSample); the draws are one rng.permutation, or
-    one rng.integers in with_replacement mode below r values.
+    values uniformly with replacement.  The k samples are drawn in one rng
+    call: rng.permuted over k rows of arange(n), each row cut to its first r
+    (rng.permutation(n) when k is 1, the same draw by a shorter path), or
+    rng.integers(0, n, size=(k, r)) in with_replacement mode below r values.
+    That leaves the samples, and the rng, as k successive draws of one
+    rng.permutation(n) or rng.integers(0, n, size=r) each would.  The samples
+    share the column's values and hold their rows of the draw
+    (MultiSequenceSample).
     """
     if r < 1:
         raise ConfigError("r must be >= 1")
@@ -105,15 +132,17 @@ def sample_multi(instance: ColumnInstance, r: int, mode: str, rng) -> MultiSeque
         raise ConfigError(f"r={r} exceeds the {MAX_SLOTS}-slot cap")
     if mode not in MULTI_MODES:
         raise ConfigError(f"unknown multi mode {mode!r}")
+    if k < 1:
+        raise ConfigError("k must be >= 1")
     n = instance.n
-    if n >= r:
-        idx = rng.permutation(n)[:r]
-    elif mode == "pad":
-        idx = rng.permutation(n)
+    if (n >= r or mode == "pad") and k == 1:
+        idx = rng.permutation(n)[None, :r]
+    elif n >= r or mode == "pad":
+        idx = rng.permuted(np.arange(n)[None].repeat(k, axis=0), axis=1)[:, :r]
     else:
-        idx = rng.integers(0, n, size=r)
-    values = instance.values
-    return MultiSequenceSample(tuple([values[i] for i in idx.tolist()]), r)
+        idx = rng.integers(0, n, size=(k, r))
+    idx.flags.writeable = False  # the samples' slots: read-only views of it
+    return [MultiSequenceSample(instance.values, row, r) for row in idx]
 
 
 def training_sample(instance: ColumnInstance, config: TrainingConfig, rng):
@@ -122,7 +151,7 @@ def training_sample(instance: ColumnInstance, config: TrainingConfig, rng):
     config.multi_mode says."""
     if config.mode == "single":
         return sample_single(instance, rng)
-    return sample_multi(instance, config.r, config.multi_mode, rng)
+    return sample_multi(instance, config.r, config.multi_mode, rng)[0]
 
 
 def inference_inputs(instance: ColumnInstance, config: TrainingConfig, k: int, rng):
@@ -131,10 +160,12 @@ def inference_inputs(instance: ColumnInstance, config: TrainingConfig, k: int, r
     k=1 single: one full random permutation (r = n).  Otherwise k independent
     training samples (training_sample): r re-drawn from [1, n] per sample in
     single mode, the trained r slots in multi mode (values truncated by random
-    permutation prefix when n > r).
+    permutation prefix when n > r), all k drawn at once (sample_multi).
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    if k == 1 and config.mode == "single":
+    if config.mode == "multi":
+        return sample_multi(instance, config.r, config.multi_mode, rng, k)
+    if k == 1:
         return [sample_single(instance, rng, r=instance.n)]
-    return [training_sample(instance, config, rng) for _ in range(k)]
+    return [sample_single(instance, rng) for _ in range(k)]

@@ -102,8 +102,9 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 def _conforms(value, form) -> bool:
     """Whether a JSON value has the form (HEADER_FORMAT's notation). A list of
-    a primitive type, such as the vocabulary's tokens, is checked in one
-    has_type pass over its items, not one recursive call per item."""
+    a primitive type is checked in one has_type pass over its items, not one
+    recursive call per item, and a list of str, such as the vocabulary's
+    tokens, in one isinstance pass: no bool is a str."""
     if isinstance(form, dict):
         return isinstance(value, dict) and all(
             key in value and _conforms(value[key], sub) for key, sub in form.items()
@@ -113,15 +114,16 @@ def _conforms(value, form) -> bool:
             return False
         if isinstance(form[0], (dict, list)):
             return all(_conforms(v, form[0]) for v in value)
-        return all(map(has_type, value, itertools.repeat(form[0])))
+        check = isinstance if form[0] is str else has_type
+        return all(map(check, value, itertools.repeat(form[0])))
     return has_type(value, form)
 
 
-def _decode(payload: bytes) -> ModelBundle:
+def _decode(payload: memoryview) -> ModelBundle:
     if len(payload) < 4:
         raise BundleError("truncated header")
     header_len = struct.unpack_from("<I", payload, 0)[0]
-    header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
+    header = json.loads(str(payload[4 : 4 + header_len], "utf-8"))
     if not _conforms(header, HEADER_FORMAT):
         raise BundleError("header lacks a field or has one of the wrong type")
     training = TrainingConfig.from_dict(header["training"])
@@ -155,6 +157,9 @@ def _decode(payload: bytes) -> ModelBundle:
         end = offset + 8 * math.prod(shape)
         if end > len(payload):
             raise BundleError(f"truncated parameter {name}")
+        # payload is a view of the file's bytes, so astype is the one copy,
+        # into an array of the parameter's own: views of one shared buffer
+        # made one-sample predictions some 5% slower
         params[name] = (
             np.frombuffer(payload[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
         )
@@ -178,7 +183,7 @@ def load_bundle(path) -> ModelBundle:
         raise BundleError(f"{path}: unsupported format version {version}")
     payload_len = struct.unpack_from("<Q", blob, 8)[0]
     crc = struct.unpack_from("<I", blob, 16)[0]
-    payload = blob[20 : 20 + payload_len]
+    payload = memoryview(blob)[20 : 20 + payload_len]  # a view: no copy of the bytes
     if len(payload) != payload_len:
         raise BundleError(f"{path}: truncated bundle")
     if len(blob) != 20 + payload_len:

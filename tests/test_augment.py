@@ -102,7 +102,7 @@ class TestEnumeratePermutations:
 class TestSampleMulti:
     def test_pad_mode(self):
         inst = ColumnInstance(("x", "y"))
-        s = augment.sample_multi(inst, 4, "pad", np.random.default_rng(0))
+        [s] = augment.sample_multi(inst, 4, "pad", np.random.default_rng(0))
         assert len(s.texts) == 4
         assert s.pad_mask == (True, True, False, False)
         assert set(s.texts[:2]) == {"x", "y"}
@@ -112,13 +112,13 @@ class TestSampleMulti:
         inst = ColumnInstance(("a", "b", "c", "d", "e"))
         rng = np.random.default_rng(1)
         for _ in range(500):
-            s = augment.sample_multi(inst, 3, "pad", rng)
+            [s] = augment.sample_multi(inst, 3, "pad", rng)
             assert len(set(s.texts)) == 3
             assert s.pad_mask == (True, True, True)
 
     def test_with_replacement_single_value(self):
         inst = ColumnInstance(("only",))
-        s = augment.sample_multi(inst, 3, "with_replacement", np.random.default_rng(2))
+        [s] = augment.sample_multi(inst, 3, "with_replacement", np.random.default_rng(2))
         assert s.texts == ("only",) * 3
         assert s.pad_mask == (True, True, True)
 
@@ -126,7 +126,7 @@ class TestSampleMulti:
         rng = np.random.default_rng(3)
         for n in (1, 3, 7):
             inst = ColumnInstance(tuple(str(i) for i in range(n)))
-            s = augment.sample_multi(inst, 5, "pad", rng)
+            [s] = augment.sample_multi(inst, 5, "pad", rng)
             assert sum(s.pad_mask) == min(n, 5)
 
     def test_slot_cap(self):
@@ -156,23 +156,45 @@ def reference_sample_multi(instance, r, mode, rng):
 
 @given(values=st.lists(st.sampled_from(["a", "b", "ab", "", " ", "<SEP>", "12"]),
                        min_size=1, max_size=12),
-       r=st.integers(1, 12), mode=st.sampled_from(MULTI_MODES),
+       r=st.integers(1, 12), mode=st.sampled_from(MULTI_MODES), k=st.integers(1, 12),
        seed=st.integers(0, 2**32 - 1))
-@example(values=["a", "b"], r=5, mode="pad", seed=0)  # n < r
-@example(values=["a", "b"], r=5, mode="with_replacement", seed=0)
-@example(values=["a", "a", "b"], r=3, mode="pad", seed=0)  # n = r, repeated
-@example(values=["a", "a", "b"], r=3, mode="with_replacement", seed=0)
-@example(values=["a", "b", "a", "", "b"], r=2, mode="pad", seed=0)  # n > r
+@example(values=["a", "b"], r=5, mode="pad", k=10, seed=0)  # n < r
+@example(values=["a", "b"], r=5, mode="with_replacement", k=10, seed=0)
+@example(values=["a", "a", "b"], r=3, mode="pad", k=1, seed=0)  # n = r, repeated
+@example(values=["a", "a", "b"], r=3, mode="with_replacement", k=12, seed=0)
+@example(values=["a", "b", "a", "", "b"], r=2, mode="pad", k=7, seed=0)  # n > r
+@example(values=["a", "b", "a", "", "b"], r=2, mode="with_replacement", k=7, seed=0)
 @settings(max_examples=300, deadline=None)
-def test_sample_multi_matches_reference(values, r, mode, seed):
-    # the same slots, and the rng left where the reference leaves it, so every
-    # later draw of a seeded run, and its bundle, stays where it was
+def test_sample_multi_matches_reference(values, r, mode, k, seed):
+    # k samples drawn at once are k reference draws in turn, and leave the
+    # rng where they leave it, so every later draw of a seeded run, and its
+    # bundle, stays where it was
     inst = ColumnInstance(tuple(values))
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        s = augment.sample_multi(inst, r, mode, rng)
-        assert (s.texts, s.pad_mask) == reference_sample_multi(inst, r, mode, reference_rng)
+        samples = augment.sample_multi(inst, r, mode, rng, k)
+        assert len(samples) == k
+        for s in samples:
+            assert (s.texts, s.pad_mask) == reference_sample_multi(inst, r, mode, reference_rng)
+            assert s.values == s.texts[: sum(s.pad_mask)]
+            assert s.r == r
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_sample_multi_k_refused_below_1():
+    with pytest.raises(ConfigError, match="k must be"):
+        augment.sample_multi(ColumnInstance(("a",)), 3, "pad", np.random.default_rng(0), 0)
+
+
+def test_multi_samples_equal_by_slots():
+    # equality and hashing go by the slot texts and r, not by the column or
+    # its indices
+    a = augment.MultiSequenceSample(("x", "y", "x"), np.array([0, 1]), 3)
+    b = augment.MultiSequenceSample(("x", "y"), np.array([0, 1]), 3)
+    c = augment.MultiSequenceSample(("y", "x"), np.array([1, 0]), 3)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert a != augment.MultiSequenceSample(("x", "y"), np.array([1, 0]), 3)
+    assert a != augment.MultiSequenceSample(("x", "y"), np.array([0, 1]), 4)
 
 
 SINGLE = TrainingConfig(mode="single")
@@ -219,5 +241,5 @@ def test_values_kept_as_given(values, seed):
         # an ordered selection of the values as given, shown joined
         assert not Counter(s.values) - Counter(values)
         assert s.text == SEP_TEXT.join(s.values)
-    multi = augment.sample_multi(inst, 3, "with_replacement", rng)
+    [multi] = augment.sample_multi(inst, 3, "with_replacement", rng)
     assert set(multi.texts) <= set(values)

@@ -62,6 +62,25 @@ class TestRoundTrip:
         for name in bundle.params:
             np.testing.assert_array_equal(loaded.params[name], bundle.params[name])
 
+    def test_parameters_writable_and_loads_independent(self, saved):
+        # one copy of the parameter bytes per load, each parameter native
+        # C-contiguous float64 that the caller may edit in place; an edit
+        # reaches neither another parameter nor a second load
+        bundle, path = saved
+        first, second = load_bundle(path), load_bundle(path)
+        for name, value in first.params.items():
+            assert value.dtype == np.float64 and value.dtype.isnative
+            assert value.flags.writeable and value.flags.c_contiguous
+            assert value.shape == bundle.params[name].shape
+        name = sorted(first.params)[0]
+        first.params[name] += 1.0
+        for other, value in first.params.items():
+            if other != name:
+                np.testing.assert_array_equal(value, bundle.params[other])
+        np.testing.assert_array_equal(first.params[name], bundle.params[name] + 1.0)
+        for other, value in second.params.items():
+            np.testing.assert_array_equal(value, bundle.params[other])
+
     def test_predictions_bitwise_identical(self, saved):
         bundle, path = saved
         loaded = load_bundle(path)

@@ -28,6 +28,7 @@ from dcom.train import (
     EpochReport,
     OptimizerState,
     PlateauScheduler,
+    SlotTable,
     TrainingConfig,
     accuracy,
     adam_step,
@@ -37,6 +38,7 @@ from dcom.train import (
     support_weighted_f1,
     train_model,
 )
+from dcom.train import SLOT_ROWS_DICT_MAX, _slot_rows
 from conftest import TINY_CONFIG
 from test_nn import one_row_per_occurrence
 
@@ -450,11 +452,94 @@ class TestMakeBatch:
 
     def test_multi_sample_of_another_r_refused(self):
         config = TrainingConfig(mode="multi", r=3)
-        for sample in (augment.MultiSequenceSample(("a", "b"), 4),
-                       augment.MultiSequenceSample(("a", "b", "a", "b"), 3)):
+        for sample in (augment.MultiSequenceSample(("a", "b"), np.arange(2), 4),
+                       augment.MultiSequenceSample(("a", "b"), np.array([0, 1, 0, 1]), 3)):
             with pytest.raises(ConfigError, match="r=3"):
-                make_batch([augment.MultiSequenceSample(("a",), 3), sample],
+                make_batch([augment.MultiSequenceSample(("a",), np.arange(1), 3), sample],
                            [np.zeros(19)] * 2, config, VOCABS["char"], {})
+
+    @given(cols=shared_columns, k=st.integers(1, 12), kind=st.sampled_from(TOKENIZER_KINDS),
+           r=st.integers(1, 8), multi_mode=st.sampled_from(["pad", "with_replacement"]),
+           max_len_per_slot=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           rows=st.integers(1, 12))
+    @example(cols=[["a", "b", "a"] * 4], k=1, kind="char", r=2, multi_mode="pad",
+             max_len_per_slot=2, seed=0, rows=1)  # n > k * r: the held indices only
+    @example(cols=[["a", "b"], ["b"], ["a", "b"]], k=3, kind="char", r=3,
+             multi_mode="with_replacement", max_len_per_slot=2, seed=0, rows=2)
+    @settings(max_examples=300, deadline=None)
+    def test_multi_k_samples_equal_per_slot_reference(self, cols, k, kind, r, multi_mode,
+                                                      max_len_per_slot, seed, rows):
+        # k samples per column drawn at once, as prediction draws them, so
+        # consecutive samples share their column; columns share values and
+        # repeat them; every slice of the table, as forward_samples takes
+        # them, is the batch of its samples
+        config = TrainingConfig(mode="multi", r=r, multi_mode=multi_mode,
+                                max_len_per_slot=max_len_per_slot)
+        rng = np.random.default_rng(seed)
+        samples = [s for values in cols
+                   for s in augment.sample_multi(ColumnInstance(tuple(values)), r, multi_mode,
+                                                 rng, k)]
+        feats = np.arange(19 * len(samples), dtype=np.float64).reshape(-1, 19)
+        table = SlotTable(samples, config, VOCABS[kind], {})
+        assert list(table) == samples
+        chunks = [(make_batch(samples, feats, config, VOCABS[kind], {}), samples)]
+        chunks += [(make_batch(table[start : start + rows], feats[start : start + rows], config,
+                               VOCABS[kind], {}), samples[start : start + rows])
+                   for start in range(0, len(samples), rows)]
+        for batch, part in chunks:
+            want = per_slot_multi_batch(part, config, VOCABS[kind])
+            for key in ("ids", "tok_mask", "slots"):
+                np.testing.assert_array_equal(batch[key], want[key], strict=True)
+            assert batch["truncated"] == want["truncated"]
+            assert batch["feats"].dtype == np.float64
+
+    def test_large_column_read_at_its_held_indices(self):
+        # a column of 5,000 values with k * r = 450 slots, beside a small one:
+        # the batch equals the per-slot one, and the large column is read at
+        # the indices its samples hold, never iterated whole
+        class CountingValues(tuple):
+            reads = 0
+
+            def __iter__(self):
+                CountingValues.reads += len(self)
+                return super().__iter__()
+
+            def __getitem__(self, i):
+                CountingValues.reads += 1
+                return super().__getitem__(i)
+
+        config = TrainingConfig(mode="multi", r=45, max_len_per_slot=4)
+        large = CountingValues(f"{i % 3000}:{i % 7}" for i in range(5000))
+        rng = np.random.default_rng(5)
+        small = augment.sample_multi(ColumnInstance(("a", "b", "a")), 45, "pad", rng, 10)
+        drawn = augment.sample_multi(ColumnInstance(tuple(large)), 45, "pad", rng, 10)
+        samples = small + [augment.MultiSequenceSample(large, s.idx, 45) for s in drawn]
+        want = per_slot_multi_batch(samples, config, VOCABS["wordpiece"])
+        CountingValues.reads = 0
+        batch = make_batch(samples, np.zeros((20, 19)), config, VOCABS["wordpiece"], {})
+        assert CountingValues.reads <= 10 * 45
+        for key in ("ids", "tok_mask", "slots"):
+            np.testing.assert_array_equal(batch[key], want[key], strict=True)
+        assert batch["truncated"] == want["truncated"]
+
+    @pytest.mark.parametrize("column,idx", [(("a", "b"), [0, 2]), (("a", "b"), [-1, 0]),
+                                            (tuple("abcdefgh"), [7, 8]),
+                                            (tuple("abcdefgh"), [-1, 3])])
+    def test_multi_index_outside_its_column_refused(self, column, idx):
+        # r = 2 and one sample: the eight-value columns take the held-index path
+        config = TrainingConfig(mode="multi", r=2)
+        sample = augment.MultiSequenceSample(column, np.array(idx), 2)
+        with pytest.raises(ConfigError, match="outside its column"):
+            make_batch([sample], [np.zeros(19)], config, VOCABS["char"], {})
+
+    def test_feats_rows_as_list_or_array(self):
+        config = TrainingConfig(mode="multi", r=3)
+        samples = augment.sample_multi(ColumnInstance(("a", "b")), 3, "pad",
+                                       np.random.default_rng(0), 2)
+        rows = [np.full(19, 1.5), np.full(19, -2.0)]
+        for feats in (rows, np.array(rows)):
+            batch = make_batch(samples, feats, config, VOCABS["char"], {})
+            np.testing.assert_array_equal(batch["feats"], np.stack(rows), strict=True)
 
     @given(values=st.lists(value, min_size=1, max_size=7),
            kind=st.sampled_from(TOKENIZER_KINDS), own_vocab=st.booleans(),
@@ -516,6 +601,23 @@ class TestMakeBatch:
         trimmed_probs, _ = model.forward(batch)
         widened_probs, _ = model.forward(widened)
         np.testing.assert_allclose(trimmed_probs, widened_probs, rtol=0, atol=1e-12)
+
+
+@given(places=st.lists(st.integers(0, 40), max_size=300),
+       texts=st.lists(st.sampled_from("abcde"), min_size=41, max_size=41),
+       known=st.lists(st.sampled_from("abcde"), max_size=3, unique=True))
+@example(places=list(range(40)) * 4, texts=list("abcde" * 9)[:41], known=[])
+@settings(max_examples=300, deadline=None)
+def test_slot_rows(places, texts, known):
+    # both of its methods, dicts up to SLOT_ROWS_DICT_MAX slots and
+    # np.minimum.at above, against a step per slot
+    assert SLOT_ROWS_DICT_MAX < 160
+    row_of = {text: i for i, text in enumerate(known)}
+    want_row_of = dict(row_of)
+    want = [want_row_of.setdefault(texts[p], len(want_row_of)) for p in places]
+    got = _slot_rows(np.array(places, dtype=np.int64), texts, row_of)
+    np.testing.assert_array_equal(got, np.array(want, dtype=np.int64), strict=True)
+    assert list(row_of.items()) == list(want_row_of.items())
 
 
 # columns drawn from pools of 1-3 texts: a pool of one gives an all-equal column
