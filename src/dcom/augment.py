@@ -45,18 +45,17 @@ class MultiSequenceSample:
     real slots are always a prefix.  values, texts and pad_mask spell the
     slots out, and two samples are equal when their values and r are.  Not
     frozen, as SingleSequenceSample is, because a frozen dataclass takes
-    twice as long to build, and predict_many builds k per column; sample_multi
-    makes idx read-only.
+    twice as long to build, and predict_many builds k per column.
     """
 
     column: tuple[str, ...]
-    idx: np.ndarray
+    idx: tuple[int, ...]
     r: int
 
     @property
     def values(self) -> tuple[str, ...]:
         """The real slot texts."""
-        return tuple([self.column[i] for i in self.idx.tolist()])
+        return tuple(map(self.column.__getitem__, self.idx))
 
     @property
     def texts(self) -> tuple[str, ...]:
@@ -123,8 +122,8 @@ def sample_multi(instance: ColumnInstance, r: int, mode: str, rng,
     rng.integers(0, n, size=(k, r)) in with_replacement mode below r values.
     That leaves the samples, and the rng, as k successive draws of one
     rng.permutation(n) or rng.integers(0, n, size=r) each would.  The samples
-    share the column's values and hold their rows of the draw
-    (MultiSequenceSample).
+    share the column's values and hold their rows of the draw, as tuples of
+    ints (MultiSequenceSample).
     """
     if r < 1:
         raise ConfigError("r must be >= 1")
@@ -136,13 +135,12 @@ def sample_multi(instance: ColumnInstance, r: int, mode: str, rng,
         raise ConfigError("k must be >= 1")
     n = instance.n
     if (n >= r or mode == "pad") and k == 1:
-        idx = rng.permutation(n)[None, :r]
-    elif n >= r or mode == "pad":
+        return [MultiSequenceSample(instance.values, tuple(rng.permutation(n)[:r].tolist()), r)]
+    if n >= r or mode == "pad":
         idx = rng.permuted(np.arange(n)[None].repeat(k, axis=0), axis=1)[:, :r]
     else:
         idx = rng.integers(0, n, size=(k, r))
-    idx.flags.writeable = False  # the samples' slots: read-only views of it
-    return [MultiSequenceSample(instance.values, row, r) for row in idx]
+    return [MultiSequenceSample(instance.values, tuple(row), r) for row in idx.tolist()]
 
 
 def training_sample(instance: ColumnInstance, config: TrainingConfig, rng):

@@ -81,8 +81,7 @@ def predict_kvote(bundle: ModelBundle, instance, k=10, seed=0) -> Prediction:
     k=1 classifies one full random permutation of the values and reports no
     votes; k>1 votes over k samples of random length (see
     augment.inference_inputs) and reports their mean distribution.  Each vote
-    is its own forward, so the latency grows with k; in multi mode the k
-    forwards take their rows from one SlotTable of the call's samples.
+    is its own forward, so the latency grows with k.
     """
     return _predict_columns(bundle, [instance], k, [seed], rows=1)[0]
 
@@ -127,12 +126,12 @@ def predict_many(bundle: ModelBundle, instances, k, seeds) -> list[Prediction]:
     each batch_size per forward (_forward_groups). A run's columns are voted
     together, in one pass of array operations over its probabilities
     (_group_vote). A column's k multi samples are drawn in one rng call
-    (augment.sample_multi), and a forward's slots get their rows with a few
-    array operations per column (train.SlotTable), each column's values
-    mapped once, not once per slot. In single mode forward_samples takes the
-    samples in order of their row length, so a forward runs as many steps as
-    the longest of rows of like length. The samples, and so the votes and labels, are
-    predict_kvote's; a probability may differ from it in the last bits,
+    (augment.sample_multi), and a forward's slots get their rows by dict and
+    map loops that run in C, with no Python step per slot
+    (train.make_batch). In single mode forward_samples takes the samples in
+    order of their row length, so a forward runs as many steps as the
+    longest of rows of like length. The samples, and so the votes and
+    labels, are predict_kvote's; a probability may differ from it in the last bits,
     because a BLAS result depends on the batch's shape and on a row's place
     in it.
     """

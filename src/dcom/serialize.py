@@ -102,9 +102,8 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 def _conforms(value, form) -> bool:
     """Whether a JSON value has the form (HEADER_FORMAT's notation). A list of
-    a primitive type is checked in one has_type pass over its items, not one
-    recursive call per item, and a list of str, such as the vocabulary's
-    tokens, in one isinstance pass: no bool is a str."""
+    a primitive type, such as the vocabulary's tokens, is checked in one
+    has_type pass over its items, not one recursive call per item."""
     if isinstance(form, dict):
         return isinstance(value, dict) and all(
             key in value and _conforms(value[key], sub) for key, sub in form.items()
@@ -114,8 +113,7 @@ def _conforms(value, form) -> bool:
             return False
         if isinstance(form[0], (dict, list)):
             return all(_conforms(v, form[0]) for v in value)
-        check = isinstance if form[0] is str else has_type
-        return all(map(check, value, itertools.repeat(form[0])))
+        return all(map(has_type, value, itertools.repeat(form[0])))
     return has_type(value, form)
 
 

@@ -191,14 +191,6 @@ def _epoch_rng(seed, epoch, tag):
     return np.random.default_rng([seed, epoch, tag])
 
 
-def _value_ids(value, vocab, token_cache):
-    """A value's uncut token ids, from token_cache or encoded into it."""
-    value_ids = token_cache.get(value)
-    if value_ids is None:
-        value_ids = token_cache[value] = tuple(tokenizers.encode_value(vocab, value))
-    return value_ids
-
-
 def _token_rows(row_values, cut, vocab, token_cache):
     """Each row's ids, its values' ids joined by SEP_ID and cut at cut, and
     the number of rows the cut shortened. token_cache maps a value to its
@@ -211,49 +203,16 @@ def _token_rows(row_values, cut, vocab, token_cache):
                 row.append(tokenizers.SEP_ID)
             if len(row) > cut:
                 break
-            row.extend(_value_ids(value, vocab, token_cache))
+            value_ids = token_cache.get(value)
+            if value_ids is None:
+                value_ids = token_cache[value] = tuple(tokenizers.encode_value(vocab, value))
+            row.extend(value_ids)
         truncated += len(row) > cut
         rows.append(row[:cut])
     return rows, truncated
 
 
-def _padded_ids(rows):
-    """(ids, tok_mask, lengths) of token rows: ids (len(rows), T) holds each
-    row's ids then PAD_ID, T the longest row's length, at least 1."""
-    lengths = [len(row) for row in rows]
-    width, total, lengths = max(1, max(lengths, default=0)), sum(lengths), np.array(lengths)
-    tok_mask = np.arange(width) < lengths[:, None]
-    ids = np.full(tok_mask.shape, tokenizers.PAD_ID, dtype=np.int64)
-    ids[tok_mask] = np.fromiter(itertools.chain.from_iterable(rows), np.int64, total)
-    return ids, tok_mask.astype(np.int64), lengths
-
-
 OUTSIDE_COLUMN = "a multi sample's index lies outside its column"
-
-# up to this many slots a dict's C loops number them faster than the fixed
-# cost of np.minimum.at, an argsort and a scatter; above it, slower by
-# hashing every slot
-SLOT_ROWS_DICT_MAX = 128
-
-
-def _slot_rows(places, texts, row_of):
-    """Each slot's row, as an int array: the number row_of gives texts[place],
-    numbering the texts row_of lacks in the order the slots first hold them.
-
-    places is an int array of indices into texts, one per slot in order.
-    texts is read once per distinct place, never per slot."""
-    if len(places) <= SLOT_ROWS_DICT_MAX:
-        places = places.tolist()
-        row_at = dict.fromkeys(places)  # distinct places, first seen
-        for place in row_at:
-            row_at[place] = row_of.setdefault(texts[place], len(row_of))
-        return np.fromiter(map(row_at.__getitem__, places), np.int64, len(places))
-    first = np.full(len(texts), len(places))
-    np.minimum.at(first, places, np.arange(len(places)))
-    seen = np.argsort(first)[: np.count_nonzero(first < len(places))]  # first seen
-    row_at = np.empty(len(texts), dtype=np.int64)
-    row_at[seen] = [row_of.setdefault(texts[place], len(row_of)) for place in seen.tolist()]
-    return row_at[places]
 
 
 def _slot_array(rows, counts, r):
@@ -262,106 +221,44 @@ def _slot_array(rows, counts, r):
     slots = np.full((len(counts), r), -1, dtype=np.int64)
     if len(set(counts)) == 1:  # as many real slots in each sample: one block
         slots[:, : counts[0]] = rows.reshape(len(counts), counts[0])
-    elif counts:  # real slot j of sample i, the starts[i] + j-th row, is i * r + j
-        counts = np.array(counts)
-        shift = np.arange(0, len(counts) * r, r) - (np.cumsum(counts) - counts)
-        slots.reshape(-1)[np.arange(len(rows)) + shift.repeat(counts)] = rows
+    else:  # real slots are a prefix
+        slots[np.arange(r) < np.array(counts)[:, None]] = rows
     return slots
 
 
-class SlotTable:
-    """Multi samples with their real slots given rows, one per distinct real
-    slot text, its ids cut at max_len_per_slot.
+def _multi_rows(samples, config: TrainingConfig, vocab, token_cache):
+    """make_batch's multi rows, one per distinct real slot text cut at
+    max_len_per_slot, the number of rows the cut shortened, and slots.
 
-    slots (B, r) gives each real slot its row and each padded slot -1, the
-    rows numbered in the order their texts are first seen, slot by slot and
-    sample by sample.  ids and tok_mask (U, T) hold each row's ids then
-    PAD_ID, T the longest row's length, at least 1; lengths is each row's
-    length, and truncated the number of rows max_len_per_slot cut.
-
-    The slots get their rows by a few array operations per column, not a
-    Python step per slot.  Consecutive samples of one column object (the k
-    samples sample_multi draws of it) share its values, and its m samples
-    map them to texts once: all n values where n <= m * r, else only the
-    indices their slots hold, so a column costs min(n, m * r) values at
-    most.  Iterating a table yields its samples.  A slice of it is the table
-    of those samples, its rows taken from this one's: forward_samples builds
-    one table per call and slices it per forward, so no text is mapped or
-    tokenized twice.
-    """
-
-    def __init__(self, samples, config: TrainingConfig, vocab, token_cache):
-        r = config.r
-        self.samples = samples = list(samples)
-        idxs = [s.idx for s in samples]
-        self._counts = counts = [len(idx) for idx in idxs]
-        if max(counts, default=0) > r or any(s.r != r for s in samples):
-            raise ConfigError(f"multi samples must have r={r} slots, at most r of them real")
-        ends = list(itertools.accumulate(counts, initial=0))
-        flat = np.concatenate(idxs, dtype=np.int64) if samples else np.zeros(0, dtype=np.int64)
-        # A column's texts go into `texts` at its offset: all its values or,
-        # where it has over m * r, those its slots hold, whose indices then
-        # become their places among them. A slot's text is texts[its place],
-        # its column's offset plus its index.
-        starts = [i for i, s in enumerate(samples)
-                  if not i or s.column is not samples[i - 1].column]
-        texts, offsets, limits, spans = [], [], [], []
-        for start, stop in zip(starts, starts[1:] + [len(samples)]):
-            column, lo, hi = samples[start].column, ends[start], ends[stop]
-            offsets.append(len(texts))
-            spans.append(hi - lo)
-            if len(column) <= (stop - start) * r:
-                limits.append(len(column))
-                texts.extend(column)
-            else:
-                held, flat[lo:hi] = np.unique(flat[lo:hi], return_inverse=True)
-                if held[0] < 0 or held[-1] >= len(column):
-                    raise ConfigError(OUTSIDE_COLUMN)
-                limits.append(len(held))
-                texts.extend([column[i] for i in held.tolist()])
-        if len(spans) == 1:  # one column's samples (predict_kvote's): no offset
-            places, limit = flat, limits[0]
-        else:
-            offset, limit = np.array([offsets, limits], dtype=np.int64).repeat(spans, axis=1)
-            places, limit = flat + offset, limit.view(np.uint64)
-        # viewed unsigned, a negative index is past every limit
-        if np.count_nonzero(flat.view(np.uint64) >= limit):
-            raise ConfigError(OUTSIDE_COLUMN)
-        row_of = {}  # distinct text -> its row
-        self._flat = _slot_rows(places, texts, row_of)
-        self.slots = _slot_array(self._flat, counts, r)
-        whole = [_value_ids(text, vocab, token_cache) for text in row_of]
-        cut = config.max_len_per_slot
-        self.ids, self.tok_mask, self.lengths = _padded_ids([ids[:cut] for ids in whole])
-        self._cut = [len(ids) > cut for ids in whole]
-        self.truncated = sum(self._cut)
-
-    def __len__(self):
-        return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
-
-    def __getitem__(self, rows: slice):
-        start, stop, step = rows.indices(len(self))
-        if step != 1:
-            raise ValueError("a SlotTable slices in steps of 1")
-        if (start, stop) == (0, len(self)):
-            return self
-        table = object.__new__(SlotTable)
-        table.samples, table._counts = self.samples[start:stop], self._counts[start:stop]
-        lo = sum(self._counts[:start])
-        row_of = {}  # this table's row -> the slice's
-        table._flat = _slot_rows(self._flat[lo : lo + sum(table._counts)],
-                                 range(len(self.ids)), row_of)
-        table.slots = _slot_array(table._flat, table._counts, self.slots.shape[1])
-        table._cut = [self._cut[row] for row in row_of]
-        table.truncated = sum(table._cut)
-        order = np.fromiter(row_of, np.int64, len(row_of))
-        table.lengths = self.lengths[order]
-        width = max(1, int(table.lengths.max(initial=0)))
-        table.ids, table.tok_mask = self.ids[order, :width], self.tok_mask[order, :width]
-        return table
+    Each sample's real slots are read from its column at its indices, at
+    most r of them, so a column is never read whole.  The distinct texts get
+    their rows in first-seen order, and each slot its row, by dict and map
+    loops that run in C: the Python steps go one per sample and one per
+    distinct text, none per slot."""
+    r = config.r
+    idxs = [s.idx for s in samples]
+    counts = [len(idx) for idx in idxs]
+    if max(counts) > r or any(s.r != r for s in samples):
+        raise ConfigError(f"multi samples must have r={r} slots, at most r of them real")
+    if min(itertools.chain.from_iterable(idxs), default=0) < 0:
+        raise ConfigError(OUTSIDE_COLUMN)
+    texts = []  # each real slot's text, sample by sample
+    try:
+        for s in samples:
+            texts += map(s.column.__getitem__, s.idx)
+    except IndexError:
+        raise ConfigError(OUTSIDE_COLUMN) from None
+    row_of = dict(zip(dict.fromkeys(texts), itertools.count()))  # distinct text -> its row
+    rows = np.fromiter(map(row_of.__getitem__, texts), np.int64, len(texts))
+    whole = []  # each row's uncut ids
+    for text in row_of:
+        text_ids = token_cache.get(text)
+        if text_ids is None:
+            text_ids = token_cache[text] = tuple(tokenizers.encode_value(vocab, text))
+        whole.append(text_ids)
+    cut = config.max_len_per_slot
+    return ([row[:cut] for row in whole], sum(len(row) > cut for row in whole),
+            _slot_array(rows, counts, r))
 
 
 def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
@@ -371,29 +268,29 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
     max_len, one multi slot text's at max_len_per_slot.  Single ids and
     tok_mask are (B, T), one row per sample.  Multi ones are (U, T), one row
     per distinct real slot text in first-seen order, and slots (B, R) gives
-    each real slot its row, -1 for a padded slot: the SlotTable of the
-    samples, which maps each column's values to rows once, not each slot.
-    Multi samples may be given as a SlotTable (or a slice of one) already
-    built; a multi sample's r must be config.r (ConfigError).  T is the
-    longest row, at least 1.  truncated counts the rows that were cut.
-    SEP_ID enters a row only between two values; a "<SEP>" inside a value is
-    text.  token_cache maps a value to its uncut ids
-    (tokenizers.encode_value), so each value is tokenized once per cache;
-    the caller scopes it to one train_model or _predict_columns call.  feats
-    is an array of the samples' feature rows, or a list of them.
+    each real slot its row, -1 for a padded slot, found with no Python step
+    per slot (_multi_rows).  A multi sample's r must be config.r and its
+    indices must lie in its column (ConfigError).  T is the longest row, at
+    least 1.  truncated counts the rows that were cut.  SEP_ID enters a row
+    only between two values; a "<SEP>" inside a value is text.  token_cache
+    maps a value to its uncut ids (tokenizers.encode_value), so each value is
+    tokenized once per cache; the caller scopes it to one train_model or
+    _predict_columns call.  feats is an array of the samples' feature rows,
+    or a list of them.
     """
     if config.mode == "single":
         rows, truncated = _token_rows([s.values for s in samples], config.max_len, vocab,
                                       token_cache)
-        ids, tok_mask, _ = _padded_ids(rows)
         batch = {}
     else:
-        table = (samples if isinstance(samples, SlotTable)
-                 else SlotTable(samples, config, vocab, token_cache))
-        ids, tok_mask, truncated = table.ids, table.tok_mask, table.truncated
-        batch = {"slots": table.slots}
-    batch.update(ids=ids, tok_mask=tok_mask, feats=np.asarray(feats, dtype=np.float64),
-                 truncated=truncated)
+        rows, truncated, slots = _multi_rows(samples, config, vocab, token_cache)
+        batch = {"slots": slots}
+    lengths = np.array([len(row) for row in rows])
+    tok_mask = np.arange(max(1, lengths.max())) < lengths[:, None]
+    ids = np.full(tok_mask.shape, tokenizers.PAD_ID, dtype=np.int64)
+    ids[tok_mask] = np.fromiter(itertools.chain.from_iterable(rows), np.int64, lengths.sum())
+    batch.update(ids=ids, tok_mask=tok_mask.astype(np.int64),
+                 feats=np.asarray(feats, dtype=np.float64), truncated=truncated)
     return batch
 
 
@@ -419,20 +316,16 @@ def forward_samples(model, samples, feats, vocab, rows, token_cache):
     seeded bundles do not change; elsewhere a probability may move in its
     last bits. A multi forward's rows are its distinct slot texts, each at
     most max_len_per_slot long, which ordering the samples does not shorten.
-    rows == 1 (predict_kvote) keeps the caller's order.  More than one multi
-    forward selects its rows from one SlotTable of all the samples, so a
-    column's values are mapped and tokenized once per call, not per forward.
+    rows == 1 (predict_kvote) keeps the caller's order.
     """
     config = model.config
     order = None
-    if config.mode == "multi" and rows < len(samples):
-        samples = SlotTable(samples, config, vocab, token_cache)
     if config.mode == "single" and 1 < rows < len(samples):
         token_rows, _ = _token_rows([s.values for s in samples], config.max_len, vocab,
                                     token_cache)
         order = np.argsort([len(row) for row in token_rows], kind="stable")
         samples, feats = [samples[i] for i in order], feats[order]
-    probs = np.concatenate([
+    probs = np.vstack([
         model.forward(make_batch(samples[start : start + rows], feats[start : start + rows],
                                  config, vocab, token_cache), train_mode=False)[0]
         for start in range(0, len(samples), rows)])

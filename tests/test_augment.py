@@ -189,12 +189,12 @@ def test_sample_multi_k_refused_below_1():
 def test_multi_samples_equal_by_slots():
     # equality and hashing go by the slot texts and r, not by the column or
     # its indices
-    a = augment.MultiSequenceSample(("x", "y", "x"), np.array([0, 1]), 3)
-    b = augment.MultiSequenceSample(("x", "y"), np.array([0, 1]), 3)
-    c = augment.MultiSequenceSample(("y", "x"), np.array([1, 0]), 3)
+    a = augment.MultiSequenceSample(("x", "y", "x"), (0, 1), 3)
+    b = augment.MultiSequenceSample(("x", "y"), (0, 1), 3)
+    c = augment.MultiSequenceSample(("y", "x"), (1, 0), 3)
     assert a == b == c and hash(a) == hash(b) == hash(c)
-    assert a != augment.MultiSequenceSample(("x", "y"), np.array([1, 0]), 3)
-    assert a != augment.MultiSequenceSample(("x", "y"), np.array([0, 1]), 4)
+    assert a != augment.MultiSequenceSample(("x", "y"), (1, 0), 3)
+    assert a != augment.MultiSequenceSample(("x", "y"), (0, 1), 4)
 
 
 SINGLE = TrainingConfig(mode="single")

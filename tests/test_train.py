@@ -28,7 +28,6 @@ from dcom.train import (
     EpochReport,
     OptimizerState,
     PlateauScheduler,
-    SlotTable,
     TrainingConfig,
     accuracy,
     adam_step,
@@ -38,7 +37,7 @@ from dcom.train import (
     support_weighted_f1,
     train_model,
 )
-from dcom.train import SLOT_ROWS_DICT_MAX, _slot_rows
+from dcom.train import _multi_rows
 from conftest import TINY_CONFIG
 from test_nn import one_row_per_occurrence
 
@@ -452,10 +451,10 @@ class TestMakeBatch:
 
     def test_multi_sample_of_another_r_refused(self):
         config = TrainingConfig(mode="multi", r=3)
-        for sample in (augment.MultiSequenceSample(("a", "b"), np.arange(2), 4),
-                       augment.MultiSequenceSample(("a", "b"), np.array([0, 1, 0, 1]), 3)):
+        for sample in (augment.MultiSequenceSample(("a", "b"), (0, 1), 4),
+                       augment.MultiSequenceSample(("a", "b"), (0, 1, 0, 1), 3)):
             with pytest.raises(ConfigError, match="r=3"):
-                make_batch([augment.MultiSequenceSample(("a",), np.arange(1), 3), sample],
+                make_batch([augment.MultiSequenceSample(("a",), (0,), 3), sample],
                            [np.zeros(19)] * 2, config, VOCABS["char"], {})
 
     @given(cols=shared_columns, k=st.integers(1, 12), kind=st.sampled_from(TOKENIZER_KINDS),
@@ -463,7 +462,7 @@ class TestMakeBatch:
            max_len_per_slot=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
            rows=st.integers(1, 12))
     @example(cols=[["a", "b", "a"] * 4], k=1, kind="char", r=2, multi_mode="pad",
-             max_len_per_slot=2, seed=0, rows=1)  # n > k * r: the held indices only
+             max_len_per_slot=2, seed=0, rows=1)  # n > k * r
     @example(cols=[["a", "b"], ["b"], ["a", "b"]], k=3, kind="char", r=3,
              multi_mode="with_replacement", max_len_per_slot=2, seed=0, rows=2)
     @settings(max_examples=300, deadline=None)
@@ -471,8 +470,8 @@ class TestMakeBatch:
                                                       max_len_per_slot, seed, rows):
         # k samples per column drawn at once, as prediction draws them, so
         # consecutive samples share their column; columns share values and
-        # repeat them; every slice of the table, as forward_samples takes
-        # them, is the batch of its samples
+        # repeat them; the batches forward_samples takes, `rows` samples at a
+        # time, may split a column's samples
         config = TrainingConfig(mode="multi", r=r, multi_mode=multi_mode,
                                 max_len_per_slot=max_len_per_slot)
         rng = np.random.default_rng(seed)
@@ -480,11 +479,10 @@ class TestMakeBatch:
                    for s in augment.sample_multi(ColumnInstance(tuple(values)), r, multi_mode,
                                                  rng, k)]
         feats = np.arange(19 * len(samples), dtype=np.float64).reshape(-1, 19)
-        table = SlotTable(samples, config, VOCABS[kind], {})
-        assert list(table) == samples
-        chunks = [(make_batch(samples, feats, config, VOCABS[kind], {}), samples)]
-        chunks += [(make_batch(table[start : start + rows], feats[start : start + rows], config,
-                               VOCABS[kind], {}), samples[start : start + rows])
+        cache = {}
+        chunks = [(make_batch(samples, feats, config, VOCABS[kind], cache), samples)]
+        chunks += [(make_batch(samples[start : start + rows], feats[start : start + rows],
+                               config, VOCABS[kind], cache), samples[start : start + rows])
                    for start in range(0, len(samples), rows)]
         for batch, part in chunks:
             want = per_slot_multi_batch(part, config, VOCABS[kind])
@@ -526,9 +524,8 @@ class TestMakeBatch:
                                             (tuple("abcdefgh"), [7, 8]),
                                             (tuple("abcdefgh"), [-1, 3])])
     def test_multi_index_outside_its_column_refused(self, column, idx):
-        # r = 2 and one sample: the eight-value columns take the held-index path
         config = TrainingConfig(mode="multi", r=2)
-        sample = augment.MultiSequenceSample(column, np.array(idx), 2)
+        sample = augment.MultiSequenceSample(column, tuple(idx), 2)
         with pytest.raises(ConfigError, match="outside its column"):
             make_batch([sample], [np.zeros(19)], config, VOCABS["char"], {})
 
@@ -601,23 +598,6 @@ class TestMakeBatch:
         trimmed_probs, _ = model.forward(batch)
         widened_probs, _ = model.forward(widened)
         np.testing.assert_allclose(trimmed_probs, widened_probs, rtol=0, atol=1e-12)
-
-
-@given(places=st.lists(st.integers(0, 40), max_size=300),
-       texts=st.lists(st.sampled_from("abcde"), min_size=41, max_size=41),
-       known=st.lists(st.sampled_from("abcde"), max_size=3, unique=True))
-@example(places=list(range(40)) * 4, texts=list("abcde" * 9)[:41], known=[])
-@settings(max_examples=300, deadline=None)
-def test_slot_rows(places, texts, known):
-    # both of its methods, dicts up to SLOT_ROWS_DICT_MAX slots and
-    # np.minimum.at above, against a step per slot
-    assert SLOT_ROWS_DICT_MAX < 160
-    row_of = {text: i for i, text in enumerate(known)}
-    want_row_of = dict(row_of)
-    want = [want_row_of.setdefault(texts[p], len(want_row_of)) for p in places]
-    got = _slot_rows(np.array(places, dtype=np.int64), texts, row_of)
-    np.testing.assert_array_equal(got, np.array(want, dtype=np.int64), strict=True)
-    assert list(row_of.items()) == list(want_row_of.items())
 
 
 # columns drawn from pools of 1-3 texts: a pool of one gives an all-equal column
@@ -973,6 +953,27 @@ class TestOrderedForward:
         probs = forward_samples(model, samples, feats, bundle.vocab, rows, {})
         np.testing.assert_array_equal(
             probs, caller_order_probs(model, samples, feats, bundle.vocab, rows))
+
+    def test_multi_batch_holds_one_forward(self, sanity_multi_bundle, sanity_corpus):
+        """Each multi forward's rows come from its own `rows` samples, never
+        from the whole call's, so a validation pass holds one forward's batch
+        at a time, whatever the size of the validation set."""
+        bundle = sanity_multi_bundle
+        instances, _ = sanity_corpus
+        rng = np.random.default_rng(1)
+        samples = [augment.inference_inputs(inst, bundle.training, 1, rng)[0]
+                   for inst in instances[:20]]
+        feats = rng.normal(size=(len(samples), 19))
+        sizes = []
+
+        def spy(chunk, *args):
+            sizes.append(len(chunk))
+            return _multi_rows(chunk, *args)
+
+        with mock.patch("dcom.train._multi_rows", spy):
+            forward_samples(Model(bundle.training, bundle.params), samples, feats,
+                            bundle.vocab, 8, {})
+        assert sizes == [8, 8, 4]
 
     @pytest.mark.parametrize("mode,rows", [("single", 1), ("multi", 4)])
     def test_keeps_caller_order(self, sanity_bundle, sanity_multi_bundle, sanity_corpus,
