@@ -52,12 +52,14 @@ def _group_vote(class_vocab, probs, k):
             for p, c, row in zip(mean, winners, counts.tolist())]
 
 
-def _predict_columns(bundle: ModelBundle, instances, k, seeds, rows) -> list[Prediction]:
+def _predict_columns(bundle: ModelBundle, instances, k, seeds, rows,
+                     token_cache) -> list[Prediction]:
     """The k-vote Prediction of each column, its samples forwarded `rows` at a time.
 
     Column i draws its k samples from default_rng(seeds[i]), so what it votes
     on does not depend on `rows` or on the other columns.  The columns share
-    one token cache.  Each latency_s is this call's wall time per column.
+    token_cache (value -> token ids) with the caller's other calls.  Each
+    latency_s is this call's wall time per column.
     """
     if not instances:
         return []
@@ -68,7 +70,7 @@ def _predict_columns(bundle: ModelBundle, instances, k, seeds, rows) -> list[Pre
     for instance, seed in zip(instances, seeds):
         samples += augment.inference_inputs(instance, config, k, np.random.default_rng(seed))
     feats = np.repeat(bundle.scaler.transform(extract_features(instances)), k, axis=0)
-    probs = forward_samples(model, samples, feats, bundle.vocab, rows, token_cache={})
+    probs = forward_samples(model, samples, feats, bundle.vocab, rows, token_cache)
     voted = _group_vote(bundle.class_vocab, probs, k)
     latency_s = (time.perf_counter() - t0) / len(instances)
     return [Prediction(probabilities=p, label=label, k=k, votes=votes, latency_s=latency_s)
@@ -81,9 +83,10 @@ def predict_kvote(bundle: ModelBundle, instance, k=10, seed=0) -> Prediction:
     k=1 classifies one full random permutation of the values and reports no
     votes; k>1 votes over k samples of random length (see
     augment.inference_inputs) and reports their mean distribution.  Each vote
-    is its own forward, so the latency grows with k.
+    is its own forward, so the latency grows with k.  Each call encodes the
+    column's values into a token cache of its own.
     """
-    return _predict_columns(bundle, [instance], k, [seed], rows=1)[0]
+    return _predict_columns(bundle, [instance], k, [seed], 1, {})[0]
 
 
 def _forward_groups(instances, k, config):
@@ -133,15 +136,17 @@ def predict_many(bundle: ModelBundle, instances, k, seeds) -> list[Prediction]:
     longest of rows of like length. The samples, and so the votes and
     labels, are predict_kvote's; a probability may differ from it in the last bits,
     because a BLAS result depends on the batch's shape and on a row's place
-    in it.
+    in it. Every group shares one token cache, which lives for this call
+    only, so a value is encoded once per call.
     """
     instances, seeds = list(instances), list(seeds)
     if len(seeds) != len(instances):
         raise ConfigError(f"{len(instances)} columns but {len(seeds)} seeds")
     predictions = []
+    token_cache = {}
     for start, stop, rows in _forward_groups(instances, k, bundle.training):
         predictions += _predict_columns(bundle, instances[start:stop], k, seeds[start:stop],
-                                        rows)
+                                        rows, token_cache)
     return predictions
 
 

@@ -45,46 +45,45 @@ gather, and in training records the hidden state before each step into a
 packed (2, P, H) array that backward reads. So its memory grows with P, as
 cuDNN's variable-length RNNs do, not with N x T. A step in which every row
 is inside its length, as every step of a one-row batch is, runs on the
-whole batch with no index at all. So does every step of a batch whose
-padding is small against its number of distinct lengths (PACK_SPAN_COST),
-such as the few short slot texts of one multi sample: it embeds all N x T
-positions, keeps the hidden state after each step (T + 1, 2, N, H), and
-reads each row's final state there at its own length; a row past its
-length keeps stepping on its padded input, which costs fewer numpy calls
-than the indexing would, and nothing reads what it computes. Both kinds of
-batch share one step body, written inline: a helper function called per
-step costs about 3 us per step at one row.
+whole batch with no index at all. So does every step of an unpacked batch:
+one whose padding is small against its number of distinct lengths
+(PACK_SPAN_COST), such as the few short slot texts of one multi sample. It
+embeds all N x T positions, keeps the hidden state after each step (T + 1,
+2, N, H), and reads each row's final state there at its own length; a row
+past its length keeps stepping on its padded input, which costs fewer numpy
+calls than the indexing would, and nothing reads what it computes. Both
+kinds of batch share one step body, written inline: a helper function
+called per step costs about 3 us per step at one row. One function,
+_layout, decides which kind a forward is.
 
-A lone row is stepped as two equal rows: numpy sends a one-row matmul to
-gemv, which rounds differently from the many-row kernel. Inside its length a
-row's arithmetic is that of a masked loop, whose blend m * x + (1 - m) * y
-returns x exactly where m = 1. So inference is bit-identical to one masked
-loop per direction over every row (tests/lstm_oracle.py, also at the bench's
-widths).
+A lone row is stepped as two equal rows where the batch has more: numpy
+sends a one-row matmul to gemv, which rounds differently from the many-row
+kernel. Inside its length a row's arithmetic is that of a masked loop, whose
+blend m * x + (1 - m) * y returns x exactly where m = 1. So inference is
+bit-identical to one masked loop per direction over every row
+(tests/lstm_oracle.py, also at the bench's widths).
 
 Only a training forward (train_mode) keeps the step history that backward
 reads. An inference forward drops the inputs once their product with Wx is
 taken, and each step's cell state and activations once the next step has
-read them; the hidden state after a step overwrites that step's input-gate
-activation in the gate array, which nothing reads by then. And it takes
-x @ Wx + b a block of whole steps at a time, INFER_BLOCK stepped positions
-at most, inside the one step loop: a packed batch's block is a range of its
-time-major positions, and an unpacked batch reuses one gate array of a
-block's steps, the state carried across blocks in its first slot and each
-row's final state read in the block where its length ends. A row's product
-does not depend on how many rows or steps share its matmul, as long as
-there are two (one goes to gemv), so the bits are those of one product
-over every position. So an inference forward's working set is one block
-and its steps' own rows, whatever its length: validation's longest chunk,
-32 rows of 96 tokens at the bench's single widths, and a predict_many
-group forward of up to batch_size * r slot texts. A forward that fits in
-one block, as every bench per-vote forward does, runs as it did before
-blocks. Backward on
-an inference cache, which only gradient checks call, recomputes the
-history from the cache's ids, lengths, spans and stacked weights, as
-recompute-for-backward does (Chen et al. 2016, "Training Deep Nets with
-Sublinear Memory Cost"): the forward is deterministic, so its gradients
-are those of a training cache, bit for bit.
+read them; an unpacked one writes the hidden state after a step over that
+step's input-gate activation in the gate array, which nothing reads by then.
+An inference forward of more than INFER_BLOCK positions is packed, even
+where no row is padded, and takes x @ Wx + b a block of whole steps at a
+time, INFER_BLOCK stepped positions at most, a range of its time-major
+positions, inside the one step loop. A row's product does not depend on how
+many rows or steps share its matmul, as long as there are two (one goes to
+gemv), so the bits are those of one product over every position, and those
+of the unpacked forward of the same batch. So an inference forward's working
+set is one block and its steps' own rows, whatever its length: validation's
+longest chunk, 32 rows of 96 tokens at the bench's single widths, and a
+predict_many group forward of up to batch_size * r slot texts. An unpacked
+forward is always one block, as every bench per-vote forward is, and runs as
+it did before blocks. Backward on an inference cache, which only gradient
+checks call, recomputes the history from the cache's ids and lengths in the
+layout a training forward takes, as recompute-for-backward does (Chen et al.
+2016, "Training Deep Nets with Sublinear Memory Cost"): the forward is
+deterministic, so its gradients are those of a training cache, bit for bit.
 
 Backward keeps only the recurrence in its time loop, as the forward keeps
 x @ Wx + b out of it (Appleyard et al. 2016). A step computes the gate
@@ -178,27 +177,6 @@ def zeros_like_params(params: dict) -> dict:
 PACK_SPAN_COST = 12
 
 
-def _spans(lengths, T):
-    """Cut the T steps where the set of rows inside their length changes.
-
-    Returns (start, stop, rows) in time order: rows is None while every row is
-    inside its length, else the indices, in row order, of the rows whose length
-    reaches stop (empty once every row has ended). One index array serves all
-    the steps of a span. Where packing would not pay, one span of every row:
-    [(0, T, None)].
-    """
-    stops = sorted(set(lengths.tolist()) | {T})
-    if len(lengths) * T - lengths.sum() < PACK_SPAN_COST * len(stops):
-        return [(0, T, None)]
-    spans, start = [], 0
-    for stop in stops:
-        if stop > start:
-            live = lengths > start
-            spans.append((start, stop, None if live.all() else np.flatnonzero(live)))
-            start = stop
-    return spans
-
-
 # Backward sums the weight gradients over this many stepped positions at a
 # time. One product over every position is not thread-invariant: OpenBLAS
 # 0.3.31 (Haswell kernels) rounds (32 x K) @ (K x 192) differently under 1 and
@@ -206,21 +184,22 @@ def _spans(lengths, T):
 # also at 48 x 192 and 32 x 128.
 GRAD_BLOCK = 128
 
-# An inference forward takes x @ Wx + b this many stepped positions (one row
-# at one step) at a time, a block of whole steps, so its gate array does not
-# grow with the batch: validation's longest chunk and a predict_many group
-# forward hold one block's. In a sweep on the bench (ROADMAP) a validation
-# pass peaked at 2.8 MB (tracemalloc) here against 11.1 MB unblocked, and
-# took the same time at 128 to 1024 positions. 512 leaves room over the
-# bench's largest per-vote forward, 168 positions, which so runs in one
-# block as it did before blocks.
+# An inference forward of more than this many positions (one row at one
+# step) is packed, and takes x @ Wx + b this many stepped positions at a
+# time, a block of whole steps, so its gate array does not grow with the
+# batch: validation's longest chunk and a predict_many group forward hold
+# one block's. In a sweep on the bench (ROADMAP) a validation pass peaked at
+# 2.8 MB (tracemalloc) here against 11.1 MB unblocked, and took the same
+# time at 128 to 1024 positions. 512 leaves room over the bench's largest
+# per-vote forward, 168 positions, which so runs in one block as it did
+# before blocks.
 INFER_BLOCK = 512
 
 
 def _stepped_positions(lengths, T, every_row=False):
     """The (row, t) positions a forward stepped, time-major, rows in row order
-    at each step: a packed batch steps the positions inside a length, a batch
-    of one span of every row (every_row) all N x T. Returns (rows, t,
+    at each step: a packed batch steps the positions inside a length, an
+    unpacked one (every_row) all N x T. Returns (rows, t,
     offsets): step t's positions start at offsets[t]."""
     if every_row:
         stepped = np.ones((T, len(lengths)), dtype=bool)
@@ -239,10 +218,45 @@ def _stepped(rows):
     return rows if rows.size > 1 else rows.repeat(2)
 
 
-def _packed_gates(X_p, embedding, ids, positions, Wx, b, t0=0, t1=None):
-    """The input part of the gates, x @ Wx + b, for the stepped positions of
-    steps t0..t1 only (all T by default), X_p (2, p, E) their inputs:
-    gates[t] is (2, n, 4H) for the n rows inside their length at step t.
+def _layout(lengths, T, history):
+    """(packed, spans) of a forward over rows of these lengths, padded to T.
+
+    spans cut the T steps where the set of rows inside their length changes:
+    (start, stop, rows) in time order, rows None while every row is inside
+    its length, else the indices, in row order, of the rows whose length
+    reaches stop (empty once every row has ended). One index array serves all
+    the steps of a span. An unpacked forward is one span of every row,
+    [(0, T, None)].
+
+    An inference forward (no history) of more than INFER_BLOCK positions is
+    packed, so that only a packed forward is cut into blocks (_step_blocks);
+    without padding it is one span of every row, stepped with no index. Any
+    other forward is packed where it has padding and the padding outweighs
+    PACK_SPAN_COST per span: the padding is checked first, as a packed batch
+    has two spans at least, so a forward of little padding never counts its
+    lengths.
+    """
+    padding = len(lengths) * T - lengths.sum()
+    blocked = not history and len(lengths) * T > INFER_BLOCK
+    if not blocked and (padding == 0 or padding < 2 * PACK_SPAN_COST):
+        return False, [(0, T, None)]
+    stops = sorted(set(lengths.tolist()) | {T})
+    if not blocked and padding < PACK_SPAN_COST * len(stops):
+        return False, [(0, T, None)]
+    spans, start = [], 0
+    for stop in stops:
+        if stop > start:
+            live = lengths > start
+            spans.append((start, stop, None if live.all() else np.flatnonzero(live)))
+            start = stop
+    return True, spans
+
+
+def _packed_gates(embedding, ids, ids_p, positions, Wx, b, t0, t1, out=None):
+    """The inputs of a packed batch's stepped positions of steps t0..t1,
+    X_p (2, p, E), and their part of the gates, x @ Wx + b, hoisted out of
+    the time loop: gates[t] is (2, n, 4H) for the n rows step t computes.
+    The gates go into out (2, >= p, 4H) if given.
 
     Where the packed product, or a per-row one (T == 1), has one row it goes
     to gemv, which rounds differently: then each stepped row's product is
@@ -250,57 +264,36 @@ def _packed_gates(X_p, embedding, ids, positions, Wx, b, t0=0, t1=None):
     after."""
     rows, t, offsets = positions
     T = ids.shape[2]
-    t1 = T if t1 is None else t1
     lo, hi = offsets[t0], offsets[t1]
+    X_p = embedding[ids_p[:, lo:hi]]
     if T > 1 and hi - lo > 1:
-        gates = np.matmul(X_p, Wx)
+        gates = np.matmul(X_p, Wx, out=None if out is None else out[:, : hi - lo])
     else:
         per_row = np.matmul(embedding[ids[:, rows[lo:hi]]], Wx[:, None])
         gates = per_row[:, np.arange(hi - lo), t[lo:hi]]
     gates += b[:, None]
-    return [None] * t0 + [gates[:, offsets[s] - lo : offsets[s + 1] - lo] for s in range(t0, t1)]
+    return X_p, [None] * t0 + [gates[:, offsets[s] - lo : offsets[s + 1] - lo]
+                               for s in range(t0, t1)]
 
 
-def _block_gates(embedding, ids, Wx, b, t0, t1, packed_ids, out):
-    """The inputs of steps t0..t1 and their part of the gates, x @ Wx + b,
-    hoisted out of the time loop: gates[t] holds it for the rows step t
-    computes. packed_ids is (ids_p, positions) of a packed batch, which
-    embeds the stepped positions of those steps only (_packed_gates); an
-    unpacked batch (packed_ids None) embeds every row's, padding too, and
-    writes the gates into out (t1 - t0, 2, N, 4H)."""
-    if packed_ids is not None:
-        ids_p, positions = packed_ids
-        offsets = positions[2]
-        X_p = embedding[ids_p[:, offsets[t0] : offsets[t1]]]
-        return X_p, _packed_gates(X_p, embedding, ids, positions, Wx, b, t0, t1)
-    X = embedding[ids[:, :, t0:t1]]  # padded positions too; nothing reads them
-    np.matmul(X, Wx[:, None], out=out.transpose(1, 2, 0, 3))
-    out += b[:, None]
-    return X, out if t0 == 0 else [None] * t0 + list(out)
-
-
-def _step_blocks(offsets, min_steps):
-    """Cut the steps of an inference forward into blocks of whole steps.
+def _step_blocks(offsets):
+    """Cut the steps of a packed inference forward into blocks of whole steps.
 
     offsets[t] is the number of stepped positions before step t
     (_stepped_positions). A block holds at most INFER_BLOCK positions, but
-    min_steps steps at least, and a last block of fewer steps joins the one
-    before. Returns the steps at which the blocks start, then T.
+    one step at least. Returns the steps at which the blocks start, then T.
     """
     T = len(offsets) - 1
     starts = [0]
     while True:
-        t = max(starts[-1] + min_steps,
+        t = max(starts[-1] + 1,
                 bisect.bisect_right(offsets, offsets[starts[-1]] + INFER_BLOCK) - 1)
         if t >= T:
-            break
+            return starts + [T]
         starts.append(t)
-    if len(starts) > 1 and T - starts[-1] < min_steps:
-        starts.pop()
-    return starts + [T]
 
 
-def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True, spans=None):
+def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True):
     """Both directions of an LSTM over rows of their own lengths, stepped
     together in one time loop.
 
@@ -309,17 +302,16 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True, spans=None):
     weights the same way. lengths (N,) serves both, since reversal keeps
     padding in place: a row's tokens are its first lengths[n] positions. A
     row's final state, h_final (2, N, H), is read at its own length, so a row
-    of length 0 keeps the zero state. spans (_spans) defaults to the batch's
-    own; a recompute passes those of the forward it repeats.
+    of length 0 keeps the zero state.
 
-    One step body serves both kinds of batch. A batch of one span of every
-    row (_spans) embeds all N x T positions, computes each step's
-    activations in place in gates[t] and writes the hidden state after each
-    step into Hs (T + 1, 2, N, H), where each row's final state is read at
-    its own length; in a padded batch a row past its length keeps stepping
-    on its padded input, and nothing reads what it computes. A packed batch
-    holds its stepped positions only, time-major, rows in row order
-    (_stepped_positions): it embeds their ids once as X_p (2, P, E) and
+    One step body serves both layouts (_layout). An unpacked batch embeds
+    all N x T positions, computes each step's activations in place in
+    gates[t] and writes the hidden state after each step into Hs (T + 1, 2,
+    N, H), where each row's final state is read at its own length; in a
+    padded batch a row past its length keeps stepping on its padded input,
+    and nothing reads what it computes. A packed batch holds its stepped
+    positions only, time-major, rows in row order (_stepped_positions, kept
+    in the cache as positions): it embeds their ids as X_p (2, P, E) and
     keeps h and c for the span's rows only, handing them to the next span
     with one gather of the rows that go on and writing them into h_final at
     the span's end. So its memory grows with P, not with N x T.
@@ -327,77 +319,68 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True, spans=None):
     With history, as training needs, the cache holds what backward reads:
     steps[t] holds, for the rows step t computed, its gate activations
     (2, n, 4H) in i, f, g, o order, the cell state before it and tanh of the
-    cell state after it. A batch of one span of every row also keeps X, Hs
-    and the cell states Cs (T + 1, 2, N, H); a packed one keeps X_p and
-    copies the hidden state before each step into H_p (2, P, H). Without
-    history, as inference runs, the inputs are dropped once x @ Wx + b is
-    taken, a step's cell state and activations once the next step has read
-    them, and Hs takes no memory of its own: it lives in the gate array, one
-    step longer. The cache holds ids, lengths, spans and h_final, from which
-    Model._encode_backward recomputes the history.
+    cell state after it. An unpacked batch also keeps X, Hs and the cell
+    states Cs (T + 1, 2, N, H); a packed one keeps X_p and copies the hidden
+    state before each step into H_p (2, P, H). Without history, as inference
+    runs, the inputs are dropped once x @ Wx + b is taken, a step's cell
+    state and activations once the next step has read them, and Hs takes no
+    memory of its own: it lives in the gate array, one step longer. The
+    cache holds ids, lengths and h_final, from which Model._encode_backward
+    recomputes the history.
 
-    Without history x @ Wx + b is also taken a block of whole steps at a
-    time (_step_blocks), as the loop reaches the block: INFER_BLOCK stepped
-    positions at most, a contiguous range of a packed batch's time-major
-    positions, or at least two steps of an unpacked batch, whose one gate
-    array of a block's steps, one slot more before them, serves every
-    block. At a new block the rows that ended in the last one read their
-    final state, and the hidden state moves to that first slot. So the gate
-    array is the only float array over positions, and it holds one block's.
-    A batch of no more positions than INFER_BLOCK is one block, as a
-    training forward is, and runs as it did before blocks.
+    A packed forward without history of more than INFER_BLOCK stepped
+    positions takes x @ Wx + b a block of whole steps at a time
+    (_step_blocks), as the loop reaches the block: a contiguous range of its
+    time-major positions, whose gates overwrite the last block's in one
+    array. Any other forward, a training one and every unpacked one among
+    them, is one block.
     """
     _, N, T = ids.shape
     H = Wh.shape[1]
-    if spans is None:
-        spans = [(0, T, None)]
-        # a packed batch has two spans at least, so its padding must outweigh two
-        if N * T - lengths.sum() >= 2 * PACK_SPAN_COST:
-            spans = _spans(lengths, T)
-    packed = spans[-1][2] is not None
+    packed, spans = _layout(lengths, T, history)
     cache = {"ids": ids, "lengths": lengths, "spans": spans}
     H_p = Hs = Cs = None
-    packed_ids = None
+    blocks = [0, T]
     if packed:
         positions = rows_p, t_p, offsets = _stepped_positions(lengths, T)
         ids_p = ids[:, rows_p, t_p]
-        packed_ids = ids_p, positions
-    # A training forward, and an inference one that fits in one, is one block
-    # of steps; an unpacked block has two steps at least, as a row's product
-    # of one step goes to gemv.
-    blocks = [0, T]
-    if not history and (len(t_p) if packed else N * T) > INFER_BLOCK:
-        blocks = _step_blocks(offsets if packed else np.arange(T + 1) * N, 1 if packed else 2)
-    if packed or len(blocks) > 2:
+        cache["positions"] = positions
+        out = None
+        if not history and len(t_p) > INFER_BLOCK:
+            blocks = _step_blocks(offsets)
+        if len(blocks) > 2:
+            # One gate array serves every block: a fresh one per block can
+            # cost its page faults anew, which made a 32 x 96 forward up to
+            # 20% slower than the same product into a reused array.
+            width = max(offsets[j] - offsets[i] for i, j in zip(blocks, blocks[1:]))
+            out = np.empty((2, width, 4 * H))
+        X, gates = _packed_gates(embedding, ids, ids_p, positions, Wx, b, 0, blocks[1], out)
         h_final = np.zeros((2, N, H))
-    if not packed:
-        # without history one slot more, before the block's first step (Hs below)
-        first = 0 if history else 1
-        longest = T if len(blocks) == 2 else max(np.diff(blocks))
-        slab = np.empty((first + longest, 2, N, 4 * H))
-
-    X, gates = _block_gates(embedding, ids, Wx, b, 0, blocks[1], packed_ids,
-                            None if packed else slab[first : first + blocks[1]])
-    if packed:
         if history:
             H_p = np.empty((2, len(t_p), H))
-            cache.update(positions=positions, ids_p=ids_p, X_p=X, H_p=H_p)
+            cache.update(ids_p=ids_p, X_p=X, H_p=H_p)
     else:
+        # without history one slot more, before the first step (Hs below)
+        first = 0 if history else 1
+        slab = np.empty((first + T, 2, N, 4 * H))
+        gates = slab[first:]
+        X = embedding[ids]  # padded positions too; nothing reads them
+        np.matmul(X, Wx[:, None], out=gates.transpose(1, 2, 0, 3))
+        gates += b[:, None]
         if history:
             Hs, Cs = np.zeros((T + 1, 2, N, H)), np.zeros((T + 1, 2, N, H))
             cache.update(X=X, Hs=Hs)
         else:
             # The hidden state after step t overwrites that step's input gate
             # activation, which nothing reads once the cell state is taken:
-            # Hs[t + 1] is gates[t][..., :H], and Hs[t0] the state before a
-            # block from t0, in the slab's first slot: zero before the first.
-            # It costs no allocation, and a separate Hs would be the largest
-            # array of a long batch after the gates.
+            # Hs[t + 1] is gates[t][..., :H], and Hs[0] the zero state in the
+            # slab's first slot. It costs no allocation, and a separate Hs
+            # would be the largest array of a long batch after the gates.
             Hs = slab[..., :H]
             Hs[0] = 0.0
         h, c = Hs[0], Hs[0] if Cs is None else Cs[0]
     del X
-    t0, k = 0, 1  # the current block starts at t0, the next at blocks[k]
+    k = 1  # the next block starts at blocks[k]
     steps = {}
     prev = None  # the rows whose state h and c hold, None for every row
     for start, stop, rows in spans:
@@ -413,18 +396,11 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True, spans=None):
                 keep = _stepped(rows if prev is None else np.searchsorted(prev, rows))
                 h, c = h[:, keep], c[:, keep]
         for t in range(start, stop):
-            if t == blocks[k]:  # the next block of an inference forward
-                if not packed:
-                    # the rows that ended in the block read their final state
-                    # before the slab is reused; the state moves to its first slot
-                    _read_final(h_final, slab[..., :H], lengths, t0, t)
-                    slab[0, ..., :H] = h
-                    Hs = [None] * t + list(slab[..., :H])
-                    h = Hs[t]
-                gates = None  # a packed block's gates die before the next is taken
-                gates = _block_gates(embedding, ids, Wx, b, t, blocks[k + 1], packed_ids,
-                                     None if packed else slab[1 : 1 + blocks[k + 1] - t])[1]
-                t0, k = t, k + 1
+            if t == blocks[k]:  # the next block of a packed inference forward
+                gates = None  # the last block's step views go before the next's are made
+                gates = _packed_gates(embedding, ids, ids_p, positions, Wx, b, t,
+                                      blocks[k + 1], out)[1]
+                k += 1
             if H_p is not None:
                 H_p[:, offsets[t] : offsets[t] + n] = h[:, :n]  # a lone row once
             a = np.matmul(h, Wh)
@@ -447,22 +423,11 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True, spans=None):
             h_final[:, slice(None) if rows is None else rows] = h[:, :n]
         prev = rows
     if not packed:
-        if len(blocks) == 2:  # every row ends in the one block
-            h_final = Hs[lengths, :, np.arange(N)].swapaxes(0, 1)
-        else:
-            _read_final(h_final, slab[..., :H], lengths, t0, T)
+        h_final = Hs[lengths, :, np.arange(N)].swapaxes(0, 1)
     if history:
         cache["steps"] = steps
     cache["h_final"] = h_final
     return cache
-
-
-def _read_final(h_final, Hs, lengths, t0, t1):
-    """Write into h_final (2, N, H) the final state of each row whose length
-    ends in the steps t0 + 1..t1, read in Hs (.., 2, N, H), the hidden
-    states of a block of steps from t0: Hs[j] after step t0 + j - 1."""
-    rows = np.flatnonzero((lengths > t0) & (lengths <= t1))
-    h_final[:, rows] = Hs[lengths[rows] - t0, :, rows].swapaxes(0, 1)
 
 
 def _lstm_backward(cache, dh_final, Wx, Wh):
@@ -483,9 +448,9 @@ def _lstm_backward(cache, dh_final, Wx, Wh):
     over the inputs and the hidden states before each stepped position, are
     summed GRAD_BLOCK positions at a time, the blocks added in order. The
     cache is one with history (_lstm_forward): a packed forward kept X_p and
-    H_p; for a batch of one span of every row they are gathered here from X
-    and Hs, over all N x T positions. A row past its length, stepped in a
-    span of every row, has dA exactly 0, so it adds nothing.
+    H_p; for an unpacked one they are gathered here from X and Hs, over all
+    N x T positions. A row past its length, stepped in an unpacked batch,
+    has dA exactly 0, so it adds nothing.
 
     A row's dA inside its length is the one a masked loop computes; the
     products that follow it have other shapes and sum in another order. So
@@ -502,7 +467,7 @@ def _lstm_backward(cache, dh_final, Wx, Wh):
     lengths, steps, spans = cache["lengths"], cache["steps"], cache["spans"]
     N = len(lengths)
     H = Wh.shape[1]
-    packed = "H_p" in cache
+    packed = "positions" in cache
     if packed:
         rows_p, t_p, offsets = cache["positions"]
     else:
@@ -617,11 +582,9 @@ def _slot_array(enc_rows, b, r, occ, B, R):
     return enc
 
 
-def _reverse_within_length(ids, mask):
-    """Per-row reversal of the first L tokens; padding stays in place."""
-    T = ids.shape[1]
-    lengths = mask.sum(axis=1).astype(np.int64)
-    pos = np.arange(T)[None, :]
+def _reverse_within_length(ids, lengths):
+    """Per-row reversal of the first lengths[n] tokens; padding stays in place."""
+    pos = np.arange(ids.shape[1])[None, :]
     rev = np.where(pos < lengths[:, None], lengths[:, None] - 1 - pos, pos)
     return np.take_along_axis(ids, rev, axis=1)
 
@@ -639,9 +602,9 @@ class Model:
         """The (N, 2H) encoding of each row and the cache backward reads; only
         with history does the cache hold the step history (_lstm_forward)."""
         p = self.params
-        ids2 = np.stack([ids, _reverse_within_length(ids, mask)])  # (2, N, T): fw, bw
-        W = {k: np.stack([p[f"lstm_fw_{k}"], p[f"lstm_bw_{k}"]]) for k in ("Wx", "Wh", "b")}
         lengths = mask.sum(axis=1).astype(np.int64)
+        ids2 = np.stack([ids, _reverse_within_length(ids, lengths)])  # (2, N, T): fw, bw
+        W = {k: np.stack([p[f"lstm_fw_{k}"], p[f"lstm_bw_{k}"]]) for k in ("Wx", "Wh", "b")}
         lstm = _lstm_forward(p["embedding"], ids2, lengths, W["Wx"], W["Wh"], W["b"], history)
         enc = np.concatenate(lstm["h_final"], axis=1)
         return enc, {"W": W, "lstm": lstm}
@@ -651,10 +614,12 @@ class Model:
         W, lstm = cache["W"], cache["lstm"]
         if "steps" not in lstm:
             # An inference forward kept no step history: recompute it, with the
-            # same weights and spans. The forward is deterministic, so backward
-            # reads what a forward with history would have kept, bit for bit.
+            # same weights, in the layout a training forward takes, so that
+            # backward adds its gradients as on a training cache. The forward
+            # is deterministic, so backward reads what a training forward
+            # would have kept, bit for bit.
             lstm = _lstm_forward(self.params["embedding"], lstm["ids"], lstm["lengths"],
-                                 W["Wx"], W["Wh"], W["b"], spans=lstm["spans"])
+                                 W["Wx"], W["Wh"], W["b"])
         dh = np.stack([denc[:, :H], denc[:, H:]])
         dX, ids, dWx, dWh, db = _lstm_backward(lstm, dh, W["Wx"], W["Wh"])
         for j, d in enumerate(("fw", "bw")):

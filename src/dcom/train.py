@@ -297,10 +297,11 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
 def forward_samples(model, samples, feats, vocab, rows, token_cache):
     """Inference probabilities, one row per sample (samples[i] with scaled
     features feats[i]), forwarded `rows` samples at a time through make_batch;
-    an inference forward keeps no step history and takes its gates a block of
-    nn.INFER_BLOCK stepped positions at a time, so a forward holds little
-    beyond one block's gates, whatever its rows and length, and that dies
-    before the next forward runs.
+    an inference forward keeps no step history, and one of more than
+    nn.INFER_BLOCK positions is packed and takes its gates a block of
+    INFER_BLOCK stepped positions at a time, so a forward holds little beyond
+    one block's gates, whatever its rows and length, and that dies before
+    the next forward runs.
 
     In single mode a forward's rows are the samples themselves, and a forward
     runs as many steps as its longest row. So more than one forward of more

@@ -14,7 +14,16 @@ products here.
 
 import numpy as np
 
-from dcom.nn import Model, _reverse_within_length
+from dcom.nn import Model
+
+
+def reverse_within_mask(ids, mask):
+    """Each row's unmasked tokens in reverse order; masked positions keep
+    their ids."""
+    out = ids.copy()
+    for n, keep in enumerate(mask.astype(bool)):
+        out[n, keep] = ids[n, keep][::-1]
+    return out
 
 
 def _sigmoid(x):
@@ -96,7 +105,7 @@ class OracleModel(Model):
         maskf = mask.astype(np.float64)
         X_fw = p["embedding"][ids] * maskf[..., None]
         fw = lstm_forward(X_fw, maskf, p["lstm_fw_Wx"], p["lstm_fw_Wh"], p["lstm_fw_b"])
-        ids_bw = _reverse_within_length(ids, mask)
+        ids_bw = reverse_within_mask(ids, mask)
         X_bw = p["embedding"][ids_bw] * maskf[..., None]
         bw = lstm_forward(X_bw, maskf, p["lstm_bw_Wx"], p["lstm_bw_Wh"], p["lstm_bw_b"])
         enc = np.concatenate([fw["h_final"], bw["h_final"]], axis=1)

@@ -12,7 +12,7 @@ from dcom.cli import main
 from dcom.core import ClassVocabulary, ColumnInstance, TrainingConfig, make_instance
 from dcom.errors import ConfigError
 from dcom.features import FeatureScaler, extract_features
-from dcom.infer import _group_vote, evaluate, predict_kvote, predict_many
+from dcom.infer import _forward_groups, _group_vote, evaluate, predict_kvote, predict_many
 from dcom.nn import Model, init_params, zeros_like_params
 from dcom.serialize import ModelBundle, save_bundle
 from dcom.tokenizers import RESERVED, Vocabulary
@@ -246,6 +246,28 @@ class TestPredictMany:
             np.testing.assert_allclose(got.probabilities, want.probabilities, rtol=0,
                                        atol=1e-12)
             assert got.latency_s > 0.0
+
+    def test_encodes_each_value_once_per_call(self, bundle, sanity_corpus, monkeypatch):
+        """The column groups of one predict_many call share one token cache:
+        a value is encoded once per call, however many groups hold it, and
+        encoded again by the next call."""
+        instances, _ = sanity_corpus
+        assert len(_forward_groups(instances, 10, bundle.training)) > 1
+        encode_value = tokenizers.encode_value
+        calls = []
+
+        def counting_encode_value(vocab, value):
+            calls[-1].append(value)
+            return encode_value(vocab, value)
+
+        monkeypatch.setattr(tokenizers, "encode_value", counting_encode_value)
+        for _ in range(2):
+            calls.append([])
+            predict_many(bundle, instances, 10, range(len(instances)))
+        first, second = calls
+        assert len(first) == len(set(first))
+        assert set(first) <= {value for instance in instances for value in instance.values}
+        assert second == first
 
     def test_empty(self, bundle):
         assert predict_many(bundle, [], 10, []) == []

@@ -556,10 +556,12 @@ STEP_HISTORY = {"steps", "X", "X_p", "H_p", "Hs", "Cs"}
 class TestInferenceMemory:
     def test_forward_keeps_no_step_history(self):
         """An inference forward keeps only what prediction reads. At the
-        bench's single widths, on an unpacked batch of 32 rows of 96 tokens
-        each (validation's longest chunk), it peaks below the (T, 2, N, 4H)
-        gate array plus one (T + 1, 2, N, H) float64 array: the inputs, the
-        cell states and each step's activations are not kept beside them."""
+        bench's single widths, on a batch of 32 rows of 96 tokens each, no
+        padding (validation's longest chunk), it peaks below the (T, 2, N,
+        4H) gate array plus one (T + 1, 2, N, H) float64 array: the inputs,
+        the cell states and each step's activations are not kept beside
+        them. It has more than INFER_BLOCK positions, so it is packed, one
+        span of every row."""
         T, N = 96, 32
         config, batch = bench_width_case("single", N, T, np.full(N, T), seed=0)
         model = seeded_model(config, 0, *BENCH_SIZES)
@@ -572,7 +574,7 @@ class TestInferenceMemory:
         H = config.hidden_size
         assert peak < T * 2 * N * 4 * H * 8 + (T + 1) * 2 * N * H * 8
         lstm = cache["enc_cache"]["lstm"]
-        assert lstm["spans"] == [(0, T, None)]  # unpacked
+        assert "positions" in lstm and lstm["spans"] == [(0, T, None)]
         assert not STEP_HISTORY & lstm.keys()
 
 
@@ -619,11 +621,13 @@ class TestBlockedInferenceMemory:
             assert inference_peak(run) < self.bound(32, config.hidden_size)
 
     @pytest.mark.parametrize("budget", [128, None])
-    @pytest.mark.parametrize("kind", ["unpacked", "packed"])
+    @pytest.mark.parametrize("kind", ["no padding", "packed"])
     def test_multi_group_forward(self, kind, budget):
         """One multi forward of 250 slot texts of up to 14 tokens at the
-        bench's multi widths, the size of a predict_many group's: it peaked
-        at about 9.7 MB unpacked and 6.5 MB packed."""
+        bench's multi widths, the size of a predict_many group's: taken at
+        once, it peaked at about 9.7 MB with no padding and 6.5 MB with
+        spread lengths (packed). It has more than INFER_BLOCK positions, so
+        it is packed either way; with no padding, one span of every row."""
         lengths = np.full(250, 14)
         if kind == "packed":
             lengths[1:] = np.random.default_rng(0).integers(1, 15, size=249)
@@ -632,7 +636,9 @@ class TestBlockedInferenceMemory:
         with mock.patch.object(nn, "INFER_BLOCK", budget or nn.INFER_BLOCK):
             peak = inference_peak(lambda: model.forward(batch))
             _, cache = model.forward(batch)
-        assert (cache["enc_cache"]["lstm"]["spans"][-1][2] is not None) == (kind == "packed")
+        lstm = cache["enc_cache"]["lstm"]
+        assert "positions" in lstm
+        assert (lstm["spans"] == [(0, 14, None)]) == (kind == "no padding")
         assert peak < self.bound(250, config.hidden_size)
 
 
@@ -640,17 +646,18 @@ def assert_recompute_exact(config, batch, seed, sizes=(VOCAB_SIZE, N_CLASSES), p
     """Backward on an inference forward's cache, which recomputes the step
     history, gives the bytes of backward on a training forward's cache, at
     dropout 0 so both forwards compute the same probabilities. packed: pack
-    every padded batch (a span cost of 0), in the forwards only, as
-    assert_equals_oracle does."""
+    every padded batch (a span cost of 0), as assert_equals_oracle does, in
+    the forwards and in backward, whose recompute takes the layout of a
+    training forward."""
     model = seeded_model(dataclasses.replace(config, dropout=0.0), seed, *sizes)
     runs = []
     for train_mode in (False, True):
         with mock.patch.object(nn, "PACK_SPAN_COST", 0 if packed else nn.PACK_SPAN_COST):
             probs, cache = model.forward(batch, train_mode=train_mode)
-        # only a training forward keeps the step history, packed or not
-        assert bool(STEP_HISTORY & cache["enc_cache"]["lstm"].keys()) == train_mode
-        dlogits = np.random.default_rng(seed).normal(size=probs.shape)
-        runs.append((probs, model.backward(cache, dlogits)))
+            # only a training forward keeps the step history, packed or not
+            assert bool(STEP_HISTORY & cache["enc_cache"]["lstm"].keys()) == train_mode
+            dlogits = np.random.default_rng(seed).normal(size=probs.shape)
+            runs.append((probs, model.backward(cache, dlogits)))
     (probs, grads), (train_probs, train_grads) = runs
     assert probs.tobytes() == train_probs.tobytes()
     assert grads.keys() == train_grads.keys()
@@ -694,20 +701,21 @@ def assert_blocked_inference_exact(config, batch, seed, sizes=(VOCAB_SIZE, N_CLA
     (nn.INFER_BLOCK), gives the probabilities of a training forward at
     dropout 0, which takes every step at once, and of one masked loop per
     direction (OracleModel), bit for bit; backward on its cache gives the
-    bytes of backward on the training cache (assert_recompute_exact). Returns
-    the number of blocks the inference forward took."""
+    bytes of backward on the training cache (assert_recompute_exact). Only a
+    packed forward is cut into blocks. Returns the number of blocks the
+    inference forward took."""
     config = dataclasses.replace(config, dropout=0.0)
     model = seeded_model(config, seed, *sizes)
     blocks = []
     step_blocks = nn._step_blocks
 
-    def spy(offsets, min_steps):
-        blocks.append(step_blocks(offsets, min_steps))
+    def spy(offsets):
+        blocks.append(step_blocks(offsets))
         return blocks[-1]
 
     with mock.patch.object(nn, "PACK_SPAN_COST", 0 if packed else nn.PACK_SPAN_COST), \
             mock.patch.object(nn, "_step_blocks", spy):
-        probs, _ = model.forward(batch)
+        probs, cache = model.forward(batch)
         train_probs, _ = model.forward(batch, train_mode=True)
         oracle_probs, _ = OracleModel(config, params=model.params).forward(batch)
     np.testing.assert_array_equal(probs, train_probs)
@@ -715,6 +723,8 @@ def assert_blocked_inference_exact(config, batch, seed, sizes=(VOCAB_SIZE, N_CLA
     assert_recompute_exact(config, batch, seed, sizes, packed)
     # only an inference forward of more than one block cuts its steps
     assert len(blocks) <= 1
+    if blocks and len(blocks[0]) > 2:
+        assert "positions" in cache["enc_cache"]["lstm"]  # packed
     return len(blocks[0]) - 1 if blocks else 1
 
 
@@ -748,16 +758,15 @@ class TestBlockedInference:
     @pytest.mark.parametrize("budget", [*INFER_BUDGETS, 64, None])
     @pytest.mark.parametrize("name", list(BENCH_WIDTH_CASES))
     def test_bit_equal_at_bench_widths(self, name, budget):
-        """A small budget cuts every case of 4 steps or more into blocks (an
-        unpacked block has 2 steps at least, and a last one of 1 joins the
-        block before); at nn.INFER_BLOCK itself (None) a case of no more
+        """A small budget cuts every case of more positions into blocks of
+        whole steps; at nn.INFER_BLOCK itself (None) a case of no more
         stepped positions is one block."""
         config, batch = bench_width_case(*BENCH_WIDTH_CASES[name](np.random.default_rng(2)),
                                          seed=2)
         with mock.patch.object(nn, "INFER_BLOCK", budget or nn.INFER_BLOCK):
             n_blocks = assert_blocked_inference_exact(config, batch, 2, BENCH_SIZES)
         if budget is not None:
-            assert n_blocks > 1 or batch["ids"].shape[1] < 4
+            assert n_blocks > 1 or batch["tok_mask"].sum() <= budget
         elif batch["tok_mask"].sum() <= nn.INFER_BLOCK:
             assert n_blocks == 1
 
