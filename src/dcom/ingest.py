@@ -186,10 +186,13 @@ class DatasetSplit:
             raise FormatError(f"{path}: split ratios must be a list of numbers")
         if not has_type(manifest["seed"], int):
             raise FormatError(f"{path}: split seed must be an integer")
+        stratified = manifest.get("stratified", True)
+        if not has_type(stratified, bool):
+            raise FormatError(f"{path}: split stratified must be true or false")
         return cls(
             seed=manifest["seed"],
             ratios=tuple(ratios),
-            stratified=manifest.get("stratified", True),
+            stratified=stratified,
             **parts,
         )
 

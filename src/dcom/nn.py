@@ -35,54 +35,52 @@ with zero padded slots, which only concatenation's head, whose text it is,
 and weighted_sum's backward build; backward takes each real slot's gradient
 straight out of the text gradient, by its (b, r) index.
 
-The steps are packed where that pays: a step computes only the n rows still
-inside their length, in row order. The set of rows changes only where a row
-ends, so one index array serves every step between two lengths. A packed
-batch holds nothing of its padding: it embeds only the P positions inside a
-length, multiplies x @ Wx + b for them only, keeps the hidden and cell state
-of the current span's rows only, handing them to the next span with one
-gather, and in training records the hidden state before each step into a
-packed (2, P, H) array that backward reads. So its memory grows with P, as
-cuDNN's variable-length RNNs do, not with N x T. A step in which every row
-is inside its length, as every step of a one-row batch is, runs on the
-whole batch with no index at all. So does every step of an unpacked batch:
-one whose padding is small against its number of distinct lengths
-(PACK_SPAN_COST), such as the few short slot texts of one multi sample. It
-embeds all N x T positions, keeps the hidden state after each step (T + 1,
-2, N, H), and reads each row's final state there at its own length; a row
-past its length keeps stepping on its padded input, which costs fewer numpy
-calls than the indexing would, and nothing reads what it computes. Both
-kinds of batch share one step body, written inline: a helper function
-called per step costs about 3 us per step at one row. One function,
-_layout, decides which kind a forward is.
+A forward is one of three kinds (_layout). A packed one computes at each
+step only the n rows still inside their length, in row order. The set of
+rows changes only where a row ends, so one index array serves every step
+between two lengths. It holds nothing of its padding: it embeds only the P
+positions inside a length, multiplies x @ Wx + b for them only, keeps the
+hidden and cell state of the current span's rows only, handing them to the
+next span with one gather. So its memory grows with P, as cuDNN's
+variable-length RNNs do, not with N x T. A step in which every row is inside
+its length, as every step of a one-row batch is, runs on the whole batch
+with no index at all.
+
+  packed training — every train_mode forward. It records the hidden state
+      before each step into a packed (2, P, H) array, beside the inputs and
+      each step's activations, and backward reads that one cache format.
+  packed inference — a forward without history of more than INFER_BLOCK
+      positions, padded or not, such as validation's longest chunk and a
+      predict_many group forward. It takes x @ Wx + b a block of whole
+      steps at a time, INFER_BLOCK stepped positions at most, inside the one
+      step loop, so its working set is one block and its steps' own rows.
+  unpacked inference — any other forward without history whose padding is
+      small against its number of distinct lengths (PACK_SPAN_COST), such as
+      the per-vote forwards of one column. It is one block: it embeds all
+      N x T positions, writes the hidden state after each step into the gate
+      array and reads each row's final state there at its own length; a row
+      past its length keeps stepping on its padded input, which costs fewer
+      numpy calls than the indexing would, and nothing reads what it
+      computes.
+
+All three share one step body, written inline: a helper function called per
+step costs about 3 us per step at one row.
 
 A lone row is stepped as two equal rows where the batch has more: numpy
 sends a one-row matmul to gemv, which rounds differently from the many-row
 kernel. Inside its length a row's arithmetic is that of a masked loop, whose
-blend m * x + (1 - m) * y returns x exactly where m = 1. So inference is
-bit-identical to one masked loop per direction over every row
-(tests/lstm_oracle.py, also at the bench's widths).
+blend m * x + (1 - m) * y returns x exactly where m = 1. A row's product with
+Wx does not depend on how many rows or steps share its matmul, as long as
+there are two (one goes to gemv). So every kind of forward is bit-identical
+to one masked loop per direction over every row (tests/lstm_oracle.py, also
+at the bench's widths).
 
-Only a training forward (train_mode) keeps the step history that backward
-reads. An inference forward drops the inputs once their product with Wx is
-taken, and each step's cell state and activations once the next step has
-read them; an unpacked one writes the hidden state after a step over that
-step's input-gate activation in the gate array, which nothing reads by then.
-An inference forward of more than INFER_BLOCK positions is packed, even
-where no row is padded, and takes x @ Wx + b a block of whole steps at a
-time, INFER_BLOCK stepped positions at most, a range of its time-major
-positions, inside the one step loop. A row's product does not depend on how
-many rows or steps share its matmul, as long as there are two (one goes to
-gemv), so the bits are those of one product over every position, and those
-of the unpacked forward of the same batch. So an inference forward's working
-set is one block and its steps' own rows, whatever its length: validation's
-longest chunk, 32 rows of 96 tokens at the bench's single widths, and a
-predict_many group forward of up to batch_size * r slot texts. An unpacked
-forward is always one block, as every bench per-vote forward is, and runs as
-it did before blocks. Backward on an inference cache, which only gradient
-checks call, recomputes the history from the cache's ids and lengths in the
-layout a training forward takes, as recompute-for-backward does (Chen et al.
-2016, "Training Deep Nets with Sublinear Memory Cost"): the forward is
+An inference forward keeps no step history: it drops the inputs once their
+product with Wx is taken, and each step's cell state and activations once
+the next step has read them. Backward on its cache, which only gradient
+checks call, recomputes the history from the cache's ids and lengths in a
+packed training forward, as recompute-for-backward does (Chen et al. 2016,
+"Training Deep Nets with Sublinear Memory Cost"): the forward is
 deterministic, so its gradients are those of a training cache, bit for bit.
 
 Backward keeps only the recurrence in its time loop, as the forward keeps
@@ -196,15 +194,11 @@ GRAD_BLOCK = 128
 INFER_BLOCK = 512
 
 
-def _stepped_positions(lengths, T, every_row=False):
-    """The (row, t) positions a forward stepped, time-major, rows in row order
-    at each step: a packed batch steps the positions inside a length, an
-    unpacked one (every_row) all N x T. Returns (rows, t,
+def _stepped_positions(lengths, T):
+    """The (row, t) positions inside a length, time-major, rows in row order
+    at each step, as a packed forward steps them. Returns (rows, t,
     offsets): step t's positions start at offsets[t]."""
-    if every_row:
-        stepped = np.ones((T, len(lengths)), dtype=bool)
-    else:
-        stepped = np.arange(T)[:, None] < lengths
+    stepped = np.arange(T)[:, None] < lengths
     t, rows = np.nonzero(stepped)
     offsets = np.zeros(T + 1, dtype=np.int64)
     np.cumsum(stepped.sum(axis=1), out=offsets[1:])
@@ -228,20 +222,21 @@ def _layout(lengths, T, history):
     the steps of a span. An unpacked forward is one span of every row,
     [(0, T, None)].
 
-    An inference forward (no history) of more than INFER_BLOCK positions is
-    packed, so that only a packed forward is cut into blocks (_step_blocks);
-    without padding it is one span of every row, stepped with no index. Any
-    other forward is packed where it has padding and the padding outweighs
-    PACK_SPAN_COST per span: the padding is checked first, as a packed batch
-    has two spans at least, so a forward of little padding never counts its
-    lengths.
+    Three kinds of forward: a training one (history) is packed, so backward
+    reads one cache format; an inference one of more than INFER_BLOCK
+    positions is packed, so that only a packed forward is cut into blocks
+    (_step_blocks); any other inference forward, a per-vote one among them, is
+    packed only where its padding outweighs PACK_SPAN_COST per span. The
+    padding is checked first, as a packed batch has two spans at least, so a
+    forward of little padding never counts its lengths. A packed forward
+    without padding is one span of every row, stepped with no index.
     """
     padding = len(lengths) * T - lengths.sum()
-    blocked = not history and len(lengths) * T > INFER_BLOCK
-    if not blocked and (padding == 0 or padding < 2 * PACK_SPAN_COST):
+    forced = history or len(lengths) * T > INFER_BLOCK
+    if not forced and (padding == 0 or padding < 2 * PACK_SPAN_COST):
         return False, [(0, T, None)]
     stops = sorted(set(lengths.tolist()) | {T})
-    if not blocked and padding < PACK_SPAN_COST * len(stops):
+    if not forced and padding < PACK_SPAN_COST * len(stops):
         return False, [(0, T, None)]
     spans, start = [], 0
     for stop in stops:
@@ -304,42 +299,39 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True):
     row's final state, h_final (2, N, H), is read at its own length, so a row
     of length 0 keeps the zero state.
 
-    One step body serves both layouts (_layout). An unpacked batch embeds
-    all N x T positions, computes each step's activations in place in
-    gates[t] and writes the hidden state after each step into Hs (T + 1, 2,
-    N, H), where each row's final state is read at its own length; in a
-    padded batch a row past its length keeps stepping on its padded input,
-    and nothing reads what it computes. A packed batch holds its stepped
-    positions only, time-major, rows in row order (_stepped_positions, kept
-    in the cache as positions): it embeds their ids as X_p (2, P, E) and
-    keeps h and c for the span's rows only, handing them to the next span
-    with one gather of the rows that go on and writing them into h_final at
-    the span's end. So its memory grows with P, not with N x T.
+    One step body serves three kinds of forward (_layout): packed training,
+    packed inference and unpacked inference. A packed forward holds its
+    stepped positions only, time-major, rows in row order
+    (_stepped_positions, kept in the cache as positions): it embeds their ids
+    as X_p (2, P, E) and keeps h and c for the span's rows only, handing them
+    to the next span with one gather of the rows that go on and writing them
+    into h_final at the span's end. So its memory grows with P, not with
+    N x T. An unpacked forward embeds all N x T positions, computes each
+    step's activations in place in gates[t] and writes the hidden state after
+    step t over its input-gate activation, which nothing reads by then: Hs
+    (T + 1, 2, N, H) lives in the gate array, one step longer, and each row's
+    final state is read there at its own length. A row past its length keeps
+    stepping on its padded input, and nothing reads what it computes.
 
     With history, as training needs, the cache holds what backward reads:
-    steps[t] holds, for the rows step t computed, its gate activations
-    (2, n, 4H) in i, f, g, o order, the cell state before it and tanh of the
-    cell state after it. An unpacked batch also keeps X, Hs and the cell
-    states Cs (T + 1, 2, N, H); a packed one keeps X_p and copies the hidden
-    state before each step into H_p (2, P, H). Without history, as inference
-    runs, the inputs are dropped once x @ Wx + b is taken, a step's cell
-    state and activations once the next step has read them, and Hs takes no
-    memory of its own: it lives in the gate array, one step longer. The
-    cache holds ids, lengths and h_final, from which Model._encode_backward
-    recomputes the history.
+    X_p, the hidden state before each step, H_p (2, P, H), and steps[t],
+    for the rows step t computed, its gate activations (2, n, 4H) in i, f, g,
+    o order, the cell state before it and tanh of the cell state after it.
+    Without history, as inference runs, the inputs are dropped once
+    x @ Wx + b is taken, and a step's cell state and activations once the
+    next step has read them. The cache holds ids, lengths and h_final, from
+    which Model._encode_backward recomputes the history.
 
-    A packed forward without history of more than INFER_BLOCK stepped
-    positions takes x @ Wx + b a block of whole steps at a time
-    (_step_blocks), as the loop reaches the block: a contiguous range of its
+    A packed inference forward of more than INFER_BLOCK stepped positions is
+    cut into blocks: it takes x @ Wx + b a block of whole steps at a time
+    (_step_blocks), as the loop reaches the block, a contiguous range of its
     time-major positions, whose gates overwrite the last block's in one
-    array. Any other forward, a training one and every unpacked one among
-    them, is one block.
+    array. Any other forward is one block.
     """
     _, N, T = ids.shape
     H = Wh.shape[1]
     packed, spans = _layout(lengths, T, history)
     cache = {"ids": ids, "lengths": lengths, "spans": spans}
-    H_p = Hs = Cs = None
     blocks = [0, T]
     if packed:
         positions = rows_p, t_p, offsets = _stepped_positions(lengths, T)
@@ -360,25 +352,19 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True):
             H_p = np.empty((2, len(t_p), H))
             cache.update(ids_p=ids_p, X_p=X, H_p=H_p)
     else:
-        # without history one slot more, before the first step (Hs below)
-        first = 0 if history else 1
-        slab = np.empty((first + T, 2, N, 4 * H))
-        gates = slab[first:]
+        slab = np.empty((T + 1, 2, N, 4 * H))
+        gates = slab[1:]
         X = embedding[ids]  # padded positions too; nothing reads them
         np.matmul(X, Wx[:, None], out=gates.transpose(1, 2, 0, 3))
         gates += b[:, None]
-        if history:
-            Hs, Cs = np.zeros((T + 1, 2, N, H)), np.zeros((T + 1, 2, N, H))
-            cache.update(X=X, Hs=Hs)
-        else:
-            # The hidden state after step t overwrites that step's input gate
-            # activation, which nothing reads once the cell state is taken:
-            # Hs[t + 1] is gates[t][..., :H], and Hs[0] the zero state in the
-            # slab's first slot. It costs no allocation, and a separate Hs
-            # would be the largest array of a long batch after the gates.
-            Hs = slab[..., :H]
-            Hs[0] = 0.0
-        h, c = Hs[0], Hs[0] if Cs is None else Cs[0]
+        # The hidden state after step t overwrites that step's input gate
+        # activation, which nothing reads once the cell state is taken:
+        # Hs[t + 1] is gates[t][..., :H], and Hs[0] the zero state in the
+        # slab's first slot. It costs no allocation, and a separate Hs
+        # would be the largest array of a long batch after the gates.
+        Hs = slab[..., :H]
+        Hs[0] = 0.0
+        h = c = Hs[0]
     del X
     k = 1  # the next block starts at blocks[k]
     steps = {}
@@ -401,7 +387,7 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True):
                 gates = _packed_gates(embedding, ids, ids_p, positions, Wx, b, t,
                                       blocks[k + 1], out)[1]
                 k += 1
-            if H_p is not None:
+            if history:
                 H_p[:, offsets[t] : offsets[t] + n] = h[:, :n]  # a lone row once
             a = np.matmul(h, Wh)
             a += gates[t]  # a lone row's (2, 1, 4H) slab broadcasts over its copies
@@ -412,12 +398,12 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True):
             np.divide(1.0, s, out=s)
             i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
             np.tanh(a[..., 2 * H : 3 * H], out=g)
-            c_new = np.multiply(f, c, out=None if Cs is None else Cs[t + 1])
+            c_new = f * c
             c_new += i * g
             tanh_c = np.tanh(c_new)
             if history:
                 steps[t] = (s, c, tanh_c)
-            h = np.multiply(tanh_c, o, out=None if Hs is None else Hs[t + 1])
+            h = np.multiply(tanh_c, o, out=None if packed else Hs[t + 1])
             c = c_new
         if packed:  # a row's last write is its final state
             h_final[:, slice(None) if rows is None else rows] = h[:, :n]
@@ -433,24 +419,19 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True):
 def _lstm_backward(cache, dh_final, Wx, Wh):
     """Backprop through both directions in one reversed loop; dh_final is (2, N, H).
 
-    Only the recurrence stays in the loop (Appleyard et al. 2016). A step
-    computes dc, the gate gradients dA and dh = dA @ Wh^T for the rows the
-    forward stepped, and writes its rows of dA, a lone row once, into one
-    packed (2, P, 4H) slab: the P positions the forward stepped, time-major,
-    rows in row order at each step (_stepped_positions), the order of a
-    packed forward's X_p and H_p. A row's gradient enters at its last step,
-    so a packed span's rows join only at its last step, and dh and dc are
-    gathered and scattered at span boundaries only.
+    The cache is a training forward's (_lstm_forward with history), which is
+    always packed: it holds positions, X_p and H_p. Only the recurrence stays
+    in the loop (Appleyard et al. 2016). A step computes dc, the gate
+    gradients dA and dh = dA @ Wh^T for the rows the forward stepped, and
+    writes its rows of dA, a lone row once, into one packed (2, P, 4H) slab,
+    in the order of X_p and H_p. A row's gradient enters at its last step,
+    and a packed span's rows join only at its last step, so dh and dc are
+    set, gathered and scattered at span boundaries only.
 
     After the loop, dX = dA @ Wx^T is one product over the P rows, which
     OpenBLAS splits among its threads by rows, so its bits do not depend on
-    the thread count, and db is one sum. dWx = X_p^T dA and dWh = H_p^T dA,
-    over the inputs and the hidden states before each stepped position, are
-    summed GRAD_BLOCK positions at a time, the blocks added in order. The
-    cache is one with history (_lstm_forward): a packed forward kept X_p and
-    H_p; for an unpacked one they are gathered here from X and Hs, over all
-    N x T positions. A row past its length, stepped in an unpacked batch,
-    has dA exactly 0, so it adds nothing.
+    the thread count, and db is one sum. dWx = X_p^T dA and dWh = H_p^T dA
+    are summed GRAD_BLOCK positions at a time, the blocks added in order.
 
     A row's dA inside its length is the one a masked loop computes; the
     products that follow it have other shapes and sum in another order. So
@@ -465,37 +446,30 @@ def _lstm_backward(cache, dh_final, Wx, Wh):
     Returns dX (2, P, E), the gradient of the embedded inputs at the stepped
     positions, their ids (2, P), and dWx, dWh and db."""
     lengths, steps, spans = cache["lengths"], cache["steps"], cache["spans"]
+    offsets = cache["positions"][2]
     N = len(lengths)
     H = Wh.shape[1]
-    packed = "positions" in cache
-    if packed:
-        rows_p, t_p, offsets = cache["positions"]
-    else:
-        rows_p, t_p, offsets = _stepped_positions(lengths, cache["X"].shape[2], every_row=True)
     WhT = Wh.transpose(0, 2, 1)
-    dA_p = np.empty((2, len(t_p), 4 * H))
+    dA_p = np.empty((2, offsets[-1], 4 * H))
     # the steps at which rows' gradients enter, and those rows
     ending = {L - 1: np.flatnonzero(lengths == L) for L in set(lengths.tolist()) - {0}}
-    # Going back in time rows only join; a row's dh is set as it joins, and its
-    # cell gradient is zero until then.
+    # Going back in time rows only join, each at its span's last step: a row's
+    # dh is set as it joins, and its cell gradient is zero until then.
     dh = np.zeros((2, N, H))
     dc = np.zeros((2, N, H))
     for start, stop, rows in reversed(spans):
-        whole = rows is None
-        if whole:
+        if rows is None:
             n, at = N, slice(None)
         elif rows.size == 0:
             continue
         else:
             n, at = rows.size, _stepped(rows)
-            if stop - 1 in ending:  # every row of a packed span is inside its length
-                dh[:, ending[stop - 1]] = dh_final[:, ending[stop - 1]]
+        if stop - 1 in ending:
+            dh[:, ending[stop - 1]] = dh_final[:, ending[stop - 1]]
         dh_s, dc_s = dh[:, at], dc[:, at]
         dS = np.empty_like(steps[stop - 1][0])
         dA = np.empty_like(dS)
         for t in range(stop - 1, start - 1, -1):
-            if whole and t in ending:
-                dh_s[:, ending[t]] = dh_final[:, ending[t]]
             s, c_prev, tanh_c = steps[t]
             i, f, g, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H : 3 * H], s[..., 3 * H :]
             dc_new = dc_s + dh_s * o * (1.0 - tanh_c**2)
@@ -514,19 +488,14 @@ def _lstm_backward(cache, dh_final, Wx, Wh):
         dc[:, at] = dc_s
     dX = np.matmul(dA_p, Wx.transpose(0, 2, 1))
     db = dA_p.sum(axis=1)
-    if packed:
-        ids_p, X_p, H_p = cache["ids_p"], cache["X_p"], cache["H_p"]
-    else:
-        ids_p = cache["ids"][:, rows_p, t_p]
-        X_p = cache["X"][:, rows_p, t_p]
-        H_p = cache["Hs"].transpose(1, 0, 2, 3)[:, t_p, rows_p]
+    X_p, H_p = cache["X_p"], cache["H_p"]
     dWx = np.zeros_like(Wx)
     dWh = np.zeros_like(Wh)
-    for k in range(0, len(t_p), GRAD_BLOCK):
+    for k in range(0, offsets[-1], GRAD_BLOCK):
         block = slice(k, k + GRAD_BLOCK)
         dWx += np.matmul(X_p[:, block].transpose(0, 2, 1), dA_p[:, block])
         dWh += np.matmul(H_p[:, block].transpose(0, 2, 1), dA_p[:, block])
-    return dX, ids_p, dWx, dWh, db
+    return dX, cache["ids_p"], dWx, dWh, db
 
 
 def _add_rows(index, values, n):
@@ -614,10 +583,9 @@ class Model:
         W, lstm = cache["W"], cache["lstm"]
         if "steps" not in lstm:
             # An inference forward kept no step history: recompute it, with the
-            # same weights, in the layout a training forward takes, so that
-            # backward adds its gradients as on a training cache. The forward
-            # is deterministic, so backward reads what a training forward
-            # would have kept, bit for bit.
+            # same weights, as a packed training forward, the one cache format
+            # backward reads. The forward is deterministic, so backward reads
+            # what a training forward would have kept, bit for bit.
             lstm = _lstm_forward(self.params["embedding"], lstm["ids"], lstm["lengths"],
                                  W["Wx"], W["Wh"], W["b"])
         dh = np.stack([denc[:, :H], denc[:, H:]])

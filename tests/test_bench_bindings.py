@@ -7,6 +7,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from conftest import TINY_CONFIG
+from dcom import infer
+from dcom.train import TrainingConfig, train_model
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 # Stale since batched prediction: dcom.infer calls make_batch through
@@ -14,10 +18,35 @@ SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 KNOWN_STALE = {"dcom.infer.make_batch", "dcom.cli.predict_kvote"}
 
 
-def test_only_the_known_stale_bindings_are_unresolved():
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_only_the_known_stale_bindings_are_unresolved():
+    spans = load_spans()
     unresolved = {f"{module}.{attr}" for module, attr, _ in spans.FUNCTION_BINDINGS
                   if not hasattr(importlib.import_module(module), attr)}
     assert unresolved == KNOWN_STALE
+
+
+def test_traced_run_counts_forwards(sanity_corpus):
+    """The tracer's hooks read what the package hands them: the forward
+    counter reads each inference batch's tok_mask, which only a traced bench
+    run calls otherwise. One epoch of each mode and one k-vote prediction."""
+    instances, split = sanity_corpus
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        for mode in ("single", "multi"):
+            config = TrainingConfig(mode=mode, epochs=1, r=8, **TINY_CONFIG)
+            bundle, _ = train_model(instances, split, config, seed=3)
+            infer.predict_kvote(bundle, instances[split.test[0]], k=3, seed=0)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["forward.rows"] > 0
+    assert 0 <= counts["forward.padded"] < counts["forward.positions"]
+    assert {"nn.forward.train", "nn.backward"} <= {span[0] for span in tracer.spans}

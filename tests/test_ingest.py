@@ -205,6 +205,10 @@ class TestMakeSplit:
                      ' "seed": 1, "ratios": [0.6, 0.2, 0.2]}', id="shared"),
         pytest.param('{"indices": {"train": [0, 1], "validation": [2], "test": [3, 3]},'
                      ' "seed": 1, "ratios": [0.6, 0.2, 0.2]}', id="repeated"),
+        pytest.param('{"indices": {"train": [], "validation": [], "test": []}, "seed": 1,'
+                     ' "ratios": [1], "stratified": "yes"}', id="stratified-not-bool"),
+        pytest.param('{"indices": {"train": [], "validation": [], "test": []}, "seed": 1,'
+                     ' "ratios": [1], "stratified": null}', id="stratified-null"),
         pytest.param("[" * 100_000, id="deep"),
         pytest.param(b'{"seed": 1, "\xff": 0}', id="not-utf8"),
     ])

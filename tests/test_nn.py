@@ -297,7 +297,8 @@ def assert_equals_oracle(config, batch, seed, train_mode, packed=False,
     oracle's largest entry: backward takes dX and the weight gradients out of
     the time loop, as products over every stepped position summed in blocks,
     so they add in another order than the oracle's per-step products. packed:
-    pack every padded batch, however small (a span cost of 0)."""
+    pack every padded inference batch, however small (a span cost of 0); a
+    training batch is packed either way."""
     model = seeded_model(config, seed, *sizes)
     oracle = OracleModel(config, params=model.params)
     runs = []
@@ -401,7 +402,8 @@ BENCH_WIDTH_CASES = {
     "multi one long row": lambda rng: ("multi", 176, 16,
                                        np.r_[16, rng.integers(1, 9, size=175)]),
     "multi equal lengths": lambda rng: ("multi", 176, 12, np.full(176, 12)),
-    # too little padding to pack: every row is stepped, past its length too
+    # too little padding to pack an inference forward: every row is stepped,
+    # past its length too
     "multi one vote": lambda rng: ("multi", 6, 3, _spread(rng, 6, 3)),
     "single few rows": lambda rng: ("single", 3, 30, [30, 28, 25]),
 }
@@ -468,8 +470,8 @@ class TestPackedMemory:
     def test_forward_holds_stepped_positions_only(self, train_mode):
         """A packed forward keeps the stepped positions only, not N x T: at the
         bench's single widths, 32 rows (one of length 96, 31 of length 1)
-        peak below one (T + 1, 2, N, H) float64 array, the size of each of the
-        padded state histories Hs and Cs."""
+        peak below one (T + 1, 2, N, H) float64 array, the size of a state
+        history over every padded position."""
         T, N = 96, 32
         config, batch = bench_width_case("single", N, T, np.r_[T, np.ones(N - 1, int)], seed=0)
         model = seeded_model(config, 0, *BENCH_SIZES)
@@ -541,8 +543,11 @@ class TestPaddingIsNeverRead:
                 probs, cache = model.forward(b, train_mode=train_mode, dropout_rng=rng)
                 dlogits = np.random.default_rng(seed).normal(size=probs.shape)
                 runs.append((probs, model.backward(cache, dlogits)))
-            # the batch is on the intended side of PACK_SPAN_COST
-            assert (cache["enc_cache"]["lstm"]["spans"][-1][2] is not None) == packed
+            lstm = cache["enc_cache"]["lstm"]
+            if train_mode:  # every training forward is packed
+                assert "positions" in lstm
+            else:  # the batch is on the intended side of PACK_SPAN_COST
+                assert (lstm["spans"][-1][2] is not None) == packed
             (probs, grads), (noisy_probs, noisy_grads) = runs
             np.testing.assert_array_equal(probs, noisy_probs)
             for name in grads:
@@ -550,7 +555,32 @@ class TestPaddingIsNeverRead:
 
 
 # What only backward reads: an inference forward keeps none of it.
-STEP_HISTORY = {"steps", "X", "X_p", "H_p", "Hs", "Cs"}
+STEP_HISTORY = {"steps", "X_p", "H_p"}
+
+
+class TestTrainingForwardIsPacked:
+    """Backward reads one cache format: a training forward is packed whatever
+    its padding, even none, or too little to pack an inference forward."""
+
+    @staticmethod
+    def assert_packed(config, batch, sizes):
+        model = seeded_model(config, 0, *sizes)
+        _, cache = model.forward(batch, train_mode=True, dropout_rng=np.random.default_rng(0))
+        lstm = cache["enc_cache"]["lstm"]
+        assert "positions" in lstm
+        assert not {"X", "Hs", "Cs"} & lstm.keys()
+
+    @pytest.mark.parametrize("name", ["single one row", "single equal lengths",
+                                      "multi one vote"])
+    def test_at_bench_widths(self, name):
+        config, batch = bench_width_case(*BENCH_WIDTH_CASES[name](np.random.default_rng(3)),
+                                         seed=3)
+        self.assert_packed(config, batch, BENCH_SIZES)
+
+    @pytest.mark.parametrize("lengths,T", PACKED_EDGE_CASES)
+    def test_on_packed_edge_cases(self, lengths, T):
+        config, batch = packed_edge_case(lengths, T, 4)
+        self.assert_packed(config, batch, (VOCAB_SIZE, N_CLASSES))
 
 
 class TestInferenceMemory:
@@ -646,18 +676,17 @@ def assert_recompute_exact(config, batch, seed, sizes=(VOCAB_SIZE, N_CLASSES), p
     """Backward on an inference forward's cache, which recomputes the step
     history, gives the bytes of backward on a training forward's cache, at
     dropout 0 so both forwards compute the same probabilities. packed: pack
-    every padded batch (a span cost of 0), as assert_equals_oracle does, in
-    the forwards and in backward, whose recompute takes the layout of a
-    training forward."""
+    every padded inference forward (a span cost of 0), as
+    assert_equals_oracle does."""
     model = seeded_model(dataclasses.replace(config, dropout=0.0), seed, *sizes)
     runs = []
     for train_mode in (False, True):
         with mock.patch.object(nn, "PACK_SPAN_COST", 0 if packed else nn.PACK_SPAN_COST):
             probs, cache = model.forward(batch, train_mode=train_mode)
-            # only a training forward keeps the step history, packed or not
-            assert bool(STEP_HISTORY & cache["enc_cache"]["lstm"].keys()) == train_mode
-            dlogits = np.random.default_rng(seed).normal(size=probs.shape)
-            runs.append((probs, model.backward(cache, dlogits)))
+        # only a training forward keeps the step history
+        assert bool(STEP_HISTORY & cache["enc_cache"]["lstm"].keys()) == train_mode
+        dlogits = np.random.default_rng(seed).normal(size=probs.shape)
+        runs.append((probs, model.backward(cache, dlogits)))
     (probs, grads), (train_probs, train_grads) = runs
     assert probs.tobytes() == train_probs.tobytes()
     assert grads.keys() == train_grads.keys()
