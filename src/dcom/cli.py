@@ -139,7 +139,7 @@ def _cmd_train(args):
                 fh = stack.enter_context(open(log_path, "w", encoding="utf-8", newline=""))
                 csv.writer(fh).writerow(["epoch", "train_loss", "val_accuracy", "val_f1",
                                          "learning_rate", "grad_norm_max", "truncated_frac",
-                                         "wall_time_s"])
+                                         "unk_frac", "wall_time_s"])
 
         def log(report):
             start_outputs()
@@ -147,7 +147,7 @@ def _cmd_train(args):
                                      f"{report.val_accuracy:.4f}", f"{report.val_f1:.4f}",
                                      f"{report.learning_rate:.2e}",
                                      f"{report.grad_norm_max:.4e}", f"{report.truncated_frac:.4f}",
-                                     f"{report.wall_time_s:.2f}"])
+                                     f"{report.unk_frac:.4e}", f"{report.wall_time_s:.2f}"])
             fh.flush()
             print(f"epoch {report.epoch}: loss {report.train_loss:.4f} "
                   f"val_f1 {report.val_f1:.4f} lr {report.learning_rate:.2e}")

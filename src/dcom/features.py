@@ -102,6 +102,9 @@ def extract_features(instances) -> np.ndarray:
     return out
 
 
+MOMENT_POWERS = np.array([[3.0], [4.0]])
+
+
 def _write_same_count(out, positions, columns, n):
     """Write the features of columns, each of n values, to out's rows at positions."""
     per_values = [list(map(_value_counts, values)) for values in columns]
@@ -118,8 +121,9 @@ def _write_same_count(out, positions, columns, n):
     live = [j for j, v in enumerate(m2) if v != 0.0]
     if live:
         lengths = centered[:, 4] if len(live) == len(m2) else centered[live, 4]
-        m3 = ((lengths**3).sum(axis=1) / n).tolist()
-        m4 = ((lengths**4).sum(axis=1) / n).tolist()
+        # the third and fourth powers in one (g, 2, n) array, each bit-equal
+        # to lengths**3 and lengths**4, summed along its contiguous last axis
+        m3, m4 = (np.power(lengths[:, None], MOMENT_POWERS).sum(axis=2) / n).T.tolist()
         for j, third, fourth in zip(live, m3, m4):
             # scalar powers: numpy's array power rounds some of them differently
             skew[j] = third / m2[j] ** 1.5

@@ -69,7 +69,9 @@ def _predict_columns(bundle: ModelBundle, instances, k, seeds, rows,
     samples = []
     for instance, seed in zip(instances, seeds):
         samples += augment.inference_inputs(instance, config, k, np.random.default_rng(seed))
-    feats = np.repeat(bundle.scaler.transform(extract_features(instances)), k, axis=0)
+    feats = bundle.scaler.transform(extract_features(instances))
+    if k > 1:  # each sample's row
+        feats = np.repeat(feats, k, axis=0)
     probs = forward_samples(model, samples, feats, bundle.vocab, rows, token_cache)
     voted = _group_vote(bundle.class_vocab, probs, k)
     latency_s = (time.perf_counter() - t0) / len(instances)

@@ -18,11 +18,16 @@ backward adds those slots' gradients into the row.
 
 The bidirectional LSTM steps both directions together in one time loop, as
 cuDNN's fused RNNs do (Appleyard et al. 2016): the forward ids and the
-length-reversed ids are embedded into one (2, N, T, E) array, and each
-direction's Wx, Wh and b are stacked on axis 0 per call, so a step is one
-batched matmul, one sigmoid over the (2, n, 4H) gate slab and one tanh over
-its g block. The saved parameters stay one set per direction
-(lstm_fw_*, lstm_bw_*).
+length-reversed ids are embedded into one (2, N, T, E) array, and the model
+holds each of Wx, Wh and b as one array stacked on axis 0, fw then bw, so a
+step is one batched matmul, one sigmoid over the (2, n, 4H) gate slab and one
+tanh over its g block. Like a fused RNN's weights, the stacks persist: they
+are built where parameters are made (init_params, load_bundle, train_model's
+copy of the best ones), never per forward. The named parameters stay one set
+per direction (lstm_fw_*, lstm_bw_*), each a view of its half of the stack
+(stack_lstm), so an in-place update of either, such as Adam's, is one of the
+stack, and a saved bundle is as it was. Backward's LSTM gradients come out
+in the same layout.
 
 Nothing in the network is masked: padding is stated once, by each row's
 length and by slots >= 0. As in cuDNN's variable-length RNNs, each row's
@@ -161,11 +166,33 @@ def init_params(config: TrainingConfig, vocab_size: int, n_classes: int, rng) ->
         if name.startswith("lstm_") and name.endswith("_b"):
             H = config.hidden_size
             params[name][H : 2 * H] = 1.0
+    stack_lstm(params)
     return params
 
 
 def zeros_like_params(params: dict) -> dict:
     return {k: np.zeros_like(v) for k, v in params.items()}
+
+
+LSTM_WEIGHTS = ("Wx", "Wh", "b")
+
+
+def stack_lstm(params: dict) -> tuple:
+    """The LSTM weights of params as the model holds them: one array for each
+    of Wx, Wh and b, stacked on axis 0, fw then bw. lstm_fw_* and lstm_bw_*
+    become views of the halves, so an in-place update of either is one of
+    the stack. A weight whose two entries are already the halves of one
+    array keeps it, so a view taken of an entry still reaches the stack;
+    any other is stacked anew, and its entries rebound."""
+    stacks = []
+    for k in LSTM_WEIGHTS:
+        fw, bw = params[f"lstm_fw_{k}"], params[f"lstm_bw_{k}"]
+        W = fw.base
+        if not (W is not None and bw.base is W and W.shape == (2, *fw.shape)):
+            W = np.stack([fw, bw])
+            params[f"lstm_fw_{k}"], params[f"lstm_bw_{k}"] = W
+        stacks.append(W)
+    return tuple(stacks)
 
 
 # Packing costs a fixed set of numpy calls per span, about what stepping this
@@ -552,48 +579,62 @@ def _slot_array(enc_rows, b, r, occ, B, R):
 
 
 def _reverse_within_length(ids, lengths):
-    """Per-row reversal of the first lengths[n] tokens; padding stays in place."""
+    """Per-row reversal of the first lengths[n] tokens; padding stays in place.
+    Where every row fills T, as every per-vote forward of a single column
+    does, that is one reversed view."""
+    if (lengths == ids.shape[1]).all():
+        return ids[:, ::-1]
     pos = np.arange(ids.shape[1])[None, :]
     rev = np.where(pos < lengths[:, None], lengths[:, None] - 1 - pos, pos)
     return np.take_along_axis(ids, rev, axis=1)
 
 
 class Model:
-    """Parameter container plus batched forward/backward for both wirings."""
+    """Parameter container plus batched forward/backward for both wirings.
+
+    The model holds the LSTM weights stacked (stack_lstm), Wx, Wh and b one
+    (2, ...) array each, and reads them so in every forward and backward.
+    params' lstm_fw_* and lstm_bw_* are views of their halves, built where
+    the parameters were made; where they are not, as in a dict built by
+    hand, the model stacks them once here and rebinds the entries. So an
+    in-place update of an entry (adam_step) reaches the model; an entry
+    rebound to another array while the model lives does not."""
 
     def __init__(self, config: TrainingConfig, params: dict):
         self.config = config
         self.params = params
+        self.lstm_weights = stack_lstm(params)  # (Wx, Wh, b)
 
     # -- text encoder (shared by both modes) --------------------------------
 
     def _encode(self, ids, mask, history):
         """The (N, 2H) encoding of each row and the cache backward reads; only
-        with history does the cache hold the step history (_lstm_forward)."""
-        p = self.params
+        with history does the cache hold the step history (_lstm_forward).
+        Both directions read the held weight stacks: nothing is stacked per
+        forward but the ids and their reversal."""
         lengths = mask.sum(axis=1).astype(np.int64)
         ids2 = np.stack([ids, _reverse_within_length(ids, lengths)])  # (2, N, T): fw, bw
-        W = {k: np.stack([p[f"lstm_fw_{k}"], p[f"lstm_bw_{k}"]]) for k in ("Wx", "Wh", "b")}
-        lstm = _lstm_forward(p["embedding"], ids2, lengths, W["Wx"], W["Wh"], W["b"], history)
+        lstm = _lstm_forward(self.params["embedding"], ids2, lengths, *self.lstm_weights, history)
         enc = np.concatenate(lstm["h_final"], axis=1)
-        return enc, {"W": W, "lstm": lstm}
+        return enc, lstm
 
-    def _encode_backward(self, cache, denc, grads):
+    def _encode_backward(self, lstm, denc, grads):
+        """Backward through the encoder: sets the LSTM gradients in grads,
+        views of the halves of stacked ones as the weights are, and adds the
+        embedding's."""
         H = self.config.hidden_size
-        W, lstm = cache["W"], cache["lstm"]
+        Wx, Wh, b = self.lstm_weights
         if "steps" not in lstm:
             # An inference forward kept no step history: recompute it, with the
             # same weights, as a packed training forward, the one cache format
             # backward reads. The forward is deterministic, so backward reads
             # what a training forward would have kept, bit for bit.
             lstm = _lstm_forward(self.params["embedding"], lstm["ids"], lstm["lengths"],
-                                 W["Wx"], W["Wh"], W["b"])
+                                 Wx, Wh, b)
         dh = np.stack([denc[:, :H], denc[:, H:]])
-        dX, ids, dWx, dWh, db = _lstm_backward(lstm, dh, W["Wx"], W["Wh"])
-        for j, d in enumerate(("fw", "bw")):
-            grads[f"lstm_{d}_Wx"] += dWx[j]
-            grads[f"lstm_{d}_Wh"] += dWh[j]
-            grads[f"lstm_{d}_b"] += db[j]
+        dX, ids, *dW = _lstm_backward(lstm, dh, Wx, Wh)
+        for k, dW_k in zip(LSTM_WEIGHTS, dW):
+            grads[f"lstm_fw_{k}"], grads[f"lstm_bw_{k}"] = dW_k
         # one scatter over the fw positions, then the bw ones
         grads["embedding"] += _add_rows(ids, dX, len(grads["embedding"]))
 
@@ -641,9 +682,7 @@ class Model:
         cache = {"feats": feats}
 
         if cfg.mode == "single":
-            enc, enc_cache = self._encode(batch["ids"], batch["tok_mask"], train_mode)
-            text = enc
-            cache["enc_cache"] = enc_cache
+            text, cache["lstm"] = self._encode(batch["ids"], batch["tok_mask"], train_mode)
         else:
             slots = np.asarray(batch["slots"])  # (B, R): row of each real slot, -1 if padded
             R = slots.shape[1]
@@ -661,11 +700,8 @@ class Model:
                 # numpy sends a one-row matmul to gemv, which rounds
                 # differently from the many-row kernel: encode the row twice
                 ids, tok_mask = np.repeat(ids, 2, 0), np.repeat(tok_mask, 2, 0)
-            enc_rows, enc_cache = self._encode(ids, tok_mask, train_mode)
-            cache.update(
-                enc_cache=enc_cache, enc_rows=enc_rows, b=b, r=r,
-                counts=counts, occ=occ, n_rows=len(ids),
-            )
+            enc_rows, cache["lstm"] = self._encode(ids, tok_mask, train_mode)
+            cache.update(enc_rows=enc_rows, b=b, r=r, counts=counts, occ=occ, n_rows=len(ids))
             text = self._aggregate(cache)
 
         pre_feat = feats @ p["feat_W"] + p["feat_b"]
@@ -724,11 +760,11 @@ class Model:
         grads["feat_b"] += dpre.sum(axis=0)
 
         if cfg.mode == "single":
-            self._encode_backward(cache["enc_cache"], dtext, grads)
+            self._encode_backward(cache["lstm"], dtext, grads)
             return grads
 
         # each encoded row collects the gradients of its occurrences
         denc_rows = _add_rows(cache["occ"], self._aggregate_backward(cache, dtext, grads),
                               cache["n_rows"])
-        self._encode_backward(cache["enc_cache"], denc_rows, grads)
+        self._encode_backward(cache["lstm"], denc_rows, grads)
         return grads

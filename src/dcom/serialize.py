@@ -28,7 +28,7 @@ import numpy as np
 from .core import ClassVocabulary, TrainingConfig, has_type
 from .errors import BundleError, DcomError
 from .features import FEATURE_NAMES, FeatureScaler
-from .nn import param_shapes
+from .nn import param_shapes, stack_lstm
 from .tokenizers import Vocabulary
 
 MAGIC = b"DCOM"
@@ -155,17 +155,18 @@ def _decode(payload: memoryview) -> ModelBundle:
         end = offset + 8 * math.prod(shape)
         if end > len(payload):
             raise BundleError(f"truncated parameter {name}")
-        # payload is a view of the file's bytes, so astype is the one copy,
-        # into an array of the parameter's own: views of one shared buffer
-        # made one-sample predictions some 5% slower
-        params[name] = (
-            np.frombuffer(payload[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
-        )
-        if not np.all(np.isfinite(params[name])):
+        # payload is a view of the file's bytes, so each parameter is copied
+        # once into an array of its own, the LSTM weights by stack_lstm into
+        # the model's layout: views of one shared buffer made one-sample
+        # predictions some 5% slower
+        value = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape)
+        if not np.all(np.isfinite(value)):
             raise BundleError(f"parameter {name} has a non-finite entry")
+        params[name] = value if name.startswith("lstm_") else value.astype(np.float64)
         offset = end
     if offset != len(payload):
         raise BundleError("trailing bytes after the last parameter")
+    stack_lstm(params)
     return ModelBundle(params=params, vocab=vocab, scaler=scaler, class_vocab=class_vocab,
                        training=training, metadata=header["metadata"])
 

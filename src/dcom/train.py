@@ -17,7 +17,7 @@ from . import augment, tokenizers
 from .core import ClassVocabulary, TrainingConfig, check_disjoint, check_indices
 from .errors import ConfigError, DiagnosticError
 from .features import FeatureScaler, extract_features
-from .nn import Model, init_params, zeros_like_params
+from .nn import Model, init_params, stack_lstm, zeros_like_params
 from .serialize import ModelBundle
 
 
@@ -175,7 +175,9 @@ class EpochReport:
     gradients show first there (Pascanu et al. 2013). truncated_frac is the
     share of the epoch's training rows that make_batch cut: single samples
     cut at max_len, or a multi batch's distinct slot texts cut at
-    max_len_per_slot. Both are 0 for an epoch of no steps."""
+    max_len_per_slot. unk_frac is the share of [UNK] ids among the tokens
+    of the epoch's training rows, as cut: a vocabulary that misses much of
+    the data shows there. All three are 0 for an epoch of no steps."""
 
     epoch: int
     train_loss: float
@@ -184,6 +186,7 @@ class EpochReport:
     learning_rate: float
     grad_norm_max: float
     truncated_frac: float
+    unk_frac: float
     wall_time_s: float
 
 
@@ -411,7 +414,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
         order = _epoch_rng(seed, epoch, 2).permutation(len(split.train))
         losses = []
         grad_norm_max = 0.0
-        n_rows = n_truncated = 0
+        n_rows = n_truncated = n_tokens = n_unk = 0
         for start in range(0, len(order), config.batch_size):
             rows = order[start : start + config.batch_size]
             chunk = [split.train[j] for j in rows]
@@ -419,6 +422,8 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
             batch = make_batch(samples, scaled[rows], config, vocab, token_cache)
             n_rows += len(batch["ids"])
             n_truncated += batch["truncated"]
+            n_tokens += np.count_nonzero(batch["tok_mask"])
+            n_unk += np.count_nonzero(batch["ids"] == tokenizers.UNK_ID)
             labels = np.asarray([class_vocab.id_of(instances[i].label) for i in chunk])
             loss, grad_norm = _train_step(model, batch, labels, class_weights, drop_rng, opt)
             losses.append(loss)
@@ -441,6 +446,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
             learning_rate=opt.learning_rate,
             grad_norm_max=grad_norm_max,
             truncated_frac=n_truncated / n_rows if n_rows else 0.0,
+            unk_frac=n_unk / n_tokens if n_tokens else 0.0,
             wall_time_s=time.perf_counter() - t0,
         )
         reports.append(report)
@@ -449,7 +455,9 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
         stale = 0 if val_f1 > best_f1 else stale + 1
         if val_f1 >= best_f1:  # among equal-F1 epochs keep the latest (lower train loss)
             best_f1, best_epoch = val_f1, epoch
+            # a deep copy keeps no views: restack its LSTM weights
             best_params = copy.deepcopy(model.params)
+            stack_lstm(best_params)
         if stale >= config.early_stop_patience:
             break
 

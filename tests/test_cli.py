@@ -761,7 +761,7 @@ def test_train_exits_cleanly_on_any_files(train_files, tmp_path_factory, data):
 LOG_PRECISION = {"train_loss": dict(abs=5.1e-7), "val_accuracy": dict(abs=5.1e-5),
                  "val_f1": dict(abs=5.1e-5), "learning_rate": dict(rel=5.1e-3),
                  "grad_norm_max": dict(rel=5.1e-5), "truncated_frac": dict(abs=5.1e-5),
-                 "wall_time_s": dict(abs=5.1e-3)}
+                 "unk_frac": dict(rel=5.1e-5), "wall_time_s": dict(abs=5.1e-3)}
 
 
 @given(mode=st.sampled_from(["single", "multi"]), epochs=st.integers(1, 3),

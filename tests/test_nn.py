@@ -16,7 +16,9 @@ from dcom import augment, nn, tokenizers
 from dcom.core import AGGREGATIONS, TrainingConfig
 from dcom.errors import ConfigError
 from dcom.nn import Model, init_params, text_dim, zeros_like_params
-from dcom.train import cross_entropy_batch, forward_samples
+from dcom.serialize import load_bundle, save_bundle
+from dcom.train import OptimizerState, adam_step, cross_entropy_batch, forward_samples, train_model
+from conftest import TINY_CONFIG
 from lstm_oracle import OracleModel
 
 TINY = dict(embedding_dim=4, hidden_size=3, feature_dim=4, dense_widths=(5,), dropout=0.0)
@@ -433,7 +435,7 @@ model = seeded_model(config, 0, *BENCH_SIZES)
 probs, cache = model.forward(batch, train_mode=True, dropout_rng=np.random.default_rng(0))
 grads = model.backward(cache, np.random.default_rng(1).normal(size=probs.shape))
 np.savez("grads.npz", **grads)
-packed = cache["enc_cache"]["lstm"]["spans"][-1][2] is not None
+packed = cache["lstm"]["spans"][-1][2] is not None
 print(json.dumps({"packed": packed, "positions": int(batch["tok_mask"].sum())}))
 """
 
@@ -482,7 +484,7 @@ class TestPackedMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cache["enc_cache"]["lstm"]["spans"][-1][2] is not None  # packed
+        assert cache["lstm"]["spans"][-1][2] is not None  # packed
         assert peak < (T + 1) * 2 * N * config.hidden_size * 8
 
 
@@ -543,7 +545,7 @@ class TestPaddingIsNeverRead:
                 probs, cache = model.forward(b, train_mode=train_mode, dropout_rng=rng)
                 dlogits = np.random.default_rng(seed).normal(size=probs.shape)
                 runs.append((probs, model.backward(cache, dlogits)))
-            lstm = cache["enc_cache"]["lstm"]
+            lstm = cache["lstm"]
             if train_mode:  # every training forward is packed
                 assert "positions" in lstm
             else:  # the batch is on the intended side of PACK_SPAN_COST
@@ -566,7 +568,7 @@ class TestTrainingForwardIsPacked:
     def assert_packed(config, batch, sizes):
         model = seeded_model(config, 0, *sizes)
         _, cache = model.forward(batch, train_mode=True, dropout_rng=np.random.default_rng(0))
-        lstm = cache["enc_cache"]["lstm"]
+        lstm = cache["lstm"]
         assert "positions" in lstm
         assert not {"X", "Hs", "Cs"} & lstm.keys()
 
@@ -603,7 +605,7 @@ class TestInferenceMemory:
             tracemalloc.stop()
         H = config.hidden_size
         assert peak < T * 2 * N * 4 * H * 8 + (T + 1) * 2 * N * H * 8
-        lstm = cache["enc_cache"]["lstm"]
+        lstm = cache["lstm"]
         assert "positions" in lstm and lstm["spans"] == [(0, T, None)]
         assert not STEP_HISTORY & lstm.keys()
 
@@ -666,7 +668,7 @@ class TestBlockedInferenceMemory:
         with mock.patch.object(nn, "INFER_BLOCK", budget or nn.INFER_BLOCK):
             peak = inference_peak(lambda: model.forward(batch))
             _, cache = model.forward(batch)
-        lstm = cache["enc_cache"]["lstm"]
+        lstm = cache["lstm"]
         assert "positions" in lstm
         assert (lstm["spans"] == [(0, 14, None)]) == (kind == "no padding")
         assert peak < self.bound(250, config.hidden_size)
@@ -684,7 +686,7 @@ def assert_recompute_exact(config, batch, seed, sizes=(VOCAB_SIZE, N_CLASSES), p
         with mock.patch.object(nn, "PACK_SPAN_COST", 0 if packed else nn.PACK_SPAN_COST):
             probs, cache = model.forward(batch, train_mode=train_mode)
         # only a training forward keeps the step history
-        assert bool(STEP_HISTORY & cache["enc_cache"]["lstm"].keys()) == train_mode
+        assert bool(STEP_HISTORY & cache["lstm"].keys()) == train_mode
         dlogits = np.random.default_rng(seed).normal(size=probs.shape)
         runs.append((probs, model.backward(cache, dlogits)))
     (probs, grads), (train_probs, train_grads) = runs
@@ -753,7 +755,7 @@ def assert_blocked_inference_exact(config, batch, seed, sizes=(VOCAB_SIZE, N_CLA
     # only an inference forward of more than one block cuts its steps
     assert len(blocks) <= 1
     if blocks and len(blocks[0]) > 2:
-        assert "positions" in cache["enc_cache"]["lstm"]  # packed
+        assert "positions" in cache["lstm"]  # packed
     return len(blocks[0]) - 1 if blocks else 1
 
 
@@ -944,3 +946,116 @@ class TestSlotHeadReference:
         assert grads.keys() == dense_grads.keys()
         for name in grads:
             assert grads[name].tobytes() == dense_grads[name].tobytes(), name
+
+
+def padded_reversal(ids, lengths):
+    """The reversal within each row's length for rows of any lengths: the
+    padded positions map to themselves."""
+    pos = np.arange(ids.shape[1])[None, :]
+    rev = np.where(pos < lengths[:, None], lengths[:, None] - 1 - pos, pos)
+    return np.take_along_axis(ids, rev, axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+def test_reverse_within_length_equals_padded_formula(N, T, full, seed):
+    rng = np.random.default_rng(seed)
+    lengths = np.full(N, T) if full else rng.integers(0, T + 1, size=N)
+    ids = rng.integers(0, VOCAB_SIZE, size=(N, T))
+    event("every row full" if (lengths == T).all() else "some row padded")
+    np.testing.assert_array_equal(nn._reverse_within_length(ids, lengths),
+                                  padded_reversal(ids, lengths))
+
+
+LSTM_NAMES = [f"lstm_{d}_{k}" for d in ("fw", "bw") for k in nn.LSTM_WEIGHTS]
+PARAM_SOURCES = ["init_params", "by hand", "best params", "loaded"]
+
+
+def made_params(source, corpus, tmp_path):
+    """(config, params) as one place that makes parameters gives them."""
+    if source in ("init_params", "by hand"):
+        config = tiny_config()
+        params = init_params(config, VOCAB_SIZE, N_CLASSES, np.random.default_rng(0))
+        if source == "by hand":  # separate arrays, as a test might build them
+            params = {name: value.copy() for name, value in params.items()}
+        return config, params
+    instances, split = corpus
+    config = TrainingConfig(mode="single", epochs=1, **TINY_CONFIG)
+    bundle, _ = train_model(instances, split, config, seed=3)
+    if source == "loaded":
+        save_bundle(bundle, tmp_path / "model.dcom")
+        bundle = load_bundle(tmp_path / "model.dcom")
+    return bundle.training, bundle.params
+
+
+def assert_halves(params, stacks):
+    """params' LSTM entries are views of the halves of the stacks, fw first."""
+    for k, W in zip(nn.LSTM_WEIGHTS, stacks):
+        fw, bw = params[f"lstm_fw_{k}"], params[f"lstm_bw_{k}"]
+        assert W.shape == (2, *fw.shape), k
+        for view, own, other in ((fw, W[0], W[1]), (bw, W[1], W[0])):
+            assert np.shares_memory(view, own) and not np.shares_memory(view, other), k
+            assert view.tobytes() == own.tobytes(), k
+
+
+class TestStackedLSTMWeights:
+    """The model holds each LSTM weight stacked over the two directions, and
+    the named parameters are views of its halves, wherever they were made."""
+
+    @pytest.mark.parametrize("source", PARAM_SOURCES)
+    def test_entries_are_views_of_the_model_stacks(self, source, sanity_corpus, tmp_path):
+        config, params = made_params(source, sanity_corpus, tmp_path)
+        values = {name: params[name].copy() for name in LSTM_NAMES}
+        before = {name: params[name] for name in LSTM_NAMES}
+        model = Model(config, params)
+        assert_halves(params, model.lstm_weights)
+        for name in LSTM_NAMES:
+            np.testing.assert_array_equal(params[name], values[name])
+            # the layout is built where the parameters are made; only a dict
+            # built by hand is restacked, by the first Model
+            assert (params[name] is before[name]) == (source != "by hand"), name
+        again = Model(config, params)
+        assert all(a is b for a, b in zip(again.lstm_weights, model.lstm_weights))
+
+    @pytest.mark.parametrize("source", PARAM_SOURCES)
+    def test_adam_step_updates_views_and_stacks_alike(self, source, sanity_corpus, tmp_path):
+        config, params = made_params(source, sanity_corpus, tmp_path)
+        model = Model(config, params)
+        stacks = [W.copy() for W in model.lstm_weights]
+        plain = {name: value.copy() for name, value in params.items()}  # no views
+        rng = np.random.default_rng(4)
+        grads = {name: rng.normal(size=value.shape) for name, value in params.items()}
+        adam_step(params, grads, OptimizerState(learning_rate=0.1))
+        adam_step(plain, grads, OptimizerState(learning_rate=0.1))
+        for name in params:
+            assert params[name].tobytes() == plain[name].tobytes(), name
+        for k, W, old in zip(nn.LSTM_WEIGHTS, model.lstm_weights, stacks):
+            assert not np.array_equal(W, old), k
+            assert W.tobytes() == np.stack([plain[f"lstm_fw_{k}"],
+                                            plain[f"lstm_bw_{k}"]]).tobytes(), k
+        assert_halves(params, model.lstm_weights)
+
+    @pytest.mark.parametrize("source", PARAM_SOURCES)
+    def test_perturbation_through_a_view_reaches_the_forward(self, source, sanity_corpus,
+                                                             tmp_path):
+        """numeric_gradients' pattern: a flat view of an entry, taken before
+        the first Model where the parameters were made with the layout, and
+        after it for a dict built by hand, moves the forward of a Model built
+        before and of one built after."""
+        config, params = made_params(source, sanity_corpus, tmp_path)
+        if source == "by hand":  # the first Model rebinds the entries
+            held = Model(config, params)
+        flats = {name: params[name].ravel() for name in LSTM_NAMES}
+        if source != "by hand":
+            held = Model(config, params)
+        batch = random_batch(config, np.random.default_rng(5), lengths=[3, 5])
+        base = held.forward(batch)[0]
+        for name, flat in flats.items():
+            orig = flat[1]
+            flat[1] = orig + 0.5
+            by_value = {n: np.array(v) for n, v in params.items()}  # a fresh copy
+            expected = Model(config, by_value).forward(batch)[0]
+            assert not np.array_equal(expected, base), name
+            for model in (held, Model(config, params)):
+                assert model.forward(batch)[0].tobytes() == expected.tobytes(), name
+            flat[1] = orig

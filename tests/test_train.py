@@ -37,7 +37,7 @@ from dcom.train import (
     support_weighted_f1,
     train_model,
 )
-from dcom.train import _multi_rows
+from dcom.train import _multi_rows, _train_step
 from conftest import TINY_CONFIG
 from test_nn import one_row_per_occurrence
 
@@ -839,6 +839,32 @@ class TestTrainModel:
             assert r.learning_rate > 0.0
             assert r.grad_norm_max > 0.0
             assert 0.0 <= r.truncated_frac <= 1.0
+            assert 0.0 <= r.unk_frac <= 1.0
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    @pytest.mark.parametrize("tokenizer, budget", [("word", 20), ("char", 300)])
+    def test_unk_frac(self, sanity_corpus, mode, tokenizer, budget):
+        # the share of [UNK] among the tokens of the epoch's training rows:
+        # a word vocabulary of 17 learned words misses most of the words,
+        # a char one holds every character of the training values
+        instances, split = sanity_corpus
+        config = TrainingConfig(mode=mode, epochs=2, r=8, tokenizer=tokenizer,
+                                **{**TINY_CONFIG, "vocab_budget": budget})
+        batches = []
+
+        def spy(model, batch, *args):
+            batches.append(batch)
+            return _train_step(model, batch, *args)
+
+        with mock.patch("dcom.train._train_step", spy):
+            _, reports = train_model(instances, split, config, seed=5)
+        per_epoch = len(batches) // len(reports)
+        for i, report in enumerate(reports):
+            epoch = batches[i * per_epoch : (i + 1) * per_epoch]
+            unk = sum(int((b["ids"][b["tok_mask"] == 1] == tk.UNK_ID).sum()) for b in epoch)
+            tokens = sum(int(b["tok_mask"].sum()) for b in epoch)
+            assert report.unk_frac == unk / tokens
+            assert (report.unk_frac > 0.0) == (tokenizer == "word")
 
     @pytest.mark.parametrize("mode", ["single", "multi"])
     def test_truncated_frac(self, sanity_corpus, mode):
