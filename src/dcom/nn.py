@@ -9,12 +9,12 @@ Two wirings over shared building blocks:
       non-padded slots (mean/sum/concatenation/weighted_sum), then the same
       tail as single.
 
-A single batch holds ids and tok_mask (B, T) and feats (B, F).  A multi batch
-holds each distinct slot text once: ids and tok_mask are (U, T), one row per
-distinct text, and slots (B, R) gives each real slot its row, -1 for a padded
-slot.  An encoded text does not depend on its slot, so inference and training
-encode each row once and gather the result into every slot that holds it;
-backward adds those slots' gradients into the row.
+A single batch holds ids (B, T), lengths (B,) and feats (B, F).  A multi
+batch holds each distinct slot text once: ids (U, T) and lengths (U,), one row
+per distinct text, and slots (B, R) gives each real slot its row, -1 for a
+padded slot.  An encoded text does not depend on its slot, so inference and
+training encode each row once and gather the result into every slot that
+holds it; backward adds those slots' gradients into the row.
 
 The bidirectional LSTM steps both directions together in one time loop, as
 cuDNN's fused RNNs do (Appleyard et al. 2016): the forward ids and the
@@ -607,12 +607,11 @@ class Model:
 
     # -- text encoder (shared by both modes) --------------------------------
 
-    def _encode(self, ids, mask, history):
-        """The (N, 2H) encoding of each row and the cache backward reads; only
-        with history does the cache hold the step history (_lstm_forward).
-        Both directions read the held weight stacks: nothing is stacked per
-        forward but the ids and their reversal."""
-        lengths = mask.sum(axis=1).astype(np.int64)
+    def _encode(self, ids, lengths, history):
+        """The (N, 2H) encoding of each row, its first lengths[n] ids, and the
+        cache backward reads; only with history does the cache hold the step
+        history (_lstm_forward). Both directions read the held weight stacks:
+        nothing is stacked per forward but the ids and their reversal."""
         ids2 = np.stack([ids, _reverse_within_length(ids, lengths)])  # (2, N, T): fw, bw
         lstm = _lstm_forward(self.params["embedding"], ids2, lengths, *self.lstm_weights, history)
         enc = np.concatenate(lstm["h_final"], axis=1)
@@ -682,7 +681,7 @@ class Model:
         cache = {"feats": feats}
 
         if cfg.mode == "single":
-            text, cache["lstm"] = self._encode(batch["ids"], batch["tok_mask"], train_mode)
+            text, cache["lstm"] = self._encode(batch["ids"], batch["lengths"], train_mode)
         else:
             slots = np.asarray(batch["slots"])  # (B, R): row of each real slot, -1 if padded
             R = slots.shape[1]
@@ -695,12 +694,12 @@ class Model:
             b, r = np.nonzero(real)  # the real slots, in (b, r) order
             occ = slots[b, r]  # the row of each real slot
             # an encoded text does not depend on its slot: encode each row once
-            ids, tok_mask = batch["ids"], batch["tok_mask"]
+            ids, lengths = batch["ids"], batch["lengths"]
             if len(ids) == 1 < len(occ):
                 # numpy sends a one-row matmul to gemv, which rounds
                 # differently from the many-row kernel: encode the row twice
-                ids, tok_mask = np.repeat(ids, 2, 0), np.repeat(tok_mask, 2, 0)
-            enc_rows, cache["lstm"] = self._encode(ids, tok_mask, train_mode)
+                ids, lengths = np.repeat(ids, 2, 0), np.repeat(lengths, 2)
+            enc_rows, cache["lstm"] = self._encode(ids, lengths, train_mode)
             cache.update(enc_rows=enc_rows, b=b, r=r, counts=counts, occ=occ, n_rows=len(ids))
             text = self._aggregate(cache)
 

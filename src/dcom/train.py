@@ -268,18 +268,19 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
     """Tokenize a list of augment samples into one model batch dict.
 
     A row is its values' ids joined by SEP_ID and cut: a single sample's at
-    max_len, one multi slot text's at max_len_per_slot.  Single ids and
-    tok_mask are (B, T), one row per sample.  Multi ones are (U, T), one row
-    per distinct real slot text in first-seen order, and slots (B, R) gives
-    each real slot its row, -1 for a padded slot, found with no Python step
-    per slot (_multi_rows).  A multi sample's r must be config.r and its
-    indices must lie in its column (ConfigError).  T is the longest row, at
-    least 1.  truncated counts the rows that were cut.  SEP_ID enters a row
-    only between two values; a "<SEP>" inside a value is text.  token_cache
-    maps a value to its uncut ids (tokenizers.encode_value), so each value is
-    tokenized once per cache; the caller scopes it to one train_model or
-    _predict_columns call.  feats is an array of the samples' feature rows,
-    or a list of them.
+    max_len, one multi slot text's at max_len_per_slot.  Single ids (B, T)
+    and lengths (B,) hold one row per sample, PAD_ID past its length.  Multi
+    ones are (U, T) and (U,), one row per distinct real slot text in
+    first-seen order, and slots (B, R) gives each real slot its row, -1 for a
+    padded slot, found with no Python step per slot (_multi_rows).  tok_mask,
+    arange(T) < lengths, is kept only for the bench's forward counter.  A
+    multi sample's r must be config.r and its indices must lie in its column
+    (ConfigError).  T is the longest row, at least 1.  truncated counts the
+    rows that were cut.  SEP_ID enters a row only between two values; a
+    "<SEP>" inside a value is text.  token_cache maps a value to its uncut ids
+    (tokenizers.encode_value), so each value is tokenized once per cache; the
+    caller scopes it to one train_model or _predict_columns call.  feats is
+    an array of the samples' feature rows, or a list of them.
     """
     if config.mode == "single":
         rows, truncated = _token_rows([s.values for s in samples], config.max_len, vocab,
@@ -288,11 +289,11 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
     else:
         rows, truncated, slots = _multi_rows(samples, config, vocab, token_cache)
         batch = {"slots": slots}
-    lengths = np.array([len(row) for row in rows])
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
     tok_mask = np.arange(max(1, lengths.max())) < lengths[:, None]
     ids = np.full(tok_mask.shape, tokenizers.PAD_ID, dtype=np.int64)
     ids[tok_mask] = np.fromiter(itertools.chain.from_iterable(rows), np.int64, lengths.sum())
-    batch.update(ids=ids, tok_mask=tok_mask.astype(np.int64),
+    batch.update(ids=ids, lengths=lengths, tok_mask=tok_mask,
                  feats=np.asarray(feats, dtype=np.float64), truncated=truncated)
     return batch
 
@@ -422,7 +423,7 @@ def train_model(instances, split, config: TrainingConfig, seed=0, log_callback=N
             batch = make_batch(samples, scaled[rows], config, vocab, token_cache)
             n_rows += len(batch["ids"])
             n_truncated += batch["truncated"]
-            n_tokens += np.count_nonzero(batch["tok_mask"])
+            n_tokens += int(batch["lengths"].sum())
             n_unk += np.count_nonzero(batch["ids"] == tokenizers.UNK_ID)
             labels = np.asarray([class_vocab.id_of(instances[i].label) for i in chunk])
             loss, grad_norm = _train_step(model, batch, labels, class_weights, drop_rng, opt)

@@ -8,16 +8,24 @@ run's ratio of the k=10 sum to the k=1 sum, then their median and minimum.
 A change that moves per-vote or per-column cost reports the ratio this way;
 the criterion's test and its bound, [5, 20], are not touched.
 
+With `--bundle PATH` the bundle is loaded from PATH if that file exists, and
+otherwise trained and saved there. A seeded bundle does not depend on the
+code that trained it as long as training's bits do not change, so a protocol
+of many invocations per side can train it once.
+
     PYTHONPATH=src python tests/kvote_ratio.py --runs 10
+    PYTHONPATH=src python tests/kvote_ratio.py --runs 3 --bundle crit7.bundle
 
 Pytest does not collect this file.
 """
 
 import argparse
+import os
 import statistics
 
 from dcom import ingest
 from dcom.infer import evaluate
+from dcom.serialize import load_bundle, save_bundle
 from dcom.train import train_model
 from test_acceptance import SINGLE_CONFIG
 
@@ -38,12 +46,19 @@ def ratio_once(bundle, instances, test):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10, help="passes of the loop (default 10)")
+    parser.add_argument("--bundle", help="load the bundle from this file, or train it and "
+                                         "save it here if the file does not exist")
     args = parser.parse_args()
     # the acceptance suite's benchmark_corpus and trained_single fixtures
     instances = ingest.generate_synthetic_corpus(ingest.DEFAULT_CLASS_SPEC, 200, seed=11)
     split = ingest.make_split(len(instances), seed=7,
                               stratify_labels=[i.label for i in instances])
-    bundle, _ = train_model(instances, split, SINGLE_CONFIG, seed=3)
+    if args.bundle and os.path.exists(args.bundle):
+        bundle = load_bundle(args.bundle)
+    else:
+        bundle, _ = train_model(instances, split, SINGLE_CONFIG, seed=3)
+        if args.bundle:
+            save_bundle(bundle, args.bundle)
     ratios = []
     for run in range(1, args.runs + 1):
         ratios.append(ratio_once(bundle, instances, list(split.test)))

@@ -99,9 +99,10 @@ def lstm_backward(cache, dh_final, X, mask, Wx, Wh):
 class OracleModel(Model):
     """dcom.nn.Model whose text encoder runs one LSTM loop per direction."""
 
-    def _encode(self, ids, mask, history):
+    def _encode(self, ids, lengths, history):
         # history: this encoder always keeps what its backward reads
         p = self.params
+        mask = np.arange(ids.shape[1]) < lengths[:, None]
         maskf = mask.astype(np.float64)
         X_fw = p["embedding"][ids] * maskf[..., None]
         fw = lstm_forward(X_fw, maskf, p["lstm_fw_Wx"], p["lstm_fw_Wh"], p["lstm_fw_b"])

@@ -140,9 +140,7 @@ def test_criterion_3_gradient_check():
             rng = np.random.default_rng(seed)
             model = Model(config, init_params(config, 12, 3, np.random.default_rng(seed)))
             ids = rng.integers(3, 12, size=(2, 5))
-            mask = np.ones((2, 5), dtype=np.int64)
-            mask[0, 3:] = 0
-            batch = {"ids": ids, "tok_mask": mask, "feats": rng.normal(size=(2, 19))}
+            batch = {"ids": ids, "lengths": np.array([3, 5]), "feats": rng.normal(size=(2, 19))}
             labels = rng.integers(0, 3, size=2)
             probs, cache = model.forward(batch)
             _, dlogits = cross_entropy_batch(probs, labels)

@@ -34,7 +34,8 @@ def test_only_the_known_stale_bindings_are_unresolved():
 
 def test_traced_run_counts_forwards(sanity_corpus):
     """The tracer's hooks read what the package hands them: the forward
-    counter reads each inference batch's tok_mask, which only a traced bench
+    counter reads each inference batch's tok_mask, which make_batch keeps
+    for it alone (the model reads lengths), and which only a traced bench
     run calls otherwise. One epoch of each mode and one k-vote prediction."""
     instances, split = sanity_corpus
     tracer = load_spans().Tracer()

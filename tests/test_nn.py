@@ -35,13 +35,14 @@ def seeded_model(config, seed, vocab_size=VOCAB_SIZE, n_classes=N_CLASSES):
     return Model(config, init_params(config, vocab_size, n_classes, np.random.default_rng(seed)))
 
 
-def per_occurrence(ids, tok_mask, slot_mask):
-    """A multi batch from per-slot (B, R, T) arrays and a (B, R) slot mask: one
-    row per real slot, in (b, r) order, and -1 for each padded slot."""
+def per_occurrence(ids, mask, slot_mask):
+    """A multi batch from per-slot (B, R, T) ids and token mask and a (B, R)
+    slot mask: one row per real slot, in (b, r) order, of its mask's length,
+    and -1 for each padded slot."""
     slot_mask = np.asarray(slot_mask, dtype=bool)
     slots = np.full(slot_mask.shape, -1, dtype=np.int64)
     slots[slot_mask] = np.arange(slot_mask.sum())
-    return {"ids": ids[slot_mask], "tok_mask": tok_mask[slot_mask], "slots": slots}
+    return {"ids": ids[slot_mask], "lengths": mask[slot_mask].sum(axis=-1), "slots": slots}
 
 
 def one_row_per_occurrence(batch):
@@ -51,7 +52,7 @@ def one_row_per_occurrence(batch):
     occ = slots[real]
     expanded = np.full_like(slots, -1)
     expanded[real] = np.arange(len(occ))
-    return {**batch, "ids": batch["ids"][occ], "tok_mask": batch["tok_mask"][occ],
+    return {**batch, "ids": batch["ids"][occ], "lengths": batch["lengths"][occ],
             "slots": expanded}
 
 
@@ -63,7 +64,7 @@ def random_batch(config, rng, B=2, T=5, lengths=None):
             for i, L in enumerate(lengths):
                 mask[i, L:] = 0
                 ids[i, L:] = 0
-        batch = {"ids": ids, "tok_mask": mask}
+        batch = {"ids": ids, "lengths": mask.sum(axis=1)}
     else:
         ids = rng.integers(3, VOCAB_SIZE, size=(B, config.r, T))
         mask = np.ones((B, config.r, T), dtype=np.int64)
@@ -280,7 +281,7 @@ def encoder_cases(draw):
     ids = rng.integers(3, sizes[0], size=(rows, T)) * mask
     batch = {"feats": rng.normal(size=(B, N_FEATURES))}
     if mode == "single":
-        batch.update(ids=ids, tok_mask=mask)
+        batch.update(ids=ids, lengths=lengths)
     else:
         slot_mask = rng.random((B, config.r)) < 0.6
         slot_mask[np.arange(B), rng.integers(0, config.r, size=B)] = True
@@ -338,7 +339,7 @@ def packed_edge_case(lengths, T, width):
     lengths = np.asarray(lengths)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.int64)
     batch = {"ids": rng.integers(3, VOCAB_SIZE, size=mask.shape) * mask,
-             "tok_mask": mask, "feats": rng.normal(size=(len(lengths), 19))}
+             "lengths": lengths, "feats": rng.normal(size=(len(lengths), 19))}
     return config, batch
 
 
@@ -378,12 +379,12 @@ def bench_width_case(mode, rows, T, lengths, seed):
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.int64)
     ids = rng.integers(3, BENCH_SIZES[0], size=(rows, T)) * mask
     if mode == "single":
-        return config, {"ids": ids, "tok_mask": mask, "feats": rng.normal(size=(rows, 19))}
+        return config, {"ids": ids, "lengths": lengths, "feats": rng.normal(size=(rows, 19))}
     B = min(32, rows)
     slots = np.full((B, config.r), -1, dtype=np.int64)
     for b, own in enumerate(np.array_split(np.arange(rows), B)):
         slots[b, : len(own)] = own
-    return config, {"ids": ids, "tok_mask": mask, "slots": slots,
+    return config, {"ids": ids, "lengths": lengths, "slots": slots,
                     "feats": rng.normal(size=(B, 19))}
 
 
@@ -436,7 +437,7 @@ probs, cache = model.forward(batch, train_mode=True, dropout_rng=np.random.defau
 grads = model.backward(cache, np.random.default_rng(1).normal(size=probs.shape))
 np.savez("grads.npz", **grads)
 packed = cache["lstm"]["spans"][-1][2] is not None
-print(json.dumps({"packed": packed, "positions": int(batch["tok_mask"].sum())}))
+print(json.dumps({"packed": packed, "positions": int(batch["lengths"].sum())}))
 """
 
 
@@ -511,7 +512,7 @@ def padded_cases(draw):
         rows, T = draw(st.integers(1, 5)), draw(st.integers(1, 6))
         lengths = rng.integers(0, T + 1, size=rows)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.int64)
-    batch = {"ids": rng.integers(3, VOCAB_SIZE, size=(rows, T)) * mask, "tok_mask": mask}
+    batch = {"ids": rng.integers(3, VOCAB_SIZE, size=(rows, T)) * mask, "lengths": lengths}
     B = rows
     if mode == "multi":
         B = draw(st.integers(1, rows))
@@ -532,7 +533,7 @@ class TestPaddingIsNeverRead:
         rng, and gradients do not change when the padded positions hold any
         vocabulary ids instead of [PAD]."""
         config, batch, packed, seed = case
-        pad = batch["tok_mask"] == 0
+        pad = np.arange(batch["ids"].shape[1]) >= batch["lengths"][:, None]
         garbage = data.draw(st.lists(st.integers(0, VOCAB_SIZE - 1), min_size=int(pad.sum()),
                                      max_size=int(pad.sum())))
         noisy = {**batch, "ids": batch["ids"].copy()}
@@ -797,8 +798,8 @@ class TestBlockedInference:
         with mock.patch.object(nn, "INFER_BLOCK", budget or nn.INFER_BLOCK):
             n_blocks = assert_blocked_inference_exact(config, batch, 2, BENCH_SIZES)
         if budget is not None:
-            assert n_blocks > 1 or batch["tok_mask"].sum() <= budget
-        elif batch["tok_mask"].sum() <= nn.INFER_BLOCK:
+            assert n_blocks > 1 or batch["lengths"].sum() <= budget
+        elif batch["lengths"].sum() <= nn.INFER_BLOCK:
             assert n_blocks == 1
 
 
@@ -919,7 +920,7 @@ def slot_head_cases(draw):
     T = draw(st.integers(1, 5))
     lengths = rng.integers(1, T + 1, size=U)
     mask = (np.arange(T) < lengths[:, None]).astype(np.int64)
-    batch = {"ids": rng.integers(3, VOCAB_SIZE, size=(U, T)) * mask, "tok_mask": mask,
+    batch = {"ids": rng.integers(3, VOCAB_SIZE, size=(U, T)) * mask, "lengths": lengths,
              "slots": slots, "feats": rng.normal(size=(B, N_FEATURES))}
     return config, batch, int(rng.integers(0, 2**32 - 1))
 

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import dcom
@@ -342,8 +342,8 @@ def full_width_batch(samples, feats, config, vocab):
 
 
 def per_slot_multi_batch(samples, config, vocab):
-    """make_batch's multi ids, tok_mask, slots and truncated built one slot at
-    a time over each sample's r padded texts and its pad_mask."""
+    """make_batch's multi ids, lengths, tok_mask, slots and truncated built one
+    slot at a time over each sample's r padded texts and its pad_mask."""
     row_of = {}
     slots = [[row_of.setdefault(t, len(row_of)) if real else -1
               for t, real in zip(s.texts, s.pad_mask)] for s in samples]
@@ -352,8 +352,9 @@ def per_slot_multi_batch(samples, config, vocab):
     T = max([1] + [len(ids) for ids in cut])
     return {
         "ids": np.array([ids + [tk.PAD_ID] * (T - len(ids)) for ids in cut], dtype=np.int64),
+        "lengths": np.array([len(ids) for ids in cut], dtype=np.int64),
         "tok_mask": np.array([[1] * len(ids) + [0] * (T - len(ids)) for ids in cut],
-                             dtype=np.int64),
+                             dtype=bool),
         "slots": np.array(slots, dtype=np.int64),
         "truncated": sum(len(ids) > config.max_len_per_slot for ids in whole),
     }
@@ -390,6 +391,10 @@ class TestMakeBatch:
            kind=st.sampled_from(TOKENIZER_KINDS), r=st.integers(1, 6),
            multi_mode=st.sampled_from(["pad", "with_replacement"]),
            max_len=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    @example(cols=[["", ""], ["ab ba 1:1", "a"]], mode="single", kind="char", r=1,
+             multi_mode="pad", max_len=3, seed=0)
+    @example(cols=[["", "ab ba 1:1", "a"]], mode="multi", kind="char", r=3,
+             multi_mode="pad", max_len=3, seed=0)
     @settings(max_examples=300, deadline=None)
     def test_trimmed_prefix_of_full_width(self, cols, mode, kind, r, multi_mode, max_len, seed):
         config = TrainingConfig(mode=mode, r=r, multi_mode=multi_mode, max_len=max_len,
@@ -411,13 +416,24 @@ class TestMakeBatch:
                 (t,) for s in samples for t, real in zip(s.texts, s.pad_mask) if real)))
             whole = [len(reference_ids(VOCABS[kind], values)) for values in rows]
             assert batch["truncated"] == sum(n > cut for n in whole)
+            # lengths holds each row's id count after the cut, 0 for an empty
+            # value's row; T, the token mask and the padding follow from it
+            event(f"{mode}: a row of length 0" if 0 in whole else f"{mode}: no empty row")
+            event(f"{mode}: a row cut" if max(whole) > cut else f"{mode}: no row cut")
+            lengths = batch["lengths"]
+            assert lengths.dtype == np.int64 and lengths.shape == (len(rows),)
+            np.testing.assert_array_equal(lengths, np.minimum(whole, cut))
+            assert T == max(1, lengths.max())
+            inside = np.arange(T) < lengths[:, None]
+            np.testing.assert_array_equal(batch["tok_mask"], inside, strict=True)
+            np.testing.assert_array_equal(batch["ids"] == tk.PAD_ID, ~inside)
             if mode == "single":
-                assert sorted(batch) == sorted([*full, "truncated"])
+                assert sorted(batch) == sorted([*full, "lengths", "truncated"])
                 assert batch["ids"].shape == full["ids"].shape[:-1] + (T,)
                 np.testing.assert_array_equal(batch["ids"], full["ids"][..., :T])
                 np.testing.assert_array_equal(batch["tok_mask"], full["tok_mask"][..., :T])
                 continue
-            assert sorted(batch) == ["feats", "ids", "slots", "tok_mask", "truncated"]
+            assert sorted(batch) == ["feats", "ids", "lengths", "slots", "tok_mask", "truncated"]
             slots, real = batch["slots"], full["slot_mask"]
             assert slots.shape == real.shape
             np.testing.assert_array_equal(slots < 0, ~real)
@@ -445,7 +461,7 @@ class TestMakeBatch:
         feats = [np.zeros(19) for _ in samples]
         batch = make_batch(samples, feats, config, VOCABS[kind], {})
         want = per_slot_multi_batch(samples, config, VOCABS[kind])
-        for key in ("ids", "tok_mask", "slots"):
+        for key in ("ids", "lengths", "tok_mask", "slots"):
             np.testing.assert_array_equal(batch[key], want[key], strict=True)
         assert batch["truncated"] == want["truncated"]
 
@@ -486,7 +502,7 @@ class TestMakeBatch:
                    for start in range(0, len(samples), rows)]
         for batch, part in chunks:
             want = per_slot_multi_batch(part, config, VOCABS[kind])
-            for key in ("ids", "tok_mask", "slots"):
+            for key in ("ids", "lengths", "tok_mask", "slots"):
                 np.testing.assert_array_equal(batch[key], want[key], strict=True)
             assert batch["truncated"] == want["truncated"]
             assert batch["feats"].dtype == np.float64
@@ -516,7 +532,7 @@ class TestMakeBatch:
         CountingValues.reads = 0
         batch = make_batch(samples, np.zeros((20, 19)), config, VOCABS["wordpiece"], {})
         assert CountingValues.reads <= 10 * 45
-        for key in ("ids", "tok_mask", "slots"):
+        for key in ("ids", "lengths", "tok_mask", "slots"):
             np.testing.assert_array_equal(batch[key], want[key], strict=True)
         assert batch["truncated"] == want["truncated"]
 
@@ -551,7 +567,7 @@ class TestMakeBatch:
         boundaries = np.cumsum([len(ids) + 1 for ids in value_ids])[:-1] - 1
         batch = make_batch([augment.SingleSequenceSample(tuple(values))], [np.zeros(19)],
                            TrainingConfig(max_len=max_len), vocab, {})
-        row = batch["ids"][0][: batch["tok_mask"][0].sum()]
+        row = batch["ids"][0][: batch["lengths"][0]]
         np.testing.assert_array_equal(np.flatnonzero(row == tk.SEP_ID),
                                       boundaries[boundaries < max_len])
 
@@ -592,9 +608,7 @@ class TestMakeBatch:
         feats = [np.random.default_rng(seed).normal(size=19) for _ in samples]
         batch = make_batch(samples, feats, config, vocab, {})
         pad = 16 - batch["ids"].shape[-1]
-        widened = {**batch,
-                   "ids": np.pad(batch["ids"], ((0, 0), (0, pad))),
-                   "tok_mask": np.pad(batch["tok_mask"], ((0, 0), (0, pad)))}
+        widened = {**batch, "ids": np.pad(batch["ids"], ((0, 0), (0, pad)))}
         trimmed_probs, _ = model.forward(batch)
         widened_probs, _ = model.forward(widened)
         np.testing.assert_allclose(trimmed_probs, widened_probs, rtol=0, atol=1e-12)
@@ -674,6 +688,48 @@ class TestDistinctSlotRows:
         probs, _ = model.forward(batch)
         expanded_probs, _ = model.forward(one_row_per_occurrence(batch))
         np.testing.assert_array_equal(probs, expanded_probs)
+
+
+class TestModelReadsNoMask:
+    """The network reads each row's length, never tok_mask: a make_batch
+    batch without the key gives the same probabilities and gradients, byte
+    for byte, as with it."""
+
+    @pytest.mark.parametrize("mode,aggregation", [("single", "mean"),
+                                                  *(("multi", a) for a in AGGREGATIONS)])
+    def test_batch_without_tok_mask(self, mode, aggregation):
+        config = TrainingConfig(mode=mode, aggregation=aggregation, r=3,
+                                **{**TINY_CONFIG, "max_len": 6, "max_len_per_slot": 3})
+        vocab = VOCABS["wordpiece"]
+        model = Model(config, init_params(config, len(vocab), 3, np.random.default_rng(2)))
+        rng = np.random.default_rng(4)
+        # rows past the cut and, in multi mode, rows of length 0 and one
+        # distinct row held by every real slot, which the forward doubles
+        cols = [["ab ba 1:1 a-b", "", "aab"], ["", ""], ["b1 ba", "a"]]
+        lone = [["ab"] * 3]
+        for chunk in (cols, lone):
+            samples = [augment.training_sample(ColumnInstance(tuple(c)), config, rng)
+                       for c in chunk]
+            batch = make_batch(samples, rng.normal(size=(len(samples), 19)), config, vocab, {})
+            if chunk is cols:
+                assert batch["truncated"] and (mode == "single" or 0 in batch["lengths"])
+            elif mode == "multi":
+                assert len(batch["ids"]) == 1 < np.count_nonzero(batch["slots"] >= 0)
+            bare = {k: v for k, v in batch.items() if k != "tok_mask"}
+            for train_mode in (False, True):
+                runs = []
+                for b in (batch, bare):
+                    drop_rng = np.random.default_rng(5) if train_mode else None
+                    probs, cache = model.forward(b, train_mode=train_mode, dropout_rng=drop_rng)
+                    # an inference cache has no step history: backward recomputes it
+                    assert ("steps" in cache["lstm"]) == train_mode
+                    dlogits = np.random.default_rng(6).normal(size=probs.shape)
+                    runs.append((probs, model.backward(cache, dlogits)))
+                (probs, grads), (bare_probs, bare_grads) = runs
+                assert probs.tobytes() == bare_probs.tobytes()
+                assert grads.keys() == bare_grads.keys()
+                for name in grads:
+                    assert grads[name].tobytes() == bare_grads[name].tobytes(), name
 
 
 # trains each config of argv[1] ({file name: config dict}) at seed 3 and saves
