@@ -11,8 +11,9 @@ Two wirings over shared building blocks:
 
 A single batch holds ids (B, T), lengths (B,) and feats (B, F).  A multi
 batch holds each distinct slot text once: ids (U, T) and lengths (U,), one row
-per distinct text, and slots (B, R) gives each real slot its row, -1 for a
-padded slot.  An encoded text does not depend on its slot, so inference and
+per distinct text. A sample's real slots are the first counts[i] of its r
+(counts (B,)), and occ (S,) gives each real slot its row, sample by sample in
+slot order.  An encoded text does not depend on its slot, so inference and
 training encode each row once and gather the result into every slot that
 holds it; backward adds those slots' gradients into the row.
 
@@ -29,16 +30,16 @@ per direction (lstm_fw_*, lstm_bw_*), each a view of its half of the stack
 stack, and a saved bundle is as it was. Backward's LSTM gradients come out
 in the same layout.
 
-Nothing in the network is masked: padding is stated once, by each row's
-length and by slots >= 0. As in cuDNN's variable-length RNNs, each row's
-final state is read at its own length, and it is all the encoder uses;
-backward lets a row's gradient in at that same step. So the encoder embeds
-the padded positions as they are, and no step reads them for a row inside
-its length. The slot head of mean, sum and weighted_sum adds each sample's
-real slots only, in slot order, the bits of a sum over a (B, R, 2H) array
-with zero padded slots, which only concatenation's head, whose text it is,
-and weighted_sum's backward build; backward takes each real slot's gradient
-straight out of the text gradient, by its (b, r) index.
+Nothing in the network is masked: padding is stated once, by each row's length
+and by each sample's count of real slots. As in cuDNN's variable-length RNNs,
+each row's final state is read at its own length, and it is all the encoder
+uses; backward lets a row's gradient in at that same step. So the encoder
+embeds the padded positions as they are, and no step reads them for a row
+inside its length. The slot head of mean, sum and weighted_sum adds each
+sample's real slots only, in slot order, the bits of a sum over a (B, R, 2H)
+array with zero padded slots, which only concatenation's head, whose text it
+is, and weighted_sum's backward build; backward takes each real slot's
+gradient straight out of the text gradient, by its (b, r) index.
 
 A forward is one of three kinds (_layout). A packed one computes at each
 step only the n rows still inside their length, in row order. The set of
@@ -641,11 +642,12 @@ class Model:
 
     def _aggregate(self, cache):
         """The (B, text_dim) text of a multi batch from the encoding of each
-        row (cache: enc_rows, the real slots b, r in (b, r) order, the row occ
-        of each and the counts of real slots per sample). mean, sum and
-        weighted_sum add each sample's real slots only (_sum_slots), which
-        gives the bits of a sum over a (B, R, 2H) array with zero padded
-        slots; concatenation's text is that array, padded slots zeros."""
+        row (cache: enc_rows, the real slots b, r in (b, r) order as forward
+        derives them from counts, the row occ of each and the counts of real
+        slots per sample). mean, sum and weighted_sum add each sample's real
+        slots only (_sum_slots), which gives the bits of a sum over a
+        (B, R, 2H) array with zero padded slots; concatenation's text is that
+        array, padded slots zeros."""
         cfg = self.config
         enc_rows, b, r, occ, counts = (cache[k] for k in ("enc_rows", "b", "r", "occ", "counts"))
         if cfg.aggregation == "concatenation":
@@ -683,16 +685,12 @@ class Model:
         if cfg.mode == "single":
             text, cache["lstm"] = self._encode(batch["ids"], batch["lengths"], train_mode)
         else:
-            slots = np.asarray(batch["slots"])  # (B, R): row of each real slot, -1 if padded
-            R = slots.shape[1]
-            if R != cfg.r:
-                raise ConfigError(f"expected {cfg.r} slots, got {R}")
-            real = slots >= 0
-            counts = real.sum(axis=1)
-            if np.any(counts == 0):
-                raise ConfigError("cannot aggregate a sample with zero unmasked slots")
-            b, r = np.nonzero(real)  # the real slots, in (b, r) order
-            occ = slots[b, r]  # the row of each real slot
+            occ, counts = np.asarray(batch["occ"]), np.asarray(batch["counts"])
+            if counts.min() < 1 or counts.max() > cfg.r:
+                raise ConfigError(f"a sample must have 1 to r={cfg.r} real slots")
+            # the real slots, in (b, r) order: sample i's are its first counts[i]
+            b = np.repeat(np.arange(len(counts)), counts)
+            r = np.arange(len(occ)) - np.repeat(np.cumsum(counts) - counts, counts)
             # an encoded text does not depend on its slot: encode each row once
             ids, lengths = batch["ids"], batch["lengths"]
             if len(ids) == 1 < len(occ):

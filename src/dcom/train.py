@@ -218,20 +218,11 @@ def _token_rows(row_values, cut, vocab, token_cache):
 OUTSIDE_COLUMN = "a multi sample's index lies outside its column"
 
 
-def _slot_array(rows, counts, r):
-    """(B, r) slots from each sample's real slots' rows, the samples' rows
-    concatenated in rows and counts[i] of them sample i's; -1 pads."""
-    slots = np.full((len(counts), r), -1, dtype=np.int64)
-    if len(set(counts)) == 1:  # as many real slots in each sample: one block
-        slots[:, : counts[0]] = rows.reshape(len(counts), counts[0])
-    else:  # real slots are a prefix
-        slots[np.arange(r) < np.array(counts)[:, None]] = rows
-    return slots
-
-
 def _multi_rows(samples, config: TrainingConfig, vocab, token_cache):
     """make_batch's multi rows, one per distinct real slot text cut at
-    max_len_per_slot, the number of rows the cut shortened, and slots.
+    max_len_per_slot, the number of rows the cut shortened, occ (the row of
+    each real slot, sample by sample in slot order) and counts (each
+    sample's number of real slots).
 
     Each sample's real slots are read from its column at its indices, at
     most r of them, so a column is never read whole.  The distinct texts get
@@ -240,8 +231,8 @@ def _multi_rows(samples, config: TrainingConfig, vocab, token_cache):
     distinct text, none per slot."""
     r = config.r
     idxs = [s.idx for s in samples]
-    counts = [len(idx) for idx in idxs]
-    if max(counts) > r or any(s.r != r for s in samples):
+    counts = np.fromiter(map(len, idxs), np.int64, len(idxs))
+    if counts.max() > r or any(s.r != r for s in samples):
         raise ConfigError(f"multi samples must have r={r} slots, at most r of them real")
     if min(itertools.chain.from_iterable(idxs), default=0) < 0:
         raise ConfigError(OUTSIDE_COLUMN)
@@ -252,7 +243,7 @@ def _multi_rows(samples, config: TrainingConfig, vocab, token_cache):
     except IndexError:
         raise ConfigError(OUTSIDE_COLUMN) from None
     row_of = dict(zip(dict.fromkeys(texts), itertools.count()))  # distinct text -> its row
-    rows = np.fromiter(map(row_of.__getitem__, texts), np.int64, len(texts))
+    occ = np.fromiter(map(row_of.__getitem__, texts), np.int64, len(texts))
     whole = []  # each row's uncut ids
     for text in row_of:
         text_ids = token_cache.get(text)
@@ -260,8 +251,7 @@ def _multi_rows(samples, config: TrainingConfig, vocab, token_cache):
             text_ids = token_cache[text] = tuple(tokenizers.encode_value(vocab, text))
         whole.append(text_ids)
     cut = config.max_len_per_slot
-    return ([row[:cut] for row in whole], sum(len(row) > cut for row in whole),
-            _slot_array(rows, counts, r))
+    return [row[:cut] for row in whole], sum(len(row) > cut for row in whole), occ, counts
 
 
 def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
@@ -271,11 +261,12 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
     max_len, one multi slot text's at max_len_per_slot.  Single ids (B, T)
     and lengths (B,) hold one row per sample, PAD_ID past its length.  Multi
     ones are (U, T) and (U,), one row per distinct real slot text in
-    first-seen order, and slots (B, R) gives each real slot its row, -1 for a
-    padded slot, found with no Python step per slot (_multi_rows).  tok_mask,
-    arange(T) < lengths, is kept only for the bench's forward counter.  A
-    multi sample's r must be config.r and its indices must lie in its column
-    (ConfigError).  T is the longest row, at least 1.  truncated counts the
+    first-seen order; a sample's real slots are a prefix of its r slots, so
+    counts (B,) holds each sample's number of them and occ (S,) the row of
+    each, sample by sample in slot order, found with no Python step per slot
+    (_multi_rows).  tok_mask, arange(T) < lengths, is kept only for the
+    bench's forward counter.  A multi sample's r must be config.r and its
+    indices must lie in its column (ConfigError).  T is the longest row, at least 1.  truncated counts the
     rows that were cut.  SEP_ID enters a row only between two values; a
     "<SEP>" inside a value is text.  token_cache maps a value to its uncut ids
     (tokenizers.encode_value), so each value is tokenized once per cache; the
@@ -287,8 +278,8 @@ def make_batch(samples, feats, config: TrainingConfig, vocab, token_cache):
                                       token_cache)
         batch = {}
     else:
-        rows, truncated, slots = _multi_rows(samples, config, vocab, token_cache)
-        batch = {"slots": slots}
+        rows, truncated, occ, counts = _multi_rows(samples, config, vocab, token_cache)
+        batch = {"occ": occ, "counts": counts}
     lengths = np.array([len(row) for row in rows], dtype=np.int64)
     tok_mask = np.arange(max(1, lengths.max())) < lengths[:, None]
     ids = np.full(tok_mask.shape, tokenizers.PAD_ID, dtype=np.int64)

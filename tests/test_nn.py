@@ -35,25 +35,21 @@ def seeded_model(config, seed, vocab_size=VOCAB_SIZE, n_classes=N_CLASSES):
     return Model(config, init_params(config, vocab_size, n_classes, np.random.default_rng(seed)))
 
 
-def per_occurrence(ids, mask, slot_mask):
-    """A multi batch from per-slot (B, R, T) ids and token mask and a (B, R)
-    slot mask: one row per real slot, in (b, r) order, of its mask's length,
-    and -1 for each padded slot."""
-    slot_mask = np.asarray(slot_mask, dtype=bool)
-    slots = np.full(slot_mask.shape, -1, dtype=np.int64)
-    slots[slot_mask] = np.arange(slot_mask.sum())
-    return {"ids": ids[slot_mask], "lengths": mask[slot_mask].sum(axis=-1), "slots": slots}
+def per_occurrence(ids, mask, counts):
+    """A multi batch from per-slot (B, R, T) ids and token mask, sample i's
+    real slots its first counts[i]: one row per real slot, in (b, r) order,
+    of its mask's length."""
+    counts = np.asarray(counts, dtype=np.int64)
+    real = np.arange(ids.shape[1]) < counts[:, None]
+    return {"ids": ids[real], "lengths": mask[real].sum(axis=-1),
+            "occ": np.arange(counts.sum()), "counts": counts}
 
 
 def one_row_per_occurrence(batch):
     """The same multi batch with one row per real slot, wherever slots share a row."""
-    slots = batch["slots"]
-    real = slots >= 0
-    occ = slots[real]
-    expanded = np.full_like(slots, -1)
-    expanded[real] = np.arange(len(occ))
+    occ = batch["occ"]
     return {**batch, "ids": batch["ids"][occ], "lengths": batch["lengths"][occ],
-            "slots": expanded}
+            "occ": np.arange(len(occ))}
 
 
 def random_batch(config, rng, B=2, T=5, lengths=None):
@@ -69,9 +65,7 @@ def random_batch(config, rng, B=2, T=5, lengths=None):
         ids = rng.integers(3, VOCAB_SIZE, size=(B, config.r, T))
         mask = np.ones((B, config.r, T), dtype=np.int64)
         mask[0, :, T - 1 :] = 0
-        slot = np.ones((B, config.r), dtype=bool)
-        slot[0, -1] = False
-        batch = per_occurrence(ids, mask, slot)
+        batch = per_occurrence(ids, mask, [config.r - 1] + [config.r] * (B - 1))
     batch["feats"] = rng.normal(size=(B, N_FEATURES))
     return batch
 
@@ -136,8 +130,8 @@ class TestForwardContracts:
         ids = np.repeat(slot_ids, 3, axis=1)
         mask = np.ones((1, 3, 5), dtype=np.int64)
         feats = rng.normal(size=(1, 19))
-        full = {**per_occurrence(ids, mask, np.ones((1, 3), dtype=bool)), "feats": feats}
-        one = {**per_occurrence(ids, mask, np.array([[True, False, False]])), "feats": feats}
+        full = {**per_occurrence(ids, mask, [3]), "feats": feats}
+        one = {**per_occurrence(ids, mask, [1]), "feats": feats}
         pa, _ = model.forward(full)
         pb, _ = model.forward(one)
         np.testing.assert_allclose(pa, pb, atol=1e-12)
@@ -151,7 +145,7 @@ class TestForwardContracts:
         enc_sum = Model(tiny_config("multi", r=3, aggregation="sum"), params=params)
         _, cache_mean = enc_mean.forward(batch)
         _, cache_sum = enc_sum.forward(batch)
-        counts = (batch["slots"] >= 0).sum(axis=1)
+        counts = batch["counts"]
         text_mean = cache_mean["z"][:, : text_dim(base)]
         text_sum = cache_sum["z"][:, : text_dim(base)]
         np.testing.assert_allclose(text_mean * counts[:, None], text_sum, atol=1e-9)
@@ -164,21 +158,25 @@ class TestForwardContracts:
         ids = rng.integers(3, VOCAB_SIZE, size=(1, 4, 4))
         mask = np.ones((1, 4, 4), dtype=np.int64)
         mask[0, :, 3:] = 0
-        slot_mask = np.array([[True, True, True, False]])
         feats = {"feats": rng.normal(size=(1, N_FEATURES))}
-        probs, _ = model.forward({**per_occurrence(ids, mask, slot_mask), **feats})
-        perm = rng.permutation(4)
+        probs, _ = model.forward({**per_occurrence(ids, mask, [3]), **feats})
+        perm = np.r_[rng.permutation(3), 3]  # the real slots, a prefix, in another order
         # the rows move with their slots
-        shuffled = per_occurrence(ids[:, perm], mask[:, perm], slot_mask[:, perm])
+        shuffled = per_occurrence(ids[:, perm], mask[:, perm], [3])
         probs2, _ = model.forward({**shuffled, **feats})
         np.testing.assert_allclose(probs, probs2, atol=1e-9)
 
-    def test_all_slots_masked_rejected(self):
-        config = tiny_config("multi", r=3)
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    @pytest.mark.parametrize("count", [0, 4])
+    def test_count_outside_one_to_r_rejected(self, aggregation, count):
+        # r = 3: a sample of no real slot, or of more real slots than r,
+        # whose slot weight or concatenation place does not exist
+        config = tiny_config("multi", r=3, aggregation=aggregation)
         model = seeded_model(config, 0)
         batch = random_batch(config, np.random.default_rng(8))
-        batch["slots"][0, :] = -1
-        with pytest.raises(ConfigError, match="zero unmasked"):
+        batch.update(counts=np.array([count, 3]),
+                     occ=np.arange(count + 3) % len(batch["ids"]))
+        with pytest.raises(ConfigError, match="1 to r=3 real slots"):
             model.forward(batch)
 
 
@@ -214,7 +212,7 @@ class TestBackward:
             assert err < 1e-4, (name, err)
 
     @pytest.mark.parametrize("aggregation", AGGREGATIONS)
-    @pytest.mark.parametrize("slots", [[[0, 2, 0], [2, 1, 1]], [[0, 0, -1], [0, 0, 0]]])
+    @pytest.mark.parametrize("slots", [([0, 2, 0, 2, 1, 1], [3, 3]), ([0, 0, 0, 0, 0], [2, 3])])
     def test_gradients_with_shared_rows(self, aggregation, slots):
         # repeated texts: inference and training encode each row once (the
         # second case has one row in all, which is encoded twice) and backward
@@ -226,7 +224,11 @@ class TestBackward:
         config = tiny_config("multi", r=3, aggregation=aggregation)
         rng = np.random.default_rng(12)
         model = seeded_model(config, 2)
-        batch = {**random_batch(config, rng, T=4), "slots": np.array(slots)}
+        batch = random_batch(config, rng, T=4)
+        occ, counts = slots  # each real slot's row, each sample's real slots
+        rows = max(occ) + 1  # the rows the slots hold
+        batch.update(ids=batch["ids"][:rows], lengths=batch["lengths"][:rows],
+                     occ=np.array(occ), counts=np.array(counts))
         labels = rng.integers(0, 3, size=2)
         runs = [(batch, False), (one_row_per_occurrence(batch), False), (batch, True)]
         grads = []
@@ -264,8 +266,8 @@ class TestBackward:
 
 @st.composite
 def encoder_cases(draw):
-    """A random config and batch: per-row lengths 1..T, masked multi slots,
-    some sharing a row."""
+    """A random config and batch: per-row lengths 1..T, multi samples of 1 to
+    r real slots, some sharing a row."""
     mode = draw(st.sampled_from(["single", "multi"]))
     sizes = draw(st.integers(4, 9)), draw(st.integers(2, 4))  # vocab_size, n_classes
     config = TrainingConfig(
@@ -283,13 +285,11 @@ def encoder_cases(draw):
     if mode == "single":
         batch.update(ids=ids, lengths=lengths)
     else:
-        slot_mask = rng.random((B, config.r)) < 0.6
-        slot_mask[np.arange(B), rng.integers(0, config.r, size=B)] = True
+        counts = rng.integers(1, config.r + 1, size=B)
         batch.update(per_occurrence(ids.reshape(B, config.r, T),
-                                    mask.reshape(B, config.r, T), slot_mask))
+                                    mask.reshape(B, config.r, T), counts))
         if draw(st.booleans()):  # real slots share rows, as repeated texts do
-            slots = batch["slots"]
-            slots[slot_mask] = rng.integers(0, slot_mask.sum(), size=slot_mask.sum())
+            batch["occ"] = rng.integers(0, counts.sum(), size=counts.sum())
     return config, sizes, batch, int(rng.integers(0, 2**32 - 1))
 
 
@@ -381,10 +381,8 @@ def bench_width_case(mode, rows, T, lengths, seed):
     if mode == "single":
         return config, {"ids": ids, "lengths": lengths, "feats": rng.normal(size=(rows, 19))}
     B = min(32, rows)
-    slots = np.full((B, config.r), -1, dtype=np.int64)
-    for b, own in enumerate(np.array_split(np.arange(rows), B)):
-        slots[b, : len(own)] = own
-    return config, {"ids": ids, "lengths": lengths, "slots": slots,
+    counts = np.array([len(own) for own in np.array_split(np.arange(rows), B)])
+    return config, {"ids": ids, "lengths": lengths, "occ": np.arange(rows), "counts": counts,
                     "feats": rng.normal(size=(B, 19))}
 
 
@@ -518,9 +516,7 @@ def padded_cases(draw):
         B = draw(st.integers(1, rows))
         owned = np.array_split(rng.permutation(rows), B)
         config = dataclasses.replace(config, r=max(config.r, *map(len, owned)))
-        batch["slots"] = np.full((B, config.r), -1, dtype=np.int64)
-        for b, own in enumerate(owned):
-            batch["slots"][b, rng.choice(config.r, size=len(own), replace=False)] = own
+        batch.update(occ=np.concatenate(owned), counts=np.array([len(own) for own in owned]))
     batch["feats"] = rng.normal(size=(B, N_FEATURES))
     return config, batch, packed, int(rng.integers(0, 2**32 - 1))
 
@@ -898,30 +894,27 @@ class DenseSlotModel(Model):
 
 @st.composite
 def slot_head_cases(draw):
-    """A multi config and batch whose padded slots sit anywhere among the real
-    ones, B = 1 and samples of one real slot among them, and agg_w away from
-    its uniform start. The samples take their real slots from a few
-    patterns, as a column's k samples share their count, so a batch has one
-    count, one or two samples per count, or many."""
+    """A multi config and batch of samples of 1 to r real slots, padded slots
+    after them, B = 1 and samples of one real slot among them, and agg_w away
+    from its uniform start. The samples take their counts from a few, as a
+    column's k samples share their count, so a batch has one count, one or
+    two samples per count, or many."""
     aggregation = draw(st.sampled_from(["mean", "sum", "weighted_sum"]))
     r, B = draw(st.integers(1, 8)), draw(st.sampled_from([1, 1, 2, 3, 5, 8]))
     config = TrainingConfig(mode="multi", embedding_dim=draw(st.integers(1, 5)),
                             hidden_size=draw(st.integers(1, 5)), feature_dim=3,
                             dense_widths=(4,), dropout=0.0, aggregation=aggregation, r=r)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    patterns = np.zeros((draw(st.integers(1, B)), r), dtype=bool)
-    for pattern in patterns:  # one real slot at least, anywhere
-        pattern[rng.choice(r, size=rng.integers(1, r + 1), replace=False)] = True
-    real = patterns[rng.integers(0, len(patterns), size=B)]
-    n_real = int(real.sum())
+    patterns = rng.integers(1, r + 1, size=draw(st.integers(1, B)))
+    counts = patterns[rng.integers(0, len(patterns), size=B)]
+    n_real = int(counts.sum())
     U = draw(st.integers(1, n_real))  # rows, each held by one real slot at least
-    slots = np.full((B, r), -1, dtype=np.int64)
-    slots[real] = rng.permutation(np.r_[np.arange(U), rng.integers(0, U, size=n_real - U)])
+    occ = rng.permutation(np.r_[np.arange(U), rng.integers(0, U, size=n_real - U)])
     T = draw(st.integers(1, 5))
     lengths = rng.integers(1, T + 1, size=U)
     mask = (np.arange(T) < lengths[:, None]).astype(np.int64)
     batch = {"ids": rng.integers(3, VOCAB_SIZE, size=(U, T)) * mask, "lengths": lengths,
-             "slots": slots, "feats": rng.normal(size=(B, N_FEATURES))}
+             "occ": occ, "counts": counts, "feats": rng.normal(size=(B, N_FEATURES))}
     return config, batch, int(rng.integers(0, 2**32 - 1))
 
 
@@ -941,7 +934,7 @@ class TestSlotHeadReference:
             dlogits = np.random.default_rng(seed).normal(size=probs.shape)
             runs.append((probs, model.backward(cache, dlogits)))
         (probs, grads), (dense_probs, dense_grads) = runs
-        counts = (batch["slots"] >= 0).sum(axis=1)
+        counts = batch["counts"]
         event(f"{len(set(counts.tolist()))} counts over {len(counts)} samples")
         assert probs.tobytes() == dense_probs.tobytes()
         assert grads.keys() == dense_grads.keys()

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import dcom
@@ -342,11 +342,12 @@ def full_width_batch(samples, feats, config, vocab):
 
 
 def per_slot_multi_batch(samples, config, vocab):
-    """make_batch's multi ids, lengths, tok_mask, slots and truncated built one
-    slot at a time over each sample's r padded texts and its pad_mask."""
+    """make_batch's multi ids, lengths, tok_mask, occ, counts and truncated
+    built one slot at a time over each sample's r padded texts and its
+    pad_mask."""
     row_of = {}
-    slots = [[row_of.setdefault(t, len(row_of)) if real else -1
-              for t, real in zip(s.texts, s.pad_mask)] for s in samples]
+    occ = [row_of.setdefault(t, len(row_of))
+           for s in samples for t, real in zip(s.texts, s.pad_mask) if real]
     whole = [reference_ids(vocab, (t,)) for t in row_of]
     cut = [ids[: config.max_len_per_slot] for ids in whole]
     T = max([1] + [len(ids) for ids in cut])
@@ -355,7 +356,8 @@ def per_slot_multi_batch(samples, config, vocab):
         "lengths": np.array([len(ids) for ids in cut], dtype=np.int64),
         "tok_mask": np.array([[1] * len(ids) + [0] * (T - len(ids)) for ids in cut],
                              dtype=bool),
-        "slots": np.array(slots, dtype=np.int64),
+        "occ": np.array(occ, dtype=np.int64),
+        "counts": np.array([sum(s.pad_mask) for s in samples], dtype=np.int64),
         "truncated": sum(len(ids) > config.max_len_per_slot for ids in whole),
     }
 
@@ -433,20 +435,14 @@ class TestMakeBatch:
                 np.testing.assert_array_equal(batch["ids"], full["ids"][..., :T])
                 np.testing.assert_array_equal(batch["tok_mask"], full["tok_mask"][..., :T])
                 continue
-            assert sorted(batch) == ["feats", "ids", "lengths", "slots", "tok_mask", "truncated"]
-            slots, real = batch["slots"], full["slot_mask"]
-            assert slots.shape == real.shape
-            np.testing.assert_array_equal(slots < 0, ~real)
-            assert np.all(slots[~real] == -1)
+            assert sorted(batch) == ["counts", "feats", "ids", "lengths", "occ", "tok_mask",
+                                     "truncated"]
+            occ, real = batch["occ"], full["slot_mask"]
+            # each sample's real slots are the first counts of its r
+            np.testing.assert_array_equal(real, np.arange(r) < batch["counts"][:, None])
             # every real slot's row is its text's encoding on the first T positions
-            np.testing.assert_array_equal(batch["ids"][slots[real]], full["ids"][real][:, :T])
-            np.testing.assert_array_equal(batch["tok_mask"][slots[real]],
-                                          full["tok_mask"][real][:, :T])
-            # one row per distinct real text, numbered in first-seen order
-            texts = [t for s, m in zip(samples, real) for t, r in zip(s.texts, m) if r]
-            first_seen = list(dict.fromkeys(texts))
-            assert batch["ids"].shape == (len(first_seen), T)
-            np.testing.assert_array_equal(slots[real], [first_seen.index(t) for t in texts])
+            np.testing.assert_array_equal(batch["ids"][occ], full["ids"][real][:, :T])
+            np.testing.assert_array_equal(batch["tok_mask"][occ], full["tok_mask"][real][:, :T])
 
     @given(cols=shared_columns, kind=st.sampled_from(TOKENIZER_KINDS), r=st.integers(1, 8),
            multi_mode=st.sampled_from(["pad", "with_replacement"]),
@@ -461,9 +457,47 @@ class TestMakeBatch:
         feats = [np.zeros(19) for _ in samples]
         batch = make_batch(samples, feats, config, VOCABS[kind], {})
         want = per_slot_multi_batch(samples, config, VOCABS[kind])
-        for key in ("ids", "lengths", "tok_mask", "slots"):
+        for key in ("ids", "lengths", "tok_mask", "occ", "counts"):
             np.testing.assert_array_equal(batch[key], want[key], strict=True)
         assert batch["truncated"] == want["truncated"]
+
+    @given(data=st.data(), r=st.integers(1, 6),
+           relation=st.sampled_from(["n < r", "n = r", "n > r"]),
+           multi_mode=st.sampled_from(["pad", "with_replacement"]),
+           kind=st.sampled_from(TOKENIZER_KINDS), k=st.integers(1, 3),
+           max_len_per_slot=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_multi_slots_by_count(self, data, r, relation, multi_mode, kind, k,
+                                  max_len_per_slot, seed):
+        """counts holds each sample's number of real slots, 1 to r, and occ
+        the row of each real slot, sample by sample: the row of its text's
+        ids, cut, one row per distinct text in first-seen order."""
+        assume(relation != "n < r" or r > 1)
+        n = {"n < r": st.integers(1, r - 1), "n = r": st.just(r),
+             "n > r": st.integers(r + 1, r + 6)}[relation]
+        column = n.flatmap(lambda n: st.lists(st.one_of(st.just(""), value), min_size=n,
+                                              max_size=n))
+        cols = data.draw(st.lists(column, min_size=1, max_size=4))
+        config = TrainingConfig(mode="multi", r=r, multi_mode=multi_mode,
+                                max_len_per_slot=max_len_per_slot)
+        rng = np.random.default_rng(seed)
+        samples = [s for values in cols
+                   for s in augment.sample_multi(ColumnInstance(tuple(values)), r, multi_mode,
+                                                 rng, k)]
+        batch = make_batch(samples, np.zeros((len(samples), 19)), config, VOCABS[kind], {})
+        counts, occ = batch["counts"], batch["occ"]
+        assert counts.dtype == occ.dtype == np.int64
+        np.testing.assert_array_equal(counts, [len(s.idx) for s in samples])
+        assert 1 <= counts.min() and counts.max() <= r
+        assert occ.shape == (counts.sum(),)
+        event(f"{relation}, {multi_mode}: {'some' if counts.min() < r else 'no'} padded slot")
+        texts = [t for s in samples for t in s.values]
+        for row, text in zip(occ, texts):
+            ids = batch["ids"][row, : batch["lengths"][row]].tolist()
+            assert ids == reference_ids(VOCABS[kind], (text,))[:max_len_per_slot]
+        first_seen = list(dict.fromkeys(texts))
+        assert len(batch["ids"]) == len(first_seen)
+        np.testing.assert_array_equal(occ, [first_seen.index(t) for t in texts])
 
     def test_multi_sample_of_another_r_refused(self):
         config = TrainingConfig(mode="multi", r=3)
@@ -502,7 +536,7 @@ class TestMakeBatch:
                    for start in range(0, len(samples), rows)]
         for batch, part in chunks:
             want = per_slot_multi_batch(part, config, VOCABS[kind])
-            for key in ("ids", "lengths", "tok_mask", "slots"):
+            for key in ("ids", "lengths", "tok_mask", "occ", "counts"):
                 np.testing.assert_array_equal(batch[key], want[key], strict=True)
             assert batch["truncated"] == want["truncated"]
             assert batch["feats"].dtype == np.float64
@@ -532,7 +566,7 @@ class TestMakeBatch:
         CountingValues.reads = 0
         batch = make_batch(samples, np.zeros((20, 19)), config, VOCABS["wordpiece"], {})
         assert CountingValues.reads <= 10 * 45
-        for key in ("ids", "lengths", "tok_mask", "slots"):
+        for key in ("ids", "lengths", "tok_mask", "occ", "counts"):
             np.testing.assert_array_equal(batch[key], want[key], strict=True)
         assert batch["truncated"] == want["truncated"]
 
@@ -714,7 +748,7 @@ class TestModelReadsNoMask:
             if chunk is cols:
                 assert batch["truncated"] and (mode == "single" or 0 in batch["lengths"])
             elif mode == "multi":
-                assert len(batch["ids"]) == 1 < np.count_nonzero(batch["slots"] >= 0)
+                assert len(batch["ids"]) == 1 < len(batch["occ"])
             bare = {k: v for k, v in batch.items() if k != "tok_mask"}
             for train_mode in (False, True):
                 runs = []
