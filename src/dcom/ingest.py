@@ -74,8 +74,10 @@ def load_jsonl(path):
 def load_csv_long(path):
     """Load long-form CSV with header ``column_id,label,value``.
 
-    Consecutive rows sharing a column_id form one instance; value order is the
-    row order within the file.
+    All rows sharing a column_id form one instance, wherever they stand in
+    the file, so a column is complete only at the end of the file. Its
+    values are in file order, and the instances in the order of each
+    column_id's first row.
     """
     groups: dict = {}
     order = []

@@ -39,7 +39,9 @@ inside its length. The slot head of mean, sum and weighted_sum adds each
 sample's real slots only, in slot order, the bits of a sum over a (B, R, 2H)
 array with zero padded slots, which only concatenation's head, whose text it
 is, and weighted_sum's backward build; backward takes each real slot's
-gradient straight out of the text gradient, by its (b, r) index.
+gradient straight out of the text gradient, by its (b, r) index. That index
+is derived from the counts only where it is read (_slot_index), so a mean or
+sum forward over samples of one count, as a column's votes are, derives none.
 
 A forward is one of three kinds (_layout). A packed one computes at each
 step only the n rows still inside their length, in row order. The set of
@@ -350,11 +352,9 @@ def _lstm_forward(embedding, ids, lengths, Wx, Wh, b, history=True):
     next step has read them. The cache holds ids, lengths and h_final, from
     which Model._encode_backward recomputes the history.
 
-    A packed inference forward of more than INFER_BLOCK stepped positions is
-    cut into blocks: it takes x @ Wx + b a block of whole steps at a time
-    (_step_blocks), as the loop reaches the block, a contiguous range of its
-    time-major positions, whose gates overwrite the last block's in one
-    array. Any other forward is one block.
+    A packed inference forward of more than INFER_BLOCK stepped positions
+    takes x @ Wx + b a block of whole steps at a time (_step_blocks), as the
+    loop reaches it, into one gate array; any other forward is one block.
     """
     _, N, T = ids.shape
     H = Wh.shape[1]
@@ -535,21 +535,32 @@ def _add_rows(index, values, n):
     return np.bincount(flat, weights=values.ravel(), minlength=n * w).reshape(n, w)
 
 
-def _sum_slots(enc_rows, b, occ, counts, weights=None):
+def _slot_index(cache):
+    """(b, r) of each real slot of a multi batch, in (b, r) order (sample
+    i's are its first counts[i]), derived on first read into the cache."""
+    if "b" not in cache:
+        counts = cache["counts"]
+        cache["b"] = np.repeat(np.arange(len(counts)), counts)
+        cache["r"] = np.arange(len(cache["occ"])) - np.repeat(np.cumsum(counts) - counts, counts)
+    return cache["b"], cache["r"]
+
+
+def _sum_slots(cache, weights=None):
     """The (B, w) sum of each sample's real slot encodings enc_rows[occ],
-    times weights (one per real slot) if given: b, occ and weights are in
-    (b, r) order, and counts holds the real slots of each sample.
+    times weights (one per real slot, in (b, r) order) if given, from a
+    multi batch's cache: enc_rows, occ and counts.
 
     A sample's slots add in r order, as a sum over a (B, R, w) array with
     zero padded slots adds them, so the bits are that sum's; no such array is
     built. Where every sample holds as many slots (a forward of one column's
     samples) that is one reshape and sum. Where most counts have one or two
     samples (training and validation batches, one sample per column) it is
-    one np.bincount over every slot (_add_rows), whose cost does not grow
-    with the counts. Otherwise (a predict_many group, k samples per column)
-    the samples of each count are summed in one reshape, gathering only
-    their slots: a few numpy calls per count, about half the bincount's time
-    and a small part of its memory on a 320-sample group."""
+    one np.bincount over every slot by its b (_slot_index), whose cost does
+    not grow with the counts. Otherwise (a predict_many group, k samples per
+    column) the samples of each count are summed in one reshape, gathering
+    only their slots: a few numpy calls per count, about half the bincount's
+    time and a small part of its memory on a 320-sample group."""
+    enc_rows, occ, counts = cache["enc_rows"], cache["occ"], cache["counts"]
 
     def slot_encodings(at):
         enc = enc_rows[occ[at]]
@@ -561,7 +572,7 @@ def _sum_slots(enc_rows, b, occ, counts, weights=None):
     if len(distinct) == 1:
         return slot_encodings(slice(None)).reshape(len(counts), distinct.pop(), -1).sum(axis=1)
     if 2 * len(distinct) > len(counts):
-        return _add_rows(b, slot_encodings(slice(None)), len(counts))
+        return _add_rows(_slot_index(cache)[0], slot_encodings(slice(None)), len(counts))
     text = np.empty((len(counts), enc_rows.shape[1]))
     starts = np.cumsum(counts) - counts
     for c in distinct:
@@ -571,23 +582,27 @@ def _sum_slots(enc_rows, b, occ, counts, weights=None):
     return text
 
 
-def _slot_array(enc_rows, b, r, occ, B, R):
+def _slot_array(cache, R):
     """The (B, R, 2H) encoding of every slot: each real slot (b, r) that of
     its row occ, a padded slot zeros."""
-    enc = np.zeros((B, R, enc_rows.shape[1]))
-    enc[b, r] = enc_rows[occ]
+    enc = np.zeros((len(cache["counts"]), R, cache["enc_rows"].shape[1]))
+    enc[_slot_index(cache)] = cache["enc_rows"][cache["occ"]]
     return enc
 
 
-def _reverse_within_length(ids, lengths):
-    """Per-row reversal of the first lengths[n] tokens; padding stays in place.
-    Where every row fills T, as every per-vote forward of a single column
-    does, that is one reversed view."""
-    if (lengths == ids.shape[1]).all():
-        return ids[:, ::-1]
-    pos = np.arange(ids.shape[1])[None, :]
-    rev = np.where(pos < lengths[:, None], lengths[:, None] - 1 - pos, pos)
-    return np.take_along_axis(ids, rev, axis=1)
+def _directions(ids, lengths):
+    """The (2, N, T) ids of both directions in one array: the rows, then each
+    row's first lengths[n] ids reversed, padding in place. Where every row
+    fills T, as a single column's votes do, that is a reversed slice."""
+    N, T = ids.shape
+    both = np.empty((2, N, T), dtype=ids.dtype)
+    both[0] = ids
+    if (lengths == T).all():
+        both[1] = ids[:, ::-1]
+    else:
+        pos, L = np.arange(T), lengths[:, None]
+        both[1] = ids[np.arange(N)[:, None], np.where(pos < L, L - 1 - pos, pos)]
+    return both
 
 
 class Model:
@@ -611,12 +626,12 @@ class Model:
     def _encode(self, ids, lengths, history):
         """The (N, 2H) encoding of each row, its first lengths[n] ids, and the
         cache backward reads; only with history does the cache hold the step
-        history (_lstm_forward). Both directions read the held weight stacks:
-        nothing is stacked per forward but the ids and their reversal."""
-        ids2 = np.stack([ids, _reverse_within_length(ids, lengths)])  # (2, N, T): fw, bw
-        lstm = _lstm_forward(self.params["embedding"], ids2, lengths, *self.lstm_weights, history)
-        enc = np.concatenate(lstm["h_final"], axis=1)
-        return enc, lstm
+        history (_lstm_forward). Both directions read the held weight stacks
+        and one (2, N, T) array of ids (_directions); the encoding, fw then
+        bw, is h_final transposed and reshaped, a view if unpacked."""
+        lstm = _lstm_forward(self.params["embedding"], _directions(ids, lengths), lengths,
+                             *self.lstm_weights, history)
+        return lstm["h_final"].transpose(1, 0, 2).reshape(-1, 2 * self.config.hidden_size), lstm
 
     def _encode_backward(self, lstm, denc, grads):
         """Backward through the encoder: sets the LSTM gradients in grads,
@@ -631,7 +646,7 @@ class Model:
             # what a training forward would have kept, bit for bit.
             lstm = _lstm_forward(self.params["embedding"], lstm["ids"], lstm["lengths"],
                                  Wx, Wh, b)
-        dh = np.stack([denc[:, :H], denc[:, H:]])
+        dh = denc.reshape(len(denc), 2, H).transpose(1, 0, 2)  # (2, N, H): fw, bw
         dX, ids, *dW = _lstm_backward(lstm, dh, Wx, Wh)
         for k, dW_k in zip(LSTM_WEIGHTS, dW):
             grads[f"lstm_fw_{k}"], grads[f"lstm_bw_{k}"] = dW_k
@@ -642,34 +657,31 @@ class Model:
 
     def _aggregate(self, cache):
         """The (B, text_dim) text of a multi batch from the encoding of each
-        row (cache: enc_rows, the real slots b, r in (b, r) order as forward
-        derives them from counts, the row occ of each and the counts of real
-        slots per sample). mean, sum and weighted_sum add each sample's real
-        slots only (_sum_slots), which gives the bits of a sum over a
+        row (cache: enc_rows, the row occ of each real slot and the counts of
+        real slots per sample). mean, sum and weighted_sum add each sample's
+        real slots only (_sum_slots), which gives the bits of a sum over a
         (B, R, 2H) array with zero padded slots; concatenation's text is that
         array, padded slots zeros."""
         cfg = self.config
-        enc_rows, b, r, occ, counts = (cache[k] for k in ("enc_rows", "b", "r", "occ", "counts"))
         if cfg.aggregation == "concatenation":
-            return _slot_array(enc_rows, b, r, occ, len(counts), cfg.r).reshape(len(counts), -1)
-        weights = self.params["agg_w"][r] if cfg.aggregation == "weighted_sum" else None
-        text = _sum_slots(enc_rows, b, occ, counts, weights)
+            return _slot_array(cache, cfg.r).reshape(len(cache["counts"]), -1)
+        weighted = cfg.aggregation == "weighted_sum"
+        text = _sum_slots(cache, self.params["agg_w"][_slot_index(cache)[1]] if weighted else None)
         if cfg.aggregation == "mean":
-            text /= counts[:, None]
+            text /= cache["counts"][:, None]
         return text
 
     def _aggregate_backward(self, cache, dtext, grads):
         """The gradient of each real slot's encoding, in (b, r) order, given
         that of the text; adds agg_w's into grads."""
         cfg = self.config
-        b, r = cache["b"], cache["r"]
+        b, r = _slot_index(cache)
         if cfg.aggregation == "mean":
             return (dtext / cache["counts"][:, None])[b]
         if cfg.aggregation == "sum":
             return dtext[b]
         if cfg.aggregation == "weighted_sum":
-            enc = _slot_array(cache["enc_rows"], b, r, cache["occ"], len(dtext), cfg.r)
-            grads["agg_w"] += np.einsum("brh,bh->r", enc, dtext)
+            grads["agg_w"] += np.einsum("brh,bh->r", _slot_array(cache, cfg.r), dtext)
             return dtext[b] * self.params["agg_w"][r, None]
         return dtext.reshape(len(dtext), cfg.r, -1)[b, r]
 
@@ -686,11 +698,9 @@ class Model:
             text, cache["lstm"] = self._encode(batch["ids"], batch["lengths"], train_mode)
         else:
             occ, counts = np.asarray(batch["occ"]), np.asarray(batch["counts"])
-            if counts.min() < 1 or counts.max() > cfg.r:
+            listed = counts.tolist()  # a list's min and max cost less than two reductions
+            if min(listed) < 1 or max(listed) > cfg.r:
                 raise ConfigError(f"a sample must have 1 to r={cfg.r} real slots")
-            # the real slots, in (b, r) order: sample i's are its first counts[i]
-            b = np.repeat(np.arange(len(counts)), counts)
-            r = np.arange(len(occ)) - np.repeat(np.cumsum(counts) - counts, counts)
             # an encoded text does not depend on its slot: encode each row once
             ids, lengths = batch["ids"], batch["lengths"]
             if len(ids) == 1 < len(occ):
@@ -698,7 +708,7 @@ class Model:
                 # differently from the many-row kernel: encode the row twice
                 ids, lengths = np.repeat(ids, 2, 0), np.repeat(lengths, 2)
             enc_rows, cache["lstm"] = self._encode(ids, lengths, train_mode)
-            cache.update(enc_rows=enc_rows, b=b, r=r, counts=counts, occ=occ, n_rows=len(ids))
+            cache.update(enc_rows=enc_rows, counts=counts, occ=occ, n_rows=len(ids))
             text = self._aggregate(cache)
 
         pre_feat = feats @ p["feat_W"] + p["feat_b"]
@@ -721,7 +731,7 @@ class Model:
             hidden.append({"input": a, "s": s, "drop": drop})
             a = act if drop is None else act * drop
         logits = a @ p["out_W"] + p["out_b"]
-        if not np.all(np.isfinite(logits)):
+        if not np.isfinite(logits).all():
             raise DiagnosticError("non-finite activation at the output layer")
         shifted = logits - logits.max(axis=1, keepdims=True)
         expd = np.exp(shifted)

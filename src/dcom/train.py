@@ -232,7 +232,7 @@ def _multi_rows(samples, config: TrainingConfig, vocab, token_cache):
     r = config.r
     idxs = [s.idx for s in samples]
     counts = np.fromiter(map(len, idxs), np.int64, len(idxs))
-    if counts.max() > r or any(s.r != r for s in samples):
+    if max(map(len, idxs)) > r or any(s.r != r for s in samples):  # cheaper than a reduction
         raise ConfigError(f"multi samples must have r={r} slots, at most r of them real")
     if min(itertools.chain.from_iterable(idxs), default=0) < 0:
         raise ConfigError(OUTSIDE_COLUMN)

@@ -1,10 +1,11 @@
+import functools
 import json
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcom import augment, ingest, tokenizers
@@ -16,7 +17,7 @@ from dcom.infer import _forward_groups, _group_vote, evaluate, predict_kvote, pr
 from dcom.nn import Model, init_params, zeros_like_params
 from dcom.serialize import ModelBundle, save_bundle
 from dcom.tokenizers import RESERVED, Vocabulary
-from dcom.train import make_batch
+from dcom.train import make_batch, train_model
 
 
 def tiny_bundle(training, class_names):
@@ -223,6 +224,16 @@ class TestGroupVote:
             assert all(type(n) is int for n in votes.values())
 
 
+@functools.lru_cache(maxsize=None)
+def forty_columns():
+    """A 40-column corpus of four classes and its split."""
+    spec = {"gender": "gender_codes", "description": "descriptions", "day": "day_numbers",
+            "isbn": "isbn_like"}
+    instances = ingest.generate_synthetic_corpus(spec, 10, seed=2)
+    return instances, ingest.make_split(len(instances), seed=7,
+                                        stratify_labels=[i.label for i in instances])
+
+
 class TestPredictMany:
     """predict_many batches across columns and votes as predict_kvote does."""
 
@@ -246,6 +257,43 @@ class TestPredictMany:
             np.testing.assert_allclose(got.probabilities, want.probabilities, rtol=0,
                                        atol=1e-12)
             assert got.latency_s > 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(mode=st.sampled_from(["single", "multi"]),
+           aggregation=st.sampled_from(["mean", "sum", "concatenation", "weighted_sum"]),
+           multi_mode=st.sampled_from(["pad", "with_replacement"]),
+           tokenizer=st.sampled_from(["char", "word", "wordpiece"]),
+           epochs=st.integers(0, 1), r=st.integers(1, 16), batch_size=st.sampled_from([1, 3, 8]),
+           k=st.sampled_from([1, 3, 10]), seed=st.integers(0, 2**16))
+    # a trained multi head over one sample per column, whose groups' samples
+    # have several counts: the slot head reads the slots' (b, r) there
+    @example(mode="multi", aggregation="mean", multi_mode="pad", tokenizer="char", epochs=1,
+             r=10, batch_size=3, k=1, seed=0)
+    @example(mode="multi", aggregation="sum", multi_mode="pad", tokenizer="wordpiece",
+             epochs=1, r=10, batch_size=3, k=1, seed=0)
+    @example(mode="multi", aggregation="weighted_sum", multi_mode="pad", tokenizer="word",
+             epochs=1, r=10, batch_size=3, k=1, seed=0)
+    @example(mode="multi", aggregation="concatenation", multi_mode="pad", tokenizer="char",
+             epochs=1, r=10, batch_size=3, k=3, seed=0)
+    def test_matches_predict_kvote_across_configs(self, mode, aggregation, multi_mode,
+                                                  tokenizer, epochs, r, batch_size, k, seed):
+        """Over the config space, every slot head among them, on a bundle
+        trained for 0 or 1 epochs: the labels and votes of predict_kvote, and
+        its probabilities within 1e-12. A bundle of 0 epochs predicts the
+        uniform distribution."""
+        instances, split = forty_columns()
+        config = TrainingConfig(mode=mode, aggregation=aggregation, multi_mode=multi_mode,
+                                tokenizer=tokenizer, epochs=epochs, r=r, batch_size=batch_size,
+                                embedding_dim=4, hidden_size=3, feature_dim=4, dense_widths=(5,),
+                                vocab_budget=120, max_len=24, max_len_per_slot=8)
+        bundle, _ = train_model(instances, split, config, seed=seed)
+        seeds = list(range(seed, seed + len(instances)))
+        many = predict_many(bundle, instances, k, seeds)
+        for inst, column_seed, got in zip(instances, seeds, many):
+            want = predict_kvote(bundle, inst, k, column_seed)
+            assert (got.label, got.votes) == (want.label, want.votes)
+            np.testing.assert_allclose(got.probabilities, want.probabilities, rtol=0,
+                                       atol=1e-12)
 
     def test_encodes_each_value_once_per_call(self, bundle, sanity_corpus, monkeypatch):
         """The column groups of one predict_many call share one token cache:

@@ -110,6 +110,16 @@ class TestLoadCsvLong:
         assert instances[1].label == "gender"
         assert vocab.names == ("day", "gender")
 
+    def test_rows_of_one_column_id_need_not_be_adjacent(self, tmp_path):
+        # a column_id's rows form one instance wherever they stand, in file
+        # order, and the instance takes the place of its first row
+        f = tmp_path / "d.csv"
+        write_lines(f, ["column_id,label,value", "c1,day,3", "c2,gender,F", "c1,day,1",
+                        "c2,gender,M", "c1,day,2"])
+        instances, _ = ingest.load_dataset(f, "csv_long")
+        assert [(i.label, i.values) for i in instances] == [("day", ("3", "1", "2")),
+                                                            ("gender", ("F", "M"))]
+
     def test_bad_header(self, tmp_path):
         f = tmp_path / "d.csv"
         write_lines(f, ["a,b,c", "c1,day,1"])

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dcom import augment, nn, tokenizers
@@ -874,7 +874,7 @@ class DenseSlotModel(Model):
     def _aggregate(self, cache):
         cfg = self.config
         enc = np.zeros((len(cache["counts"]), cfg.r, 2 * cfg.hidden_size))  # padded: zeros
-        enc[cache["b"], cache["r"]] = cache["enc_rows"][cache["occ"]]
+        enc[nn._slot_index(cache)] = cache["enc_rows"][cache["occ"]]
         cache["enc"] = enc
         if cfg.aggregation == "mean":
             return enc.sum(axis=1) / cache["counts"][:, None]
@@ -883,7 +883,7 @@ class DenseSlotModel(Model):
         return (enc * self.params["agg_w"][None, :, None]).sum(axis=1)
 
     def _aggregate_backward(self, cache, dtext, grads):
-        b, r = cache["b"], cache["r"]
+        b, r = nn._slot_index(cache)
         if self.config.aggregation == "mean":
             return (dtext / cache["counts"][:, None])[b]
         if self.config.aggregation == "sum":
@@ -951,14 +951,27 @@ def padded_reversal(ids, lengths):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 6), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
-def test_reverse_within_length_equals_padded_formula(N, T, full, seed):
+@given(st.integers(0, 6), st.integers(1, 8), st.sampled_from(["full", "padded", "lone row"]),
+       st.integers(0, 2**32 - 1))
+@example(N=3, T=1, rows="padded", seed=0)  # T = 1, a row of length 0 among them
+@example(N=1, T=1, rows="lone row", seed=0)
+def test_reverse_within_length_equals_padded_formula(N, T, rows, seed):
+    """The (2, N, T) ids of the two directions are the rows and their
+    reversal within their lengths: for rows that all fill T, padded rows
+    with one of length 0, and multi's lone row encoded twice."""
     rng = np.random.default_rng(seed)
-    lengths = np.full(N, T) if full else rng.integers(0, T + 1, size=N)
     ids = rng.integers(0, VOCAB_SIZE, size=(N, T))
+    lengths = rng.integers(0, T + 1, size=N)
+    if rows == "full":
+        lengths[:] = T
+    elif rows == "padded" and N:
+        lengths[0] = 0
+    else:  # Model.forward steps a multi batch's one row as two equal rows
+        ids, lengths = np.repeat(ids[:1], 2, 0), np.repeat(lengths[:1], 2)
     event("every row full" if (lengths == T).all() else "some row padded")
-    np.testing.assert_array_equal(nn._reverse_within_length(ids, lengths),
-                                  padded_reversal(ids, lengths))
+    both = nn._directions(ids, lengths)
+    assert both.dtype == ids.dtype
+    np.testing.assert_array_equal(both, np.stack([ids, padded_reversal(ids, lengths)]))
 
 
 LSTM_NAMES = [f"lstm_{d}_{k}" for d in ("fw", "bw") for k in nn.LSTM_WEIGHTS]

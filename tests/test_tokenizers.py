@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import time
 from collections import Counter
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from dcom import ingest
 from dcom import tokenizers as tk
 from dcom.errors import ConfigError
-from wordpiece_oracle import oracle_train_wordpiece
+from wordpiece_oracle import oracle_train_wordpiece, oracle_wordpiece_word
 
 
 class TestBuildVocab:
@@ -156,6 +158,58 @@ class TestTrainWordpiece:
         assert len(vocab) == 1000
         digest = hashlib.sha256("\n".join(vocab.tokens).encode()).hexdigest()
         assert digest == "fec689a52e058fccd5637292eec64b7c3f70ebc7cbe53e4d92a24824cb7752e7"
+
+
+@functools.lru_cache(maxsize=None)
+def acceptance_wordpiece():
+    """The acceptance corpus's WordPiece vocabulary (budget 1000, as the
+    benchmark trains it) and the corpus's distinct words, sorted."""
+    instances = ingest.generate_synthetic_corpus(ingest.DEFAULT_CLASS_SPEC, 200, seed=11)
+    texts = [" ".join(instance.values) for instance in instances]
+    return tk.build_vocab(texts, "wordpiece", 1000), sorted({w for t in texts for w in t.split()})
+
+
+DIGITS = "0123456789"
+
+
+class TestWordpieceSearchBound:
+    """A longest-match search begins vocab.longest characters past its start
+    at most; the ids are those of a search begun at the word's end."""
+
+    def test_longest_is_the_longest_learned_token(self):
+        vocab = tk.Vocabulary("wordpiece", tk.RESERVED + ("ab", "##abc", "d"))
+        assert vocab.longest == 5
+        assert tk.Vocabulary("wordpiece", tk.RESERVED).longest == 0  # [PAD] is not learned
+        assert vocab == tk.Vocabulary("wordpiece", vocab.tokens)  # not part of equality
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_unbounded_oracle_on_the_acceptance_vocab(self, data):
+        vocab, words = acceptance_wordpiece()
+        word = data.draw(st.one_of(
+            st.sampled_from(words),
+            st.text(st.sampled_from("aeiouxyzAZ09#-.éßжµ€ñ"), min_size=1, max_size=60),
+            st.text(min_size=1, max_size=30),
+            st.text(st.sampled_from(DIGITS), min_size=1, max_size=300),
+        ))
+        assert tk._wordpiece_word(vocab, word) == oracle_wordpiece_word(vocab.index, word)
+
+    @given(st.lists(st.text(st.sampled_from("ab#é"), min_size=1, max_size=6), max_size=12),
+           st.text(st.sampled_from("ab#é"), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_unbounded_oracle_on_drawn_vocabularies(self, learned, word):
+        vocab = tk.Vocabulary("wordpiece", tk.RESERVED + tuple(dict.fromkeys(
+            t for t in learned if t not in tk.RESERVED)))
+        assert tk._wordpiece_word(vocab, word) == oracle_wordpiece_word(vocab.index, word)
+
+    def test_long_digit_word_is_fast(self):
+        # the search begun at the word's end took 49.7 s on 8,000 digits
+        vocab, _ = acceptance_wordpiece()
+        word = "".join(np.random.default_rng(0).choice(list(DIGITS), size=20_000))
+        t0 = time.perf_counter()
+        ids = tk.encode_value(vocab, word)
+        assert time.perf_counter() - t0 < 10.0
+        assert "".join(vocab.tokens[i].removeprefix("##") for i in ids) == word
 
 
 def tokens_of(vocab, seq):
